@@ -1,466 +1,13 @@
-"""Run the paper's full Table 3 sweep and persist the records as JSON.
+"""Alias of ``repro sweep`` — the full Table 3 sweep (``--help`` lists the flags)."""
 
-The benchmark suite (``pytest benchmarks/``) uses reduced grids so it
-finishes in minutes; this script runs the *complete* cross product —
-27 hyper-parameter configurations x partitioners x machine counts per
-graph and system — and writes ``sweep_distgnn.json`` /
-``sweep_distdgl.json`` for offline analysis.
-
-Usage::
-
-    python scripts/run_full_sweep.py [--quick] [--graphs OR,EU]
-        [--machines 4,32] [--out DIR] [--workers N]
-        [--fault-rate P] [--epochs E] [--checkpoint-every C]
-        [--compression none,fp16] [--refresh-interval 1,4]
-        [--cache-fraction 0,0.5]
-        [--obs-level metrics] [--obs-out sweep_obs.jsonl]
-        [--bus-out BUS_DIR] [--rules rules.json] [--abort-on critical]
-        [--profile-out PROFILE_DIR]
-
-``--quick`` restricts to the corner-covering reduced grid (the same one
-the benchmarks use). ``--workers N`` fans the (machines, partitioner)
-grid cells out over N processes (0 = one per CPU); results are identical
-to the serial run. A non-zero ``--fault-rate`` / ``--slowdown-rate`` /
-``--loss-rate`` turns the sweep into a seeded fault sweep: every cell is
-simulated for ``--epochs`` epochs under the same deterministic fault
-plan, the records gain recovery accounting, and a per-partitioner
-recovery-overhead summary is printed at the end.
-
-``--compression`` / ``--refresh-interval`` / ``--cache-fraction`` take
-comma lists and turn the sweep into a *communication-reduction* sweep
-(see ``docs/communication.md``): every grid cell is run once per comm
-configuration in the cross product, records carry the
-``comm_config`` that produced them plus traffic-saved / codec-time /
-staleness accounting, and a per-codec traffic summary is printed at
-the end. The defaults (``none``, ``1``, ``0``) leave the sweep
-byte-identical to a pre-comm run.
-
-``--obs-level metrics`` (or ``trace``) collects telemetry during the
-sweep (see ``docs/observability.md``): every record gains a
-deterministic ``obs_metrics`` summary — identical between serial and
-parallel runs — and ``--obs-out`` receives a JSONL dump (trace events,
-when tracing, plus a final metrics-snapshot record from the coordinator
-process). Feed the saved sweeps to ``scripts/build_run_report.py`` for
-a consolidated markdown/JSON run report.
-
-``--profile-out DIR`` captures one deterministic cProfile artifact per
-grid cell (``profile-cell-NNNNNN.json`` — see ``docs/profiling.md``);
-render one with ``repro obs flamegraph``, compare two runs with
-``repro obs profile-diff``. Capturing disables the serial fast path so
-profiled and unprofiled sweeps still produce identical records.
-
-``--bus-out DIR`` streams live progress events onto a telemetry bus
-(per-worker JSONL files; watch it from another terminal with
-``python -m repro obs watch DIR`` — see ``docs/live.md``). ``--rules
-FILE`` evaluates a declarative alert-rule file against every finished
-cell's records; firings are printed (and pushed onto the bus) as
-findings, and ``--abort-on {warning,critical}`` stops the sweep early
-with exit code 2 the moment a rule fires at or above that severity.
-
-The cell fan-out rides :mod:`repro.experiments.executor` — the same
-engine behind ``repro serve`` (``docs/serve.md``), which runs these
-sweeps as queued multi-tenant jobs instead of one batch invocation.
-"""
-
-from __future__ import annotations
-
-import argparse
-import os
 import sys
-import time
 
-from repro import obs
-from repro.experiments import (
-    MACHINE_COUNTS,
-    FaultConfig,
-    comm_grid,
-    parameter_grid,
-    reduced_grid,
-    robustness_summary,
-    run_distdgl_grid_parallel,
-    run_distgnn_grid_parallel,
-    save_records,
-    speedup_summary,
-)
-from repro.graph import DATASET_KEYS, load_dataset, random_split
-from repro.partitioning import (
-    EDGE_PARTITIONER_NAMES,
-    VERTEX_PARTITIONER_NAMES,
-)
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced grid instead of the full 27 configs")
-    parser.add_argument("--graphs", default=",".join(DATASET_KEYS))
-    parser.add_argument(
-        "--machines", default=",".join(str(k) for k in MACHINE_COUNTS)
-    )
-    parser.add_argument("--scale", default="small",
-                        choices=("tiny", "small", "medium"))
-    parser.add_argument("--out", default=".")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the grid fan-out (0 = one per CPU, 1 = serial)",
-    )
-    parser.add_argument(
-        "--epochs", type=int, default=1,
-        help="epochs per cell (fault sweeps need more than one)",
-    )
-    parser.add_argument("--fault-rate", type=float, default=0.0,
-                        help="per-(epoch, machine) crash probability")
-    parser.add_argument("--slowdown-rate", type=float, default=0.0,
-                        help="per-(epoch, machine) straggler probability")
-    parser.add_argument("--loss-rate", type=float, default=0.0,
-                        help="per-(epoch, machine) lost-message probability")
-    parser.add_argument("--checkpoint-every", type=int, default=5,
-                        help="full-batch checkpoint interval in epochs")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="seed of the deterministic fault plan")
-    parser.add_argument("--compression", default="none",
-                        help="comma list of codecs to sweep "
-                             "(none, fp16, int8, topk)")
-    parser.add_argument("--refresh-interval", default="1",
-                        help="comma list of cd-r halo refresh intervals "
-                             "(1 = sync every epoch)")
-    parser.add_argument("--cache-fraction", default="0",
-                        help="comma list of DistDGL feature-cache "
-                             "fractions in [0, 1)")
-    parser.add_argument("--obs-level", default="off", choices=obs.LEVELS,
-                        help="telemetry level: off (default), metrics, "
-                             "trace")
-    parser.add_argument("--obs-out", default=None,
-                        help="JSONL telemetry output (trace events plus a "
-                             "final metrics-snapshot record)")
-    parser.add_argument("--analysis-out", default=None,
-                        help="write an analysis report JSON for the sweep "
-                             "(see docs/analysis.md); built from the "
-                             "records only, so serial and parallel sweeps "
-                             "produce identical reports")
-    parser.add_argument("--analysis-dashboard", default=None,
-                        help="also write the self-contained HTML dashboard")
-    parser.add_argument("--bus-out", default=None,
-                        help="telemetry-bus directory: stream live "
-                             "progress events for `repro obs watch`")
-    parser.add_argument("--profile-out", default=None,
-                        help="directory for per-cell cProfile artifacts "
-                             "(profile-cell-NNNNNN.json; render with "
-                             "`repro obs flamegraph`, compare with "
-                             "`repro obs profile-diff`)")
-    parser.add_argument("--rules", default=None,
-                        help="alert-rules JSON evaluated per finished "
-                             "cell (see docs/live.md)")
-    parser.add_argument("--abort-on", default=None,
-                        choices=("warning", "critical"),
-                        help="stop the sweep (exit 2) when a rule fires "
-                             "at or above this severity")
-    return parser.parse_args(argv)
-
-
-def fault_config_from(args):
-    config = FaultConfig(
-        crash_rate=args.fault_rate,
-        slowdown_rate=args.slowdown_rate,
-        loss_rate=args.loss_rate,
-        checkpoint_every=args.checkpoint_every,
-        seed=args.fault_seed,
-    )
-    return config if config else None
-
-
-def comm_configs_from(args):
-    """Expand the comm flags into the cross product of CommConfigs.
-
-    An all-default grid collapses to ``[None]`` so the baseline sweep
-    takes the exact pre-comm code path (bit-identical records).
-    """
-    configs = list(comm_grid(
-        compressions=tuple(
-            s.strip() for s in args.compression.split(",") if s.strip()
-        ),
-        refresh_intervals=tuple(
-            int(s) for s in args.refresh_interval.split(",") if s.strip()
-        ),
-        cache_fractions=tuple(
-            float(s) for s in args.cache_fraction.split(",") if s.strip()
-        ),
-    ))
-    if len(configs) == 1 and not configs[0]:
-        return [None]
-    return configs
+from repro.cli import main as repro_main
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    graphs = [g.strip().upper() for g in args.graphs.split(",")]
-    machines = [int(k) for k in args.machines.split(",")]
-    grid = list(reduced_grid() if args.quick else parameter_grid())
-    fault_config = fault_config_from(args)
-    comm_configs = comm_configs_from(args)
-    comm_sweep = any(c is not None for c in comm_configs)
-    print(
-        f"sweep: graphs={graphs} machines={machines} "
-        f"configs={len(grid)} scale={args.scale}"
-    )
-    if comm_sweep:
-        print(
-            "comm: "
-            + ", ".join(c.label() for c in comm_configs)
-        )
-    if fault_config is not None:
-        print(
-            f"faults: crash={fault_config.crash_rate} "
-            f"slowdown={fault_config.slowdown_rate} "
-            f"loss={fault_config.loss_rate} "
-            f"checkpoint-every={fault_config.checkpoint_every} "
-            f"epochs={args.epochs} seed={fault_config.seed}"
-        )
-
-    if args.obs_level != "off":
-        sink = None
-        if args.obs_out and args.obs_level == "trace":
-            sink = obs.JsonlSink(args.obs_out)
-        obs.configure(args.obs_level, sink)
-
-    rules = None
-    if args.rules:
-        from repro.obs.live import RuleSet
-
-        rules = RuleSet.load(args.rules)
-        print(f"rules: {len(rules.rules)} loaded from {args.rules}")
-    if args.abort_on and rules is None:
-        print("--abort-on needs --rules", file=sys.stderr)
-        return 1
-
-    bus = None
-    if args.bus_out:
-        from repro.obs.live import BusWriter
-
-        bus = BusWriter(args.bus_out, "coordinator")
-        cells_per_graph = len(comm_configs) * len(machines) * (
-            len(EDGE_PARTITIONER_NAMES) + len(VERTEX_PARTITIONER_NAMES)
-        )
-        bus.sweep_start(
-            len(graphs) * cells_per_graph,
-            graphs=graphs, machine_counts=machines,
-            configs=len(grid),
-        )
-        print(f"bus: streaming to {args.bus_out} "
-              f"(watch: python -m repro obs watch {args.bus_out})")
-
-    fired_alerts = []
-    cell_callback = None
-    if rules is not None:
-        from repro.obs.live import SweepAborted, severity_at_least
-
-        def cell_callback(cell, cell_records):
-            firings = rules.evaluate_records(cell_records)
-            for index, finding in enumerate(firings):
-                if bus is not None:
-                    bus.finding(cell, index, finding)
-                print(
-                    f"  alert [{finding.severity}] {finding.message}"
-                )
-            fired_alerts.extend(firings)
-            if args.abort_on:
-                fatal = [
-                    f for f in firings
-                    if severity_at_least(f.severity, args.abort_on)
-                ]
-                if fatal:
-                    raise SweepAborted(fatal)
-    elif args.bus_out:
-        def cell_callback(cell, cell_records):
-            pass
-
-    workers = args.workers if args.workers > 0 else None
-    distgnn_records = []
-    distdgl_records = []
-    aborted = None
-    cell_offset = 0
-    try:
-        for key in graphs:
-            graph = load_dataset(key, args.scale, seed=args.seed)
-            split = random_split(graph, seed=args.seed)
-            for comm in comm_configs:
-                tag = f" [{comm.label()}]" if comm is not None else ""
-                start = time.time()
-                distgnn_records.extend(
-                    run_distgnn_grid_parallel(
-                        graph, EDGE_PARTITIONER_NAMES, machines, grid,
-                        seed=args.seed, workers=workers,
-                        fault_config=fault_config,
-                        num_epochs=args.epochs,
-                        bus_dir=args.bus_out,
-                        cell_callback=cell_callback,
-                        cell_offset=cell_offset, comm_config=comm,
-                        profile_dir=args.profile_out,
-                    )
-                )
-                cell_offset += len(machines) * len(EDGE_PARTITIONER_NAMES)
-                print(
-                    f"{key}: DistGNN grid{tag} done in "
-                    f"{time.time() - start:.0f}s"
-                )
-                start = time.time()
-                distdgl_records.extend(
-                    run_distdgl_grid_parallel(
-                        graph, VERTEX_PARTITIONER_NAMES, machines, grid,
-                        split=split, seed=args.seed, workers=workers,
-                        fault_config=fault_config,
-                        num_epochs=args.epochs,
-                        bus_dir=args.bus_out,
-                        cell_callback=cell_callback,
-                        cell_offset=cell_offset, comm_config=comm,
-                        profile_dir=args.profile_out,
-                    )
-                )
-                cell_offset += (
-                    len(machines) * len(VERTEX_PARTITIONER_NAMES)
-                )
-                print(
-                    f"{key}: DistDGL grid{tag} done in "
-                    f"{time.time() - start:.0f}s"
-                )
-    except Exception as error:
-        from repro.obs.live import SweepAborted
-
-        if not isinstance(error, SweepAborted):
-            raise
-        aborted = error
-    finally:
-        if bus is not None:
-            bus.close()
-
-    os.makedirs(args.out, exist_ok=True)
-    gnn_path = os.path.join(args.out, "sweep_distgnn.json")
-    dgl_path = os.path.join(args.out, "sweep_distdgl.json")
-    save_records(distgnn_records, gnn_path)
-    save_records(distdgl_records, dgl_path)
-    print(f"wrote {gnn_path} ({len(distgnn_records)} records)")
-    print(f"wrote {dgl_path} ({len(distdgl_records)} records)")
-
-    if aborted is not None:
-        if args.obs_level != "off":
-            obs.reset()
-            obs.disable()
-        print(f"\nABORTED: {aborted}", file=sys.stderr)
-        for finding in aborted.findings:
-            print(
-                f"  [{finding.severity}] {finding.subject}: "
-                f"{finding.message}",
-                file=sys.stderr,
-            )
-        return 2
-
-    if args.obs_level != "off":
-        if args.obs_out:
-            sink = obs.get_sink()
-            if sink is None:
-                sink = obs.JsonlSink(args.obs_out)
-                obs.set_sink(sink)
-            sink.emit(
-                {
-                    "kind": "metrics-snapshot",
-                    "name": "final",
-                    "metrics": obs.snapshot(),
-                }
-            )
-            print(f"wrote {args.obs_out} (telemetry)")
-        obs.reset()
-        obs.disable()
-
-    if args.analysis_out or args.analysis_dashboard:
-        from repro.obs import analysis
-
-        run = analysis.RunData(
-            label="sweep",
-            records=list(distgnn_records) + list(distdgl_records),
-        )
-        report = analysis.build_analysis_report(run)
-        report_dict = report.to_dict()
-        if args.analysis_out:
-            report.save(args.analysis_out)
-            print(f"wrote {args.analysis_out} (analysis report)")
-        if args.analysis_dashboard:
-            with open(
-                args.analysis_dashboard, "w", encoding="utf-8"
-            ) as handle:
-                handle.write(analysis.render_dashboard(report_dict))
-            print(f"wrote {args.analysis_dashboard} (dashboard)")
-
-    if rules is not None:
-        if fired_alerts:
-            print(f"\nalerts fired: {len(fired_alerts)}")
-            for finding in fired_alerts:
-                print(
-                    f"  [{finding.severity}] {finding.subject}: "
-                    f"{finding.message}"
-                )
-        else:
-            print(f"\nalerts fired: none ({len(rules.rules)} rules)")
-
-    # Quick headline: mean speedups at the largest machine count.
-    top_k = max(machines)
-    for label, records in (
-        ("DistGNN", distgnn_records),
-        ("DistDGL", distdgl_records),
-    ):
-        summaries = speedup_summary(records)
-        print(f"\n{label} mean speedup over Random @ {top_k} machines:")
-        for (graph, partitioner, k), summary in sorted(summaries.items()):
-            if k == top_k and partitioner != "random":
-                print(
-                    f"  {graph} {partitioner:>8s}: {summary.mean:5.2f}x "
-                    f"[{summary.minimum:.2f}, {summary.maximum:.2f}]"
-                )
-
-    if comm_sweep:
-        for label, records in (
-            ("DistGNN", distgnn_records),
-            ("DistDGL", distdgl_records),
-        ):
-            totals = {}
-            for record in records:
-                comm = record.comm_config
-                key = comm.label() if comm is not None else "baseline"
-                wire, saved, err = totals.get(key, (0.0, 0.0, 0.0))
-                totals[key] = (
-                    wire + record.network_bytes,
-                    saved + record.traffic_saved_bytes,
-                    max(err, record.accuracy_proxy_error),
-                )
-            print(f"\n{label} traffic by comm config:")
-            for key, (wire, saved, err) in sorted(totals.items()):
-                raw = wire + saved
-                pct = 100.0 * saved / raw if raw else 0.0
-                print(
-                    f"  {key:>16s}: {wire / 1e6:10.1f} MB on the wire "
-                    f"({pct:5.1f}% saved, accuracy proxy error "
-                    f"{err:.4f})"
-                )
-
-    if fault_config is not None:
-        for label, records in (
-            ("DistGNN", distgnn_records),
-            ("DistDGL", distdgl_records),
-        ):
-            summaries = robustness_summary(records)
-            print(
-                f"\n{label} recovery overhead (fraction of makespan) "
-                f"@ {top_k} machines:"
-            )
-            for (graph, partitioner, k), summary in sorted(summaries.items()):
-                if k == top_k:
-                    print(
-                        f"  {graph} {partitioner:>8s}: "
-                        f"{summary.mean * 100:5.2f}% "
-                        f"[{summary.minimum * 100:.2f}, "
-                        f"{summary.maximum * 100:.2f}]"
-                    )
-    return 0
+    """Run ``repro sweep`` with this script's arguments."""
+    return repro_main(["sweep", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

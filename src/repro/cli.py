@@ -9,6 +9,7 @@ Subcommands::
         -k 32 --shuffle-out BUCKETS                  # out-of-core
     python -m repro distgnn    --graph OR --partitioner hep100 -k 8
     python -m repro distdgl    --graph OR --partitioner metis -k 8
+    python -m repro sweep      --quick --graphs OR --machines 4,8 --out DIR
     python -m repro amortize   --graph OR -k 16 --epochs 100
     python -m repro obs analyze   RUN_ARTIFACT...   # diagnose a run
     python -m repro obs diff      A B               # regression diff
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -37,13 +39,21 @@ import numpy as np
 from . import obs
 from .comm import CODEC_NAMES
 from .experiments import (
+    ENGINES,
+    MACHINE_COUNTS,
     CommConfig,
     FaultConfig,
     TrainingParams,
+    comm_grid,
     epochs_to_amortize,
     format_table,
-    run_distdgl,
+    parameter_grid,
+    reduced_grid,
+    robustness_summary,
     run_distgnn,
+    run_grid,
+    save_records,
+    speedup_summary,
 )
 from .graph import (
     DATASET_KEYS,
@@ -103,6 +113,16 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hidden-dim", type=int, default=64)
     parser.add_argument("--num-layers", type=int, default=3)
     parser.add_argument("-k", "--machines", type=int, default=8)
+
+
+def _model_params(args) -> TrainingParams:
+    """The TrainingParams the --feature-size/--hidden-dim/--num-layers
+    flags describe."""
+    return TrainingParams(
+        feature_size=args.feature_size,
+        hidden_dim=args.hidden_dim,
+        num_layers=args.num_layers,
+    )
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -401,29 +421,8 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _cmd_distgnn(args) -> int:
-    _configure_obs(args)
-    graph = _load_graph(args)
-    params = TrainingParams(
-        feature_size=args.feature_size,
-        hidden_dim=args.hidden_dim,
-        num_layers=args.num_layers,
-    )
-    fault_config = _fault_config(args)
-    comm_config = _comm_config(args)
-    record = run_distgnn(
-        graph, args.partitioner, args.machines, params, seed=args.seed,
-        fault_config=fault_config, num_epochs=args.epochs,
-        comm_config=comm_config,
-    )
-    baseline = run_distgnn(
-        graph, "random", args.machines, params, seed=args.seed,
-        fault_config=fault_config, num_epochs=args.epochs,
-        comm_config=comm_config,
-    )
-    rows = [
-        ("epoch seconds", record.epoch_seconds),
-        ("speedup vs Random", baseline.epoch_seconds / record.epoch_seconds),
+def _distgnn_rows(record) -> List[tuple]:
+    return [
         ("network MB / epoch", record.network_bytes / 1e6),
         ("total memory MB", record.total_memory_bytes / 1e6),
         ("memory balance", record.memory_balance),
@@ -431,57 +430,52 @@ def _cmd_distgnn(args) -> int:
         ("vertex balance", record.vertex_balance),
         ("partitioning seconds", record.partitioning_seconds),
     ]
-    if fault_config is not None:
-        rows += _fault_rows(record)
-    if comm_config is not None:
-        rows += _comm_rows(record)
-    print(
-        format_table(
-            ["metric", "value"], rows,
-            f"DistGNN full-batch: {args.partitioner} on {graph.name}, "
-            f"{args.machines} machines ({params.label()})",
-        )
-    )
-    _finish_obs(args)
-    return 0
 
 
-def _cmd_distdgl(args) -> int:
-    _configure_obs(args)
-    graph = _load_graph(args)
-    params = TrainingParams(
-        feature_size=args.feature_size,
-        hidden_dim=args.hidden_dim,
-        num_layers=args.num_layers,
-        arch=args.arch,
-        global_batch_size=args.batch_size,
-    )
-    fault_config = _fault_config(args)
-    comm_config = _comm_config(args)
-    record = run_distdgl(
-        graph, args.partitioner, args.machines, params, seed=args.seed,
-        fault_config=fault_config, num_epochs=args.epochs,
-        comm_config=comm_config,
-    )
-    baseline = run_distdgl(
-        graph, "random", args.machines, params, seed=args.seed,
-        fault_config=fault_config, num_epochs=args.epochs,
-        comm_config=comm_config,
-    )
-    rows = [
-        ("epoch seconds", record.epoch_seconds),
-        ("speedup vs Random", baseline.epoch_seconds / record.epoch_seconds),
-    ]
-    rows += [
+def _distdgl_rows(record) -> List[tuple]:
+    return [
         (f"phase: {phase}", seconds)
         for phase, seconds in record.phase_seconds.items()
-    ]
-    rows += [
+    ] + [
         ("remote input vertices", record.remote_input_vertices),
         ("edge-cut ratio", record.edge_cut),
         ("training vertex balance", record.training_vertex_balance),
         ("partitioning seconds", record.partitioning_seconds),
     ]
+
+
+#: Per engine: the training mode in the report title and its own rows.
+_ENGINE_REPORTS = {
+    "distgnn": ("full-batch", _distgnn_rows),
+    "distdgl": ("mini-batch", _distdgl_rows),
+}
+
+
+def _cmd_engine(args) -> int:
+    """``repro distgnn|distdgl``: one configuration against Random."""
+    _configure_obs(args)
+    engine = ENGINES[args.command]
+    mode, engine_rows = _ENGINE_REPORTS[args.command]
+    graph = _load_graph(args)
+    params = _model_params(args)
+    if args.command == "distdgl":
+        params = params.with_(
+            arch=args.arch, global_batch_size=args.batch_size
+        )
+    fault_config = _fault_config(args)
+    comm_config = _comm_config(args)
+    record, baseline = (
+        engine.run(
+            graph, name, args.machines, params, seed=args.seed,
+            fault_config=fault_config, num_epochs=args.epochs,
+            comm_config=comm_config,
+        )
+        for name in (args.partitioner, "random")
+    )
+    rows = [
+        ("epoch seconds", record.epoch_seconds),
+        ("speedup vs Random", baseline.epoch_seconds / record.epoch_seconds),
+    ] + engine_rows(record)
     if fault_config is not None:
         rows += _fault_rows(record)
     if comm_config is not None:
@@ -489,7 +483,7 @@ def _cmd_distdgl(args) -> int:
     print(
         format_table(
             ["metric", "value"], rows,
-            f"DistDGL mini-batch: {args.partitioner} on {graph.name}, "
+            f"{engine.label} {mode}: {args.partitioner} on {graph.name}, "
             f"{args.machines} machines ({params.label()})",
         )
     )
@@ -497,13 +491,304 @@ def _cmd_distdgl(args) -> int:
     return 0
 
 
+def _comm_configs(args) -> List[Optional[CommConfig]]:
+    """Expand ``repro sweep``'s comm lists into the cross product.
+
+    An all-default grid collapses to ``[None]`` so the baseline sweep
+    takes the exact pre-comm code path (bit-identical records).
+    """
+    configs = list(comm_grid(
+        compressions=tuple(
+            s.strip() for s in args.compression.split(",") if s.strip()
+        ),
+        refresh_intervals=tuple(
+            int(s) for s in args.refresh_interval.split(",") if s.strip()
+        ),
+        cache_fractions=tuple(
+            float(s) for s in args.cache_fraction.split(",") if s.strip()
+        ),
+    ))
+    if len(configs) == 1 and not configs[0]:
+        return [None]
+    return configs
+
+
+def _cmd_sweep(args) -> int:
+    """Run the paper's full Table 3 sweep and persist the records as JSON.
+
+    The benchmark suite (``pytest benchmarks/``) uses reduced grids so it
+    finishes in minutes; this command runs the *complete* cross product —
+    27 hyper-parameter configurations x partitioners x machine counts per
+    graph and system — and writes ``sweep_distgnn.json`` /
+    ``sweep_distdgl.json`` for offline analysis.
+    ``scripts/run_full_sweep.py`` is an alias of it.
+
+    ``--quick`` restricts to the corner-covering reduced grid (the same one
+    the benchmarks use). ``--workers N`` fans the (machines, partitioner)
+    grid cells out over N processes (0 = one per CPU); results are identical
+    to the serial run. A non-zero ``--fault-rate`` / ``--slowdown-rate`` /
+    ``--loss-rate`` turns the sweep into a seeded fault sweep: every cell is
+    simulated for ``--epochs`` epochs under the same deterministic fault
+    plan, the records gain recovery accounting, and a per-partitioner
+    recovery-overhead summary is printed at the end.
+
+    ``--compression`` / ``--refresh-interval`` / ``--cache-fraction`` take
+    comma lists and turn the sweep into a *communication-reduction* sweep
+    (see ``docs/communication.md``): every grid cell is run once per comm
+    configuration in the cross product, records carry the
+    ``comm_config`` that produced them plus traffic-saved / codec-time /
+    staleness accounting, and a per-codec traffic summary is printed at
+    the end. The defaults (``none``, ``1``, ``0``) leave the sweep
+    byte-identical to a pre-comm run.
+
+    ``--obs-level metrics`` (or ``trace``) collects telemetry during the
+    sweep (see ``docs/observability.md``): every record gains a
+    deterministic ``obs_metrics`` summary — identical between serial and
+    parallel runs — and ``--obs-out`` receives a JSONL dump (trace events,
+    when tracing, plus a final metrics-snapshot record from the coordinator
+    process). Feed the saved sweeps to ``scripts/build_run_report.py`` for
+    a consolidated markdown/JSON run report.
+
+    ``--profile-out DIR`` captures one deterministic cProfile artifact per
+    grid cell (``profile-cell-NNNNNN.json`` — see ``docs/profiling.md``);
+    render one with ``repro obs flamegraph``, compare two runs with
+    ``repro obs profile-diff``. Profiled and unprofiled sweeps produce
+    identical records.
+
+    ``--bus-out DIR`` streams live progress events onto a telemetry bus
+    (per-worker JSONL files; watch it from another terminal with
+    ``python -m repro obs watch DIR`` — see ``docs/live.md``). ``--rules
+    FILE`` evaluates a declarative alert-rule file against every finished
+    cell's records; firings are printed (and pushed onto the bus) as
+    findings, and ``--abort-on {warning,critical}`` stops the sweep early
+    with exit code 2 the moment a rule fires at or above that severity.
+
+    Every cell goes through ``repro.experiments.run_grid`` — the same
+    pipeline behind ``repro serve`` (``docs/serve.md``), which runs these
+    sweeps as queued multi-tenant jobs instead of one batch invocation.
+    """
+    graphs = [g.strip().upper() for g in args.graphs.split(",")]
+    machines = [int(k) for k in args.machines.split(",")]
+    grid = list(reduced_grid() if args.quick else parameter_grid())
+    fault_config = _fault_config(args)
+    comm_configs = _comm_configs(args)
+    comm_sweep = any(c is not None for c in comm_configs)
+    print(
+        f"sweep: graphs={graphs} machines={machines} "
+        f"configs={len(grid)} scale={args.scale}"
+    )
+    if comm_sweep:
+        print(
+            "comm: "
+            + ", ".join(c.label() for c in comm_configs)
+        )
+    if fault_config is not None:
+        print(
+            f"faults: crash={fault_config.crash_rate} "
+            f"slowdown={fault_config.slowdown_rate} "
+            f"loss={fault_config.loss_rate} "
+            f"checkpoint-every={fault_config.checkpoint_every} "
+            f"epochs={args.epochs} seed={fault_config.seed}"
+        )
+
+    _configure_obs(args)
+
+    from .obs.live import (
+        BusWriter,
+        RuleSet,
+        SweepAborted,
+        severity_at_least,
+    )
+
+    rules = None
+    if args.rules:
+        rules = RuleSet.load(args.rules)
+        print(f"rules: {len(rules.rules)} loaded from {args.rules}")
+    if args.abort_on and rules is None:
+        print("--abort-on needs --rules", file=sys.stderr)
+        return 1
+
+    bus = None
+    if args.bus_out:
+        bus = BusWriter(args.bus_out, "coordinator")
+        cells_per_graph = len(comm_configs) * len(machines) * sum(
+            len(engine.partitioner_names) for engine in ENGINES.values()
+        )
+        bus.sweep_start(
+            len(graphs) * cells_per_graph,
+            graphs=graphs, machine_counts=machines,
+            configs=len(grid),
+        )
+        print(f"bus: streaming to {args.bus_out} "
+              f"(watch: python -m repro obs watch {args.bus_out})")
+
+    fired_alerts = []
+    cell_callback = None
+    if rules is not None:
+        def cell_callback(cell, cell_records):
+            firings = rules.evaluate_records(cell_records)
+            for index, finding in enumerate(firings):
+                if bus is not None:
+                    bus.finding(cell, index, finding)
+                print(
+                    f"  alert [{finding.severity}] {finding.message}"
+                )
+            fired_alerts.extend(firings)
+            if args.abort_on:
+                fatal = [
+                    f for f in firings
+                    if severity_at_least(f.severity, args.abort_on)
+                ]
+                if fatal:
+                    raise SweepAborted(fatal)
+
+    workers = args.workers if args.workers > 0 else None
+    records = {name: [] for name in ENGINES}
+    aborted = None
+    cell_offset = 0
+    try:
+        for key in graphs:
+            graph = load_dataset(key, args.scale, seed=args.seed)
+            for comm in comm_configs:
+                tag = f" [{comm.label()}]" if comm is not None else ""
+                for name, engine in ENGINES.items():
+                    start = time.time()
+                    records[name].extend(
+                        run_grid(
+                            name, graph, engine.partitioner_names,
+                            machines, grid, seed=args.seed,
+                            workers=workers, fault_config=fault_config,
+                            num_epochs=args.epochs,
+                            bus_dir=args.bus_out,
+                            cell_callback=cell_callback,
+                            cell_offset=cell_offset, comm_config=comm,
+                            profile_dir=args.profile_out,
+                        )
+                    )
+                    cell_offset += (
+                        len(machines) * len(engine.partitioner_names)
+                    )
+                    print(
+                        f"{key}: {engine.label} grid{tag} done in "
+                        f"{time.time() - start:.0f}s"
+                    )
+    except SweepAborted as error:
+        aborted = error
+    finally:
+        if bus is not None:
+            bus.close()
+
+    os.makedirs(args.out, exist_ok=True)
+    for name, engine_records in records.items():
+        path = os.path.join(args.out, f"sweep_{name}.json")
+        save_records(engine_records, path)
+        print(f"wrote {path} ({len(engine_records)} records)")
+
+    if aborted is not None:
+        if args.obs_level != "off":
+            obs.reset()
+            obs.disable()
+        print(f"\nABORTED: {aborted}", file=sys.stderr)
+        for finding in aborted.findings:
+            print(
+                f"  [{finding.severity}] {finding.subject}: "
+                f"{finding.message}",
+                file=sys.stderr,
+            )
+        return 2
+
+    _finish_obs(args)
+    if args.obs_level != "off" and args.obs_out:
+        print(f"wrote {args.obs_out} (telemetry)")
+
+    if args.analysis_out or args.analysis_dashboard:
+        from .obs import analysis
+
+        run = analysis.RunData(
+            label="sweep",
+            records=[r for name in ENGINES for r in records[name]],
+        )
+        report = analysis.build_analysis_report(run)
+        report_dict = report.to_dict()
+        if args.analysis_out:
+            report.save(args.analysis_out)
+            print(f"wrote {args.analysis_out} (analysis report)")
+        if args.analysis_dashboard:
+            with open(
+                args.analysis_dashboard, "w", encoding="utf-8"
+            ) as handle:
+                handle.write(analysis.render_dashboard(report_dict))
+            print(f"wrote {args.analysis_dashboard} (dashboard)")
+
+    if rules is not None:
+        if fired_alerts:
+            print(f"\nalerts fired: {len(fired_alerts)}")
+            for finding in fired_alerts:
+                print(
+                    f"  [{finding.severity}] {finding.subject}: "
+                    f"{finding.message}"
+                )
+        else:
+            print(f"\nalerts fired: none ({len(rules.rules)} rules)")
+
+    # Quick headline: mean speedups at the largest machine count.
+    top_k = max(machines)
+    for name, engine in ENGINES.items():
+        summaries = speedup_summary(records[name])
+        print(
+            f"\n{engine.label} mean speedup over Random "
+            f"@ {top_k} machines:"
+        )
+        for (graph, partitioner, k), summary in sorted(summaries.items()):
+            if k == top_k and partitioner != "random":
+                print(
+                    f"  {graph} {partitioner:>8s}: {summary.mean:5.2f}x "
+                    f"[{summary.minimum:.2f}, {summary.maximum:.2f}]"
+                )
+
+    if comm_sweep:
+        for name, engine in ENGINES.items():
+            totals = {}
+            for record in records[name]:
+                comm = record.comm_config
+                key = comm.label() if comm is not None else "baseline"
+                wire, saved, err = totals.get(key, (0.0, 0.0, 0.0))
+                totals[key] = (
+                    wire + record.network_bytes,
+                    saved + record.traffic_saved_bytes,
+                    max(err, record.accuracy_proxy_error),
+                )
+            print(f"\n{engine.label} traffic by comm config:")
+            for key, (wire, saved, err) in sorted(totals.items()):
+                raw = wire + saved
+                pct = 100.0 * saved / raw if raw else 0.0
+                print(
+                    f"  {key:>16s}: {wire / 1e6:10.1f} MB on the wire "
+                    f"({pct:5.1f}% saved, accuracy proxy error "
+                    f"{err:.4f})"
+                )
+
+    if fault_config is not None:
+        for name, engine in ENGINES.items():
+            summaries = robustness_summary(records[name])
+            print(
+                f"\n{engine.label} recovery overhead (fraction of "
+                f"makespan) @ {top_k} machines:"
+            )
+            for (graph, partitioner, k), summary in sorted(summaries.items()):
+                if k == top_k:
+                    print(
+                        f"  {graph} {partitioner:>8s}: "
+                        f"{summary.mean * 100:5.2f}% "
+                        f"[{summary.minimum * 100:.2f}, "
+                        f"{summary.maximum * 100:.2f}]"
+                    )
+    return 0
+
+
 def _cmd_amortize(args) -> int:
     graph = _load_graph(args)
-    params = TrainingParams(
-        feature_size=args.feature_size,
-        hidden_dim=args.hidden_dim,
-        num_layers=args.num_layers,
-    )
+    params = _model_params(args)
     baseline = run_distgnn(
         graph, "random", args.machines, params, seed=args.seed
     )
@@ -546,11 +831,7 @@ def _cmd_recommend(args) -> int:
     from .experiments import recommend_edge_partitioner
 
     graph = _load_graph(args)
-    params = TrainingParams(
-        feature_size=args.feature_size,
-        hidden_dim=args.hidden_dim,
-        num_layers=args.num_layers,
-    )
+    params = _model_params(args)
     recommendation = recommend_edge_partitioner(
         graph, args.machines, args.epochs, params=params, seed=args.seed
     )
@@ -1028,7 +1309,7 @@ def _add_obs_subcommands(sub) -> None:
     )
     watch.add_argument(
         "bus_dir",
-        help="bus directory (run_full_sweep.py --bus-out DIR)",
+        help="bus directory (repro sweep --bus-out DIR)",
     )
     watch.add_argument(
         "--ticks", type=int, default=None,
@@ -1285,6 +1566,60 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("sage", "gcn", "gat"))
     distdgl.add_argument("--batch-size", type=int, default=64)
 
+    sweep = sub.add_parser(
+        "sweep",
+        help="run the full Table 3 sweep over both engines "
+             "(scripts/run_full_sweep.py is an alias)",
+        description=_cmd_sweep.__doc__,
+    )
+    sweep.add_argument("--quick", action="store_true",
+                       help="reduced grid instead of the full 27 configs")
+    sweep.add_argument("--graphs", default=",".join(DATASET_KEYS))
+    sweep.add_argument(
+        "--machines", default=",".join(str(k) for k in MACHINE_COUNTS)
+    )
+    sweep.add_argument("--scale", default="small",
+                       choices=("tiny", "small", "medium"))
+    sweep.add_argument("--out", default=".")
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument(
+        "--workers", type=int, default=1,
+        help="processes for the grid fan-out (0 = one per CPU, 1 = serial)",
+    )
+    _add_fault_arguments(sweep)
+    sweep.add_argument("--compression", default="none",
+                       help="comma list of codecs to sweep "
+                            "(none, fp16, int8, topk)")
+    sweep.add_argument("--refresh-interval", default="1",
+                       help="comma list of cd-r halo refresh intervals "
+                            "(1 = sync every epoch)")
+    sweep.add_argument("--cache-fraction", default="0",
+                       help="comma list of DistDGL feature-cache "
+                            "fractions in [0, 1)")
+    _add_obs_arguments(sweep)
+    sweep.add_argument("--analysis-out", default=None,
+                       help="write an analysis report JSON for the sweep "
+                            "(see docs/analysis.md); built from the "
+                            "records only, so serial and parallel sweeps "
+                            "produce identical reports")
+    sweep.add_argument("--analysis-dashboard", default=None,
+                       help="also write the self-contained HTML dashboard")
+    sweep.add_argument("--bus-out", default=None,
+                       help="telemetry-bus directory: stream live "
+                            "progress events for `repro obs watch`")
+    sweep.add_argument("--profile-out", default=None,
+                       help="directory for per-cell cProfile artifacts "
+                            "(profile-cell-NNNNNN.json; render with "
+                            "`repro obs flamegraph`, compare with "
+                            "`repro obs profile-diff`)")
+    sweep.add_argument("--rules", default=None,
+                       help="alert-rules JSON evaluated per finished "
+                            "cell (see docs/live.md)")
+    sweep.add_argument("--abort-on", default=None,
+                       choices=("warning", "critical"),
+                       help="stop the sweep (exit 2) when a rule fires "
+                            "at or above this severity")
+
     amortize = sub.add_parser(
         "amortize", help="amortization analysis (paper RQ-5)"
     )
@@ -1376,8 +1711,9 @@ _COMMANDS = {
     "datasets": _cmd_datasets,
     "spool": _cmd_spool,
     "partition": _cmd_partition,
-    "distgnn": _cmd_distgnn,
-    "distdgl": _cmd_distdgl,
+    "distgnn": _cmd_engine,
+    "distdgl": _cmd_engine,
+    "sweep": _cmd_sweep,
     "amortize": _cmd_amortize,
     "recommend": _cmd_recommend,
     "obs": _cmd_obs,

@@ -694,6 +694,11 @@ class DistDglEngine:
                 for epoch in range(num_epochs)
             ]
 
+    @property
+    def codec_name(self) -> str:
+        """Name of the compression codec on this engine's wire traffic."""
+        return self._codec.name
+
     def comm_summary(self) -> CommSummary:
         """Accumulated communication-reduction accounting.
 

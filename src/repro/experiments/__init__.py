@@ -41,20 +41,25 @@ from .config import (
     scaled_batch_size,
 )
 from .correlation import pearson, r_squared
-from .executor import CellExecutor, CellTask, execute_cells, fifo_schedule
-from .parallel import (
-    close_bus_writer,
+from .cells import (
+    CellIO,
+    CellSpec,
+    run_cell,
+    run_distdgl_grid,
     run_distdgl_grid_parallel,
+    run_distgnn_grid,
     run_distgnn_grid_parallel,
+    run_grid,
 )
+from .executor import CellExecutor, CellTask, execute_cells, fifo_schedule
 from .records import DistDglRecord, DistGnnRecord
 from .report import format_series, format_table, print_series, print_table
 from .runreport import build_run_report
 from .runner import (
+    ENGINES,
+    Engine,
     run_distdgl,
-    run_distdgl_grid,
     run_distgnn,
-    run_distgnn_grid,
     speedup_vs_random,
 )
 
@@ -86,11 +91,16 @@ __all__ = [
     "run_distdgl_grid",
     "run_distgnn_grid_parallel",
     "run_distdgl_grid_parallel",
+    "Engine",
+    "ENGINES",
+    "CellSpec",
+    "CellIO",
+    "run_cell",
+    "run_grid",
     "CellTask",
     "CellExecutor",
     "execute_cells",
     "fifo_schedule",
-    "close_bus_writer",
     "speedup_vs_random",
     "epochs_to_amortize",
     "amortization_table",

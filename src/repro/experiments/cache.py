@@ -99,14 +99,22 @@ def _lookup(key: _CacheKey) -> Union[_Entry, None]:
     return entry
 
 
-def cached_edge_partition(
-    graph: Graph, name: str, num_partitions: int, seed: int = 0
-) -> Tuple[EdgePartition, float]:
-    """Partition (or fetch) and return ``(partition, seconds)``."""
-    key = _key("edge", name, graph, num_partitions, seed)
+#: Per family: the partitioner factory and the partition type a cache
+#: entry must hold.
+_FAMILIES = {
+    "edge": (make_edge_partitioner, EdgePartition),
+    "vertex": (make_vertex_partitioner, VertexPartition),
+}
+
+
+def _cached_partition(
+    family: str, graph: Graph, name: str, num_partitions: int, seed: int
+) -> _Entry:
+    make_partitioner, partition_type = _FAMILIES[family]
+    key = _key(family, name, graph, num_partitions, seed)
     entry = _lookup(key)
     if entry is None:
-        partitioner = make_edge_partitioner(name)
+        partitioner = make_partitioner(name)
         partition = partitioner.partition(graph, num_partitions, seed=seed)
         seconds = partitioner.last_partitioning_seconds
         if seconds is None:
@@ -115,38 +123,27 @@ def cached_edge_partition(
             )
         entry = (partition, seconds)
         _insert(key, entry)
-    partition, seconds = entry
-    if not isinstance(partition, EdgePartition):
+    if not isinstance(entry[0], partition_type):
         raise CacheEntryError(
             f"cache entry for {key!r} holds a "
-            f"{type(partition).__name__}, expected an EdgePartition"
+            f"{type(entry[0]).__name__}, expected "
+            f"{partition_type.__name__}"
         )
-    return partition, seconds
+    return entry
+
+
+def cached_edge_partition(
+    graph: Graph, name: str, num_partitions: int, seed: int = 0
+) -> Tuple[EdgePartition, float]:
+    """Partition (or fetch) and return ``(partition, seconds)``."""
+    return _cached_partition("edge", graph, name, num_partitions, seed)
 
 
 def cached_vertex_partition(
     graph: Graph, name: str, num_partitions: int, seed: int = 0
 ) -> Tuple[VertexPartition, float]:
     """Partition (or fetch) and return ``(partition, seconds)``."""
-    key = _key("vertex", name, graph, num_partitions, seed)
-    entry = _lookup(key)
-    if entry is None:
-        partitioner = make_vertex_partitioner(name)
-        partition = partitioner.partition(graph, num_partitions, seed=seed)
-        seconds = partitioner.last_partitioning_seconds
-        if seconds is None:
-            raise CacheEntryError(
-                f"partitioner {name!r} did not record a partitioning time"
-            )
-        entry = (partition, seconds)
-        _insert(key, entry)
-    partition, seconds = entry
-    if not isinstance(partition, VertexPartition):
-        raise CacheEntryError(
-            f"cache entry for {key!r} holds a "
-            f"{type(partition).__name__}, expected a VertexPartition"
-        )
-    return partition, seconds
+    return _cached_partition("vertex", graph, name, num_partitions, seed)
 
 
 def clear_cache() -> None:

@@ -1,10 +1,9 @@
 """Reusable cell executor: submit/collect fan-out with prompt aborts.
 
 The sweep's unit of distribution is the *cell* — one independent,
-deterministic task (for the grid runners: a ``(machines, partitioner)``
-pair running its whole parameter grid on one cached partition). This
-module owns the machinery that was previously inlined in
-:mod:`.parallel`: fanning cells out over a
+deterministic task (for sweeps: :func:`~.cells.run_cell` on a
+``(machines, partitioner)`` pair and its whole parameter grid). This
+module owns the fan-out machinery: running cells inline or over a
 :class:`~concurrent.futures.ProcessPoolExecutor`, collecting results in
 task order, invoking a per-cell callback, and cancelling *promptly*
 when something aborts.
@@ -13,8 +12,7 @@ Three layers, smallest first:
 
 * :class:`CellTask` — a picklable description of one cell: an ordinal
   ``index`` (the identity handed to callbacks and the telemetry bus), a
-  module-level function, its arguments, and an optional content ``key``
-  (the serve scheduler dedupes identical cells across jobs on it).
+  module-level function and its arguments.
 * :class:`CellExecutor` — submit/collect over a lazily-created process
   pool, falling back to inline execution for ``workers <= 1``.
   :meth:`CellExecutor.cancel` uses ``shutdown(wait=False,
@@ -22,8 +20,8 @@ Three layers, smallest first:
   and returns immediately instead of blocking until running cells
   drain (the old ``future.cancel()`` loop stalled ``--abort-on`` for a
   whole cell).
-* :func:`execute_cells` — the batch driver the grid runners and
-  ``run_full_sweep.py`` sit on: run every task, return results aligned
+* :func:`execute_cells` — the batch driver :func:`~.cells.run_grid`
+  (and so ``repro sweep``) sits on: run every task, return results aligned
   with the task list, fire ``cell_callback(task.index, result)`` in
   task order, and on any exception (a cell's or the callback's) cancel
   the rest promptly and re-raise.
@@ -37,8 +35,10 @@ first) without changing observable results — the default is FIFO.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -57,15 +57,12 @@ class CellTask:
     boundaries by pickle) returning the cell's result — for the grid
     runners, the cell's list of records. ``index`` is the cell's global
     ordinal: it is what ``cell_callback`` receives and what the
-    telemetry bus keys events on. ``key`` is an optional hashable
-    content identity; executors ignore it, but the serve scheduler uses
-    it to recognise identical cells across jobs and compute them once.
+    telemetry bus keys events on.
     """
 
     index: int
     fn: Callable
     args: Tuple = ()
-    key: Optional[object] = field(default=None, compare=False)
 
     def run(self):
         """Execute the cell inline and return its result.
@@ -105,6 +102,9 @@ class CellExecutor:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = workers
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Guards ``_pool`` creation/replacement: the serve daemon's
+        #: runner threads submit concurrently.
+        self._pool_lock = threading.Lock()
         self._cancelled = False
 
     @property
@@ -112,10 +112,23 @@ class CellExecutor:
         """True when cells run in the calling thread (workers <= 1)."""
         return self.workers is not None and self.workers <= 1
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
+    def _pool_submit(self, task: CellTask):
+        """Submit to the (lazily built) pool, replacing a broken one.
+
+        A pool whose worker died (``os._exit``, OOM kill, segfault) is
+        broken for good: the cells it held fail with
+        :class:`~concurrent.futures.process.BrokenProcessPool` and it
+        refuses every later submission. Dropping it here means one dead
+        worker costs the cells in flight, not the executor.
+        """
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            try:
+                return self._pool.submit(task.fn, *task.args)
+            except BrokenProcessPool:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                return self._pool.submit(task.fn, *task.args)
 
     def submit(self, task: CellTask) -> "CellHandle":
         """Submit one cell; inline executors run it before returning."""
@@ -123,8 +136,7 @@ class CellExecutor:
             raise RuntimeError("executor was cancelled")
         if self.inline:
             return CellHandle(task, result=task.run())
-        future = self._ensure_pool().submit(task.fn, *task.args)
-        return CellHandle(task, future=future)
+        return CellHandle(task, future=self._pool_submit(task))
 
     def cancel(self) -> None:
         """Abort promptly: drop every not-yet-started cell.

@@ -16,7 +16,8 @@ by robustness as well as by raw epoch time.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..cluster import OutOfMemoryError
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
@@ -25,6 +26,8 @@ from ..distgnn import DistGnnEngine
 from ..graph import Graph, VertexSplit, random_split
 from ..obs import api as obs
 from ..partitioning import (
+    EDGE_PARTITIONER_NAMES,
+    VERTEX_PARTITIONER_NAMES,
     edge_partition_quality,
     vertex_partition_quality,
 )
@@ -34,9 +37,9 @@ from .records import DistDglRecord, DistGnnRecord
 
 __all__ = [
     "run_distgnn",
-    "run_distgnn_grid",
     "run_distdgl",
-    "run_distdgl_grid",
+    "Engine",
+    "ENGINES",
     "speedup_vs_random",
 ]
 
@@ -60,7 +63,7 @@ def _obs_record_metrics(
     cluster.check_traffic_invariant()
     cluster.emit_resource_metrics()
     comm = engine.comm_summary()
-    codec_name = engine._codec.name
+    codec_name = engine.codec_name
     if obs.enabled() and comm.raw_bytes > 0:
         obs.count("comm.raw_bytes", comm.raw_bytes, codec=codec_name)
         obs.count("comm.wire_bytes", comm.wire_bytes, codec=codec_name)
@@ -102,6 +105,69 @@ def _obs_record_metrics(
     return metrics
 
 
+def _begin_run(num_epochs: int, comm_config: Optional[CommConfig]):
+    """Shared prologue: validate the epoch count, start the run clock
+    and default the comm knobs (``None`` means every knob at its
+    bit-identical default)."""
+    if num_epochs < 1:
+        raise ValueError("num_epochs must be >= 1")
+    return time.perf_counter(), comm_config or CommConfig()
+
+
+def _train(epoch_loop, num_machines, num_epochs, fault_config):
+    """Run an engine's epoch loop, under the config's fault plan if any."""
+    if fault_config:
+        return epoch_loop(
+            num_epochs,
+            fault_plan=fault_config.plan(num_machines, num_epochs),
+            recovery=fault_config.policy(),
+        )
+    return epoch_loop(num_epochs)
+
+
+def _shared_fields(
+    engine,
+    engine_name: str,
+    run_started: float,
+    num_epochs: int,
+    fault_config: Optional[FaultConfig],
+    comm_config: Optional[CommConfig],
+    out_of_memory: bool = False,
+) -> Dict[str, object]:
+    """Shared epilogue: the obs tail plus the fault/comm accounting
+    fields both record types carry."""
+    timeline = engine.cluster.timeline
+    summary = engine.fault_summary
+    obs_metrics = None
+    if obs.enabled():
+        obs_metrics = _obs_record_metrics(engine, comm_config)
+        obs.count("experiments.runs", engine=engine_name)
+        obs.observe(
+            "experiments.run_seconds",
+            time.perf_counter() - run_started,
+            engine=engine_name,
+        )
+        if out_of_memory:
+            obs.count("experiments.oom_runs")
+    # Per-epoch means, same normalization as network_bytes, so
+    # saved / (network + saved) is the wire reduction directly.
+    epochs = max(engine.comm.total_epochs, 1)
+    return {
+        "num_epochs": num_epochs,
+        "makespan_seconds": timeline.total_seconds,
+        "crashes": summary.crashes,
+        "slowdowns": summary.slowdowns,
+        "lost_messages": summary.lost_messages,
+        "recovery_seconds": timeline.recovery_seconds(),
+        "fault_config": fault_config,
+        "comm_config": comm_config,
+        "traffic_saved_bytes": engine.comm.saved_bytes / epochs,
+        "codec_seconds": engine.comm.codec_seconds / epochs,
+        "accuracy_proxy_error": engine.comm.accuracy_proxy_error,
+        "obs_metrics": obs_metrics,
+    }
+
+
 def run_distgnn(
     graph: Graph,
     partitioner: str,
@@ -122,10 +188,7 @@ def run_distgnn(
     ignored here. The partition itself is comm-independent, so the
     partition cache is shared across comm configurations.
     """
-    if num_epochs < 1:
-        raise ValueError("num_epochs must be >= 1")
-    run_started = time.perf_counter()
-    comm = comm_config or CommConfig()
+    run_started, comm = _begin_run(num_epochs, comm_config)
     partition, part_seconds = cached_edge_partition(
         graph, partitioner, num_machines, seed
     )
@@ -146,28 +209,14 @@ def run_distgnn(
             engine.check_memory_budget()
         except OutOfMemoryError:
             out_of_memory = True
-    if fault_config:
-        breakdowns = engine.simulate_training(
-            num_epochs,
-            fault_plan=fault_config.plan(num_machines, num_epochs),
-            recovery=fault_config.policy(),
-        )
-    else:
-        breakdowns = engine.simulate_training(num_epochs)
+    breakdowns = _train(
+        engine.simulate_training, num_machines, num_epochs, fault_config
+    )
     n = len(breakdowns)
-    timeline = engine.cluster.timeline
-    summary = engine.fault_summary
-    obs_metrics = None
-    if obs.enabled():
-        obs_metrics = _obs_record_metrics(engine, comm_config)
-        obs.count("experiments.runs", engine="distgnn")
-        obs.observe(
-            "experiments.run_seconds",
-            time.perf_counter() - run_started,
-            engine="distgnn",
-        )
-        if out_of_memory:
-            obs.count("experiments.oom_runs")
+    shared = _shared_fields(
+        engine, "distgnn", run_started, num_epochs, fault_config,
+        comm_config, out_of_memory,
+    )
     return DistGnnRecord(
         graph=graph.name,
         partitioner=partitioner,
@@ -186,55 +235,11 @@ def run_distgnn(
         partitioning_seconds=part_seconds,
         out_of_memory=out_of_memory,
         memory_per_machine=tuple(engine.memory_per_machine()),
-        num_epochs=num_epochs,
-        makespan_seconds=timeline.total_seconds,
-        crashes=summary.crashes,
-        slowdowns=summary.slowdowns,
-        lost_messages=summary.lost_messages,
-        reexecuted_epochs=summary.reexecuted_epochs,
-        recovery_seconds=timeline.recovery_seconds(),
-        checkpoint_seconds=timeline.checkpoint_seconds(),
-        fault_config=fault_config,
-        comm_config=comm_config,
-        # Per-epoch means, same normalization as network_bytes, so
-        # saved / (network + saved) is the wire reduction directly.
-        traffic_saved_bytes=(
-            engine.comm.saved_bytes / max(engine.comm.total_epochs, 1)
-        ),
-        codec_seconds=(
-            engine.comm.codec_seconds / max(engine.comm.total_epochs, 1)
-        ),
-        accuracy_proxy_error=engine.comm.accuracy_proxy_error,
+        reexecuted_epochs=engine.fault_summary.reexecuted_epochs,
+        checkpoint_seconds=engine.cluster.timeline.checkpoint_seconds(),
         staleness_epochs=engine.comm.stale_epochs,
-        obs_metrics=obs_metrics,
+        **shared,
     )
-
-
-def run_distgnn_grid(
-    graph: Graph,
-    partitioners: Sequence[str],
-    machine_counts: Sequence[int],
-    grid: Iterable[TrainingParams],
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    fault_config: Optional[FaultConfig] = None,
-    num_epochs: int = 1,
-    comm_config: Optional[CommConfig] = None,
-) -> List[DistGnnRecord]:
-    """Run :func:`run_distgnn` over partitioners x machines x params."""
-    grid = list(grid)
-    records = []
-    for k in machine_counts:
-        for name in partitioners:
-            for params in grid:
-                records.append(
-                    run_distgnn(
-                        graph, name, k, params, seed, cost_model,
-                        fault_config=fault_config, num_epochs=num_epochs,
-                        comm_config=comm_config,
-                    )
-                )
-    return records
 
 
 def run_distdgl(
@@ -256,10 +261,7 @@ def run_distdgl(
     ``cache_fraction`` (PaGraph-style static cache);
     ``refresh_interval`` is a DistGNN mechanism and is ignored here.
     """
-    if num_epochs < 1:
-        raise ValueError("num_epochs must be >= 1")
-    run_started = time.perf_counter()
-    comm = comm_config or CommConfig()
+    run_started, comm = _begin_run(num_epochs, comm_config)
     if split is None:
         split = random_split(graph, seed=seed)
     partition, part_seconds = cached_vertex_partition(
@@ -280,30 +282,18 @@ def run_distdgl(
         cache_fraction=comm.cache_fraction,
         compression=comm.compression,
     )
-    if fault_config:
-        reports = engine.run_training(
-            num_epochs,
-            fault_plan=fault_config.plan(num_machines, num_epochs),
-            recovery=fault_config.policy(),
-        )
-    else:
-        reports = engine.run_training(num_epochs)
+    reports = _train(
+        engine.run_training, num_machines, num_epochs, fault_config
+    )
     epoch_seconds = sum(r.epoch_seconds for r in reports) / len(reports)
     phases = {
         phase: sum(r.phase_seconds()[phase] for r in reports) / len(reports)
         for phase in reports[0].phase_seconds()
     }
-    timeline = engine.cluster.timeline
-    summary = engine.fault_summary
-    obs_metrics = None
-    if obs.enabled():
-        obs_metrics = _obs_record_metrics(engine, comm_config)
-        obs.count("experiments.runs", engine="distdgl")
-        obs.observe(
-            "experiments.run_seconds",
-            time.perf_counter() - run_started,
-            engine="distdgl",
-        )
+    shared = _shared_fields(
+        engine, "distdgl", run_started, num_epochs, fault_config,
+        comm_config,
+    )
     return DistDglRecord(
         graph=graph.name,
         partitioner=partitioner,
@@ -328,58 +318,33 @@ def run_distdgl(
         vertex_balance=quality.vertex_balance,
         training_vertex_balance=quality.training_vertex_balance,
         partitioning_seconds=part_seconds,
-        num_epochs=num_epochs,
-        makespan_seconds=timeline.total_seconds,
-        crashes=summary.crashes,
-        slowdowns=summary.slowdowns,
-        lost_messages=summary.lost_messages,
-        retries=summary.retries,
-        degraded_steps=summary.degraded_steps,
-        recovery_seconds=timeline.recovery_seconds(),
-        fault_config=fault_config,
-        comm_config=comm_config,
-        # Per-epoch means, same normalization as network_bytes.
-        traffic_saved_bytes=(
-            engine.comm.saved_bytes / max(engine.comm.total_epochs, 1)
-        ),
-        codec_seconds=(
-            engine.comm.codec_seconds / max(engine.comm.total_epochs, 1)
-        ),
-        accuracy_proxy_error=engine.comm.accuracy_proxy_error,
+        retries=engine.fault_summary.retries,
+        degraded_steps=engine.fault_summary.degraded_steps,
         cache_hit_rate=engine.comm_summary().cache_hit_rate,
-        obs_metrics=obs_metrics,
+        **shared,
     )
 
 
-def run_distdgl_grid(
-    graph: Graph,
-    partitioners: Sequence[str],
-    machine_counts: Sequence[int],
-    grid: Iterable[TrainingParams],
-    split: Optional[VertexSplit] = None,
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    fault_config: Optional[FaultConfig] = None,
-    num_epochs: int = 1,
-    comm_config: Optional[CommConfig] = None,
-) -> List[DistDglRecord]:
-    """Run :func:`run_distdgl` over partitioners x machines x params."""
-    if split is None:
-        split = random_split(graph, seed=seed)
-    grid = list(grid)
-    records = []
-    for k in machine_counts:
-        for name in partitioners:
-            for params in grid:
-                records.append(
-                    run_distdgl(
-                        graph, name, k, params, split=split,
-                        num_epochs=num_epochs, seed=seed,
-                        cost_model=cost_model, fault_config=fault_config,
-                        comm_config=comm_config,
-                    )
-                )
-    return records
+@dataclass(frozen=True)
+class Engine:
+    """What differs between the two training systems, for every driver
+    that handles both (``run_cell``, the CLI, the serve daemon)."""
+
+    label: str
+    partitioner_names: Tuple[str, ...]
+    run: Callable
+    needs_split: bool
+
+
+#: The two training systems the paper compares, by record ``engine`` name.
+ENGINES: Dict[str, Engine] = {
+    "distgnn": Engine(
+        "DistGNN", tuple(EDGE_PARTITIONER_NAMES), run_distgnn, False
+    ),
+    "distdgl": Engine(
+        "DistDGL", tuple(VERTEX_PARTITIONER_NAMES), run_distdgl, True
+    ),
+}
 
 
 def speedup_vs_random(records: Sequence) -> dict:

@@ -18,7 +18,7 @@ Levels (``--obs-level`` on the CLI and sweep runner):
 All state is per process. The process-parallel grid runners re-apply the
 coordinator's level inside each worker and ship deterministic metric
 summaries back embedded in the result records, so serial and parallel
-sweeps stay record-identical (see :mod:`repro.experiments.parallel`).
+sweeps stay record-identical (see :mod:`repro.experiments.cells`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ partitioners and machine counts to cross, a parameter grid, and
 scheduling metadata (priority, tenant). The scheduler expands a job
 into *cells* — the same ``(machines, partitioner)`` units the batch
 runners use — so a job's records are byte-identical to a serial
-``run_full_sweep.py`` of the same spec.
+``repro sweep`` of the same spec.
 
 Specs arrive as JSON over the HTTP API and are validated eagerly at
 admission: a typo'd partitioner or engine fails the POST with a 400
@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..experiments import (
+    ENGINES as ENGINE_TABLE,
+    CellSpec,
     CommConfig,
     FaultConfig,
     TrainingParams,
@@ -27,10 +29,6 @@ from ..experiments import (
     reduced_grid,
 )
 from ..graph import DATASET_KEYS
-from ..partitioning import (
-    EDGE_PARTITIONER_NAMES,
-    VERTEX_PARTITIONER_NAMES,
-)
 
 __all__ = [
     "ENGINES",
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 #: The two training systems a job can target.
-ENGINES = ("distgnn", "distdgl")
+ENGINES = tuple(ENGINE_TABLE)
 
 #: Every state a job moves through. ``aborted`` is the alert-rule
 #: early stop; ``cancelled`` is an explicit DELETE.
@@ -108,17 +106,14 @@ class SweepJobSpec:
                 f"unknown scale {self.scale!r}; expected one of "
                 f"{_GRAPH_SCALES}"
             )
-        valid = (
-            EDGE_PARTITIONER_NAMES if self.engine == "distgnn"
-            else VERTEX_PARTITIONER_NAMES
-        )
+        valid = ENGINE_TABLE[self.engine].partitioner_names
         if not self.partitioners:
             raise ValueError("spec needs at least one partitioner")
         for name in self.partitioners:
             if name not in valid:
                 raise ValueError(
                     f"unknown {self.engine} partitioner {name!r}; "
-                    f"expected one of {tuple(valid)}"
+                    f"expected one of {valid}"
                 )
         if not self.machine_counts:
             raise ValueError("spec needs at least one machine count")
@@ -147,14 +142,14 @@ class SweepJobSpec:
         """Cells this spec expands into (machines x partitioners)."""
         return len(self.machine_counts) * len(self.partitioners)
 
-    def cells(self) -> List[Tuple[int, str]]:
-        """The ``(k, partitioner)`` cells in submission order —
-        machine counts outermost, exactly like the grid runners."""
-        return [
-            (k, name)
-            for k in self.machine_counts
-            for name in self.partitioners
-        ]
+    def cell_specs(self) -> List[CellSpec]:
+        """The job's cells in submission order — the very specs
+        :func:`~repro.experiments.run_grid` runs for the same sweep."""
+        return CellSpec.expand(
+            self.engine, self.partitioners, self.machine_counts,
+            self.params, seed=self.seed, num_epochs=self.num_epochs,
+            fault_config=self.fault, comm_config=self.comm,
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SweepJobSpec":
@@ -253,7 +248,8 @@ class SweepJobSpec:
 class Job:
     """One admitted job and its live progress.
 
-    ``results`` holds per-cell record lists in cell order; ``records``
+    ``cells`` is the spec expanded once, at admission; ``results``
+    holds per-cell record lists in the same order, and ``records``
     concatenates them once every cell has landed, giving exactly the
     order the serial grid runner produces. ``dedup_hits`` counts cells
     satisfied by another job's identical cell instead of fresh compute.
@@ -273,10 +269,13 @@ class Job:
     finished_at: Optional[float] = None
     results: List[Optional[List]] = field(default_factory=list)
     findings: List[Dict[str, object]] = field(default_factory=list)
+    cells: List[CellSpec] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        if not self.cells:
+            self.cells = self.spec.cell_specs()
         if not self.results:
-            self.results = [None] * self.spec.num_cells
+            self.results = [None] * len(self.cells)
 
     @property
     def cells_total(self) -> int:

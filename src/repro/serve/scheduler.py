@@ -9,11 +9,11 @@ two-level discipline:
   round-robin, so one tenant's thousand-cell job cannot starve another
   tenant's two-cell job at the same priority.
 
-Cells are deduplicated across jobs by *content key* — the same
-fingerprint identity the partition cache uses (PR 1): ``(engine,
-graph-fingerprint, partitioner, k, seed, params, fault, epochs)``.
-When two jobs contain an identical cell, it computes once and the
-result fans out to every subscriber job; completed-cell results stay
+Cells are deduplicated across jobs by *content key* —
+:meth:`~repro.experiments.CellSpec.key` on the graph's content
+fingerprint (the identity the partition cache uses too): the spec
+enumerates every knob that changes a cell's records. When two jobs
+contain an identical cell, it computes once and the result fans out to every subscriber job; completed-cell results stay
 in a bounded LRU so a resubmitted sweep is served from cache. Every
 simulation is deterministic, so fanned-out records are byte-identical
 to a fresh run.
@@ -40,10 +40,14 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Tuple, Union
 
-from ..costmodel import DEFAULT_COST_MODEL
-from ..experiments import save_records
-from ..experiments.executor import CellExecutor, CellTask
-from ..experiments.parallel import _distdgl_cell, _distgnn_cell
+from ..experiments import (
+    ENGINES,
+    CellExecutor,
+    CellIO,
+    CellTask,
+    run_cell,
+    save_records,
+)
 from ..graph import load_dataset, random_split
 from ..obs.api import LEVELS
 from ..obs.live import BusWriter, RuleSet, severity_at_least
@@ -252,11 +256,10 @@ class SweepScheduler:
             self.metrics.admission_rejected("invalid-spec")
             raise
         # Load (and cache) the graph outside the lock: slow, read-only.
-        graph = self._graph(spec)
-        split = self._split(spec, graph) if spec.engine == "distdgl" else None
-        cell_specs = spec.cells()
-        keys = [self._cell_key(spec, graph, k, name)
-                for k, name in cell_specs]
+        graph, split = self._inputs(spec)
+        cells = spec.cell_specs()
+        fingerprint = graph.fingerprint()
+        keys = [cell.key(fingerprint) for cell in cells]
         with self._cond:
             fresh = sum(
                 1 for key in keys
@@ -272,7 +275,7 @@ class SweepScheduler:
             job_id = f"job-{self._job_seq:06d}"
             job_dir = os.path.join(self.data_dir, job_id)
             bus_dir = os.path.join(job_dir, "bus")
-            job = Job(id=job_id, spec=spec, bus_dir=bus_dir)
+            job = Job(id=job_id, spec=spec, bus_dir=bus_dir, cells=cells)
             writer = BusWriter(bus_dir, "server")
             writer.sweep_start(
                 spec.num_cells,
@@ -292,7 +295,7 @@ class SweepScheduler:
                     os.path.join(self.data_dir, job_id, "trace.jsonl")
                 )
             cached: List[Tuple[int, Tuple]] = []
-            for local, key in enumerate(keys):
+            for local, (key, cell_spec) in enumerate(zip(keys, cells)):
                 if key in self._done:
                     self._done.move_to_end(key)
                     job.dedup_hits += 1
@@ -308,7 +311,7 @@ class SweepScheduler:
                     self.metrics.dedup_hit(spec.tenant)
                 else:
                     self._enqueue_cell(
-                        spec, graph, split, key, local, job_id
+                        spec, graph, split, key, cell_spec, job_id
                     )
                     self._cells[key].subscribers.append(
                         (job_id, local)
@@ -332,43 +335,26 @@ class SweepScheduler:
         backlog = self._pending_count + self._running_count
         return max(1, (backlog + self.workers - 1) // self.workers)
 
-    def _cell_key(self, spec, graph, k: int, name: str) -> Tuple:
-        """Content identity of one cell (dedup key across jobs).
-
-        Every knob that changes a cell's records must appear here —
-        the comm config included, since two jobs differing only in
-        ``compression`` produce different traffic and must not dedupe
-        to one cell. (The *partition* cache key stays comm-free on
-        purpose: comm knobs never change the partition, so partitions
-        are shared across comm configurations.)
-        """
-        return (
-            spec.engine, graph.fingerprint(), name, int(k),
-            spec.seed, spec.num_epochs, spec.params, spec.fault,
-            spec.comm,
-        )
-
-    def _graph(self, spec):
-        """Load (or fetch) the spec's graph; cached per content key."""
+    def _inputs(self, spec):
+        """Load (or fetch) the spec's graph and, for an engine that
+        trains on one, its deterministic train split; both cached per
+        content key."""
         key = (spec.graph, spec.scale, spec.seed)
         graph = self._graphs.get(key)
         if graph is None:
-            graph = load_dataset(
+            graph = self._graphs[key] = load_dataset(
                 spec.graph, spec.scale, seed=spec.seed
             )
-            self._graphs[key] = graph
-        return graph
-
-    def _split(self, spec, graph):
-        """The deterministic train split a DistDGL spec implies."""
-        key = (spec.graph, spec.scale, spec.seed)
+        if not ENGINES[spec.engine].needs_split:
+            return graph, None
         split = self._splits.get(key)
         if split is None:
-            split = random_split(graph, seed=spec.seed)
-            self._splits[key] = split
-        return split
+            split = self._splits[key] = random_split(graph, seed=spec.seed)
+        return graph, split
 
-    def _enqueue_cell(self, spec, graph, split, key, local, job_id) -> None:
+    def _enqueue_cell(
+        self, spec, graph, split, key, cell_spec, job_id
+    ) -> None:
         """Create a fresh pending cell and queue it (lock held).
 
         At trace level the cell's engine events stream to a per-cell
@@ -377,45 +363,30 @@ class SweepScheduler:
         that arrive later share the computation, so attribution goes to
         the job that caused it).
         """
-        k, name = spec.cells()[local]
-        grid = list(spec.params)
         self._cell_seq += 1
-        cell_obs, trace_out, trace_ctx = "off", None, None
-        profile_out = None
+        seq = self._cell_seq
+        io = CellIO(cell=seq)
         if self.obs_level == "trace":
-            cell_obs = "trace"
-            trace_out = os.path.join(
-                self.data_dir, job_id,
-                f"trace-cell-{self._cell_seq:06d}.jsonl",
-            )
-            profile_out = os.path.join(
-                self.data_dir, job_id,
-                f"profile-cell-{self._cell_seq:06d}.json",
-            )
-            trace_ctx = {"job": job_id, "tenant": spec.tenant}
-        if spec.engine == "distgnn":
-            task = CellTask(
-                index=self._cell_seq, fn=_distgnn_cell, key=key,
-                args=(
-                    graph, name, k, grid, spec.seed,
-                    DEFAULT_COST_MODEL, spec.fault, spec.comm,
-                    spec.num_epochs, cell_obs, self._cell_seq, None,
-                    trace_out, trace_ctx, profile_out,
+            job_dir = os.path.join(self.data_dir, job_id)
+            io = CellIO(
+                obs_level="trace",
+                cell=seq,
+                trace_out=os.path.join(
+                    job_dir, f"trace-cell-{seq:06d}.jsonl"
                 ),
-            )
-        else:
-            task = CellTask(
-                index=self._cell_seq, fn=_distdgl_cell, key=key,
-                args=(
-                    graph, name, k, grid, split, spec.seed,
-                    DEFAULT_COST_MODEL, spec.fault, spec.comm,
-                    spec.num_epochs, cell_obs, self._cell_seq, None,
-                    trace_out, trace_ctx, profile_out,
+                trace_ctx={"job": job_id, "tenant": spec.tenant},
+                profile_out=os.path.join(
+                    job_dir, f"profile-cell-{seq:06d}.json"
                 ),
             )
         cell = _Cell(
-            key=key, task=task, engine=spec.engine,
-            priority=spec.priority, tenant=spec.tenant,
+            key=key,
+            task=CellTask(
+                index=seq, fn=run_cell,
+                args=(graph, split, cell_spec, io),
+            ),
+            engine=spec.engine, priority=spec.priority,
+            tenant=spec.tenant,
         )
         self._cells[key] = cell
         tenants = self._queues.setdefault(spec.priority, {})
@@ -550,13 +521,13 @@ class SweepScheduler:
             cell=local, seconds=round(wall, 9),
             records=len(records),
         )
-        k, name = spec.cells()[local]
+        cell = job.cells[local]
         writer = self._buses.get(job_id)
         if writer is not None:
             graph_name = records[0].graph if records else spec.graph
             writer.cell_start(
-                local, spec.engine, graph_name, name, k,
-                len(spec.params),
+                local, spec.engine, graph_name, cell.partitioner,
+                cell.num_machines, len(cell.grid),
             )
             for index, record in enumerate(records):
                 writer.record_done(local, index, record, spec.engine)

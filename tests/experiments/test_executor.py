@@ -3,6 +3,7 @@
 import os
 import time
 from concurrent.futures import CancelledError
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -20,6 +21,11 @@ def _double(x):
 
 def _boom(x):
     raise RuntimeError(f"cell {x} exploded")
+
+
+def _die(x):
+    """Kill the worker process outright, as an OOM kill would."""
+    os._exit(1)
 
 
 def _sleep_while_exists(flag_path):
@@ -47,11 +53,6 @@ def _tasks(values):
 class TestCellTask:
     def test_run_is_fn_of_args(self):
         assert CellTask(index=0, fn=_double, args=(21,)).run() == 42
-
-    def test_key_is_not_identity(self):
-        a = CellTask(index=0, fn=_double, args=(1,), key="k1")
-        b = CellTask(index=0, fn=_double, args=(1,), key="k2")
-        assert a == b  # key is content metadata, not task identity
 
 
 class TestExecuteCells:
@@ -191,6 +192,16 @@ class TestCellExecutor:
                 for i in range(3)
             ]
         assert [h.result() for h in handles] == [0, 2, 4]
+
+    def test_dead_worker_does_not_poison_the_executor(self):
+        """A worker dying breaks its pool for good; the executor must
+        replace it instead of failing every later submit."""
+        with CellExecutor(workers=2) as executor:
+            doomed = executor.submit(CellTask(index=0, fn=_die, args=(0,)))
+            with pytest.raises(BrokenProcessPool):
+                doomed.result()
+            after = executor.submit(CellTask(index=1, fn=_double, args=(4,)))
+            assert after.result() == 8
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,24 @@
-"""The parallel grid runners must reproduce the serial runs exactly."""
+"""Every grid driver must reproduce the serial runs exactly."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.costmodel import DEFAULT_COST_MODEL
 from repro.experiments import (
+    CellSpec,
+    CommConfig,
     FaultConfig,
+    TrainingParams,
     reduced_grid,
+    run_distdgl,
     run_distdgl_grid,
     run_distdgl_grid_parallel,
+    run_distgnn,
     run_distgnn_grid,
     run_distgnn_grid_parallel,
+    run_grid,
 )
 from repro.graph import random_split
 
@@ -22,48 +31,84 @@ def _grid():
     return list(reduced_grid())[:2]
 
 
-class TestDistGnnParallel:
-    def test_records_equal_serial(self, tiny_or):
-        serial = run_distgnn_grid(
-            tiny_or, EDGE_NAMES, MACHINES, _grid(), seed=0
-        )
-        parallel = run_distgnn_grid_parallel(
-            tiny_or, EDGE_NAMES, MACHINES, _grid(), seed=0, workers=2
-        )
-        assert parallel == serial
-
-    def test_workers_one_is_serial(self, tiny_or):
-        serial = run_distgnn_grid(
-            tiny_or, EDGE_NAMES, [2], _grid(), seed=0
-        )
-        inline = run_distgnn_grid_parallel(
-            tiny_or, EDGE_NAMES, [2], _grid(), seed=0, workers=1
-        )
-        assert inline == serial
+#: Per engine: partitioner names and the single-run oracle a grid
+#: must reproduce cell by cell.
+ENGINE_CASES = {
+    "distgnn": (EDGE_NAMES, run_distgnn),
+    "distdgl": (VERTEX_NAMES, run_distdgl),
+}
 
 
-class TestDistDglParallel:
-    def test_records_equal_serial(self, tiny_or):
+@pytest.mark.parametrize("workers", [1, 2])
+class TestRunGrid:
+    """``run_grid`` — under every driver — must reproduce a plain loop
+    over the engine's single-run function exactly."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_CASES))
+    def test_records_equal_serial(self, tiny_or, engine, workers):
+        names, run_one = ENGINE_CASES[engine]
         split = random_split(tiny_or, seed=0)
-        serial = run_distdgl_grid(
-            tiny_or, VERTEX_NAMES, MACHINES, _grid(),
-            split=split, seed=0,
+        extra = {"split": split} if engine == "distdgl" else {}
+        serial = [
+            run_one(tiny_or, name, k, params, seed=0, **extra)
+            for k in MACHINES
+            for name in names
+            for params in _grid()
+        ]
+        got = run_grid(
+            engine, tiny_or, names, MACHINES, _grid(), split=split,
+            seed=0, workers=workers,
         )
-        parallel = run_distdgl_grid_parallel(
-            tiny_or, VERTEX_NAMES, MACHINES, _grid(),
-            split=split, seed=0, workers=2,
-        )
-        assert parallel == serial
+        assert got == serial
 
-    def test_default_split_matches(self, tiny_or):
-        """Both runners must derive the same default split from the seed."""
-        serial = run_distdgl_grid(
-            tiny_or, VERTEX_NAMES, [2], _grid(), seed=3
+    def test_default_split_matches(self, tiny_or, workers):
+        """Every driver must derive the same default split from the seed."""
+        serial = [
+            run_distdgl(tiny_or, name, 2, params, seed=3)
+            for name in VERTEX_NAMES
+            for params in _grid()
+        ]
+        got = run_grid(
+            "distdgl", tiny_or, VERTEX_NAMES, [2], _grid(), seed=3,
+            workers=workers,
         )
-        parallel = run_distdgl_grid_parallel(
-            tiny_or, VERTEX_NAMES, [2], _grid(), seed=3, workers=2
+        assert got == serial
+
+
+#: One changed value per ``CellSpec`` field; a new field must add its
+#: own entry here (and so be part of the dedup key) to pass.
+PERTURBED = {
+    "engine": "distdgl",
+    "partitioner": "dbh",
+    "num_machines": 8,
+    "seed": 1,
+    "num_epochs": 2,
+    "grid": (TrainingParams(num_layers=2),),
+    "fault_config": FaultConfig(crash_rate=0.1),
+    "comm_config": CommConfig(compression="fp16"),
+    "cost_model": dataclasses.replace(
+        DEFAULT_COST_MODEL, network_latency=1.0
+    ),
+}
+
+
+class TestCellSpecKey:
+    BASE = CellSpec("distgnn", "hdrf", 4, 0, 1, (TrainingParams(),))
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(CellSpec)]
+    )
+    def test_every_field_changes_the_key(self, field):
+        """Every knob that changes a cell's records is in its key, so
+        the serve daemon can never dedupe two different cells."""
+        changed = dataclasses.replace(
+            self.BASE, **{field: PERTURBED[field]}
         )
-        assert parallel == serial
+        assert changed.key("fp") != self.BASE.key("fp")
+
+    def test_graph_is_part_of_the_key(self):
+        assert self.BASE.key("fp-a") != self.BASE.key("fp-b")
+        assert self.BASE.key("fp-a") == self.BASE.key("fp-a")
 
 
 class TestFaultSweepParallel:
@@ -240,7 +285,7 @@ class TestBusWriterLifecycle:
     def test_inline_sweep_flushes_and_evicts_writer(
         self, tiny_or, tmp_path
     ):
-        from repro.experiments.parallel import _BUS_WRITERS
+        from repro.experiments.cells import _BUS_WRITERS
         from repro.obs.live import BusTailer
 
         bus = str(tmp_path / "bus")

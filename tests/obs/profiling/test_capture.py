@@ -3,6 +3,7 @@
 import sys
 
 from repro import obs
+from repro.experiments import clear_cache, reduced_grid, run_distgnn_grid
 from repro.experiments.executor import CellTask
 from repro.obs.profiling import capture as profiling
 from repro.partitioning import make_edge_partitioner
@@ -103,6 +104,23 @@ class TestAmbientScope:
         task = CellTask(index=0, fn=lambda: sum(range(50)))
         task.run()
         assert [p.name for p in profiling.drain()] == ["executor.cell"]
+
+    def test_serial_grid_cell_supersedes_nested_scopes(self, tiny_or):
+        """Every sweep cell — default serial runs included — runs
+        under the ``executor.cell`` scope, and the no-nesting latch
+        makes the outermost scope win: one profile per cell, with the
+        kernel and epoch-loop scopes inside it as frames, not as
+        profiles of their own."""
+        clear_cache()  # so the partitioner kernel (and its scope) runs
+        profiling.enable()
+        run_distgnn_grid(
+            tiny_or, ["hdrf", "dbh"], [2], list(reduced_grid())[:1]
+        )
+        profiles = profiling.drain()
+        assert [p.name for p in profiles] == ["executor.cell"] * 2
+        funcs = {stat.func for stat in profiles[0].functions}
+        assert any("hdrf" in f for f in funcs)
+        assert any("simulate_training" in f for f in funcs)
 
     def test_partitioner_scope_name(self, tiny_or):
         _warm(tiny_or)

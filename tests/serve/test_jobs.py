@@ -73,10 +73,12 @@ class TestSpecValidation:
 
     def test_cells_order_matches_grid_runners(self):
         spec = SweepJobSpec.from_dict(_spec_dict())
-        assert spec.cells() == [
+        cells = spec.cell_specs()
+        assert [(c.num_machines, c.partitioner) for c in cells] == [
             (2, "random"), (2, "hdrf"), (4, "random"), (4, "hdrf"),
         ]
         assert spec.num_cells == 4
+        assert all(c.grid == spec.params for c in cells)
 
 
 class TestJobState:

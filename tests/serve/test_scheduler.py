@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.costmodel import DEFAULT_COST_MODEL
-from repro.experiments import records_to_json, run_distgnn_grid
+from repro.experiments import records_to_json, run_cell, run_distgnn_grid
 from repro.graph import load_dataset
 from repro.serve import QueueFullError, SweepScheduler
 
@@ -80,6 +80,42 @@ class TestExecution:
 
 def _raise_on_submit(task):
     raise RuntimeError("sabotaged")
+
+
+def _die_on_seed_13(graph, split, spec, io):
+    """A cell whose worker dies outright (as under an OOM kill)."""
+    if spec.seed == 13:
+        os._exit(1)
+    return run_cell(graph, split, spec, io)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_fails_its_job_not_the_daemon(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve import scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "run_cell", _die_on_seed_13)
+        sched = SweepScheduler(
+            workers=2, data_dir=str(tmp_path), obs_level="metrics"
+        )
+        sched.start()
+        try:
+            # One cell, so no sibling cell can reach the fresh pool.
+            doomed = sched.submit(_spec(seed=13, partitioners=["random"]))
+            doomed = sched.wait(doomed.id, timeout=120)
+            assert doomed.state == "failed"
+            assert doomed.error.startswith("BrokenProcessPool: ")
+            healthy = sched.wait(sched.submit(_spec()).id, timeout=120)
+            assert healthy.state == "done"
+            finished = {
+                entry["labels"]["state"]: entry["value"]
+                for entry in sched.metrics.snapshot()
+                if entry["name"] == "serve.jobs_finished"
+            }
+            assert finished == {"failed": 1.0, "done": 1.0}
+        finally:
+            sched.stop(wait=True)
 
 
 class TestDedup:
