@@ -662,7 +662,7 @@ def run_bench(
         key: load_dataset(key, "small", seed=0) for key in DATASET_KEYS
     }
     report = {
-        "schema": 1,
+        "schema": 2,
         "k": BENCH_K,
         "scale": "small",
         "repeats": repeats,

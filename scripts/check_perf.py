@@ -16,10 +16,9 @@ level: a fresh cProfile capture of the regressed kernel is diffed
 against the baseline's embedded ``profiles`` section (written by
 ``bench_perf.py --profile``) and the ranked hotspot diff is printed —
 or a fresh hotspot table when the baseline carries no profiles.
-Gated series with nothing to compare against (a baseline predating a
-section, an empty fresh section) are printed as *skipped*, so a pass
-can never silently mean "nothing was gated"; a baseline with no
-kernel timings at all fails outright.
+A gated series with nothing to compare against (a baseline predating a
+section, an empty fresh section) fails the gate like a regression, so a
+pass can never mean "nothing was gated".
 
 The out-of-core scale sweep is gated for *sublinearity*: for every
 algorithm whose sweep series spans at least a 100x edge-count ratio,
@@ -142,25 +141,24 @@ def check_scale_sweep(report: dict, label: str) -> list:
     return regressions
 
 
-def skipped_sections(baseline: dict, fresh: dict) -> list:
-    """Gated series with no data to gate against — never silent.
+def missing_sections(baseline: dict, fresh: dict) -> list:
+    """Gated series with no data to gate against, as failures.
 
     A baseline that predates a gated section (or an empty fresh
-    section) means that series simply is not being gated this run;
-    the gate prints these so a "pass" can't silently mean "nothing
-    was compared".
+    section) means that series is not being compared at all; that
+    fails the gate rather than passing it by default.
     """
-    skipped = []
+    missing = []
     if not baseline.get("kernels"):
-        skipped.append("kernels: baseline has no kernel timings")
+        missing.append("kernels: baseline has no kernel timings")
     if not baseline.get("sampling"):
-        skipped.append("sampling: baseline has no sampling benchmark")
+        missing.append("sampling: baseline has no sampling benchmark")
     for section in (
         "obs_overhead", "profiling_overhead", "comm_codecs"
     ):
         if not fresh.get(section):
-            skipped.append(f"{section}: fresh run produced no data")
-    return skipped
+            missing.append(f"{section}: fresh run produced no data")
+    return missing
 
 
 def compare(
@@ -324,15 +322,7 @@ def main(argv=None) -> int:
     )
     regressions += check_scale_sweep(fresh, "fresh")
     regressions += check_scale_sweep(baseline, "baseline")
-
-    skipped = skipped_sections(baseline, fresh)
-    if skipped:
-        print("skipped series (no data to gate):")
-        for line in skipped:
-            print(f"  {line}")
-    if not baseline.get("kernels"):
-        print("nothing was gated: baseline has no kernel timings")
-        return 1
+    regressions += missing_sections(baseline, fresh)
 
     if regressions:
         print("perf regressions detected:")

@@ -72,10 +72,12 @@ class EdgePartition:
     def replica_pairs(self) -> np.ndarray:
         """Unique ``(partition, vertex)`` pairs — one row per vertex replica."""
         if self._replica_pairs is None:
+            # One scalar key per pair sorts far faster than (m, 2) rows.
+            n = max(self.graph.num_vertices, 1)
             part = np.concatenate([self.assignment, self.assignment])
             vert = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            pairs = np.stack([part.astype(np.int64), vert], axis=1)
-            self._replica_pairs = np.unique(pairs, axis=0)
+            keys = np.unique(part.astype(np.int64) * n + vert)
+            self._replica_pairs = np.stack([keys // n, keys % n], axis=1)
         return self._replica_pairs
 
     def vertex_counts(self) -> np.ndarray:
@@ -110,13 +112,12 @@ class EdgePartition:
         machine).
         """
         n, k = self.graph.num_vertices, self.num_partitions
-        counts = np.zeros((n, k), dtype=np.int32) if n * k <= 50_000_000 else None
-        if counts is None:
+        if n * k > 50_000_000:
             raise MemoryError("graph too large for dense master computation")
-        flat_u = self.edges[:, 0] * k + self.assignment
-        flat_v = self.edges[:, 1] * k + self.assignment
-        np.add.at(counts.reshape(-1), flat_u, 1)
-        np.add.at(counts.reshape(-1), flat_v, 1)
+        endpoints = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        parts = np.concatenate([self.assignment, self.assignment])
+        counts = np.bincount(endpoints * k + parts, minlength=n * k)
+        counts = counts.reshape(n, k)
         owners = counts.argmax(axis=1)
         isolated = counts.sum(axis=1) == 0
         owners[isolated] = np.arange(n, dtype=np.int64)[isolated] % k

@@ -13,7 +13,12 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import VertexPartitioner
-from .multilevel import WeightedGraph, cut_weight, multilevel_partition
+from .multilevel import (
+    WeightedGraph,
+    check_effort,
+    cut_weight,
+    multilevel_partition,
+)
 
 __all__ = ["KahipPartitioner"]
 
@@ -30,6 +35,9 @@ class KahipPartitioner(VertexPartitioner):
         repetitions: int = 4,
     ) -> None:
         super().__init__()
+        check_effort(epsilon, refine_passes)
+        if repetitions < 1:
+            raise ValueError("repetitions must be at least 1")
         self.epsilon = epsilon
         self.refine_passes = refine_passes
         self.repetitions = repetitions
@@ -37,14 +45,13 @@ class KahipPartitioner(VertexPartitioner):
     def _assign(
         self, graph: Graph, num_partitions: int, seed: int
     ) -> np.ndarray:
-        edges = graph.undirected_edges()
-        weighted = WeightedGraph.from_edges(graph.num_vertices, edges)
-        best_assignment: np.ndarray | None = None
-        best_cut = -1
+        weighted = WeightedGraph.from_edges(
+            graph.num_vertices, graph.undirected_edges()
+        )
+        best_assignment, best_cut = None, -1
         for rep in range(self.repetitions):
             assignment = multilevel_partition(
-                graph.num_vertices,
-                edges,
+                weighted,
                 num_partitions,
                 epsilon=self.epsilon,
                 refine_passes=self.refine_passes,
@@ -53,5 +60,4 @@ class KahipPartitioner(VertexPartitioner):
             cut = cut_weight(weighted, assignment)
             if best_assignment is None or cut < best_cut:
                 best_assignment, best_cut = assignment, cut
-        assert best_assignment is not None
         return best_assignment

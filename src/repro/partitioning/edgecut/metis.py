@@ -12,7 +12,7 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import VertexPartitioner
-from .multilevel import multilevel_partition
+from .multilevel import WeightedGraph, check_effort, multilevel_partition
 
 __all__ = ["MetisPartitioner"]
 
@@ -26,6 +26,7 @@ class MetisPartitioner(VertexPartitioner):
         self, epsilon: float = 0.05, refine_passes: int = 3
     ) -> None:
         super().__init__()
+        check_effort(epsilon, refine_passes)
         self.epsilon = epsilon
         self.refine_passes = refine_passes
 
@@ -33,8 +34,9 @@ class MetisPartitioner(VertexPartitioner):
         self, graph: Graph, num_partitions: int, seed: int
     ) -> np.ndarray:
         return multilevel_partition(
-            graph.num_vertices,
-            graph.undirected_edges(),
+            WeightedGraph.from_edges(
+                graph.num_vertices, graph.undirected_edges()
+            ),
             num_partitions,
             epsilon=self.epsilon,
             refine_passes=self.refine_passes,

@@ -29,6 +29,7 @@ __all__ = [
     "rebalance",
     "multilevel_partition",
     "cut_weight",
+    "check_effort",
 ]
 
 
@@ -85,6 +86,19 @@ class WeightedGraph:
         return int(self.vweights.sum())
 
 
+def check_effort(epsilon: float, refine_passes: int) -> None:
+    """Reject an imbalance tolerance or pass count below zero."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    if refine_passes < 0:
+        raise ValueError("refine_passes must be non-negative")
+
+
+def _tally(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Integer weight per bin (exact: ``bincount`` sums are below 2**53)."""
+    return np.bincount(bins, weights=weights, minlength=size).astype(np.int64)
+
+
 def coarsen(
     graph: WeightedGraph, rng: np.random.Generator
 ) -> Tuple[WeightedGraph, np.ndarray]:
@@ -110,19 +124,14 @@ def coarsen(
             continue
         match[v] = partner
         match[partner] = v
-    # Number coarse vertices: one id per matched pair / singleton.
-    coarse_of = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if coarse_of[v] >= 0:
-            continue
-        coarse_of[v] = next_id
-        partner = match[v]
-        if partner != v and coarse_of[partner] < 0:
-            coarse_of[partner] = next_id
-        next_id += 1
-    coarse_vw = np.zeros(next_id, dtype=np.int64)
-    np.add.at(coarse_vw, coarse_of, graph.vweights)
+    # Number coarse vertices: one id per matched pair / singleton, in order
+    # of the pair's smaller endpoint (``match`` is an involution).
+    ids = np.arange(n, dtype=np.int64)
+    leader = np.minimum(ids, match)
+    is_leader = leader == ids
+    coarse_of = (np.cumsum(is_leader) - 1)[leader]
+    next_id = int(np.count_nonzero(is_leader))
+    coarse_vw = _tally(coarse_of, graph.vweights, next_id)
 
     # Contract edges: group by coarse endpoint pair, summing weights.
     half = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
@@ -131,8 +140,7 @@ def coarsen(
     keep = cu < cv  # each undirected edge once; drops intra-pair edges
     key = cu[keep] * next_id + cv[keep]
     uniq, inverse = np.unique(key, return_inverse=True)
-    weights = np.zeros(uniq.shape[0], dtype=np.int64)
-    np.add.at(weights, inverse, graph.eweights[keep])
+    weights = _tally(inverse, graph.eweights[keep], uniq.shape[0])
     edges = np.stack([uniq // next_id, uniq % next_id], axis=1)
     coarse = WeightedGraph.from_weighted_edges(
         next_id, edges, weights, coarse_vw
@@ -186,8 +194,7 @@ def rebalance(
     rng: np.random.Generator,
 ) -> None:
     """Force overweight partitions under ``max_load`` via cheapest moves."""
-    loads = np.zeros(num_partitions, dtype=np.int64)
-    np.add.at(loads, assignment, graph.vweights)
+    loads = _tally(assignment, graph.vweights, num_partitions)
     for part in range(num_partitions):
         if loads[part] <= max_load:
             continue
@@ -229,41 +236,73 @@ def refine(
     """Greedy boundary refinement; returns the number of moves made.
 
     Each pass visits vertices in random order and moves a vertex to the
-    neighbouring partition with the highest positive gain (external minus
-    internal edge weight), subject to the balance cap. Zero-gain moves are
-    taken when they improve balance — this is the classic FM heuristic
-    without the full priority-queue machinery, which at our scales performs
-    equivalently.
+    partition with the highest gain (connectivity to it minus connectivity
+    to its own partition) among those the balance cap admits; the first
+    such partition wins ties. Positive-gain moves are always taken,
+    zero-gain moves when they improve balance — the classic FM heuristic
+    without priority queues. A pass without moves ends the refinement.
+
+    The vertex x partition connectivity is kept in a table that every move
+    updates, so a visit costs one row instead of a walk over the
+    neighbourhood. Once per pass a certificate is computed in bulk: a
+    vertex whose largest external connectivity is below its internal one
+    has negative gain whatever the loads are, and is skipped until one of
+    its neighbours moves. Edge weights must be positive. The result, the
+    move count and the draws from ``rng`` are those of the plain
+    neighbourhood walk (``tests/oracles``).
     """
-    loads = np.zeros(num_partitions, dtype=np.int64)
-    np.add.at(loads, assignment, graph.vweights)
+    n, k = graph.num_vertices, num_partitions
+    degrees = np.diff(graph.indptr)
+    ids = np.arange(n, dtype=np.int64)
+    half = np.repeat(ids, degrees)
+    conn = np.bincount(
+        half * k + assignment[graph.indices],
+        weights=graph.eweights,
+        minlength=n * k,
+    )
+    # (bincount of nothing is integer whatever the weights are)
+    conn = conn.astype(np.float64, copy=False).reshape(n, k)
+    vweights = graph.vweights.tolist()
+    loads = _tally(assignment, graph.vweights, k)
+    # One buffer, two views: the walk reads single flags (fast on a
+    # bytearray), passes and moves write them in bulk (through numpy).
+    settled = bytearray(n)
+    settled_view = np.frombuffer(settled, dtype=np.bool_)
     total_moves = 0
     for _ in range(passes):
+        internal = conn[ids, assignment]
+        conn[ids, assignment] = -np.inf
+        external = conn.max(axis=1, initial=-np.inf)
+        conn[ids, assignment] = internal
+        settled_view[:] = (external < internal) | (degrees == 0)
+        closed = {}  # vertex weight -> -inf where the cap forbids it
         moves = 0
-        for v in rng.permutation(graph.num_vertices):
-            v = int(v)
-            nbrs, wgts = graph.neighbors(v)
-            if nbrs.size == 0:
+        for v in rng.permutation(n).tolist():
+            if settled[v]:
                 continue
-            parts = assignment[nbrs]
-            own = assignment[v]
-            if not (parts != own).any():
-                continue  # interior vertex
-            conn = np.bincount(
-                parts, weights=wgts, minlength=num_partitions
-            )
-            internal = conn[own]
-            conn[own] = -np.inf
-            vw = graph.vweights[v]
-            conn[loads + vw > max_load] = -np.inf
-            target = int(conn.argmax())
-            gain = conn[target] - internal
+            own = int(assignment[v])
+            vw = vweights[v]
+            penalty = closed.get(vw)
+            if penalty is None:
+                penalty = closed[vw] = np.where(
+                    loads + vw > max_load, -np.inf, 0.0
+                )
+            row = conn[v] + penalty
+            row[own] = -np.inf
+            target = int(row.argmax())
+            gain = row[target] - conn[v, own]
             if gain > 0 or (
                 gain == 0 and loads[target] + vw < loads[own]
             ):
+                nbrs, wgts = graph.neighbors(v)
+                # ``at``: a self loop lists ``v`` twice among ``nbrs``.
+                np.subtract.at(conn, (nbrs, own), wgts)
+                np.add.at(conn, (nbrs, target), wgts)
+                settled_view[nbrs] = False
                 assignment[v] = target
                 loads[own] -= vw
                 loads[target] += vw
+                closed.clear()
                 moves += 1
         total_moves += moves
         if moves == 0:
@@ -272,17 +311,15 @@ def refine(
 
 
 def multilevel_partition(
-    num_vertices: int,
-    edges: np.ndarray,
+    graph: WeightedGraph,
     num_partitions: int,
     epsilon: float,
     refine_passes: int,
     seed: int,
     coarsest_size: int = 0,
 ) -> np.ndarray:
-    """Full multilevel k-way partition of an unweighted undirected graph."""
+    """Full multilevel k-way partition of a weighted undirected graph."""
     rng = np.random.default_rng(seed)
-    graph = WeightedGraph.from_edges(num_vertices, edges)
     if coarsest_size <= 0:
         coarsest_size = max(30 * num_partitions, 200)
 

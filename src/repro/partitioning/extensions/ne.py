@@ -14,7 +14,7 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import EdgePartitioner
-from ..vertexcut.hep import _neighborhood_expansion
+from ..vertexcut.hep import neighborhood_expansion
 from ..vertexcut.refine import coalesce_vertex_moves, refine_edge_assignment
 from ..vertexcut.streaming import HdrfState
 
@@ -28,6 +28,8 @@ class NePartitioner(EdgePartitioner):
 
     def __init__(self, balance_cap: float = 1.1, refine: bool = True) -> None:
         super().__init__()
+        if balance_cap < 1:
+            raise ValueError("balance_cap must be at least 1")
         self.balance_cap = balance_cap
         self.refine = refine
 
@@ -45,7 +47,7 @@ class NePartitioner(EdgePartitioner):
             np.ceil(self.balance_cap * edges.shape[0] / num_partitions)
         )
         all_ids = np.arange(edges.shape[0], dtype=np.int64)
-        leftovers = _neighborhood_expansion(
+        leftovers = neighborhood_expansion(
             graph.num_vertices,
             edges,
             all_ids,

@@ -22,10 +22,14 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import EdgePartitioner
-from .refine import coalesce_vertex_moves, refine_edge_assignment
+from .refine import (
+    coalesce_vertex_moves,
+    incidence,
+    refine_edge_assignment,
+)
 from .streaming import HdrfState
 
-__all__ = ["HepPartitioner"]
+__all__ = ["HepPartitioner", "neighborhood_expansion"]
 
 
 class HepPartitioner(EdgePartitioner):
@@ -41,6 +45,8 @@ class HepPartitioner(EdgePartitioner):
         super().__init__()
         if tau <= 0:
             raise ValueError("tau must be positive")
+        if balance_cap < 1:
+            raise ValueError("balance_cap must be at least 1")
         self.tau = tau
         self.balance_cap = balance_cap
         self.vectorised = vectorised
@@ -65,7 +71,7 @@ class HepPartitioner(EdgePartitioner):
         cap = int(
             np.ceil(self.balance_cap * edges.shape[0] / num_partitions)
         )
-        leftovers = _neighborhood_expansion(
+        leftovers = neighborhood_expansion(
             graph.num_vertices,
             edges,
             low_ids,
@@ -121,7 +127,7 @@ class HepPartitioner(EdgePartitioner):
         return assignment
 
 
-def _neighborhood_expansion(
+def neighborhood_expansion(
     num_vertices: int,
     edges: np.ndarray,
     low_ids: np.ndarray,
@@ -137,19 +143,15 @@ def _neighborhood_expansion(
     """
     if low_ids.size == 0:
         return np.zeros(0, dtype=np.int64)
-    # Incidence CSR over the low-degree subgraph: vertex -> incident edges.
-    endpoints = np.concatenate([edges[low_ids, 0], edges[low_ids, 1]])
-    eids = np.concatenate([low_ids, low_ids])
-    order = np.argsort(endpoints, kind="stable")
-    endpoints_sorted = endpoints[order]
-    eids_sorted = eids[order]
-    counts = np.bincount(endpoints_sorted, minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    remaining = counts.astype(np.int64)  # unassigned incident low edges
+    # The expansion walks edge by edge, so its state is plain lists; edges
+    # are named by their position in ``low_ids``.
+    sub_edges = edges[low_ids]
+    indptr, incident = incidence(sub_edges, num_vertices)
+    us, vs = sub_edges[:, 0].tolist(), sub_edges[:, 1].tolist()
+    owner = assignment[low_ids].tolist()
+    remaining = np.diff(indptr).tolist()  # unassigned incident low edges
     # Seeds are taken lowest-degree-first: NE grows best from the fringe.
-    seed_order = np.argsort(degrees, kind="stable")
+    seed_order = np.argsort(degrees, kind="stable").tolist()
     seed_ptr = 0
     per_part_cap = max(int(low_ids.size / num_partitions), 1)
     target_cap = min(per_part_cap, cap)
@@ -165,33 +167,31 @@ def _neighborhood_expansion(
                 if remaining[candidate] == 0:
                     continue
                 if key != remaining[candidate]:
-                    heapq.heappush(
-                        heap, (int(remaining[candidate]), candidate)
-                    )
+                    heapq.heappush(heap, (remaining[candidate], candidate))
                     continue
                 vertex = candidate
                 break
             if vertex < 0:
                 while (
-                    seed_ptr < seed_order.size
+                    seed_ptr < len(seed_order)
                     and remaining[seed_order[seed_ptr]] == 0
                 ):
                     seed_ptr += 1
-                if seed_ptr >= seed_order.size:
+                if seed_ptr >= len(seed_order):
                     break  # no unassigned low edges left anywhere
-                vertex = int(seed_order[seed_ptr])
+                vertex = seed_order[seed_ptr]
             # Claim every unassigned low edge of `vertex` for `part`.
-            for idx in range(indptr[vertex], indptr[vertex + 1]):
-                eid = eids_sorted[idx]
-                if assignment[eid] >= 0:
+            for i in incident[indptr[vertex] : indptr[vertex + 1]]:
+                if owner[i] >= 0:
                     continue
-                assignment[eid] = part
+                owner[i] = part
                 load += 1
-                u, v = edges[eid]
-                other = int(v) if int(u) == vertex else int(u)
-                remaining[int(u)] -= 1
-                remaining[int(v)] -= 1
+                u, v = us[i], vs[i]
+                other = v if u == vertex else u
+                remaining[u] -= 1
+                remaining[v] -= 1
                 if remaining[other] > 0:
-                    heapq.heappush(heap, (int(remaining[other]), other))
+                    heapq.heappush(heap, (remaining[other], other))
             remaining[vertex] = 0
+    assignment[low_ids] = owner
     return low_ids[assignment[low_ids] < 0]

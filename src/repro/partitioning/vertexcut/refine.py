@@ -5,13 +5,66 @@ re-visited and moved to the partition that frees the most vertex replicas,
 subject to an edge balance cap. This is the kind of local optimisation an
 in-memory partitioner can afford and a streaming partitioner cannot — it is
 what separates the "high-quality" partitioners in the paper.
+
+Both passes are sequential greedy walks in a seeded random order. Their
+state — per vertex the partitions it is replicated to with the number of
+incident edges in each, partition loads, the current partition of every
+movable edge — lives in plain Python containers of O(|E| + |V|) total
+size, so a visit costs dictionary look-ups instead of numpy calls on
+length-k rows. ``edges`` must hold canonical (distinct) rows.
+``tests/oracles`` keeps the row-scanning originals; assignments, move
+counts and random draws are pinned equal to them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from typing import Dict, List, Tuple
+
 import numpy as np
 
-__all__ = ["refine_edge_assignment", "coalesce_vertex_moves"]
+__all__ = ["refine_edge_assignment", "coalesce_vertex_moves", "incidence"]
+
+
+def _replica_counts(
+    sub_edges: np.ndarray,
+    parts: np.ndarray,
+    num_vertices: int,
+    num_partitions: int,
+) -> List[Dict[int, int]]:
+    """Per vertex ``{partition: incident edges there}`` (self loops twice)."""
+    endpoints = np.concatenate([sub_edges[:, 0], sub_edges[:, 1]])
+    keys, counts = np.unique(
+        endpoints * num_partitions + np.concatenate([parts, parts]),
+        return_counts=True,
+    )
+    owners, present = np.divmod(keys, num_partitions)
+    bounds = np.searchsorted(owners, np.arange(num_vertices + 1)).tolist()
+    present, counts = present.tolist(), counts.tolist()
+    return [
+        dict(zip(present[lo:hi], counts[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _move_replica(counts: Dict[int, int], source: int, target: int) -> None:
+    """One incident edge goes ``source -> target``; absent means zero."""
+    if counts[source] == 1:
+        del counts[source]
+    else:
+        counts[source] -= 1
+    counts[target] = counts.get(target, 0) + 1
+
+
+def incidence(
+    sub_edges: np.ndarray, num_vertices: int
+) -> Tuple[List[int], List[int]]:
+    """CSR ``vertex -> positions of its incident edges`` (loops twice)."""
+    endpoints = np.concatenate([sub_edges[:, 0], sub_edges[:, 1]])
+    order = np.argsort(endpoints, kind="stable")
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(endpoints, minlength=num_vertices), out=indptr[1:])
+    return indptr.tolist(), (order % max(sub_edges.shape[0], 1)).tolist()
 
 
 def refine_edge_assignment(
@@ -33,53 +86,52 @@ def refine_edge_assignment(
     A move of edge ``(u, v)`` from partition ``p`` to ``q`` frees a replica
     for each endpoint whose *only* edge in ``p`` was this edge, and creates
     one for each endpoint not yet present in ``q``. Moves are applied when
-    the net replica change is negative and ``q`` stays under ``cap`` edges.
+    the net replica change is negative and ``q`` stays under ``cap`` edges;
+    among the best targets the least loaded, then the lowest id, wins.
     """
-    counts = np.zeros((num_vertices, num_partitions), dtype=np.int32)
     sub_edges = edges[edge_ids]
-    sub_assign = assignment[edge_ids]
-    np.add.at(counts, (sub_edges[:, 0], sub_assign), 1)
-    np.add.at(counts, (sub_edges[:, 1], sub_assign), 1)
-    loads = np.bincount(sub_assign, minlength=num_partitions).astype(np.int64)
+    parts = assignment[edge_ids]
+    replicas = _replica_counts(sub_edges, parts, num_vertices, num_partitions)
+    loads = np.bincount(parts, minlength=num_partitions).tolist()
+    us, vs = sub_edges[:, 0].tolist(), sub_edges[:, 1].tolist()
+    part = parts.tolist()
 
     rng = np.random.default_rng(seed)
     moves = 0
     for _ in range(sweeps):
         moved_this_sweep = 0
-        for eid in edge_ids[rng.permutation(edge_ids.shape[0])]:
-            u, v = int(edges[eid, 0]), int(edges[eid, 1])
-            p = int(assignment[eid])
-            freed = int(counts[u, p] == 1) + int(counts[v, p] == 1)
+        for i in rng.permutation(len(part)).tolist():
+            p = part[i]
+            at_u, at_v = replicas[us[i]], replicas[vs[i]]
+            freed = (at_u[p] == 1) + (at_v[p] == 1)
             if freed == 0:
                 continue  # moving away can never help
-            row = counts[u] + counts[v]
-            candidates = np.flatnonzero(row > 0)
-            best_q, best_delta = -1, 0
+            # Net change is negative only where both endpoints already
+            # are, or, when the move frees both, where either is.
+            if freed == 2:
+                candidates = at_u.keys() | at_v.keys()
+            else:
+                candidates = at_u.keys() & at_v.keys()
+            best = None
             for q in candidates:
-                q = int(q)
                 if q == p or loads[q] >= cap:
                     continue
-                created = int(counts[u, q] == 0) + int(counts[v, q] == 0)
-                delta = created - freed
-                if delta < best_delta or (
-                    delta == best_delta
-                    and best_q >= 0
-                    and loads[q] < loads[best_q]
-                ):
-                    best_q, best_delta = q, delta
-            if best_q < 0 or best_delta >= 0:
+                rank = ((q not in at_u) + (q not in at_v), loads[q], q)
+                if best is None or rank < best:
+                    best = rank
+            if best is None:
                 continue
-            assignment[eid] = best_q
-            counts[u, p] -= 1
-            counts[v, p] -= 1
-            counts[u, best_q] += 1
-            counts[v, best_q] += 1
+            q = best[2]
+            _move_replica(at_u, p, q)
+            _move_replica(at_v, p, q)
+            part[i] = q
             loads[p] -= 1
-            loads[best_q] += 1
+            loads[q] += 1
             moves += 1
             moved_this_sweep += 1
         if moved_this_sweep == 0:
             break
+    assignment[edge_ids] = part
     return moves
 
 
@@ -102,62 +154,59 @@ def coalesce_vertex_moves(
     change is negative and the balance cap allows. Returns the number of
     bulk moves performed.
     """
-    movable = np.zeros(edges.shape[0], dtype=bool)
-    movable[edge_ids] = True
-    counts = np.zeros((num_vertices, num_partitions), dtype=np.int32)
     sub_edges = edges[edge_ids]
-    sub_assign = assignment[edge_ids]
-    np.add.at(counts, (sub_edges[:, 0], sub_assign), 1)
-    np.add.at(counts, (sub_edges[:, 1], sub_assign), 1)
-    loads = np.bincount(sub_assign, minlength=num_partitions).astype(np.int64)
-
-    # Incidence CSR over the movable edges.
-    endpoints = np.concatenate([sub_edges[:, 0], sub_edges[:, 1]])
-    eids = np.concatenate([edge_ids, edge_ids])
-    order = np.argsort(endpoints, kind="stable")
-    endpoints_sorted = endpoints[order]
-    eids_sorted = eids[order]
-    vert_counts = np.bincount(endpoints_sorted, minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(vert_counts, out=indptr[1:])
+    parts = assignment[edge_ids]
+    replicas = _replica_counts(sub_edges, parts, num_vertices, num_partitions)
+    loads = np.bincount(parts, minlength=num_partitions).tolist()
+    indptr, incident = incidence(sub_edges, num_vertices)
+    us, vs = sub_edges[:, 0].tolist(), sub_edges[:, 1].tolist()
+    part = parts.tolist()
 
     rng = np.random.default_rng(seed)
     total_moves = 0
-    active = np.flatnonzero((counts > 0).sum(axis=1) > 1)
+    active = np.array(
+        [v for v, mine in enumerate(replicas) if len(mine) > 1],
+        dtype=np.int64,
+    )
     for _ in range(sweeps):
         moved_this_sweep = 0
-        for v in rng.permutation(active):
-            v = int(v)
-            row = counts[v]
-            present = np.flatnonzero(row > 0)
-            if present.size < 2:
+        for v in rng.permutation(active).tolist():
+            mine = replicas[v]
+            if len(mine) < 2:
                 continue
-            target = int(present[row[present].argmax()])
-            my_edges = eids_sorted[indptr[v] : indptr[v + 1]]
+            present = sorted(mine)
+            target = max(present, key=mine.__getitem__)
+            # Group the incident edges by partition in one pass.
+            batches: Dict[int, List[int]] = defaultdict(list)
+            for i in incident[indptr[v] : indptr[v + 1]]:
+                batches[part[i]].append(i)
             for p in present:
-                p = int(p)
-                if p == target:
+                batch = batches.get(p)
+                if (
+                    p == target
+                    or not batch
+                    or loads[target] + len(batch) > cap
+                ):
                     continue
-                batch = my_edges[assignment[my_edges] == p]
-                if batch.size == 0 or loads[target] + batch.size > cap:
-                    continue
-                others = np.where(
-                    edges[batch, 0] == v, edges[batch, 1], edges[batch, 0]
-                )
-                others = others[others != v]  # ignore self loops
-                freed = 1 + int((counts[others, p] == 1).sum())
-                created = int((counts[others, target] == 0).sum())
+                others = [vs[i] if us[i] == v else us[i] for i in batch]
+                others = [o for o in others if o != v]  # ignore self loops
+                freed, created = 1, 0
+                for o in others:
+                    freed += replicas[o][p] == 1
+                    created += target not in replicas[o]
                 if created - freed >= 0:
                     continue
-                assignment[batch] = target
-                counts[v, p] = 0
-                counts[v, target] += batch.size
-                counts[others, p] -= 1
-                counts[others, target] += 1
-                loads[p] -= batch.size
-                loads[target] += batch.size
+                for i in batch:
+                    part[i] = target
+                del mine[p]
+                mine[target] += len(batch)
+                for o in others:
+                    _move_replica(replicas[o], p, target)
+                loads[p] -= len(batch)
+                loads[target] += len(batch)
                 total_moves += 1
                 moved_this_sweep += 1
         if moved_this_sweep == 0:
             break
+    assignment[edge_ids] = part
     return total_moves

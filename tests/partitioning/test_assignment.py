@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import Graph
 from repro.partitioning import EdgePartition, VertexPartition
 
 
@@ -51,6 +52,17 @@ class TestEdgePartition:
         )
         masters = part.masters()
         assert (masters >= 0).all() and (masters < 3).all()
+
+    def test_masters_of_isolated_vertices_and_ties(self):
+        """Edge-less vertices own ``id % k``; a tie goes to the lowest id;
+        the dtype is the assignment's."""
+        graph = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 3)])
+        edges = graph.undirected_edges()
+        assignment = np.array([2, 1, 1, 0], dtype=np.int32)
+        assert edges.tolist() == [[0, 1], [0, 2], [1, 2], [3, 3]]
+        masters = EdgePartition(graph, edges, assignment, 3).masters()
+        assert masters.dtype == np.int32
+        assert masters.tolist() == [1, 1, 1, 0, 4 % 3, 5 % 3, 6 % 3]
 
     def test_rejects_mismatched_assignment(self, two_cliques):
         edges = two_cliques.undirected_edges()

@@ -92,6 +92,29 @@ class TestMetis:
         assert vertex_balance(part) <= 1.2
 
 
+class TestEffortValidation:
+    """Constructor checks are real exceptions (they survive ``python -O``)."""
+
+    @pytest.mark.parametrize("factory", [MetisPartitioner, KahipPartitioner])
+    @pytest.mark.parametrize(
+        "bad", [{"epsilon": -0.01}, {"refine_passes": -1}]
+    )
+    def test_negative_effort_rejected(self, factory, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            factory(**bad)
+
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_kahip_needs_a_repetition(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions"):
+            KahipPartitioner(repetitions=repetitions)
+
+    def test_zero_effort_is_allowed(self, two_cliques):
+        part = KahipPartitioner(
+            epsilon=0.0, refine_passes=0, repetitions=1
+        ).partition(two_cliques, 2, seed=0)
+        assert part.vertex_counts().tolist() == [4, 4]
+
+
 class TestKahip:
     def test_repetitions_do_not_hurt(self, tiny_or):
         one = KahipPartitioner(repetitions=1).partition(tiny_or, 4, seed=0)

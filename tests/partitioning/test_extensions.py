@@ -94,6 +94,10 @@ class TestNe:
         refined = NePartitioner(refine=True).partition(tiny_or, 8, seed=0)
         assert replication_factor(refined) <= replication_factor(raw)
 
+    def test_balance_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="balance_cap"):
+            NePartitioner(balance_cap=0.5)
+
     def test_two_cliques(self, two_cliques):
         part = NePartitioner(balance_cap=1.2).partition(
             two_cliques, 2, seed=0

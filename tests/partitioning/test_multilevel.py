@@ -95,11 +95,10 @@ class TestInitialPartitionAndRefine:
 class TestMultilevelEndToEnd:
     def test_balanced_and_low_cut(self):
         g = load_dataset("DI", "tiny")
+        wg = WeightedGraph.from_edges(g.num_vertices, g.undirected_edges())
         assignment = multilevel_partition(
-            g.num_vertices, g.undirected_edges(), 4,
-            epsilon=0.05, refine_passes=3, seed=0,
+            wg, 4, epsilon=0.05, refine_passes=3, seed=0,
         )
         loads = np.bincount(assignment, minlength=4)
         assert loads.max() <= 1.1 * g.num_vertices / 4
-        wg = WeightedGraph.from_edges(g.num_vertices, g.undirected_edges())
         assert cut_weight(wg, assignment) < 0.25 * g.num_edges

@@ -123,6 +123,11 @@ class TestHep:
             <= replication_factor(hep10) + 0.05
         )
 
+    def test_balance_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="balance_cap"):
+            HepPartitioner(10, balance_cap=0.99)
+        HepPartitioner(10, balance_cap=1.0)  # perfect balance is allowed
+
     def test_two_cliques_found(self, two_cliques):
         """With k=2, NE should cut only at the bridge: RF close to 1."""
         part = HepPartitioner(100, balance_cap=1.2).partition(

@@ -49,13 +49,9 @@ def test_coarsening_invariants(graph, seed):
     seed=st.integers(0, 50),
 )
 def test_multilevel_partition_valid_and_balanced(graph, k, seed):
+    wg = WeightedGraph.from_edges(graph.num_vertices, graph.undirected_edges())
     assignment = multilevel_partition(
-        graph.num_vertices,
-        graph.undirected_edges(),
-        k,
-        epsilon=0.10,
-        refine_passes=2,
-        seed=seed,
+        wg, k, epsilon=0.10, refine_passes=2, seed=seed
     )
     assert assignment.shape == (graph.num_vertices,)
     assert assignment.min() >= 0 and assignment.max() < k
@@ -66,8 +62,5 @@ def test_multilevel_partition_valid_and_balanced(graph, k, seed):
     # meaningful bound when partitions hold more than a couple of
     # vertices each).
     if graph.num_vertices >= 6 * k:
-        wg = WeightedGraph.from_edges(
-            graph.num_vertices, graph.undirected_edges()
-        )
         random_cut_expectation = graph.num_edges * (1 - 1 / k)
         assert cut_weight(wg, assignment) <= random_cut_expectation + 1
