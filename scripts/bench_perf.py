@@ -4,8 +4,9 @@ Times every registered partitioner (plus the streaming extensions) on
 the standard small-scale synthetic graphs at ``k=32``, the HDRF
 vectorised kernel against its retained scalar reference on the largest
 graph (verifying bit-identical assignments), the neighbourhood
-sampling kernel, the overhead of the observability hooks on a fixed
-simulation cell (plain / off / metrics / trace), the bookkeeping cost
+sampling kernel, one 27-configuration DistDGL cell with and without
+recorded sampling traces, the overhead of the observability hooks on a
+fixed simulation cell (plain / off / metrics / trace), the bookkeeping cost
 of the comm codecs on the same cell (none / fp16 / int8 / topk —
 ``docs/communication.md``), and — new with the
 out-of-core pipeline — a *scale sweep*: RMAT streams of 10^4 … 10^7
@@ -220,6 +221,45 @@ def bench_sampling(graph, repeats: int) -> dict:
         "batch": int(seeds.size),
         "fanouts": list(fanouts),
         "seconds": _time(run, repeats),
+    }
+
+
+def bench_distdgl_cell(graph, repeats: int) -> dict:
+    """One 27-configuration DistDGL cell (the Table 3 grid on one cached
+    partition): ``cold`` with no sampling trace recorded — three of the
+    configurations sample, the rest replay them — and ``warm`` with the
+    traces of an earlier run of the cell, where every step is only
+    priced (``docs/performance.md``, "Sample once, price many").
+    """
+    from repro.distdgl.trace import clear_traces
+    from repro.experiments import CellSpec, parameter_grid, run_cell
+    from repro.graph import random_split
+
+    split = random_split(graph, seed=0)
+    spec = CellSpec(
+        "distdgl", "metis", 8, seed=0, num_epochs=1,
+        grid=tuple(parameter_grid()),
+    )
+    run_cell(graph, split, spec)  # warm partition cache
+
+    def cold():
+        clear_traces()
+        run_cell(graph, split, spec)
+
+    cold_seconds = _time(cold, repeats)
+    warm_seconds = _time(lambda: run_cell(graph, split, spec), repeats)
+    steps = sum(
+        -(-split.train.size // params.global_batch_size)
+        for params in spec.grid
+    )
+    return {
+        "graph": graph.name,
+        "k": spec.num_machines,
+        "configurations": len(spec.grid),
+        "steps": steps,
+        "cold_seconds": cold_seconds,
+        "warm_seconds": warm_seconds,
+        "seconds_per_priced_step": warm_seconds / steps,
     }
 
 
@@ -675,6 +715,7 @@ def run_bench(
             graphs[LARGEST_GRAPH], repeats
         ),
         "sampling": bench_sampling(graphs[LARGEST_GRAPH], repeats),
+        "distdgl_cell": bench_distdgl_cell(graphs["OR"], repeats),
         "obs_overhead": bench_obs_overhead(repeats),
         "profiling_overhead": bench_profiling_overhead(repeats),
         "comm_codecs": bench_comm_codecs(repeats),
@@ -799,6 +840,14 @@ def main(argv=None) -> int:
         f"(k={overhead['k']}): plain {overhead['plain_seconds']:.4f}s, "
         f"off +{overhead['off_overhead_fraction'] * 100:.1f}%, "
         f"metrics +{overhead['metrics_overhead_fraction'] * 100:.1f}%"
+    )
+    cell = report["distdgl_cell"]
+    print(
+        f"DistDGL cell on {cell['graph']} (k={cell['k']}, "
+        f"{cell['configurations']} configurations): trace-cold "
+        f"{cell['cold_seconds']:.3f}s, trace-warm "
+        f"{cell['warm_seconds']:.3f}s "
+        f"({cell['seconds_per_priced_step'] * 1e6:.0f} us/priced step)"
     )
     prof = report["profiling_overhead"]
     print(

@@ -1,7 +1,8 @@
 """Perf regression gate.
 
 Runs a fresh (quick) ``bench_perf`` pass and compares every kernel
-timing against the *latest entry* of the committed
+timing, the sampling kernel and the DistDGL cell (trace-cold and
+trace-warm) against the *latest entry* of the committed
 ``BENCH_partitioning.json`` history series (falling back to the
 retained ``baseline`` report when the history is empty; legacy flat
 schema-1 files still work). Fails (exit code 1) when any kernel is
@@ -153,6 +154,8 @@ def missing_sections(baseline: dict, fresh: dict) -> list:
         missing.append("kernels: baseline has no kernel timings")
     if not baseline.get("sampling"):
         missing.append("sampling: baseline has no sampling benchmark")
+    if not baseline.get("distdgl_cell"):
+        missing.append("distdgl_cell: baseline has no DistDGL cell timings")
     for section in (
         "obs_overhead", "profiling_overhead", "comm_codecs"
     ):
@@ -200,6 +203,16 @@ def compare(
             base_sampling["seconds"],
             fresh["sampling"]["seconds"],
         )
+    base_cell = baseline.get("distdgl_cell")
+    if base_cell:
+        # Recording a cell's sampling traces, and pricing from them:
+        # the second creeping up to the first means replay broke.
+        for series in ("cold_seconds", "warm_seconds"):
+            check(
+                f"distdgl_cell/{series}",
+                base_cell[series],
+                fresh["distdgl_cell"][series],
+            )
     hdrf = fresh.get("hdrf_vs_reference", {})
     if not hdrf.get("identical", False):
         regressions.append(

@@ -18,9 +18,11 @@ codec, mirroring how compression enters a real training system:
   time for their savings.
 
 The :class:`NullCodec` is the identity: ratio 1, zero error, zero
-work. Engines branch on :meth:`Codec.is_null` so a null-codec run
-executes the exact pre-codec code path — bit-identical baselines, not
-multiply-by-1.0 approximations.
+work. A null-codec run is the pre-codec baseline bit for bit: DistGNN
+branches on :meth:`Codec.is_null` and takes the pre-codec code path;
+DistDGL prices the null codec with the same array expressions as any
+other, where its ``x 1.0`` and ``+ 0.0`` are exact in floating point
+(pinned by ``tests/oracles/test_distdgl_identity.py``).
 """
 
 from __future__ import annotations
@@ -74,10 +76,8 @@ class Codec:
 
         Charged at the cost model's memory bandwidth: codecs are
         bandwidth-bound transforms, ``work_factor`` passes over the
-        raw payload.
+        raw payload (a scalar or an array of payloads).
         """
-        if self.work_factor == 0.0 or raw_bytes <= 0.0:
-            return 0.0
         return self.work_factor * raw_bytes / cost_model.memory_bandwidth
 
     def __repr__(self) -> str:

@@ -84,9 +84,8 @@ class CostModel:
         return bytes_touched / self.memory_bandwidth
 
     def transfer_seconds(self, num_bytes: float, num_messages: int = 1) -> float:
-        """Seconds to move ``num_bytes`` over the network."""
-        if num_bytes <= 0 and num_messages <= 0:
-            return 0.0
+        """Seconds to move ``num_bytes`` over the network (zero for no
+        bytes in no messages; scalars or arrays, like its siblings)."""
         return num_messages * self.network_latency + (
             num_bytes / self.network_bandwidth
         )

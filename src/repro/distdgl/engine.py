@@ -21,7 +21,7 @@ exactly the paper's Section 5.3 methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Set
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,10 +41,17 @@ from ..graph import VertexSplit
 from ..obs import api as obs
 from ..obs.profiling import capture as profiling
 from ..partitioning import VertexPartition
+from .trace import SamplingTrace, StepCounts, TraceError, shared_trace
 
 __all__ = ["DistDglEngine", "StepBreakdown", "EpochReport"]
 
 PHASES = ("sample", "fetch", "forward", "backward", "update")
+
+
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...`` strictly left to right, the
+    order a per-worker loop adds in (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([start], np.ravel(terms))))[-1])
 
 
 @dataclass(frozen=True)
@@ -195,22 +202,34 @@ class DistDglEngine:
             raise ValueError("need one fanout per layer")
         self.cost_model = cost_model
         self.num_machines = partition.num_partitions
-        self._rng = np.random.default_rng(seed)
 
         self.dims = (
             [feature_size] + [hidden_dim] * (num_layers - 1) + [num_classes]
         )
         self.num_params = self._count_params()
         self.owner = partition.assignment
-        # Each worker samples seeds from its own partition's train vertices.
-        self.train_per_worker: List[np.ndarray] = [
-            self.split.train[self.owner[self.split.train] == w]
-            for w in range(self.num_machines)
-        ]
+        # Each worker samples seeds from its own partition's train
+        # vertices: split.train grouped by owner, order kept.
+        train_owner = self.owner[split.train]
+        pool_sizes = np.bincount(train_owner, minlength=self.num_machines)
+        self.train_per_worker: List[np.ndarray] = np.split(
+            split.train[np.argsort(train_owner, kind="stable")],
+            np.cumsum(pool_sizes)[:-1],
+        )
         if not 0.0 <= cache_fraction < 1.0:
             raise ValueError("cache_fraction must be in [0, 1)")
         self.cache_fraction = cache_fraction
         self._cached = self._build_feature_cache()
+        #: The measured half of every step, shared with every engine
+        #: that samples the same way; ``None`` once this engine's history
+        #: has left the recorded one and it samples from ``_rng``, its
+        #: private continuation.
+        self._trace: Optional[SamplingTrace] = shared_trace(
+            partition, split.train, self.fanouts, global_batch_size, seed,
+            cache_fraction,
+        )
+        self._rng: Optional[np.random.Generator] = None
+        self._step_index = 0
         self._codec = make_codec(compression)
         #: Comm-reduction accounting (raw vs wire fetch bytes, codec
         #: time, cache hits) accumulated over every simulated step.
@@ -267,17 +286,19 @@ class DistDglEngine:
         edges = self.graph.undirected_edges()
         # DistDGL stores each edge on the owner(s) of its endpoints (inner
         # edges once, halo edges on both sides).
+        k = self.num_machines
         owners_u = self.owner[edges[:, 0]]
         owners_v = self.owner[edges[:, 1]]
-        self._local_edges_per_worker = np.zeros(
-            self.num_machines, dtype=np.int64
+        self._local_edges_per_worker = (
+            np.bincount(owners_u, minlength=k)
+            + np.bincount(owners_v, minlength=k)
+            - np.bincount(owners_u[owners_u == owners_v], minlength=k)
         )
-        self._owned_per_worker = np.zeros(self.num_machines, dtype=np.int64)
-        for w in range(self.num_machines):
-            local_edges = int(((owners_u == w) | (owners_v == w)).sum())
-            owned = int((self.owner == w).sum())
-            self._local_edges_per_worker[w] = local_edges
-            self._owned_per_worker[w] = owned
+        self._owned_per_worker = np.bincount(self.owner, minlength=k)
+        num_cached = 0 if self._cached is None else int(self._cached.sum())
+        for w in range(k):
+            local_edges = int(self._local_edges_per_worker[w])
+            owned = int(self._owned_per_worker[w])
             self.cluster.allocate(
                 w, "structure", (2 * local_edges + owned) * cm.index_bytes
             )
@@ -288,9 +309,7 @@ class DistDglEngine:
                 self.cluster.allocate(
                     w,
                     "feature-cache",
-                    cm.feature_bytes(
-                        int(self._cached.sum()), self.feature_size
-                    ),
+                    cm.feature_bytes(num_cached, self.feature_size),
                 )
             # Model/optimizer state is partitioner-independent and (at the
             # paper's graph scale) negligible - excluded from the ledger,
@@ -304,8 +323,12 @@ class DistDglEngine:
     # Per-layer cost primitives
     # ------------------------------------------------------------------
     def _layer_flops(
-        self, num_dst: int, num_src: int, num_edges: int, layer: int
-    ) -> float:
+        self,
+        num_dst: np.ndarray,
+        num_src: np.ndarray,
+        num_edges: np.ndarray,
+        layer: int,
+    ) -> np.ndarray:
         d_in, d_out = self.dims[layer], self.dims[layer + 1]
         if self.arch == "sage":
             return sage_layer_flops(num_dst, num_edges, d_in, d_out)
@@ -314,7 +337,7 @@ class DistDglEngine:
         return gat_layer_flops(num_dst, num_src, num_edges, d_in, d_out)
 
     # ------------------------------------------------------------------
-    # Step execution
+    # Step execution: measure (sample, count) -> price (seconds, bytes)
     # ------------------------------------------------------------------
     def run_step(
         self,
@@ -325,6 +348,11 @@ class DistDglEngine:
     ) -> StepBreakdown:
         """Execute one global training step across all workers.
 
+        The step is *measured* — seeds drawn, computation graphs
+        sampled and reduced to counts, or the same counts replayed from
+        the shared :class:`~.trace.SamplingTrace` — and then *priced*
+        for this engine's model, cost model, codec and faults.
+
         ``active`` restricts the step to the surviving workers (graceful
         degradation after a crash): the global batch is redistributed
         over them and dead workers contribute no time. ``slow_factors``
@@ -332,160 +360,238 @@ class DistDglEngine:
         ``lost_workers`` lose one feature-fetch RPC each this step and
         pay ``retransmit_timeout`` plus a refetch.
         """
-        cm = self.cost_model
         k = self.num_machines
-        active_set = set(range(k)) if active is None else set(active)
-        if not active_set:
+        active_workers = (
+            tuple(range(k)) if active is None else tuple(sorted(set(active)))
+        )
+        if not active_workers:
             raise ValueError("need at least one active worker")
         stretch = (
             np.ones(k) if slow_factors is None
             else np.asarray(slow_factors, dtype=np.float64)
         )
-        per_worker = {phase: np.zeros(k) for phase in PHASES}
-        fetch_bytes_per_worker = np.zeros(k)
-        raw_fetch_per_worker = np.zeros(k)
-        input_counts = np.zeros(k)
-        local_inputs = remote_inputs = cache_hits = 0
-        sampled_edges = 0
-        step_bytes = 0.0
-        # src x dst byte attribution for this step (owners -> worker for
-        # sampling/fetching, ring for the all-reduce). Bookkeeping only;
-        # phase timing stays a function of the per-worker scalars above.
-        sample_matrix = np.zeros((k, k), dtype=np.float64)
-        fetch_matrix = np.zeros((k, k), dtype=np.float64)
-        batch_per_worker = max(
-            self.global_batch_size // len(active_set), 1
+        return self._price(
+            self._measure(active_workers), active_workers, stretch,
+            lost_workers, retransmit_timeout,
         )
 
-        for w in range(k):
-            if w not in active_set:
-                continue  # crashed worker: survivors carry the step
-            pool = self.train_per_worker[w]
-            if pool.size == 0:
-                continue  # worker idles this step (train imbalance!)
-            take = min(batch_per_worker, pool.size)
-            seeds = self._rng.choice(pool, size=take, replace=False)
-            batch = sample_blocks(self.graph, seeds, self.fanouts, self._rng)
-
-            # ---- sampling phase -------------------------------------
-            sample_sec = 0.0
-            remote_frontier = 0
-            edge_list_bytes = self.fanouts[0] * 2 * cm.index_bytes
-            for block in batch.blocks:
-                dst_owned = self.owner[block.src_ids[: block.num_dst]]
-                remote = int((dst_owned != w).sum())
-                remote_frontier += remote
-                sampled_edges += int(block.num_edges)
-                sample_sec += (
-                    block.num_edges * cm.sample_seconds_per_edge
-                    + remote * cm.remote_sample_overhead
+    def _measure(self, active: Tuple[int, ...]) -> StepCounts:
+        """This step's sampling counts: replayed while this engine's
+        history of active sets equals the shared trace's, recorded when
+        it reaches the trace's end, and drawn from a private generator —
+        restored to where a fresh ``default_rng(seed)`` would stand —
+        from the first step that departs (or overruns a full trace)."""
+        trace, index = self._trace, self._step_index
+        recorded = trace is not None and index < len(trace.steps)
+        if recorded and trace.steps[index].active == active:
+            counts = trace.steps[index]
+            if counts.workers.tolist() != [
+                w for w in active if self.train_per_worker[w].size
+            ]:
+                raise TraceError(
+                    f"step {index} was recorded for workers "
+                    f"{counts.workers.tolist()}, not this engine's"
                 )
-                # Remote frontiers ship their sampled edge lists back,
-                # each remote vertex's owner -> this worker.
-                step_bytes += remote * edge_list_bytes
-                sample_matrix[:, w] += (
-                    np.bincount(dst_owned[dst_owned != w], minlength=k)
-                    * edge_list_bytes
-                )
-            per_worker["sample"][w] = sample_sec * stretch[w]
-
-            # ---- feature fetching phase -----------------------------
-            inputs = batch.input_ids
-            owners = self.owner[inputs]
-            remote_mask = owners != w
-            if self._cached is not None:
-                hits = remote_mask & self._cached[inputs]
-                n_hits = int(hits.sum())
-                cache_hits += n_hits
-                remote_mask = remote_mask & ~self._cached[inputs]
-                if n_hits:
-                    # A cache hit is a remote fetch the wire never
-                    # carries: its raw bytes count as saved.
-                    self.comm.raw_bytes += cm.feature_bytes(
-                        n_hits, self.feature_size
-                    )
-            n_remote = int(remote_mask.sum())
-            n_local = int(inputs.shape[0] - n_remote)
-            local_inputs += n_local
-            remote_inputs += n_remote
-            input_counts[w] = inputs.shape[0]
-            raw_fetch = cm.feature_bytes(n_remote, self.feature_size)
-            raw_fetch_per_worker[w] = raw_fetch
-            owner_bytes = cm.feature_bytes(
-                np.bincount(owners[remote_mask], minlength=k),
-                self.feature_size,
+        else:
+            if recorded or (trace is not None and trace.full):
+                self._rng = trace.rng_at(index)
+                trace = self._trace = None
+            counts = self._sample(
+                active, self._rng if trace is None else trace.rng
             )
-            # One RPC per peer that actually owns remote inputs: a good
-            # partition talks to few peers, not to all k-1 of them.
-            peers = int(np.unique(owners[remote_mask]).size)
-            if self._codec.is_null():
-                fetch_bytes = raw_fetch
-                fetch_matrix[:, w] += owner_bytes
-                per_worker["fetch"][w] = cm.transfer_seconds(
-                    fetch_bytes, num_messages=max(peers, 1)
-                ) + cm.memory_seconds(
-                    cm.feature_bytes(n_local, self.feature_size)
-                )
-            else:
-                # Compressed fetch: the wire carries codec-ratio bytes;
-                # the owners encode and this worker decodes, both
-                # charged on the raw payload.
-                fetch_bytes = self._codec.wire_bytes(raw_fetch)
-                fetch_matrix[:, w] += self._codec.wire_bytes(owner_bytes)
-                codec_seconds = self._codec.codec_seconds(raw_fetch, cm)
-                self.comm.codec_seconds += codec_seconds
-                per_worker["fetch"][w] = cm.transfer_seconds(
-                    fetch_bytes, num_messages=max(peers, 1)
-                ) + cm.memory_seconds(
-                    cm.feature_bytes(n_local, self.feature_size)
-                ) + codec_seconds
-            fetch_bytes_per_worker[w] = fetch_bytes
-            step_bytes += fetch_bytes
-            self.comm.raw_bytes += raw_fetch
-            self.comm.wire_bytes += fetch_bytes
+            if trace is not None:
+                trace.append(counts)
+        # Only a step that was measured counts: one that raised is
+        # retried at the same position of the trace.
+        self._step_index = index + 1
+        return counts
 
-            # ---- compute phases -------------------------------------
-            fwd = 0.0
-            for layer, block in enumerate(batch.blocks):
-                fwd += cm.compute_seconds(
-                    self._layer_flops(
-                        block.num_dst, block.num_src, block.num_edges, layer
-                    )
+    def _sample(
+        self, active: Tuple[int, ...], rng: np.random.Generator
+    ) -> StepCounts:
+        """Draw and sample one step's mini-batches; keep only their
+        counts. Per active worker with training vertices, in ascending
+        order: one ``rng.choice`` of seeds from its pool, then
+        :func:`~repro.gnn.sample_blocks`."""
+        k = self.num_machines
+        rng_state = rng.bit_generator.state
+        workers = [w for w in active if self.train_per_worker[w].size]
+        take = max(self.global_batch_size // len(active), 1)
+        blocks = np.zeros((4, self.num_layers, len(workers)), dtype=np.int64)
+        inputs = np.zeros((4, len(workers)), dtype=np.int64)
+        sample_owners = np.zeros((len(workers), k), dtype=np.int64)
+        fetch_owners = np.zeros((len(workers), k), dtype=np.int64)
+        try:
+            for i, w in enumerate(workers):
+                pool = self.train_per_worker[w]
+                seeds = rng.choice(
+                    pool, size=min(take, pool.size), replace=False
                 )
-                fwd += cm.memory_seconds(
-                    aggregation_bytes(
-                        block.num_edges, self.dims[layer], cm.float_bytes
+                batch = sample_blocks(self.graph, seeds, self.fanouts, rng)
+                for layer, block in enumerate(batch.blocks):
+                    # Frontier vertices owned elsewhere need a sampling RPC.
+                    looked_up = np.bincount(
+                        self.owner[block.src_ids[: block.num_dst]],
+                        minlength=k,
                     )
+                    looked_up[w] = 0
+                    sample_owners[i] += looked_up
+                    blocks[:, layer, i] = (
+                        block.num_dst, block.num_src, block.num_edges,
+                        looked_up.sum(),
+                    )
+                ids = batch.input_ids
+                owners = self.owner[ids]
+                remote = owners != w
+                hits = 0
+                if self._cached is not None:
+                    # A cached remote vertex is never fetched over the wire.
+                    hot = self._cached[ids]
+                    hits = np.count_nonzero(remote & hot)
+                    remote &= ~hot
+                fetch_owners[i] = np.bincount(owners[remote], minlength=k)
+                fetched = fetch_owners[i].sum()
+                inputs[:, i] = (ids.size, ids.size - fetched, fetched, hits)
+        except BaseException:
+            # Leave the stream where the step found it: a shared trace's
+            # generator must always stand after its last recorded step.
+            rng.bit_generator.state = rng_state
+            raise
+        # The two (m, k) histograms are most of a trace: keep them in the
+        # narrowest unsigned type that holds them (pricing widens).
+        sample_owners, fetch_owners = (
+            owners.astype(np.min_scalar_type(owners.max(initial=0)))
+            for owners in (sample_owners, fetch_owners)
+        )
+        arrays = (
+            np.array(workers, dtype=np.intp), blocks, sample_owners, inputs,
+            fetch_owners,
+        )
+        for array in arrays:
+            array.setflags(write=False)
+        return StepCounts(active, rng_state, *arrays)
+
+    def _price(
+        self,
+        counts: StepCounts,
+        active: Tuple[int, ...],
+        stretch: np.ndarray,
+        lost_workers: Collection[int],
+        retransmit_timeout: float,
+    ) -> StepBreakdown:
+        """Phase seconds, bytes and traffic matrices of one measured
+        step. Array expressions over the workers that drew a batch;
+        every worker's value is computed by the floating-point
+        operations, in the order, of the per-worker loop this replaced
+        (``tests/oracles/distdgl.py``), so records are byte-identical.
+        """
+        cm = self.cost_model
+        k = self.num_machines
+        w = counts.workers
+        num_dst, num_src, num_edges, remote_frontier = counts.blocks
+        num_inputs, num_local, num_remote, cache_hits = counts.inputs
+        sample_owners = counts.sample_owners.astype(np.int64)
+        fetch_owners = counts.fetch_owners.astype(np.int64)
+        per_worker = {phase: np.zeros(k) for phase in PHASES}
+
+        # ---- sampling and compute phases, layer by layer ------------
+        sample_sec = np.zeros(w.size)
+        fwd = np.zeros(w.size)
+        for layer in range(self.num_layers):
+            sample_sec += (
+                num_edges[layer] * cm.sample_seconds_per_edge
+                + remote_frontier[layer] * cm.remote_sample_overhead
+            )
+            fwd += cm.compute_seconds(
+                self._layer_flops(
+                    num_dst[layer], num_src[layer], num_edges[layer], layer
                 )
-            per_worker["forward"][w] = fwd * stretch[w]
-            per_worker["backward"][w] = BACKWARD_FACTOR * fwd * stretch[w]
+            )
+            fwd += cm.memory_seconds(
+                aggregation_bytes(
+                    num_edges[layer], self.dims[layer], cm.float_bytes
+                )
+            )
+        per_worker["sample"][w] = sample_sec * stretch[w]
+        per_worker["forward"][w] = fwd * stretch[w]
+        per_worker["backward"][w] = BACKWARD_FACTOR * fwd * stretch[w]
+        # Remote frontiers ship their sampled edge lists back, each
+        # remote vertex's owner -> this worker. src x dst byte
+        # attribution (owners -> worker for sampling/fetching, ring for
+        # the all-reduce) is bookkeeping only; phase timing stays a
+        # function of the per-worker vectors. Whole-number counts times
+        # whole-number widths: summing a worker's blocks first is exact.
+        edge_list_bytes = self.fanouts[0] * 2 * cm.index_bytes
+        sample_matrix = np.zeros((k, k), dtype=np.float64)
+        sample_matrix[:, w] = (sample_owners * edge_list_bytes).T
+
+        # ---- feature fetching phase ---------------------------------
+        raw_fetch = cm.feature_bytes(num_remote, self.feature_size)
+        owner_bytes = cm.feature_bytes(fetch_owners, self.feature_size)
+        # The wire carries codec-ratio bytes; the owners encode and this
+        # worker decodes, both charged on the raw payload. (The null
+        # codec's x 1.0 and + 0.0 are exact: its baseline is bit for bit
+        # the uncompressed arithmetic.)
+        wire_fetch = self._codec.wire_bytes(raw_fetch)
+        wire_owner = self._codec.wire_bytes(owner_bytes)
+        codec_seconds = self._codec.codec_seconds(raw_fetch, cm)
+        self.comm.codec_seconds = _running_sum(
+            self.comm.codec_seconds, codec_seconds
+        )
+        # One RPC per peer that actually owns remote inputs: a good
+        # partition talks to few peers, not to all k-1 of them.
+        peers = np.count_nonzero(fetch_owners, axis=1)
+        per_worker["fetch"][w] = cm.transfer_seconds(
+            wire_fetch, np.maximum(peers, 1)
+        ) + cm.memory_seconds(
+            cm.feature_bytes(num_local, self.feature_size)
+        ) + codec_seconds
+        fetch_matrix = np.zeros((k, k), dtype=np.float64)
+        fetch_matrix[:, w] = wire_owner.T
+        fetch_bytes_per_worker = np.zeros(k)
+        fetch_bytes_per_worker[w] = wire_fetch
+        raw_fetch_per_worker = np.zeros(k)
+        raw_fetch_per_worker[w] = raw_fetch
+        # Per worker: its blocks' edge-list bytes, then its fetch.
+        step_bytes = _running_sum(0.0, np.vstack(
+            [remote_frontier * edge_list_bytes, wire_fetch]
+        ).T)
+        # A cache hit is a remote fetch the wire never carries: its raw
+        # bytes count as saved.
+        self.comm.raw_bytes = _running_sum(self.comm.raw_bytes, np.stack(
+            [cm.feature_bytes(cache_hits, self.feature_size), raw_fetch],
+            axis=1,
+        ))
+        self.comm.wire_bytes = _running_sum(self.comm.wire_bytes, wire_fetch)
 
         # Injected lost messages: the affected worker's fetch RPC times
         # out and is refetched in full.
-        for w in lost_workers:
-            if w not in active_set:
+        for lost in lost_workers:
+            if lost not in active:
                 continue
-            self.cluster.fabric.record_lost_message(w)
-            per_worker["fetch"][w] += (
+            self.cluster.fabric.record_lost_message(lost)
+            per_worker["fetch"][lost] += (
                 retransmit_timeout
-                + cm.transfer_seconds(fetch_bytes_per_worker[w])
+                + cm.transfer_seconds(fetch_bytes_per_worker[lost])
             )
-            step_bytes += fetch_bytes_per_worker[w]
+            step_bytes += fetch_bytes_per_worker[lost]
             # The full fetch is re-sent by the same owners; the dropped
             # copy itself is a pure count on the fabric, no bytes. The
             # resend ships the already-encoded payload, so no fresh
             # codec time is charged.
-            self.comm.raw_bytes += raw_fetch_per_worker[w]
-            self.comm.wire_bytes += fetch_bytes_per_worker[w]
-            fetch_matrix[:, w] *= 2.0
+            self.comm.raw_bytes += raw_fetch_per_worker[lost]
+            self.comm.wire_bytes += fetch_bytes_per_worker[lost]
+            fetch_matrix[:, lost] *= 2.0
 
         # Gradient all-reduce is part of the backward phase, as in the
         # paper's measurement methodology (Section 5.3).
         grad_bytes = self.num_params * cm.float_bytes
-        allreduce = cm.allreduce_seconds(grad_bytes, len(active_set))
-        active_index = sorted(active_set)
-        per_worker["backward"][active_index] += allreduce
-        step_bytes += 2 * grad_bytes * max(len(active_set) - 1, 0)
+        num_active = len(active)
+        active_index = list(active)
+        per_worker["backward"][active_index] += cm.allreduce_seconds(
+            grad_bytes, num_active
+        )
+        step_bytes += 2 * grad_bytes * max(num_active - 1, 0)
         per_worker["update"][active_index] = (
             cm.compute_seconds(6.0 * self.num_params)
             * stretch[active_index]
@@ -493,7 +599,6 @@ class DistDglEngine:
 
         # Ring all-reduce over the surviving workers.
         allreduce_matrix = np.zeros((k, k), dtype=np.float64)
-        num_active = len(active_index)
         if num_active > 1:
             per_link = 2.0 * grad_bytes * (num_active - 1) / num_active
             for i, src in enumerate(active_index):
@@ -516,12 +621,13 @@ class DistDglEngine:
                     matrix.sum(axis=0),
                     matrix=matrix,
                 )
-        self.comm.cache_hits += cache_hits
+        local_inputs = int(num_local.sum())
+        remote_inputs = int(num_remote.sum())
+        hits = int(cache_hits.sum())
+        self.comm.cache_hits += hits
         self._comm_remote_inputs += remote_inputs
-        active = input_counts[input_counts > 0]
-        balance = (
-            float(active.max() / active.mean()) if active.size else 1.0
-        )
+        loads = num_inputs.astype(np.float64)
+        balance = float(loads.max() / loads.mean()) if loads.size else 1.0
         if obs.enabled():
             obs.count("distdgl.steps")
             obs.observe(
@@ -529,11 +635,11 @@ class DistDglEngine:
                 float(sum(per_worker[p].max() for p in PHASES)),
             )
             obs.count("distdgl.network_bytes", step_bytes)
-            obs.count("distdgl.sampled_edges", sampled_edges)
+            obs.count("distdgl.sampled_edges", int(num_edges.sum()))
             obs.count("distdgl.local_input_vertices", local_inputs)
             obs.count("distdgl.remote_input_vertices", remote_inputs)
-            obs.count("distdgl.cache_hits", cache_hits)
-            if len(active_set) < k:
+            obs.count("distdgl.cache_hits", hits)
+            if num_active < k:
                 obs.count("distdgl.degraded_steps")
         return StepBreakdown(
             sample_seconds=float(per_worker["sample"].max()),
@@ -546,7 +652,7 @@ class DistDglEngine:
             remote_input_vertices=remote_inputs,
             input_vertex_balance=balance,
             per_worker_seconds=total_per_worker,
-            cache_hits=cache_hits,
+            cache_hits=hits,
         )
 
     def _steps_per_epoch(self) -> int:

@@ -118,50 +118,21 @@ class DistGnnEngine:
         )
         #: Counters of the last faulty run (all zero when none was run).
         self.fault_summary = FaultSummary()
-        self._collect_partition_stats()
-        self._account_memory()
-
-    # ------------------------------------------------------------------
-    # Partition statistics
-    # ------------------------------------------------------------------
-    def _collect_partition_stats(self) -> None:
-        part = self.partition
-        k = self.num_machines
-        self.edges_per_machine = part.edge_counts().astype(np.float64)
-        self.vertices_per_machine = part.vertex_counts().astype(np.float64)
-        copies = part.copies_per_vertex()
-        masters = part.masters()
-        self.masters_per_machine = np.bincount(
-            masters, minlength=k
-        ).astype(np.float64)
-        # Per machine: replicas that are NOT the master (they sync).
-        pairs = part.replica_pairs()
-        is_master_replica = masters[pairs[:, 1]] == pairs[:, 0]
-        self.nonmaster_per_machine = np.bincount(
-            pairs[~is_master_replica, 0], minlength=k
-        ).astype(np.float64)
-        # Per machine: sync counterparties of the masters it hosts:
-        # sum over mastered vertices of (copies - 1).
-        excess = (copies[pairs[:, 1]] - 1) * is_master_replica
-        self.master_excess_per_machine = np.bincount(
-            pairs[:, 0], weights=excess, minlength=k
-        ).astype(np.float64)
-        # Pairwise sync topology: pair_counts[i, j] = non-master replicas
-        # hosted on machine i whose master lives on machine j. Row sums
-        # equal nonmaster_per_machine, column sums master_excess — the
-        # basis of the src x dst traffic matrices.
-        nonmaster_pairs = pairs[~is_master_replica]
-        flat = nonmaster_pairs[:, 0] * k + masters[nonmaster_pairs[:, 1]]
-        self.pair_counts = (
-            np.bincount(flat, minlength=k * k)
-            .reshape(k, k)
-            .astype(np.float64)
-        )
-
+        # Everything the phases need from the partition, derived once
+        # per partition whatever the model (read-only, shared).
+        (
+            self.edges_per_machine,
+            self.vertices_per_machine,
+            self.masters_per_machine,
+            self.nonmaster_per_machine,
+            self.master_excess_per_machine,
+            self.pair_counts,
+        ) = partition.replica_stats()
         self.num_params = sum(
             2 * self.dims[i] * self.dims[i + 1] + self.dims[i + 1]
             for i in range(self.num_layers)
         )
+        self._account_memory()
 
     # ------------------------------------------------------------------
     # Memory

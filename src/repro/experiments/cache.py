@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Tuple, Union
 
+from ..distdgl.trace import clear_traces
 from ..graph import Graph
 from ..obs import api as obs
 from ..partitioning import (
@@ -147,5 +148,7 @@ def cached_vertex_partition(
 
 
 def clear_cache() -> None:
-    """Drop every cached partition (frees memory between sweeps)."""
+    """Drop every cached partition and every sampling trace recorded on
+    one (frees memory between sweeps)."""
     _CACHE.clear()
+    clear_traces()

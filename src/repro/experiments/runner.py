@@ -286,9 +286,10 @@ def run_distdgl(
         engine.run_training, num_machines, num_epochs, fault_config
     )
     epoch_seconds = sum(r.epoch_seconds for r in reports) / len(reports)
+    per_report = [r.phase_seconds() for r in reports]
     phases = {
-        phase: sum(r.phase_seconds()[phase] for r in reports) / len(reports)
-        for phase in reports[0].phase_seconds()
+        phase: sum(p[phase] for p in per_report) / len(reports)
+        for phase in per_report[0]
     }
     shared = _shared_fields(
         engine, "distdgl", run_started, num_epochs, fault_config,

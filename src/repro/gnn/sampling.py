@@ -76,6 +76,13 @@ def sample_blocks(
     vertices draw ``fanout`` samples with replacement, deduplicated per
     (source, destination) pair — statistically close to DGL's
     without-replacement sampling and fully vectorisable.
+
+    ``rng`` is consumed by one ``integers`` call per layer that has a
+    frontier vertex of degree above the fan-out, and by nothing else;
+    the result is a function of ``(graph, seeds, fanouts, generator
+    state)`` alone. The DistDGL engine relies on that: it records the
+    counts of a sampled step once and replays them for every model
+    configuration (:mod:`repro.distdgl.trace`).
     """
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if seeds.size == 0:

@@ -10,13 +10,33 @@ Two result types mirror the paper's two partitioning families:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
 from ..graph import Graph
 
-__all__ = ["EdgePartition", "VertexPartition"]
+__all__ = ["EdgePartition", "VertexPartition", "ReplicaStats"]
+
+
+class ReplicaStats(NamedTuple):
+    """Per-machine replica tallies of an edge partition (read-only
+    float64 arrays): what DistGNN's compute, memory and sync phases are
+    functions of, whatever the model trained on it.
+
+    ``pair_counts[i, j]`` counts the non-master replicas on machine
+    ``i`` whose master lives on machine ``j``: row sums equal
+    ``nonmasters``, column sums ``master_excess`` (per machine, the
+    sync counterparties of the masters it hosts) — the basis of the
+    ``src x dst`` traffic matrices.
+    """
+
+    edges: np.ndarray
+    vertices: np.ndarray
+    masters: np.ndarray
+    nonmasters: np.ndarray
+    master_excess: np.ndarray
+    pair_counts: np.ndarray
 
 
 class EdgePartition:
@@ -59,6 +79,7 @@ class EdgePartition:
         self.assignment = assignment
         self.num_partitions = int(num_partitions)
         self._replica_pairs: np.ndarray | None = None
+        self._replica_stats: ReplicaStats | None = None
 
     @property
     def num_edges(self) -> int:
@@ -79,6 +100,34 @@ class EdgePartition:
             keys = np.unique(part.astype(np.int64) * n + vert)
             self._replica_pairs = np.stack([keys // n, keys % n], axis=1)
         return self._replica_pairs
+
+    def replica_stats(self) -> ReplicaStats:
+        """The partition's :class:`ReplicaStats`, derived once."""
+        if self._replica_stats is None:
+            k = self.num_partitions
+            masters = self.masters()
+            pairs = self.replica_pairs()
+            is_master = masters[pairs[:, 1]] == pairs[:, 0]
+            nonmaster_pairs = pairs[~is_master]
+            excess = (self.copies_per_vertex()[pairs[:, 1]] - 1) * is_master
+            stats = ReplicaStats(
+                edges=self.edge_counts(),
+                vertices=self.vertex_counts(),
+                masters=np.bincount(masters, minlength=k),
+                nonmasters=np.bincount(nonmaster_pairs[:, 0], minlength=k),
+                master_excess=np.bincount(
+                    pairs[:, 0], weights=excess, minlength=k
+                ),
+                pair_counts=np.bincount(
+                    nonmaster_pairs[:, 0] * k + masters[nonmaster_pairs[:, 1]],
+                    minlength=k * k,
+                ).reshape(k, k),
+            )
+            stats = ReplicaStats(*(a.astype(np.float64) for a in stats))
+            for array in stats:
+                array.setflags(write=False)
+            self._replica_stats = stats
+        return self._replica_stats
 
     def vertex_counts(self) -> np.ndarray:
         """Number of covered vertices per partition, shape ``(k,)``."""

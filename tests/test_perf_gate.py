@@ -36,6 +36,7 @@ def _report() -> dict:
     return {
         "kernels": {"OR/hdrf": {"seconds": 0.5}},
         "sampling": {"seconds": 0.1},
+        "distdgl_cell": {"cold_seconds": 0.6, "warm_seconds": 0.2},
         "hdrf_vs_reference": {"identical": True},
         "obs_overhead": overhead,
         "profiling_overhead": overhead,
@@ -64,6 +65,7 @@ def test_complete_reports_pass(check_perf, monkeypatch, tmp_path):
     [
         ("baseline", "kernels"),
         ("baseline", "sampling"),
+        ("baseline", "distdgl_cell"),
         ("fresh", "obs_overhead"),
         ("fresh", "profiling_overhead"),
         ("fresh", "comm_codecs"),
@@ -79,6 +81,17 @@ def test_series_without_data_fails_the_gate(
     assert _run_gate(check_perf, monkeypatch, tmp_path, **reports) == 1
     out = capsys.readouterr().out
     assert f"{section}:" in out and "skipped" not in out
+
+
+def test_distdgl_cell_that_stopped_replaying_fails(
+    check_perf, monkeypatch, tmp_path, capsys
+):
+    fresh = _report()
+    fresh["distdgl_cell"]["warm_seconds"] = fresh["distdgl_cell"]["cold_seconds"]
+    assert _run_gate(check_perf, monkeypatch, tmp_path, _report(), fresh) == 1
+    assert "distdgl_cell/warm_seconds: 0.2000s -> 0.6000s" in (
+        capsys.readouterr().out
+    )
 
 
 @pytest.mark.perf
