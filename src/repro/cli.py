@@ -263,10 +263,10 @@ def _fault_rows(record) -> List[tuple]:
          f"{record.crashes} / {record.slowdowns} / {record.lost_messages}"),
         ("recovery seconds", record.recovery_seconds),
     ]
-    if hasattr(record, "checkpoint_seconds"):
+    if record.engine == "distgnn":
         rows.append(("checkpoint seconds", record.checkpoint_seconds))
         rows.append(("re-executed epochs", record.reexecuted_epochs))
-    if hasattr(record, "degraded_steps"):
+    else:
         rows.append(("retries", record.retries))
         rows.append(("degraded steps", record.degraded_steps))
     return rows

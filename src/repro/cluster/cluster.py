@@ -278,43 +278,3 @@ class Cluster:
                        for peaks in per_machine]
             for category in categories
         }
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def emit_resource_metrics(self) -> None:
-        """Emit memory/traffic depth gauges and counters into obs.
-
-        Called once per run (not per phase) so the hot path stays clean:
-        per-machine per-category memory peaks, the per-phase memory
-        watermark, and the nonzero entries of the total ``src x dst``
-        traffic matrix. No-op when observability is disabled.
-        """
-        if not obs.enabled():
-            return
-        for category, peaks in self.memory_category_peaks().items():
-            for machine, peak in enumerate(peaks):
-                if peak:
-                    obs.gauge(
-                        "cluster.memory_category_peak_bytes",
-                        peak,
-                        machine=machine,
-                        category=category,
-                    )
-        for phase, watermark in self._memory_watermarks.items():
-            for machine, level in enumerate(watermark):
-                if level:
-                    obs.gauge(
-                        "cluster.memory_watermark_bytes",
-                        float(level),
-                        machine=machine,
-                        phase=phase,
-                    )
-        matrix = self.fabric.traffic_matrix()
-        for src, dst in zip(*np.nonzero(matrix)):
-            obs.count(
-                "cluster.traffic_matrix_bytes",
-                float(matrix[src, dst]),
-                src=int(src),
-                dst=int(dst),
-            )

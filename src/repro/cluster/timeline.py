@@ -113,12 +113,10 @@ class Timeline:
         """Stamp an instant event at the current end of the timeline."""
         mark = TimelineMark(name, kind, self.total_seconds, machine)
         self.marks.append(mark)
-        if obs.enabled():
-            obs.count("cluster.marks", kind=kind)
-            obs.event(
-                "mark", name,
-                kind=kind, at_seconds=mark.at_seconds, machine=machine,
-            )
+        obs.event(
+            "mark", name,
+            kind=kind, at_seconds=mark.at_seconds, machine=machine,
+        )
         return mark
 
     @property

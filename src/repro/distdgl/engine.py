@@ -630,13 +630,7 @@ class DistDglEngine:
         balance = float(loads.max() / loads.mean()) if loads.size else 1.0
         if obs.enabled():
             obs.count("distdgl.steps")
-            obs.observe(
-                "distdgl.step_seconds",
-                float(sum(per_worker[p].max() for p in PHASES)),
-            )
             obs.count("distdgl.network_bytes", step_bytes)
-            obs.count("distdgl.sampled_edges", int(num_edges.sum()))
-            obs.count("distdgl.local_input_vertices", local_inputs)
             obs.count("distdgl.remote_input_vertices", remote_inputs)
             obs.count("distdgl.cache_hits", hits)
             if num_active < k:
@@ -725,7 +719,6 @@ class DistDglEngine:
                 f"slowdown:worker-{machine}", "fault", machine
             )
             self.fault_summary.slowdowns += 1
-            obs.count("distdgl.fault_events", kind="slowdown")
         for step in range(steps):
             for event in crash_by_step.get(step, ()):
                 machine = event.machine % k
@@ -736,7 +729,6 @@ class DistDglEngine:
                 active.discard(machine)
                 self._dead_workers.add(machine)
                 self.fault_summary.crashes += 1
-                obs.count("distdgl.fault_events", kind="crash")
                 self.cluster.machines[machine].record_crash()
                 self.cluster.timeline.add_mark(
                     f"crash:worker-{machine}", "fault", machine
@@ -758,9 +750,6 @@ class DistDglEngine:
                 if event.machine % k in active
             }
             self.fault_summary.lost_messages += len(lost)
-            obs.count(
-                "distdgl.fault_events", len(lost), kind="lost-message"
-            )
             for machine in sorted(lost):
                 self.cluster.timeline.add_mark(
                     f"lost-message:worker-{machine}", "fault", machine

@@ -454,7 +454,6 @@ class DistGnnEngine:
                 f"crash:machine-{machine}", "fault", machine
             )
         self.fault_summary.crashes += len(crashes)
-        obs.count("distgnn.fault_events", len(crashes), kind="crash")
         cluster.add_phase(
             "fault-detect",
             np.full(k, recovery.detection_timeout_seconds),
@@ -523,9 +522,6 @@ class DistGnnEngine:
                 )
                 stretch[event.machine % k] *= event.magnitude
             self.fault_summary.slowdowns += len(slowdowns)
-            obs.count(
-                "distgnn.fault_events", len(slowdowns), kind="slowdown"
-            )
             breakdowns.append(
                 self.simulate_epoch(
                     speed_multipliers=stretch if slowdowns else None
@@ -549,7 +545,6 @@ class DistGnnEngine:
                 )
                 cluster.add_phase("fault-retransmit", retransmit)
                 self.fault_summary.lost_messages += 1
-                obs.count("distgnn.fault_events", kind="lost-message")
             if (epoch + 1) % recovery.checkpoint_every == 0 \
                     and epoch + 1 < num_epochs:
                 cluster.add_phase(
@@ -560,7 +555,6 @@ class DistGnnEngine:
                 )
                 cluster.timeline.add_mark("checkpoint", "checkpoint")
                 self.fault_summary.checkpoints += 1
-                obs.count("distgnn.checkpoints")
         return breakdowns
 
     def phase_summary(self) -> Dict[str, float]:

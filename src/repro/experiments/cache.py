@@ -87,7 +87,6 @@ def _insert(key: _CacheKey, entry: _Entry) -> None:
     _CACHE.move_to_end(key)
     while len(_CACHE) > _capacity:
         _CACHE.popitem(last=False)
-        obs.count("partition_cache.evictions")
 
 
 def _lookup(key: _CacheKey) -> Union[_Entry, None]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from .config import CommConfig, FaultConfig, TrainingParams
 
@@ -19,6 +19,9 @@ class DistGnnRecord:
     checkpoints and recovery, so ``makespan - num_epochs * epoch_seconds``
     is the run's fault overhead ("time-to-accuracy under failures").
     """
+
+    #: Key into ``ENGINES``; a class attribute, not a serialised field.
+    engine: ClassVar[str] = "distgnn"
 
     graph: str
     partitioner: str
@@ -68,6 +71,8 @@ class DistDglRecord:
     recovery shape: retried steps with exponential backoff and graceful
     degradation to the surviving workers instead of checkpoint/restart.
     """
+
+    engine: ClassVar[str] = "distdgl"
 
     graph: str
     partitioner: str

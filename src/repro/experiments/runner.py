@@ -15,7 +15,6 @@ by robustness as well as by raw epoch time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -61,16 +60,11 @@ def _obs_record_metrics(
     for mark in timeline.marks:
         marks[mark.kind] = marks.get(mark.kind, 0) + 1
     cluster.check_traffic_invariant()
-    cluster.emit_resource_metrics()
     comm = engine.comm_summary()
     codec_name = engine.codec_name
     if obs.enabled() and comm.raw_bytes > 0:
         obs.count("comm.raw_bytes", comm.raw_bytes, codec=codec_name)
-        obs.count("comm.wire_bytes", comm.wire_bytes, codec=codec_name)
         obs.count("comm.saved_bytes", comm.saved_bytes, codec=codec_name)
-        obs.count(
-            "comm.codec_seconds", comm.codec_seconds, codec=codec_name
-        )
         if comm.stale_epochs:
             obs.count("comm.stale_epochs", comm.stale_epochs)
         obs.gauge("comm.cache_hit_rate", comm.cache_hit_rate)
@@ -105,13 +99,14 @@ def _obs_record_metrics(
     return metrics
 
 
-def _begin_run(num_epochs: int, comm_config: Optional[CommConfig]):
-    """Shared prologue: validate the epoch count, start the run clock
-    and default the comm knobs (``None`` means every knob at its
-    bit-identical default)."""
+def _begin_run(
+    num_epochs: int, comm_config: Optional[CommConfig]
+) -> CommConfig:
+    """Shared prologue: validate the epoch count and default the comm
+    knobs (``None`` means every knob at its bit-identical default)."""
     if num_epochs < 1:
         raise ValueError("num_epochs must be >= 1")
-    return time.perf_counter(), comm_config or CommConfig()
+    return comm_config or CommConfig()
 
 
 def _train(epoch_loop, num_machines, num_epochs, fault_config):
@@ -127,12 +122,9 @@ def _train(epoch_loop, num_machines, num_epochs, fault_config):
 
 def _shared_fields(
     engine,
-    engine_name: str,
-    run_started: float,
     num_epochs: int,
     fault_config: Optional[FaultConfig],
     comm_config: Optional[CommConfig],
-    out_of_memory: bool = False,
 ) -> Dict[str, object]:
     """Shared epilogue: the obs tail plus the fault/comm accounting
     fields both record types carry."""
@@ -141,14 +133,6 @@ def _shared_fields(
     obs_metrics = None
     if obs.enabled():
         obs_metrics = _obs_record_metrics(engine, comm_config)
-        obs.count("experiments.runs", engine=engine_name)
-        obs.observe(
-            "experiments.run_seconds",
-            time.perf_counter() - run_started,
-            engine=engine_name,
-        )
-        if out_of_memory:
-            obs.count("experiments.oom_runs")
     # Per-epoch means, same normalization as network_bytes, so
     # saved / (network + saved) is the wire reduction directly.
     epochs = max(engine.comm.total_epochs, 1)
@@ -188,7 +172,7 @@ def run_distgnn(
     ignored here. The partition itself is comm-independent, so the
     partition cache is shared across comm configurations.
     """
-    run_started, comm = _begin_run(num_epochs, comm_config)
+    comm = _begin_run(num_epochs, comm_config)
     partition, part_seconds = cached_edge_partition(
         graph, partitioner, num_machines, seed
     )
@@ -213,10 +197,7 @@ def run_distgnn(
         engine.simulate_training, num_machines, num_epochs, fault_config
     )
     n = len(breakdowns)
-    shared = _shared_fields(
-        engine, "distgnn", run_started, num_epochs, fault_config,
-        comm_config, out_of_memory,
-    )
+    shared = _shared_fields(engine, num_epochs, fault_config, comm_config)
     return DistGnnRecord(
         graph=graph.name,
         partitioner=partitioner,
@@ -261,7 +242,7 @@ def run_distdgl(
     ``cache_fraction`` (PaGraph-style static cache);
     ``refresh_interval`` is a DistGNN mechanism and is ignored here.
     """
-    run_started, comm = _begin_run(num_epochs, comm_config)
+    comm = _begin_run(num_epochs, comm_config)
     if split is None:
         split = random_split(graph, seed=seed)
     partition, part_seconds = cached_vertex_partition(
@@ -291,10 +272,7 @@ def run_distdgl(
         phase: sum(p[phase] for p in per_report) / len(reports)
         for phase in per_report[0]
     }
-    shared = _shared_fields(
-        engine, "distdgl", run_started, num_epochs, fault_config,
-        comm_config,
-    )
+    shared = _shared_fields(engine, num_epochs, fault_config, comm_config)
     return DistDglRecord(
         graph=graph.name,
         partitioner=partitioner,

@@ -13,13 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import speedup_summary
-from .records import DistDglRecord, DistGnnRecord
 
 __all__ = ["build_run_report"]
-
-
-def _engine_of(record) -> str:
-    return "distgnn" if isinstance(record, DistGnnRecord) else "distdgl"
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -379,7 +374,7 @@ def build_run_report(records: Sequence) -> Tuple[str, Dict[str, object]]:
         raise ValueError("cannot build a run report from zero records")
     engines: Dict[str, List] = {}
     for record in records:
-        engines.setdefault(_engine_of(record), []).append(record)
+        engines.setdefault(record.engine, []).append(record)
     report: Dict[str, object] = {
         "num_records": len(records),
         "graphs": sorted({r.graph for r in records}),

@@ -6,7 +6,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..obs import api as obs
 from .csr import Graph
 
 __all__ = ["GraphBuilder"]
@@ -108,8 +107,6 @@ class GraphBuilder:
         self._sources.clear()
         self._targets.clear()
         self._chunks.clear()
-        if spilled and obs.enabled():
-            obs.count("chunkstore.spills")
         return spilled
 
     def build(self, num_vertices: Optional[int] = None) -> Graph:

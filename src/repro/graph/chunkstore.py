@@ -15,10 +15,6 @@ write order, so it is invariant to how the stream was split into
 ``append`` calls *and* to the chunk size — two spools of the same
 edge sequence always agree, which makes it usable as a content cache
 key across chunkings.
-
-All chunk I/O is instrumented through the observability catalog
-(``chunkstore.*`` metrics, labelled with the store's ``role``), so
-the dashboard can show the chunk-phase mix of an out-of-core run.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
-
-from ..obs import api as obs
 
 __all__ = [
     "DEFAULT_STORE_CHUNK",
@@ -97,9 +91,6 @@ class EdgeChunkWriter:
     directed:
         Whether the stream's rows are directed arcs (recorded in the
         manifest; the store itself is agnostic).
-    role:
-        Label for the ``chunkstore.*`` metrics (``"spool"`` for
-        primary stores, ``"bucket"`` for shuffle outputs).
 
     Use as a context manager or call :meth:`close` to flush the tail
     chunk and write the manifest.
@@ -111,7 +102,6 @@ class EdgeChunkWriter:
         chunk_size: int = DEFAULT_STORE_CHUNK,
         num_vertices: Optional[int] = None,
         directed: bool = False,
-        role: str = "spool",
     ) -> None:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
@@ -122,7 +112,6 @@ class EdgeChunkWriter:
             )
         self.directory = directory
         self.chunk_size = int(chunk_size)
-        self.role = role
         self._declared_vertices = num_vertices
         self._directed = bool(directed)
         self._buffer = np.empty((chunk_size, 2), dtype=np.int64)
@@ -171,11 +160,6 @@ class EdgeChunkWriter:
             self.directory, _CHUNK_FMT.format(self._num_chunks)
         )
         np.save(path, chunk)
-        if obs.enabled():
-            obs.count("chunkstore.chunks_written", role=self.role)
-            obs.count(
-                "chunkstore.bytes_written", chunk.nbytes, role=self.role
-            )
         self._num_chunks += 1
         self._filled = 0
 
@@ -222,9 +206,8 @@ class EdgeChunkWriter:
 class EdgeChunkReader:
     """Streaming reader over a spooled edge-chunk directory."""
 
-    def __init__(self, directory: str, role: str = "spool") -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.role = role
         self.manifest = ChunkManifest.load(directory)
 
     # Mirrors the metadata the partitioners need from a Graph.
@@ -253,15 +236,8 @@ class EdgeChunkReader:
 
     def iter_chunks(self) -> Iterator[np.ndarray]:
         """Yield each chunk as a fresh ``(b, 2)`` int64 array, in order."""
-        instrumented = obs.enabled()
         for index in range(self.manifest.num_chunks):
-            chunk = np.load(self._chunk_path(index))
-            if instrumented:
-                obs.count("chunkstore.chunks_read", role=self.role)
-                obs.count(
-                    "chunkstore.bytes_read", chunk.nbytes, role=self.role
-                )
-            yield chunk
+            yield np.load(self._chunk_path(index))
 
     def read_all(self) -> np.ndarray:
         """Concatenate every chunk (small stores / tests only)."""

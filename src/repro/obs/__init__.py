@@ -33,7 +33,6 @@ from .api import (
     get_trace_context,
     level,
     observe,
-    record_span,
     reset,
     save_metrics,
     set_sink,
@@ -84,7 +83,6 @@ __all__ = [
     "observe",
     "event",
     "span",
-    "record_span",
     "snapshot",
     "save_metrics",
     "set_trace_context",

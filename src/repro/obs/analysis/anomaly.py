@@ -14,13 +14,14 @@ departures without amplifying float noise into false positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..registry import snapshot_totals
 from .attribution import attribute_timeline, is_recovery_phase
-from .findings import Finding
+from .findings import Finding, cell_key
 
 __all__ = [
     "AnomalyThresholds",
@@ -69,20 +70,20 @@ class AnomalyThresholds:
 
     def to_dict(self) -> Dict[str, float]:
         """Plain dict (recorded into reports for reproducibility)."""
-        return {
-            "z_threshold": self.z_threshold,
-            "window": self.window,
-            "min_points": self.min_points,
-            "mad_floor_fraction": self.mad_floor_fraction,
-            "recovery_fraction_warn": self.recovery_fraction_warn,
-            "recovery_fraction_critical": self.recovery_fraction_critical,
-            "straggler_fraction_warn": self.straggler_fraction_warn,
-            "straggler_severity_warn": self.straggler_severity_warn,
-            "cache_hit_rate_floor": self.cache_hit_rate_floor,
-            "cache_min_requests": self.cache_min_requests,
-            "busy_ratio_warn": self.busy_ratio_warn,
-            "phase_dominance_fraction": self.phase_dominance_fraction,
-        }
+        return asdict(self)
+
+
+def _robust_zscores(
+    values: np.ndarray, reference: np.ndarray, mad_floor_fraction: float
+) -> Tuple[np.ndarray, float]:
+    """Robust z-scores of ``values`` against the median/MAD of
+    ``reference``, and that median. The MAD is floored at
+    ``mad_floor_fraction * |median|`` so a constant reference flags
+    genuine departures without dividing by zero."""
+    median = float(np.median(reference))
+    mad = float(np.median(np.abs(reference - median)))
+    mad = max(mad, mad_floor_fraction * abs(median), 1e-12)
+    return _MAD_TO_SIGMA * (values - median) / mad, median
 
 
 def rolling_mad_zscores(
@@ -105,10 +106,9 @@ def rolling_mad_zscores(
         prior = values[max(0, i - window): i]
         if prior.size < min_points:
             continue
-        median = float(np.median(prior))
-        mad = float(np.median(np.abs(prior - median)))
-        mad = max(mad, mad_floor_fraction * abs(median), 1e-12)
-        scores[i] = _MAD_TO_SIGMA * (values[i] - median) / mad
+        scores[i], _ = _robust_zscores(
+            values[i], prior, mad_floor_fraction
+        )
     return scores
 
 
@@ -258,19 +258,6 @@ def _recovery_findings(
     ]
 
 
-def _engine_of(record) -> str:
-    """Engine tag for a sweep record (duck-typed, no experiments import)."""
-    return "distdgl" if hasattr(record, "degraded_steps") else "distgnn"
-
-
-def _cell_of(record) -> str:
-    """Stable subject string for one sweep cell."""
-    return (
-        f"{_engine_of(record)}/{record.graph}/{record.partitioner}"
-        f"/k={record.num_machines}/{record.params.label()}"
-    )
-
-
 def detect_record_anomalies(
     records: Sequence,
     thresholds: AnomalyThresholds = AnomalyThresholds(),
@@ -286,7 +273,7 @@ def detect_record_anomalies(
     groups: Dict[tuple, List] = {}
     for record in records:
         key = (
-            _engine_of(record),
+            record.engine,
             record.graph,
             record.num_machines,
             record.params.label(),
@@ -297,12 +284,9 @@ def detect_record_anomalies(
         group = sorted(groups[key], key=lambda r: r.partitioner)
         if len(group) >= max(3, thresholds.min_points):
             times = np.array([r.epoch_seconds for r in group])
-            median = float(np.median(times))
-            mad = float(np.median(np.abs(times - median)))
-            mad = max(
-                mad, thresholds.mad_floor_fraction * abs(median), 1e-12
+            scores, median = _robust_zscores(
+                times, times, thresholds.mad_floor_fraction
             )
-            scores = _MAD_TO_SIGMA * (times - median) / mad
             for record, score in zip(group, scores):
                 if abs(score) < thresholds.z_threshold:
                     continue
@@ -311,7 +295,7 @@ def detect_record_anomalies(
                     Finding(
                         kind="epoch-time-outlier",
                         severity="warning",
-                        subject=_cell_of(record),
+                        subject=cell_key(record),
                         message=(
                             f"{record.partitioner} is an epoch-time "
                             f"outlier ({record.epoch_seconds:.4g}s, "
@@ -333,7 +317,7 @@ def detect_record_anomalies(
         makespan = getattr(record, "makespan_seconds", 0.0)
         findings.extend(
             _recovery_findings(
-                _cell_of(record),
+                cell_key(record),
                 getattr(record, "recovery_seconds", 0.0),
                 makespan,
                 thresholds,
@@ -354,9 +338,9 @@ def detect_record_anomalies(
                         Finding(
                             kind="phase-dominance",
                             severity="info",
-                            subject=_cell_of(record),
+                            subject=cell_key(record),
                             message=(
-                                f"{_cell_of(record)}: phase {name!r} "
+                                f"{cell_key(record)}: phase {name!r} "
                                 f"accounts for {fraction:.1%} of "
                                 "recorded phase time"
                             ),
@@ -374,14 +358,6 @@ def detect_record_anomalies(
     return findings
 
 
-def _snapshot_value(entry: Dict[str, object]) -> float:
-    """The comparable scalar of one snapshot entry (sum for
-    histograms/timers, value otherwise)."""
-    if entry.get("kind") in ("histogram", "timer"):
-        return float(entry.get("sum", 0.0))
-    return float(entry.get("value", 0.0))
-
-
 def detect_snapshot_anomalies(
     snapshot: Sequence[Dict[str, object]],
     thresholds: AnomalyThresholds = AnomalyThresholds(),
@@ -392,12 +368,10 @@ def detect_snapshot_anomalies(
     and per-machine busy-time imbalance.
     """
     findings: List[Finding] = []
-    totals: Dict[str, float] = {}
+    totals = snapshot_totals(snapshot)
     busy: Dict[int, float] = {}
     for entry in snapshot:
-        name = str(entry.get("name", ""))
-        totals[name] = totals.get(name, 0.0) + _snapshot_value(entry)
-        if name == "cluster.machine_busy_seconds":
+        if entry.get("name") == "cluster.machine_busy_seconds":
             machine = int(entry.get("labels", {}).get("machine", 0))
             busy[machine] = busy.get(machine, 0.0) + float(
                 entry.get("value", 0.0)

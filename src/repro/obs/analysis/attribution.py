@@ -21,7 +21,7 @@ from the scalar phase totals that sweep records carry in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "attribute_timeline",
     "attribute_phase_totals",
     "is_recovery_phase",
+    "record_phase_totals",
+    "snapshot_phase_totals",
 ]
 
 #: Phase name carrying checkpoint-write time (see cluster.timeline).
@@ -260,6 +262,33 @@ def attribute_timeline(timeline) -> TimelineAttribution:
         phases=phases,
         machines=machines,
     )
+
+
+def record_phase_totals(records: Sequence) -> Dict[str, float]:
+    """Per-phase seconds summed over the records' ``obs_metrics``
+    (records without telemetry contribute nothing)."""
+    totals: Dict[str, float] = {}
+    for record in records:
+        metrics = getattr(record, "obs_metrics", None) or {}
+        for phase, seconds in metrics.get("phase_seconds", {}).items():
+            totals[phase] = totals.get(phase, 0.0) + float(seconds)
+    return totals
+
+
+def snapshot_phase_totals(
+    snapshot: Sequence[Mapping[str, object]]
+) -> Dict[str, float]:
+    """Per-phase seconds from a snapshot's ``cluster.phase_seconds``
+    series."""
+    totals: Dict[str, float] = {}
+    for entry in snapshot:
+        if entry.get("name") != "cluster.phase_seconds":
+            continue
+        phase = str(entry.get("labels", {}).get("phase", ""))
+        totals[phase] = totals.get(phase, 0.0) + float(
+            entry.get("sum", 0.0)
+        )
+    return totals
 
 
 def attribute_phase_totals(

@@ -25,8 +25,9 @@ severities, and light/dark variants selected via CSS custom properties.
 
 from __future__ import annotations
 
-import json
 from typing import Dict
+
+from ..html import render_page
 
 __all__ = ["render_dashboard"]
 
@@ -49,60 +50,16 @@ _SEQUENTIAL = [
     "#256abf", "#184f95", "#0d366b",
 ]
 
+#: Page-specific theme variables (light, dark) on top of the shell's.
+_THEME = {
+    "baseline": ("#c3c2b7", "#383835"),
+    "status-critical": ("#d03b3b", "#d03b3b"),
+    "status-warning": ("#fab219", "#fab219"),
+    "status-good": ("#0ca30c", "#0ca30c"),
+}
+
 _CSS = """
-:root {
-  color-scheme: light;
-  --surface-1: #fcfcfb;
-  --page: #f9f9f7;
-  --text-primary: #0b0b0b;
-  --text-secondary: #52514e;
-  --text-muted: #898781;
-  --grid: #e1e0d9;
-  --baseline: #c3c2b7;
-  --border: rgba(11, 11, 11, 0.10);
-  --status-critical: #d03b3b;
-  --status-warning: #fab219;
-  --status-good: #0ca30c;
-}
-:root[data-theme="dark"] {
-  color-scheme: dark;
-  --surface-1: #1a1a19;
-  --page: #0d0d0d;
-  --text-primary: #ffffff;
-  --text-secondary: #c3c2b7;
-  --text-muted: #898781;
-  --grid: #2c2c2a;
-  --baseline: #383835;
-  --border: rgba(255, 255, 255, 0.10);
-}
-@media (prefers-color-scheme: dark) {
-  :root:not([data-theme="light"]) {
-    color-scheme: dark;
-    --surface-1: #1a1a19;
-    --page: #0d0d0d;
-    --text-primary: #ffffff;
-    --text-secondary: #c3c2b7;
-    --text-muted: #898781;
-    --grid: #2c2c2a;
-    --baseline: #383835;
-    --border: rgba(255, 255, 255, 0.10);
-  }
-}
-* { box-sizing: border-box; }
-body {
-  margin: 0; padding: 24px;
-  background: var(--page); color: var(--text-primary);
-  font-family: system-ui, -apple-system, "Segoe UI", sans-serif;
-  font-size: 14px; line-height: 1.45;
-}
-main { max-width: 1080px; margin: 0 auto; }
-h1 { font-size: 20px; margin: 0 0 4px; }
 h2 { font-size: 15px; margin: 0 0 12px; }
-.subtitle { color: var(--text-secondary); margin: 0 0 20px; }
-.card {
-  background: var(--surface-1); border: 1px solid var(--border);
-  border-radius: 10px; padding: 16px 18px; margin: 0 0 18px;
-}
 .tiles { display: flex; flex-wrap: wrap; gap: 18px; }
 .tile { min-width: 150px; flex: 1; }
 .tile .label { color: var(--text-secondary); font-size: 12px; }
@@ -158,22 +115,9 @@ td.cell { text-align: center; border-radius: 3px; }
 .empty { color: var(--text-muted); font-style: italic; }
 details summary { cursor: pointer; color: var(--text-secondary);
   font-size: 13px; margin-bottom: 8px; }
-#tooltip {
-  position: fixed; pointer-events: none; display: none; z-index: 10;
-  background: var(--surface-1); color: var(--text-primary);
-  border: 1px solid var(--border); border-radius: 6px;
-  padding: 6px 9px; font-size: 12px; max-width: 320px;
-  box-shadow: 0 2px 10px rgba(0, 0, 0, 0.18);
-}
-#theme-toggle {
-  float: right; background: var(--surface-1); color: var(--text-secondary);
-  border: 1px solid var(--border); border-radius: 6px; padding: 4px 10px;
-  cursor: pointer; font-size: 12px;
-}
 """
 
 _JS = """
-'use strict';
 var report = JSON.parse(
   document.getElementById('report-data').textContent);
 var CATEGORICAL = JSON.parse(
@@ -181,12 +125,6 @@ var CATEGORICAL = JSON.parse(
 var SEQUENTIAL = JSON.parse(
   document.getElementById('ramp-data').textContent);
 
-function isDark() {
-  var forced = document.documentElement.getAttribute('data-theme');
-  if (forced) return forced === 'dark';
-  return window.matchMedia &&
-    window.matchMedia('(prefers-color-scheme: dark)').matches;
-}
 function seriesColor(slot) {
   return CATEGORICAL[slot][isDark() ? 1 : 0];
 }
@@ -576,15 +514,7 @@ function renderTiles() {
   });
 }
 
-document.getElementById('theme-toggle').addEventListener(
-  'click', function () {
-    var root = document.documentElement;
-    var next = isDark() ? 'light' : 'dark';
-    root.setAttribute('data-theme', next);
-    rerender();
-  });
-
-function rerender() {
+function render() {
   ['stacks', 'heatmap', 'resources', 'tradeoff', 'findings',
    'phase-table', 'tiles'].forEach(
     function (id) { document.getElementById(id).innerHTML = ''; });
@@ -596,39 +526,9 @@ function rerender() {
   renderFindings();
   renderPhaseTable();
 }
-rerender();
-if (window.matchMedia) {
-  window.matchMedia('(prefers-color-scheme: dark)')
-    .addEventListener('change', rerender);
-}
 """
 
-
-def _embed_json(payload: object) -> str:
-    """Canonical JSON safe for inline ``<script>`` embedding."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return text.replace("</", "<\\/")
-
-
-def render_dashboard(
-    report: Dict[str, object], title: str = "Telemetry analysis"
-) -> str:
-    """Render an analysis-report dict as one self-contained HTML page."""
-    source = report.get("source", {})
-    label = str(source.get("label", ""))
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{title}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-  <button id="theme-toggle" type="button">light/dark</button>
-  <h1>{title}</h1>
-  <p class="subtitle">{label}</p>
+_BODY = """\
   <div class="card tiles" id="tiles"></div>
   <div id="stacks"></div>
   <div class="card">
@@ -647,12 +547,25 @@ def render_dashboard(
       <div id="phase-table"></div>
     </details>
   </div>
-</main>
-<div id="tooltip" role="status"></div>
-<script type="application/json" id="report-data">{_embed_json(report)}</script>
-<script type="application/json" id="palette-data">{_embed_json(_CATEGORICAL)}</script>
-<script type="application/json" id="ramp-data">{_embed_json(_SEQUENTIAL)}</script>
-<script>{_JS}</script>
-</body>
-</html>
 """
+
+
+def render_dashboard(
+    report: Dict[str, object], title: str = "Telemetry analysis"
+) -> str:
+    """Render an analysis-report dict as one self-contained HTML page."""
+    source = report.get("source", {})
+    label = str(source.get("label", ""))
+    return render_page(
+        title,
+        label,
+        _BODY,
+        {
+            "report-data": report,
+            "palette-data": _CATEGORICAL,
+            "ramp-data": _SEQUENTIAL,
+        },
+        _CSS,
+        _JS,
+        _THEME,
+    )

@@ -19,9 +19,10 @@ float tolerance is a real behaviour change, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .findings import Finding
+from .attribution import record_phase_totals, snapshot_phase_totals
+from .findings import Finding, cell_key
 from .load import RunData
 
 __all__ = ["DiffTolerances", "RunDiff", "diff_snapshots", "diff_records", "diff_runs"]
@@ -93,76 +94,57 @@ class RunDiff:
 
     def findings(self) -> List[Finding]:
         """The diff re-expressed as typed findings (for reports)."""
-        results: List[Finding] = []
-        for name in self.added_metrics:
-            results.append(
+
+        def presence(kind, severity, keys, template) -> List[Finding]:
+            return [
                 Finding(
-                    kind="metric-added",
-                    severity="info",
-                    subject=name,
-                    message=f"metric series {name} only in {self.label_b}",
-                )
-            )
-        for name in self.removed_metrics:
-            results.append(
-                Finding(
-                    kind="metric-removed",
-                    severity="warning",
-                    subject=name,
-                    message=(
-                        f"metric series {name} vanished "
-                        f"({self.label_a} -> {self.label_b})"
+                    kind=kind,
+                    severity=severity,
+                    subject=key,
+                    message=template.format(
+                        key=key, a=self.label_a, b=self.label_b
                     ),
                 )
-            )
-        for change in self.changed_metrics:
-            results.append(
+                for key in keys
+            ]
+
+        def moves(kind, what, changes) -> List[Finding]:
+            return [
                 Finding(
-                    kind="metric-regression",
+                    kind=kind,
                     severity="warning",
-                    subject=str(change["metric"]),
+                    subject=str(change[what]),
                     message=(
-                        f"{change['metric']} {change['field']}: "
+                        f"{change[what]} {change['field']}: "
                         f"{change['a']:.6g} -> {change['b']:.6g} "
                         f"({change['rel_delta']:.2%} relative change)"
                     ),
                     value=float(change["rel_delta"]),
                     context=dict(change),
                 )
+                for change in changes
+            ]
+
+        results = (
+            presence(
+                "metric-added", "info", self.added_metrics,
+                "metric series {key} only in {b}",
             )
-        for change in self.changed_cells:
-            results.append(
-                Finding(
-                    kind="cell-regression",
-                    severity="warning",
-                    subject=str(change["cell"]),
-                    message=(
-                        f"{change['cell']} {change['field']}: "
-                        f"{change['a']:.6g} -> {change['b']:.6g} "
-                        f"({change['rel_delta']:.2%} relative change)"
-                    ),
-                    value=float(change["rel_delta"]),
-                    context=dict(change),
-                )
+            + presence(
+                "metric-removed", "warning", self.removed_metrics,
+                "metric series {key} vanished ({a} -> {b})",
             )
-        for cell in self.added_cells:
-            results.append(
-                Finding(
-                    kind="cell-added",
-                    severity="info",
-                    subject=cell,
-                    message=f"sweep cell only in {self.label_b}: {cell}",
-                )
+            + moves("metric-regression", "metric", self.changed_metrics)
+            + moves("cell-regression", "cell", self.changed_cells)
+            + presence(
+                "cell-added", "info", self.added_cells,
+                "sweep cell only in {b}: {key}",
             )
-        for cell in self.removed_cells:
-            results.append(
-                Finding(
-                    kind="cell-removed",
-                    severity="warning",
-                    subject=cell,
-                    message=f"sweep cell vanished: {cell}",
-                )
+            + presence(
+                "cell-removed", "warning", self.removed_cells,
+                "sweep cell vanished: {key}",
             )
+        )
         if self.phase_mix.get("shifted", False):
             results.append(
                 Finding(
@@ -217,26 +199,51 @@ _COMPARED_FIELDS = {
 }
 
 
-def _index_snapshot(
-    snapshot: Sequence[Dict[str, object]]
-) -> Dict[str, Dict[str, object]]:
-    """Index snapshot entries by series key."""
-    return {_metric_key(entry): entry for entry in snapshot}
+def _keyed_diff(
+    items_a: Sequence,
+    items_b: Sequence,
+    key_of: Callable[[object], str],
+    values_of: Callable[[object], Dict[str, float]],
+    tolerances: DiffTolerances,
+    what: str,
+) -> Tuple[List[str], List[str], List[Dict[str, object]]]:
+    """The one keyed comparison behind metric and cell diffs.
+
+    Items are indexed by ``key_of`` and compared on ``values_of``.
+    Returns the keys only in b, the keys only in a, and one ``{what,
+    field, a, b, rel_delta}`` entry per shared key and field of a's
+    item that moved beyond ``tolerances`` (a field missing on b's side
+    compares as 0.0).
+    """
+    values_a = {key_of(item): values_of(item) for item in items_a}
+    values_b = {key_of(item): values_of(item) for item in items_b}
+    added = sorted(set(values_b) - set(values_a))
+    removed = sorted(set(values_a) - set(values_b))
+    changed: List[Dict[str, object]] = []
+    for key in sorted(set(values_a) & set(values_b)):
+        for fieldname, a in values_a[key].items():
+            b = values_b[key].get(fieldname, 0.0)
+            if tolerances.exceeded(a, b):
+                changed.append(
+                    {
+                        what: key,
+                        "field": fieldname,
+                        "a": a,
+                        "b": b,
+                        "rel_delta": _rel_delta(a, b),
+                    }
+                )
+    return added, removed, changed
 
 
-def _phase_fractions(
-    snapshot: Sequence[Dict[str, object]]
-) -> Dict[str, float]:
-    """Phase-name -> fraction of total phase seconds, from the
-    ``cluster.phase_seconds`` series of a snapshot."""
-    totals: Dict[str, float] = {}
-    for entry in snapshot:
-        if entry.get("name") != "cluster.phase_seconds":
-            continue
-        phase = str(entry.get("labels", {}).get("phase", ""))
-        totals[phase] = totals.get(phase, 0.0) + float(
-            entry.get("sum", 0.0)
-        )
+def _metric_values(entry: Dict[str, object]) -> Dict[str, float]:
+    """The compared fields of one snapshot entry, by instrument kind."""
+    fields = _COMPARED_FIELDS.get(str(entry.get("kind")), ("value",))
+    return {name: float(entry.get(name, 0.0)) for name in fields}
+
+
+def _phase_fractions(totals: Dict[str, float]) -> Dict[str, float]:
+    """Phase-name -> fraction of total phase seconds."""
     total = sum(totals.values())
     if not total:
         return {}
@@ -280,30 +287,15 @@ def diff_snapshots(
 ) -> RunDiff:
     """Diff two metric snapshots (``obs.snapshot()`` output)."""
     diff = RunDiff(label_a=label_a, label_b=label_b)
-    index_a = _index_snapshot(snapshot_a)
-    index_b = _index_snapshot(snapshot_b)
-    diff.added_metrics = sorted(set(index_b) - set(index_a))
-    diff.removed_metrics = sorted(set(index_a) - set(index_b))
-    for key in sorted(set(index_a) & set(index_b)):
-        entry_a, entry_b = index_a[key], index_b[key]
-        for fieldname in _COMPARED_FIELDS.get(
-            str(entry_a.get("kind")), ("value",)
-        ):
-            a = float(entry_a.get(fieldname, 0.0))
-            b = float(entry_b.get(fieldname, 0.0))
-            if tolerances.exceeded(a, b):
-                diff.changed_metrics.append(
-                    {
-                        "metric": key,
-                        "field": fieldname,
-                        "a": a,
-                        "b": b,
-                        "rel_delta": _rel_delta(a, b),
-                    }
-                )
+    (
+        diff.added_metrics, diff.removed_metrics, diff.changed_metrics
+    ) = _keyed_diff(
+        snapshot_a, snapshot_b, _metric_key, _metric_values,
+        tolerances, "metric",
+    )
     diff.phase_mix = _diff_phase_mix(
-        _phase_fractions(snapshot_a),
-        _phase_fractions(snapshot_b),
+        _phase_fractions(snapshot_phase_totals(snapshot_a)),
+        _phase_fractions(snapshot_phase_totals(snapshot_b)),
         tolerances,
     )
     return diff
@@ -320,13 +312,12 @@ _CELL_FIELDS = (
 )
 
 
-def _cell_key(record) -> str:
-    """Stable identity of one sweep cell across runs."""
-    engine = "distdgl" if hasattr(record, "degraded_steps") else "distgnn"
-    return (
-        f"{engine}/{record.graph}/{record.partitioner}"
-        f"/k={record.num_machines}/{record.params.label()}"
-    )
+def _cell_values(record) -> Dict[str, float]:
+    """The compared fields of one sweep record."""
+    return {
+        name: float(getattr(record, name, 0.0) or 0.0)
+        for name in _CELL_FIELDS
+    }
 
 
 def diff_records(
@@ -338,41 +329,17 @@ def diff_records(
 ) -> RunDiff:
     """Diff two sweep record sets, cell by cell."""
     diff = RunDiff(label_a=label_a, label_b=label_b)
-    index_a = {_cell_key(r): r for r in records_a}
-    index_b = {_cell_key(r): r for r in records_b}
-    diff.added_cells = sorted(set(index_b) - set(index_a))
-    diff.removed_cells = sorted(set(index_a) - set(index_b))
-    for key in sorted(set(index_a) & set(index_b)):
-        record_a, record_b = index_a[key], index_b[key]
-        for fieldname in _CELL_FIELDS:
-            a = float(getattr(record_a, fieldname, 0.0) or 0.0)
-            b = float(getattr(record_b, fieldname, 0.0) or 0.0)
-            if tolerances.exceeded(a, b):
-                diff.changed_cells.append(
-                    {
-                        "cell": key,
-                        "field": fieldname,
-                        "a": a,
-                        "b": b,
-                        "rel_delta": _rel_delta(a, b),
-                    }
-                )
-
-    fractions = []
-    for records in (records_a, records_b):
-        totals: Dict[str, float] = {}
-        for record in records:
-            metrics = getattr(record, "obs_metrics", None) or {}
-            for phase, seconds in metrics.get(
-                "phase_seconds", {}
-            ).items():
-                totals[phase] = totals.get(phase, 0.0) + float(seconds)
-        total = sum(totals.values())
-        fractions.append(
-            {p: s / total for p, s in totals.items()} if total else {}
+    diff.added_cells, diff.removed_cells, diff.changed_cells = (
+        _keyed_diff(
+            records_a, records_b, cell_key, _cell_values,
+            tolerances, "cell",
         )
+    )
+
     diff.phase_mix = _diff_phase_mix(
-        fractions[0], fractions[1], tolerances
+        _phase_fractions(record_phase_totals(records_a)),
+        _phase_fractions(record_phase_totals(records_b)),
+        tolerances,
     )
     return diff
 

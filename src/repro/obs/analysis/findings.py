@@ -15,7 +15,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["SEVERITIES", "Finding", "AnalysisReport", "sort_findings"]
+__all__ = [
+    "SEVERITIES",
+    "Finding",
+    "AnalysisReport",
+    "sort_findings",
+    "cell_label",
+    "cell_key",
+]
 
 #: Recognised severities, in increasing order of urgency.
 SEVERITIES = ("info", "warning", "critical")
@@ -75,6 +82,20 @@ class Finding:
             threshold=float(data.get("threshold", 0.0)),
             context=dict(data.get("context", {})),
         )
+
+
+def cell_label(record) -> str:
+    """``graph/partitioner/k=N`` of a sweep record (duck-typed): the
+    subject of per-record alert findings."""
+    return f"{record.graph}/{record.partitioner}/k={record.num_machines}"
+
+
+def cell_key(record) -> str:
+    """Stable identity of one sweep cell across runs: the subject of
+    per-cell anomaly findings and the key cells are diffed under."""
+    return (
+        f"{record.engine}/{cell_label(record)}/{record.params.label()}"
+    )
 
 
 def sort_findings(findings: Sequence[Finding]) -> List[Finding]:

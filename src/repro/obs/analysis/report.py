@@ -22,7 +22,11 @@ from .anomaly import (
     detect_series_anomalies,
     detect_snapshot_anomalies,
 )
-from .attribution import attribute_phase_totals
+from .attribution import (
+    attribute_phase_totals,
+    record_phase_totals,
+    snapshot_phase_totals,
+)
 from .findings import AnalysisReport
 from .load import RunData
 from .tradeoff import traffic_accuracy_tradeoff
@@ -32,11 +36,6 @@ __all__ = [
     "per_partitioner_breakdown",
     "resource_depth",
 ]
-
-
-def _engine_of(record) -> str:
-    """Engine tag for a sweep record (duck-typed)."""
-    return "distdgl" if hasattr(record, "degraded_steps") else "distgnn"
 
 
 def _record_phase_breakdown(record) -> Dict[str, float]:
@@ -68,8 +67,7 @@ def per_partitioner_breakdown(
     """
     accumulator: Dict[str, Dict[str, Dict[str, object]]] = {}
     for record in records:
-        engine = _engine_of(record)
-        entry = accumulator.setdefault(engine, {}).setdefault(
+        entry = accumulator.setdefault(record.engine, {}).setdefault(
             record.partitioner,
             {"cells": 0, "epoch_seconds": 0.0, "phases": {}},
         )
@@ -118,7 +116,7 @@ def resource_depth(records: Sequence) -> Dict[str, Dict[str, object]]:
     for record in records:
         metrics = getattr(record, "obs_metrics", None) or {}
         if "traffic_matrix" in metrics:
-            by_engine.setdefault(_engine_of(record), []).append(record)
+            by_engine.setdefault(record.engine, []).append(record)
 
     result: Dict[str, Dict[str, object]] = {}
     for engine in sorted(by_engine):
@@ -190,29 +188,6 @@ def _machine_table(
     ]
 
 
-def _aggregate_phase_totals(run: RunData) -> Dict[str, float]:
-    """Total per-phase seconds across everything the run recorded.
-
-    Record ``obs_metrics`` totals win (they cover every cell); the
-    snapshot's ``cluster.phase_seconds`` series is the fallback.
-    """
-    totals: Dict[str, float] = {}
-    for record in run.records:
-        metrics = getattr(record, "obs_metrics", None) or {}
-        for phase, seconds in metrics.get("phase_seconds", {}).items():
-            totals[phase] = totals.get(phase, 0.0) + float(seconds)
-    if totals:
-        return totals
-    for entry in run.metrics:
-        if entry.get("name") != "cluster.phase_seconds":
-            continue
-        phase = str(entry.get("labels", {}).get("phase", ""))
-        totals[phase] = totals.get(phase, 0.0) + float(
-            entry.get("sum", 0.0)
-        )
-    return totals
-
-
 def _trace_phase_findings(
     run: RunData, thresholds: AnomalyThresholds
 ) -> List:
@@ -245,7 +220,11 @@ def build_analysis_report(
     """Diagnose one loaded run into an :class:`AnalysisReport`."""
     thresholds = thresholds or AnomalyThresholds()
 
-    phase_totals = _aggregate_phase_totals(run)
+    # Record totals win (they cover every cell); the snapshot's
+    # ``cluster.phase_seconds`` series is the fallback.
+    phase_totals = record_phase_totals(
+        run.records
+    ) or snapshot_phase_totals(run.metrics)
     phase_mix = attribute_phase_totals(phase_totals)
     breakdown = per_partitioner_breakdown(run.records)
     machines = _machine_table(run.metrics)
@@ -271,9 +250,7 @@ def build_analysis_report(
         )
 
     dominant = phase_mix["phases"][0]["name"] if phase_mix["phases"] else None
-    engines = sorted(
-        {_engine_of(record) for record in run.records}
-    )
+    engines = sorted({record.engine for record in run.records})
     summary: Dict[str, object] = {
         "engines": engines,
         "total_phase_seconds": phase_mix["total_seconds"],

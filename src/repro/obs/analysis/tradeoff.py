@@ -19,10 +19,6 @@ from typing import Dict, List, Sequence
 __all__ = ["traffic_accuracy_tradeoff"]
 
 
-def _engine_of(record) -> str:
-    return "distdgl" if hasattr(record, "degraded_steps") else "distgnn"
-
-
 def _comm_label(record) -> str:
     comm = getattr(record, "comm_config", None)
     return comm.label() if comm is not None else "baseline"
@@ -60,7 +56,7 @@ def traffic_accuracy_tradeoff(
         comm = getattr(record, "comm_config", None)
         if comm is not None:
             swept = True
-        key = (_engine_of(record), record.partitioner, _comm_label(record))
+        key = (record.engine, record.partitioner, _comm_label(record))
         entry = groups.setdefault(
             key,
             {

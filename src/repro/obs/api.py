@@ -47,7 +47,6 @@ __all__ = [
     "observe",
     "event",
     "span",
-    "record_span",
     "snapshot",
     "save_metrics",
     "set_trace_context",
@@ -281,18 +280,6 @@ def span(name: str, **labels):
     if _level == _OFF:
         return _NULL_SPAN
     return _Span(name, labels)
-
-
-def record_span(name: str, seconds: float, **labels) -> None:
-    """Report an externally measured duration as a span observation.
-
-    For *simulated* durations (cluster seconds), which must not be
-    remeasured with a wall clock.
-    """
-    if _level == _OFF:
-        return
-    _registry.timer("obs.span_seconds", span=name).observe(seconds)
-    event("span", name, seconds=seconds, **labels)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ either — a CI gate regenerates and compares it.
 
 Naming convention: ``<subsystem>.<metric>`` with the subsystem matching
 the package that emits it (``cluster``, ``distgnn``, ``distdgl``,
-``partitioner``, ``partition_cache``, ``comm``, ``serve``,
-``experiments``, ``obs``).
+``partitioner``, ``partition_cache``, ``comm``, ``serve``, ``obs``,
+``profiling``).
 """
 
 from __future__ import annotations
@@ -99,32 +99,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "activations, caches, communication buffers).",
         labels=("machine",),
     ),
-    MetricSpec(
-        "cluster.memory_category_peak_bytes", "gauge", "bytes",
-        "Per-machine peak of one memory-ledger category (structure, "
-        "features, activations, feature-cache, comm-buffers); the "
-        "footprint breakdown behind cluster.memory_peak_bytes.",
-        labels=("machine", "category"),
-    ),
-    MetricSpec(
-        "cluster.memory_watermark_bytes", "gauge", "bytes",
-        "Per-phase memory watermark: the highest per-machine ledger "
-        "total observed while the named phase ran (flat when all "
-        "allocations happen at engine construction).",
-        labels=("machine", "phase"),
-    ),
-    MetricSpec(
-        "cluster.traffic_matrix_bytes", "counter", "bytes",
-        "Pairwise traffic attribution: bytes machine ``src`` sent "
-        "directly to machine ``dst`` across all communication phases "
-        "(the dashboard's traffic-matrix heatmap).",
-        labels=("src", "dst"),
-    ),
-    MetricSpec(
-        "cluster.marks", "counter", "count",
-        "Instant timeline events by kind: fault, recovery, checkpoint.",
-        labels=("kind",),
-    ),
     # ------------------------------------------------------------- distgnn
     MetricSpec(
         "distgnn.epochs", "counter", "count",
@@ -142,16 +116,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "directions plus the gradient all-reduce.",
     ),
     MetricSpec(
-        "distgnn.fault_events", "counter", "count",
-        "Injected fault events handled by the full-batch engine, by kind "
-        "(crash, slowdown, lost-message).",
-        labels=("kind",),
-    ),
-    MetricSpec(
-        "distgnn.checkpoints", "counter", "count",
-        "Checkpoints written at epoch boundaries.",
-    ),
-    MetricSpec(
         "distgnn.replayed_epochs", "counter", "count",
         "Epochs re-executed after a crash restore (epoch mod "
         "checkpoint_every at the crash point).",
@@ -162,23 +126,9 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "Global mini-batch training steps executed.",
     ),
     MetricSpec(
-        "distdgl.step_seconds", "timer", "seconds (simulated)",
-        "Simulated duration of each global step (sample + fetch + "
-        "forward + backward + update, straggler per phase).",
-        buckets=_TIME_BUCKETS,
-    ),
-    MetricSpec(
         "distdgl.network_bytes", "counter", "bytes",
         "Traffic per step: shipped edge lists, remote feature fetches, "
         "retransmits and the gradient all-reduce.",
-    ),
-    MetricSpec(
-        "distdgl.sampled_edges", "counter", "count",
-        "Edges drawn by the executed k-hop sampler across all workers.",
-    ),
-    MetricSpec(
-        "distdgl.local_input_vertices", "counter", "count",
-        "Input vertices whose features were already local to the worker.",
     ),
     MetricSpec(
         "distdgl.remote_input_vertices", "counter", "count",
@@ -195,12 +145,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "Steps executed with fewer than all workers (graceful "
         "degradation after a crash).",
     ),
-    MetricSpec(
-        "distdgl.fault_events", "counter", "count",
-        "Injected fault events handled by the mini-batch engine, by kind "
-        "(crash, slowdown, lost-message).",
-        labels=("kind",),
-    ),
     # --------------------------------------------------------- partitioner
     MetricSpec(
         "partitioner.runs", "counter", "count",
@@ -209,19 +153,8 @@ CATALOG: Tuple[MetricSpec, ...] = (
         labels=("algorithm",),
     ),
     MetricSpec(
-        "partitioner.seconds", "timer", "seconds (wall)",
-        "Measured wall-clock partitioning time per run — the quantity "
-        "the amortization analyses (paper Tables 4/5) consume.",
-        labels=("algorithm",), buckets=_TIME_BUCKETS,
-    ),
-    MetricSpec(
         "partitioner.edges_assigned", "counter", "count",
         "Edges assigned by vertex-cut (edge partitioning) runs.",
-        labels=("algorithm",),
-    ),
-    MetricSpec(
-        "partitioner.vertices_assigned", "counter", "count",
-        "Vertices assigned by edge-cut (vertex partitioning) runs.",
         labels=("algorithm",),
     ),
     MetricSpec(
@@ -237,42 +170,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "throughput.",
         labels=("kernel",), buckets=_TIME_BUCKETS,
     ),
-    MetricSpec(
-        "partitioner.stream_passes", "counter", "count",
-        "Full passes over the on-disk edge stream made by an out-of-core "
-        "partitioning run (degree pass, clustering passes, placement), "
-        "labelled with the algorithm name.",
-        labels=("algorithm",),
-    ),
-    # ----------------------------------------------------------- chunkstore
-    MetricSpec(
-        "chunkstore.chunks_written", "counter", "count",
-        "Edge chunks flushed to an on-disk store, labelled with the "
-        "store role (spool for primary edge spools, bucket for shuffle "
-        "outputs).",
-        labels=("role",),
-    ),
-    MetricSpec(
-        "chunkstore.bytes_written", "counter", "bytes",
-        "Raw edge bytes flushed to an on-disk store, by store role.",
-        labels=("role",),
-    ),
-    MetricSpec(
-        "chunkstore.chunks_read", "counter", "count",
-        "Edge chunks loaded back from an on-disk store, by store role.",
-        labels=("role",),
-    ),
-    MetricSpec(
-        "chunkstore.bytes_read", "counter", "bytes",
-        "Raw edge bytes loaded back from an on-disk store, by store "
-        "role.",
-        labels=("role",),
-    ),
-    MetricSpec(
-        "chunkstore.spills", "counter", "count",
-        "Pending-edge buffers spilled from a GraphBuilder to an on-disk "
-        "store.",
-    ),
     # ----------------------------------------------------- partition cache
     MetricSpec(
         "partition_cache.hits", "counter", "count",
@@ -281,10 +178,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "partition_cache.misses", "counter", "count",
         "Partition requests that had to run the partitioner.",
-    ),
-    MetricSpec(
-        "partition_cache.evictions", "counter", "count",
-        "Entries evicted by the LRU bound.",
     ),
     # ---------------------------------------------------------------- comm
     MetricSpec(
@@ -295,21 +188,9 @@ CATALOG: Tuple[MetricSpec, ...] = (
         labels=("codec",),
     ),
     MetricSpec(
-        "comm.wire_bytes", "counter", "bytes (simulated)",
-        "Bytes that actually hit the fabric after compression and "
-        "delayed aggregation, labelled with the codec in effect.",
-        labels=("codec",),
-    ),
-    MetricSpec(
         "comm.saved_bytes", "counter", "bytes (simulated)",
         "raw_bytes - wire_bytes: traffic kept off the fabric by the "
         "run's communication-reduction settings.",
-        labels=("codec",),
-    ),
-    MetricSpec(
-        "comm.codec_seconds", "counter", "seconds (simulated)",
-        "Simulated encode+decode time charged by the codec across the "
-        "run (a compute phase at memory bandwidth).",
         labels=("codec",),
     ),
     MetricSpec(
@@ -329,17 +210,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "the normalised route template (e.g. /jobs/{id}) and the "
         "response status code.",
         labels=("method", "route", "status"),
-    ),
-    MetricSpec(
-        "serve.http_request_seconds", "timer", "seconds (wall)",
-        "Wall-clock latency of each HTTP request, from dispatch to the "
-        "response being written, per normalised route.",
-        labels=("route",), buckets=_TIME_BUCKETS,
-    ),
-    MetricSpec(
-        "serve.http_inflight", "gauge", "count",
-        "Requests currently being handled (incremented at dispatch, "
-        "decremented when the response is written).",
     ),
     MetricSpec(
         "serve.jobs_admitted", "counter", "count",
@@ -375,10 +245,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "queue_capacity is the saturation ratio /healthz reports.",
     ),
     MetricSpec(
-        "serve.running_cells", "gauge", "count",
-        "Cells currently executing on runner threads.",
-    ),
-    MetricSpec(
         "serve.cell_wait_seconds", "timer", "seconds (wall)",
         "Queue wait per executed cell: enqueue to dispatch, by engine.",
         labels=("engine",), buckets=_TIME_BUCKETS,
@@ -409,12 +275,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         labels=("tenant",),
     ),
     MetricSpec(
-        "serve.dedup_misses", "counter", "count",
-        "Cells that required fresh compute (no identical cell in "
-        "flight or cached), per requesting tenant.",
-        labels=("tenant",),
-    ),
-    MetricSpec(
         "serve.cells_computed", "counter", "count",
         "Cells actually executed (after dedup), by engine.",
         labels=("engine",),
@@ -422,51 +282,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "serve.cell_cache_size", "gauge", "count",
         "Completed-cell results currently held by the dedup LRU.",
-    ),
-    MetricSpec(
-        "serve.cell_cache_evictions", "counter", "count",
-        "Completed-cell results evicted by the dedup LRU bound "
-        "(max_cached_cells).",
-    ),
-    MetricSpec(
-        "serve.jobs_retained", "gauge", "count",
-        "Jobs currently retained (queryable) by the scheduler.",
-    ),
-    MetricSpec(
-        "serve.job_evictions", "counter", "count",
-        "Finished jobs evicted by the retention bound "
-        "(max_finished_jobs), oldest first.",
-    ),
-    MetricSpec(
-        "serve.tenant_cells_served", "counter", "count",
-        "Cell results delivered to jobs, per tenant — fresh compute "
-        "and dedup fan-out both count, so this is each tenant's "
-        "fair-share consumption.",
-        labels=("tenant",),
-    ),
-    MetricSpec(
-        "serve.scheduler_heartbeat_age_seconds", "gauge",
-        "seconds (wall)",
-        "Seconds since a runner thread last reported alive; /healthz "
-        "degrades when this grows past a few poll intervals.",
-    ),
-    # --------------------------------------------------------- experiments
-    MetricSpec(
-        "experiments.runs", "counter", "count",
-        "Experiment cells executed, labelled with the engine "
-        "(distgnn, distdgl).",
-        labels=("engine",),
-    ),
-    MetricSpec(
-        "experiments.run_seconds", "timer", "seconds (wall)",
-        "Wall-clock time per experiment cell (partitioning via cache + "
-        "engine construction + simulation).",
-        labels=("engine",), buckets=_TIME_BUCKETS,
-    ),
-    MetricSpec(
-        "experiments.oom_runs", "counter", "count",
-        "Runs whose memory check exceeded the per-machine budget "
-        "(the paper's untrainable configurations).",
     ),
     # ----------------------------------------------------------------- obs
     MetricSpec(
@@ -489,11 +304,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "profiled block itself, tracing overhead included), per "
         "scope.",
         labels=("scope",), buckets=_TIME_BUCKETS,
-    ),
-    MetricSpec(
-        "profiling.samples", "counter", "count",
-        "Thread-stack snapshots folded by the serve daemon's "
-        "wall-clock sampler across POST /profile windows.",
     ),
 )
 

@@ -54,11 +54,9 @@ _SECTION_TITLES: Dict[str, str] = {
     "distgnn": "DistGNN engine (full-batch)",
     "distdgl": "DistDGL engine (mini-batch)",
     "partitioner": "Partitioners",
-    "chunkstore": "Out-of-core chunk store",
     "partition_cache": "Partition cache",
     "comm": "Communication reduction",
     "serve": "Serve daemon",
-    "experiments": "Experiment runner",
     "obs": "Observability layer",
 }
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog import find_spec
-from ..analysis.findings import SEVERITIES, Finding
+from ..analysis.findings import SEVERITIES, Finding, cell_label
 
 __all__ = [
     "AlertRule",
@@ -260,12 +260,8 @@ class RuleSet:
         """Evaluate every rule against every record's totals."""
         findings: List[Finding] = []
         for record in records:
-            subject = (
-                f"{record.graph}/{record.partitioner}"
-                f"/k={record.num_machines}"
-            )
             findings.extend(
-                self.evaluate(record_totals(record), subject)
+                self.evaluate(record_totals(record), cell_label(record))
             )
         return findings
 
@@ -279,7 +275,6 @@ def record_totals(record) -> Dict[str, float]:
     evaluate (or fire, for ``absence`` rules).
     """
     metrics = getattr(record, "obs_metrics", None) or {}
-    is_distdgl = hasattr(record, "degraded_steps")
     totals: Dict[str, float] = {
         "cluster.lost_messages": float(
             metrics.get(
@@ -296,16 +291,17 @@ def record_totals(record) -> Dict[str, float]:
             getattr(record, "makespan_seconds", 0.0)
         ),
     }
-    engine = "distdgl" if is_distdgl else "distgnn"
-    totals[f"{engine}.epoch_seconds"] = float(record.epoch_seconds)
-    totals[f"{engine}.network_bytes"] = float(record.network_bytes)
     if "memory_peak_bytes_max" in metrics:
         totals["cluster.memory_peak_bytes"] = float(
             metrics["memory_peak_bytes_max"]
         )
-    if is_distdgl:
+    if record.engine == "distdgl":
+        totals["distdgl.network_bytes"] = float(record.network_bytes)
         totals["distdgl.degraded_steps"] = float(record.degraded_steps)
     else:
+        totals["distgnn.network_bytes"] = float(record.network_bytes)
+        # Only the full-batch engine has a catalogued epoch timer.
+        totals["distgnn.epoch_seconds"] = float(record.epoch_seconds)
         totals["distgnn.replayed_epochs"] = float(
             getattr(record, "reexecuted_epochs", 0)
         )

@@ -35,11 +35,9 @@ from typing import Callable, Dict, List, Optional, TextIO
 
 from ..serve_metrics import parse_prometheus_totals
 from .rules import RuleSet
+from .watch import bar, finding_lines, frame_loop
 
 __all__ = ["fetch_status", "render_top_frame", "top_loop"]
-
-#: ANSI: clear screen + home (same minimal escape set as ``obs watch``).
-_CLEAR = "\x1b[2J\x1b[H"
 
 
 def _get(base_url: str, path: str, timeout: float) -> str:
@@ -73,12 +71,6 @@ def fetch_status(
         "healthz": healthz, "queue": queue, "totals": totals,
         "error": None,
     }
-
-
-def _bar(fraction: float, width: int) -> str:
-    fraction = min(max(fraction, 0.0), 1.0)
-    filled = int(round(fraction * width))
-    return "#" * filled + "-" * (width - filled)
 
 
 def render_top_frame(
@@ -123,7 +115,7 @@ def render_top_frame(
     lines.append(line)
     if limit:
         lines.append(
-            "[" + _bar(pending / limit, min(width - 2, 60)) + "]"
+            "[" + bar(pending / limit, min(width - 2, 60)) + "]"
         )
 
     per_tenant = queue.get("pending_by_tenant") or {}
@@ -166,12 +158,7 @@ def render_top_frame(
     if rules is not None:
         findings = rules.evaluate(totals, subject="serve")
         if findings:
-            for finding in findings[:5]:
-                message = finding.message
-                budget = max(width - 6, 20)
-                if len(message) > budget:
-                    message = message[: budget - 3] + "..."
-                lines.append(f"  [{finding.severity}] {message}")
+            lines.extend(finding_lines(findings, width))
         else:
             lines.append("rules: none firing")
     return "\n".join(lines) + "\n"
@@ -195,15 +182,14 @@ def top_loop(
     daemon, terminal or wall clock.
     """
     status: Dict[str, object] = {}
-    tick = 0
-    while True:
+
+    def poll() -> bool:
+        nonlocal status
         status = fetch()
-        if out is not None:
-            frame = render_top_frame(status, rules=rules)
-            out.write((_CLEAR if ansi else "") + frame)
-            out.flush()
-        tick += 1
-        if ticks is not None and tick >= ticks:
-            break
-        sleep(interval)
+        return False  # a daemon, unlike a sweep, never completes
+
+    frame_loop(
+        poll, lambda: render_top_frame(status, rules=rules),
+        ticks, interval, out, sleep, ansi,
+    )
     return status

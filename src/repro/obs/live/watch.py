@@ -11,7 +11,9 @@ counts (tested).
 Rendering is a pure function (:func:`render_frame`) from state + clock
 to a plain-ANSI string, and :func:`watch_loop` drives it tick by tick
 with an injectable clock/sleep/output, so the whole monitor is testable
-without a terminal or a wall clock. The streaming anomaly findings use
+without a terminal or a wall clock. The tick loop and the frame
+primitives (:func:`frame_loop`, :func:`bar`, :func:`finding_lines`) are
+shared with the daemon monitor in :mod:`.top`. The streaming anomaly findings use
 the *same* :class:`~repro.obs.analysis.anomaly.AnomalyThresholds` the
 post-hoc analyzer uses, so what you see live is what ``repro obs
 analyze`` reports afterwards.
@@ -28,9 +30,16 @@ from ..analysis.findings import Finding, sort_findings
 from .bus import WALL_ONLY_KINDS, BusTailer
 from .rules import RuleSet, record_totals
 
-__all__ = ["WatchState", "render_frame", "watch_loop"]
+__all__ = [
+    "WatchState",
+    "render_frame",
+    "watch_loop",
+    "frame_loop",
+    "bar",
+    "finding_lines",
+]
 
-#: ANSI: clear screen + home. The only escape codes the monitor uses.
+#: ANSI: clear screen + home. The only escape codes the monitors use.
 _CLEAR = "\x1b[2J\x1b[H"
 
 
@@ -48,11 +57,11 @@ class _RecordShim:
     """A sweep record reconstructed from one ``record-done`` event.
 
     Carries exactly the attributes the anomaly detector and the alert
-    rules read; ``degraded_steps`` is set only for DistDGL records
-    because the detector infers the engine from its presence.
+    rules read, ``engine`` included (as on the record dataclasses).
     """
 
     def __init__(self, event: Dict[str, object]) -> None:
+        self.engine = str(event.get("engine") or "distgnn")
         self.graph = str(event.get("graph", ""))
         self.partitioner = str(event.get("partitioner", ""))
         self.num_machines = int(event.get("k", 0))
@@ -67,7 +76,7 @@ class _RecordShim:
         self.network_bytes = float(event.get("network_bytes", 0.0))
         self.lost_messages = int(event.get("lost_messages", 0))
         self.crashes = int(event.get("crashes", 0))
-        if event.get("engine") == "distdgl":
+        if self.engine == "distdgl":
             self.degraded_steps = int(event.get("degraded_steps", 0))
         metrics = {}
         for key in (
@@ -278,10 +287,24 @@ class WatchState:
         ) + "\n"
 
 
-def _bar(fraction: float, width: int) -> str:
+def bar(fraction: float, width: int) -> str:
+    """A ``width``-character ``###---`` gauge of ``fraction``."""
     fraction = min(max(fraction, 0.0), 1.0)
     filled = int(round(fraction * width))
     return "#" * filled + "-" * (width - filled)
+
+
+def finding_lines(findings: List[Finding], width: int) -> List[str]:
+    """The first five findings, one ``[severity] message`` line each,
+    messages truncated to the frame width."""
+    lines = []
+    for finding in findings[:5]:
+        message = finding.message
+        budget = max(width - 6, 20)
+        if len(message) > budget:
+            message = message[: budget - 3] + "..."
+        lines.append(f"  [{finding.severity}] {message}")
+    return lines
 
 
 def render_frame(
@@ -308,7 +331,7 @@ def render_frame(
         header += f" ({state.skipped} corrupt lines skipped)"
     lines.append(header)
     if total:
-        lines.append("[" + _bar(done / total, min(width - 2, 60)) + "]")
+        lines.append("[" + bar(done / total, min(width - 2, 60)) + "]")
 
     # Per-worker liveness + current cell.
     running = {
@@ -358,15 +381,39 @@ def render_frame(
             for severity, count in sorted(by_severity.items())
         )
         lines.append(f"findings: {counts}")
-        for finding in findings[:5]:
-            message = finding.message
-            budget = max(width - 6, 20)
-            if len(message) > budget:
-                message = message[: budget - 3] + "..."
-            lines.append(f"  [{finding.severity}] {message}")
+        lines.extend(finding_lines(findings, width))
     else:
         lines.append("findings: none")
     return "\n".join(lines) + "\n"
+
+
+def frame_loop(
+    poll: Callable[[], bool],
+    render: Callable[[], str],
+    ticks: Optional[int],
+    interval: float,
+    out: Optional[TextIO],
+    sleep: Callable[[float], None],
+    ansi: bool,
+) -> None:
+    """The tick loop of both monitors.
+
+    Each tick calls ``poll()`` (refresh the model; its result says
+    whether the monitored thing is finished) and, with an ``out``,
+    writes one ``render()`` frame (prefixed with an ANSI clear when
+    ``ansi``). Runs for exactly ``ticks`` ticks, or with ``ticks=None``
+    until ``poll`` reports finished, sleeping ``interval`` in between.
+    """
+    tick = 0
+    while True:
+        finished = poll()
+        if out is not None:
+            out.write((_CLEAR if ansi else "") + render())
+            out.flush()
+        tick += 1
+        if (tick >= ticks) if ticks is not None else finished:
+            break
+        sleep(interval)
 
 
 def watch_loop(
@@ -389,18 +436,14 @@ def watch_loop(
     terminal or wall clock.
     """
     state = state or WatchState()
-    tick = 0
-    while True:
+
+    def poll() -> bool:
         state.apply_all(tailer.poll())
         state.skipped = tailer.skipped
-        if out is not None:
-            frame = render_frame(state, now=clock())
-            out.write((_CLEAR if ansi else "") + frame)
-            out.flush()
-        tick += 1
-        if ticks is not None and tick >= ticks:
-            break
-        if ticks is None and stop_when_complete and state.complete():
-            break
-        sleep(interval)
+        return stop_when_complete and state.complete()
+
+    frame_loop(
+        poll, lambda: render_frame(state, now=clock()),
+        ticks, interval, out, sleep, ansi,
+    )
     return state

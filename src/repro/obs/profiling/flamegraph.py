@@ -18,66 +18,22 @@ and between two flamegraphs of the same code.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
+from ..html import render_page
 from .profile import Profile
 
 __all__ = ["render_flamegraph"]
 
+#: Page-specific theme variables (light, dark) on top of the shell's.
+_THEME = {
+    "frame-text": ("#1d1309", "#140d05"),
+    "match": ("#2a78d6", "#3987e5"),
+}
+
 _CSS = """
-:root {
-  color-scheme: light;
-  --surface-1: #fcfcfb;
-  --page: #f9f9f7;
-  --text-primary: #0b0b0b;
-  --text-secondary: #52514e;
-  --text-muted: #898781;
-  --grid: #e1e0d9;
-  --border: rgba(11, 11, 11, 0.10);
-  --frame-text: #1d1309;
-  --match: #2a78d6;
-}
-:root[data-theme="dark"] {
-  color-scheme: dark;
-  --surface-1: #1a1a19;
-  --page: #0d0d0d;
-  --text-primary: #ffffff;
-  --text-secondary: #c3c2b7;
-  --text-muted: #898781;
-  --grid: #2c2c2a;
-  --border: rgba(255, 255, 255, 0.10);
-  --frame-text: #140d05;
-  --match: #3987e5;
-}
-@media (prefers-color-scheme: dark) {
-  :root:not([data-theme="light"]) {
-    color-scheme: dark;
-    --surface-1: #1a1a19;
-    --page: #0d0d0d;
-    --text-primary: #ffffff;
-    --text-secondary: #c3c2b7;
-    --text-muted: #898781;
-    --grid: #2c2c2a;
-    --border: rgba(255, 255, 255, 0.10);
-    --frame-text: #140d05;
-    --match: #3987e5;
-  }
-}
-* { box-sizing: border-box; }
-body {
-  margin: 0; padding: 24px;
-  background: var(--page); color: var(--text-primary);
-  font-family: system-ui, -apple-system, "Segoe UI", sans-serif;
-  font-size: 14px; line-height: 1.45;
-}
-main { max-width: 1200px; margin: 0 auto; }
-h1 { font-size: 20px; margin: 0 0 4px; }
-.subtitle { color: var(--text-secondary); margin: 0 0 16px; }
-.card {
-  background: var(--surface-1); border: 1px solid var(--border);
-  border-radius: 10px; padding: 16px 18px; margin: 0 0 18px;
-}
+main { max-width: 1200px; }
+.subtitle { margin-bottom: 16px; }
 #controls { display: flex; gap: 10px; align-items: center;
   margin: 0 0 12px; flex-wrap: wrap; }
 #search {
@@ -85,12 +41,6 @@ h1 { font-size: 20px; margin: 0 0 4px; }
   border: 1px solid var(--border); border-radius: 6px;
   padding: 4px 10px; font-size: 13px; min-width: 220px;
 }
-button {
-  background: var(--surface-1); color: var(--text-secondary);
-  border: 1px solid var(--border); border-radius: 6px;
-  padding: 4px 10px; cursor: pointer; font-size: 12px;
-}
-#theme-toggle { float: right; }
 #flame { position: relative; width: 100%; }
 .frame {
   position: absolute; height: 17px; overflow: hidden;
@@ -102,14 +52,7 @@ button {
 .frame.match { outline: 2px solid var(--match); z-index: 2; }
 .frame.dim { opacity: 0.35; }
 #status { color: var(--text-muted); font-size: 12px; margin-top: 8px; }
-#tooltip {
-  position: fixed; pointer-events: none; display: none; z-index: 10;
-  background: var(--surface-1); color: var(--text-primary);
-  border: 1px solid var(--border); border-radius: 6px;
-  padding: 6px 9px; font-size: 12px; max-width: 480px;
-  box-shadow: 0 2px 10px rgba(0, 0, 0, 0.18);
-  font-variant-numeric: tabular-nums;
-}
+#tooltip { max-width: 480px; font-variant-numeric: tabular-nums; }
 """
 
 #: Warm ramp (light, dark) hashed on frame name — classic flame hues.
@@ -123,18 +66,11 @@ _PALETTE = [
 ]
 
 _JS = """
-'use strict';
 var data = JSON.parse(
   document.getElementById('profile-data').textContent);
 var PALETTE = JSON.parse(
   document.getElementById('palette-data').textContent);
 
-function isDark() {
-  var forced = document.documentElement.getAttribute('data-theme');
-  if (forced) return forced === 'dark';
-  return window.matchMedia &&
-    window.matchMedia('(prefers-color-scheme: dark)').matches;
-}
 function frameColor(name) {
   var hash = 0;
   for (var i = 0; i < name.length; i++) {
@@ -247,25 +183,20 @@ document.getElementById('reset').addEventListener('click', function () {
   render();
 });
 document.getElementById('search').addEventListener('input', render);
-document.getElementById('theme-toggle').addEventListener(
-  'click', function () {
-    document.documentElement.setAttribute(
-      'data-theme', isDark() ? 'light' : 'dark');
-    render();
-  });
-if (window.matchMedia) {
-  window.matchMedia('(prefers-color-scheme: dark)')
-    .addEventListener('change', render);
-}
 window.addEventListener('resize', render);
-render();
 """
 
-
-def _embed_json(payload: object) -> str:
-    """Canonical JSON safe for inline ``<script>`` embedding."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return text.replace("</", "<\\/")
+_BODY = """\
+  <div class="card">
+    <div id="controls">
+      <input id="search" type="search"
+             placeholder="highlight functions (substring)">
+      <button id="reset" type="button">reset zoom</button>
+    </div>
+    <div id="flame"></div>
+    <div id="status"></div>
+  </div>
+"""
 
 
 def render_flamegraph(
@@ -288,33 +219,12 @@ def render_flamegraph(
         f"{profile.seconds:.3f}s wall, "
         f"{len(profile.stacks)} stacks"
     )
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{title}</title>
-<style>{_CSS}</style>
-</head>
-<body>
-<main>
-  <button id="theme-toggle" type="button">light/dark</button>
-  <h1>{title}</h1>
-  <p class="subtitle">{subtitle}</p>
-  <div class="card">
-    <div id="controls">
-      <input id="search" type="search"
-             placeholder="highlight functions (substring)">
-      <button id="reset" type="button">reset zoom</button>
-    </div>
-    <div id="flame"></div>
-    <div id="status"></div>
-  </div>
-</main>
-<div id="tooltip" role="status"></div>
-<script type="application/json" id="profile-data">{_embed_json(payload)}</script>
-<script type="application/json" id="palette-data">{_embed_json(_PALETTE)}</script>
-<script>{_JS}</script>
-</body>
-</html>
-"""
+    return render_page(
+        title,
+        subtitle,
+        _BODY,
+        {"profile-data": payload, "palette-data": _PALETTE},
+        _CSS,
+        _JS,
+        _THEME,
+    )

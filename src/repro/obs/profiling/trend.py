@@ -62,13 +62,7 @@ class TrendThresholds:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view of every threshold knob."""
-        return {
-            "anomaly": self.anomaly.to_dict(),
-            "creep_ratio": self.creep_ratio,
-            "min_entries": self.min_entries,
-            "min_seconds": self.min_seconds,
-            "tail": self.tail,
-        }
+        return dataclasses.asdict(self)
 
 
 def _maybe_series(

@@ -17,7 +17,7 @@ surface at the call site rather than as silently missing series.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .catalog import MetricSpec, find_spec
 
@@ -27,6 +27,7 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
+    "snapshot_totals",
 ]
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -244,3 +245,23 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every instrument (a fresh scope for the next run)."""
         self._instruments.clear()
+
+
+def snapshot_totals(
+    entries: Iterable[Mapping[str, object]]
+) -> Dict[str, float]:
+    """Fold snapshot entries to one number per metric name.
+
+    Counters and gauges sum across label sets; histograms and timers
+    contribute their observation sum. This is the mapping alert rules
+    and the snapshot anomaly detectors evaluate.
+    """
+    totals: Dict[str, float] = {}
+    for entry in entries:
+        name = str(entry.get("name"))
+        if "sum" in entry:  # histogram / timer
+            value = float(entry["sum"])
+        else:
+            value = float(entry.get("value", 0.0))
+        totals[name] = totals.get(name, 0.0) + value
+    return totals

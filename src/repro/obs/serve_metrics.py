@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .catalog import find_spec, metric_names
-from .registry import Histogram, MetricsRegistry
+from .registry import Histogram, MetricsRegistry, snapshot_totals
 from .sink import EventSink
 
 __all__ = [
@@ -70,14 +70,6 @@ class ServeMetrics:
         self._last_heartbeat: Optional[float] = None
 
     # ------------------------------------------------------------ HTTP
-    def request_started(self) -> None:
-        """A request entered dispatch (in-flight gauge up)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            gauge = self.registry.gauge("serve.http_inflight")
-            gauge.set(gauge.value + 1)
-
     def request_finished(
         self,
         method: str,
@@ -86,19 +78,13 @@ class ServeMetrics:
         seconds: float,
         tenant: Optional[str] = None,
     ) -> None:
-        """A response was written: count, time, and log the request."""
+        """A response was written: count and log the request."""
         if not self.enabled:
             return
-        with self._lock:
-            gauge = self.registry.gauge("serve.http_inflight")
-            gauge.set(max(gauge.value - 1, 0.0))
-            self.registry.counter(
-                "serve.http_requests",
-                method=method, route=route, status=status,
-            ).add(1)
-            self.registry.observe(
-                "serve.http_request_seconds", seconds, route=route
-            )
+        self._count(
+            "serve.http_requests",
+            method=method, route=route, status=status,
+        )
         self._emit(
             "http-request", route,
             method=method, status=int(status),
@@ -127,10 +113,6 @@ class ServeMetrics:
         """A submitted cell was satisfied without fresh compute."""
         self._count("serve.dedup_hits", tenant=tenant)
 
-    def dedup_miss(self, tenant: str) -> None:
-        """A submitted cell needs fresh compute."""
-        self._count("serve.dedup_misses", tenant=tenant)
-
     # ------------------------------------------------------- execution
     def cell_finished(
         self, engine: str, wait_seconds: float, service_seconds: float
@@ -151,10 +133,6 @@ class ServeMetrics:
                 engine=engine,
             )
 
-    def cell_served(self, tenant: str) -> None:
-        """One cell result was delivered to one subscriber job."""
-        self._count("serve.tenant_cells_served", tenant=tenant)
-
     def first_record(self, seconds: float) -> None:
         """A job's first cell result landed ``seconds`` after admission."""
         if not self.enabled:
@@ -164,16 +142,6 @@ class ServeMetrics:
                 "serve.admission_to_first_record_seconds",
                 max(seconds, 0.0),
             )
-
-    def cache_evicted(self, count: int = 1) -> None:
-        """The dedup LRU dropped ``count`` completed-cell results."""
-        if count:
-            self._count("serve.cell_cache_evictions", count)
-
-    def job_evicted(self, count: int = 1) -> None:
-        """The retention bound dropped ``count`` finished jobs."""
-        if count:
-            self._count("serve.job_evictions", count)
 
     def heartbeat(self, now: Optional[float] = None) -> None:
         """A runner thread is alive (tracked even when disabled —
@@ -198,9 +166,7 @@ class ServeMetrics:
         depth: Mapping[Tuple[str, int], int],
         total: int,
         capacity: int,
-        running: int,
         cached_cells: int,
-        jobs_retained: int,
     ) -> None:
         """Overwrite every scheduler-state gauge from a live snapshot.
 
@@ -221,25 +187,16 @@ class ServeMetrics:
                 ).set(cells)
             self.registry.gauge("serve.queue_depth_total").set(total)
             self.registry.gauge("serve.queue_capacity").set(capacity)
-            self.registry.gauge("serve.running_cells").set(running)
             self.registry.gauge("serve.cell_cache_size").set(cached_cells)
-            self.registry.gauge("serve.jobs_retained").set(jobs_retained)
 
     # --------------------------------------------------------- export
-    def snapshot(
-        self, now: Optional[float] = None
-    ) -> List[Dict[str, object]]:
-        """The registry snapshot, with the derived SLO gauges refreshed
-        (heartbeat age and the first-record p95) so rules and scrapers
-        see them as ordinary catalog series."""
+    def snapshot(self) -> List[Dict[str, object]]:
+        """The registry snapshot, with the derived SLO gauge refreshed
+        (the first-record p95) so rules and scrapers see it as an
+        ordinary catalog series."""
         if not self.enabled:
             return []
         with self._lock:
-            age = self.heartbeat_age(now)
-            if age is not None:
-                self.registry.gauge(
-                    "serve.scheduler_heartbeat_age_seconds"
-                ).set(age)
             latency = next(
                 (
                     inst for inst in self.registry.instruments()
@@ -254,20 +211,13 @@ class ServeMetrics:
                 ).set(histogram_quantile(latency, 0.95))
             return self.registry.snapshot()
 
-    def totals(
-        self, entries: Optional[List[Dict[str, object]]] = None
-    ) -> Dict[str, float]:
-        """Rule-ready totals: one number per metric name.
-
-        Counters and gauges sum across label sets; histograms/timers
-        contribute their observation sum. This is the mapping
-        :meth:`~repro.obs.live.rules.RuleSet.evaluate` consumes, and
-        :func:`parse_prometheus_totals` reconstructs the same mapping
-        from the text exposition on the scraper side.
-        """
-        if entries is None:
-            entries = self.snapshot()
-        return _entry_totals(entries)
+    def totals(self) -> Dict[str, float]:
+        """Rule-ready totals of the current snapshot: one number per
+        metric name (:func:`~.registry.snapshot_totals`), the mapping
+        :meth:`~repro.obs.live.rules.RuleSet.evaluate` consumes and
+        :func:`parse_prometheus_totals` reconstructs from the text
+        exposition on the scraper side."""
+        return snapshot_totals(self.snapshot())
 
     # --------------------------------------------------------- private
     def _count(self, name: str, amount: float = 1.0, **labels) -> None:
@@ -292,19 +242,6 @@ class ServeMetrics:
         sink, self.sink = self.sink, None
         if sink is not None:
             sink.close()
-
-
-def _entry_totals(entries: Iterable[Mapping[str, object]]) -> Dict[str, float]:
-    """Fold snapshot entries to per-name totals (see ``totals``)."""
-    totals: Dict[str, float] = {}
-    for entry in entries:
-        name = str(entry.get("name"))
-        if "sum" in entry:  # histogram / timer
-            value = float(entry["sum"])
-        else:
-            value = float(entry.get("value", 0.0))
-        totals[name] = totals.get(name, 0.0) + value
-    return totals
 
 
 def histogram_quantile(histogram: Histogram, q: float) -> float:

@@ -99,11 +99,6 @@ class EdgePartitioner(Partitioner):
         self.last_partitioning_seconds = time.perf_counter() - start
         if obs.enabled():
             obs.count("partitioner.runs", algorithm=self.name)
-            obs.observe(
-                "partitioner.seconds",
-                self.last_partitioning_seconds,
-                algorithm=self.name,
-            )
             obs.count(
                 "partitioner.edges_assigned",
                 int(assignment.shape[0]),
@@ -165,11 +160,6 @@ class EdgePartitioner(Partitioner):
         )
         if obs.enabled():
             obs.count("partitioner.runs", algorithm=self.name)
-            obs.observe(
-                "partitioner.seconds",
-                self.last_partitioning_seconds,
-                algorithm=self.name,
-            )
             obs.count(
                 "partitioner.edges_assigned",
                 int(assignment.shape[0]),
@@ -200,18 +190,7 @@ class VertexPartitioner(Partitioner):
         with profiling.profile_scope(f"partitioner.{self.name.lower()}"):
             assignment = self._assign(graph, num_partitions, seed)
         self.last_partitioning_seconds = time.perf_counter() - start
-        if obs.enabled():
-            obs.count("partitioner.runs", algorithm=self.name)
-            obs.observe(
-                "partitioner.seconds",
-                self.last_partitioning_seconds,
-                algorithm=self.name,
-            )
-            obs.count(
-                "partitioner.vertices_assigned",
-                int(assignment.shape[0]),
-                algorithm=self.name,
-            )
+        obs.count("partitioner.runs", algorithm=self.name)
         return VertexPartition(graph, assignment, num_partitions)
 
     @abc.abstractmethod
@@ -241,18 +220,7 @@ class VertexPartitioner(Partitioner):
                 reader, num_partitions, seed
             )
         self.last_partitioning_seconds = time.perf_counter() - start
-        if obs.enabled():
-            obs.count("partitioner.runs", algorithm=self.name)
-            obs.observe(
-                "partitioner.seconds",
-                self.last_partitioning_seconds,
-                algorithm=self.name,
-            )
-            obs.count(
-                "partitioner.vertices_assigned",
-                int(assignment.shape[0]),
-                algorithm=self.name,
-            )
+        obs.count("partitioner.runs", algorithm=self.name)
         return StreamVertexPartition(reader, assignment, num_partitions)
 
     def _assign_stream(
@@ -267,9 +235,4 @@ class VertexPartitioner(Partitioner):
         only edge-data passes.
         """
         view = StoreGraphView(reader)
-        assignment = self._assign(view, num_partitions, seed)
-        if obs.enabled():
-            obs.count(
-                "partitioner.stream_passes", 2, algorithm=self.name
-            )
-        return assignment
+        return self._assign(view, num_partitions, seed)

@@ -53,7 +53,7 @@ class ShuffleResult:
 
     def bucket(self, partition: int) -> EdgeChunkReader:
         """Open partition ``partition``'s bucket store."""
-        return EdgeChunkReader(self.bucket_path(partition), role="bucket")
+        return EdgeChunkReader(self.bucket_path(partition))
 
 
 def shuffle_stream(
@@ -83,7 +83,6 @@ def shuffle_stream(
             chunk_size=bucket_chunk_size,
             num_vertices=reader.num_vertices,
             directed=reader.directed,
-            role="bucket",
         )
         for p in range(num_partitions)
     ]

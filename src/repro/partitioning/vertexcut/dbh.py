@@ -15,7 +15,6 @@ import numpy as np
 
 from ...graph import Graph
 from ...graph.chunkstore import EdgeChunkReader
-from ...obs import api as obs
 from ..base import EdgePartitioner
 from ..outofcore import stream_degrees
 
@@ -69,7 +68,5 @@ class DbhPartitioner(EdgePartitioner):
         # Degree pass first, then a per-chunk application of the same
         # pure per-edge rule — identical to the in-memory assignment.
         degrees = stream_degrees(reader)
-        if obs.enabled():
-            obs.count("partitioner.stream_passes", 2, algorithm=self.name)
         for chunk in reader.iter_chunks():
             yield chunk, _hash_assign(chunk, degrees, num_partitions, seed)

@@ -15,7 +15,6 @@ import numpy as np
 
 from ...graph import Graph
 from ...graph.chunkstore import EdgeChunkReader
-from ...obs import api as obs
 from ..base import EdgePartitioner
 from .streaming import DEFAULT_CHUNK, HdrfState
 
@@ -82,6 +81,4 @@ class HdrfPartitioner(EdgePartitioner):
             self.lambda_balance,
             chunk_size=self.chunk_size,
         )
-        if obs.enabled():
-            obs.count("partitioner.stream_passes", algorithm=self.name)
         return state.place_blocks(reader.iter_chunks())

@@ -8,7 +8,6 @@ import numpy as np
 
 from ...graph import Graph
 from ...graph.chunkstore import EdgeChunkReader
-from ...obs import api as obs
 from ..base import EdgePartitioner
 
 __all__ = ["RandomEdgePartitioner"]
@@ -45,8 +44,6 @@ class RandomEdgePartitioner(EdgePartitioner):
         # single full-size draw of the in-memory path, so the chunked
         # assignment is identical whatever the store chunking.
         rng = np.random.default_rng(seed)
-        if obs.enabled():
-            obs.count("partitioner.stream_passes", algorithm=self.name)
         for chunk in reader.iter_chunks():
             yield chunk, rng.integers(
                 0, num_partitions, size=chunk.shape[0], dtype=np.int32

@@ -31,7 +31,6 @@ import numpy as np
 
 from ...graph import Graph
 from ...graph.chunkstore import EdgeChunkReader
-from ...obs import api as obs
 from ..base import EdgePartitioner
 from ..outofcore import stream_degrees
 
@@ -126,8 +125,6 @@ class TwoPsLPartitioner(EdgePartitioner):
         cluster_to_part = self._pack_clusters(
             clusters, degrees, num_partitions
         )
-        if obs.enabled():
-            obs.count("partitioner.stream_passes", 4, algorithm=self.name)
         return self._place_blocks(
             reader.iter_chunks, clusters, cluster_to_part,
             num_partitions, degrees, reader.num_edges,

@@ -316,7 +316,6 @@ class SweepScheduler:
                     self._cells[key].subscribers.append(
                         (job_id, local)
                     )
-                    self.metrics.dedup_miss(spec.tenant)
             self._trace_event(
                 job_id, "span", "serve.admission",
                 cells=len(keys), dedup_hits=job.dedup_hits,
@@ -490,11 +489,8 @@ class SweepScheduler:
             )
             self._done[key] = records
             self._done.move_to_end(key)
-            evicted = 0
             while len(self._done) > self.max_cached_cells:
                 self._done.popitem(last=False)
-                evicted += 1
-            self.metrics.cache_evicted(evicted)
         for job_id, local in cell.subscribers:
             if error is not None:
                 self._fail_job(job_id, error)
@@ -511,7 +507,6 @@ class SweepScheduler:
         job.results[local] = records
         job.cells_done += 1
         spec = job.spec
-        self.metrics.cell_served(spec.tenant)
         if job.cells_done == 1:
             self.metrics.first_record(
                 max(time.perf_counter() - job.admitted_perf, 0.0)
@@ -649,7 +644,6 @@ class SweepScheduler:
         for job_id in finished[:max(excess, 0)]:
             del self._jobs[job_id]
             self._rulesets.pop(job_id, None)
-        self.metrics.job_evicted(max(excess, 0))
 
     # ------------------------------------------------------- queries
     def get(self, job_id: str) -> Job:
@@ -743,9 +737,7 @@ class SweepScheduler:
                 depth,
                 total=self._pending_count,
                 capacity=self.max_pending_cells,
-                running=self._running_count,
                 cached_cells=len(self._done),
-                jobs_retained=len(self._jobs),
             )
         return self.metrics.snapshot()
 

@@ -69,8 +69,8 @@ class ServeHandler(BaseHTTPRequestHandler):
     (``server.scheduler``) by :func:`make_server`, so one handler class
     serves any scheduler. Every verb dispatches through
     :meth:`_dispatch`, which times the request and feeds the daemon
-    metrics (HTTP latency histogram, per-route counters, in-flight
-    gauge) plus the structured request log.
+    metrics (per-route counters) plus the structured request log (which
+    carries the latency).
     """
 
     server_version = "repro-serve/1.0"
@@ -107,7 +107,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         metrics = self.scheduler.metrics
         self._status = 0
         self._tenant: Optional[str] = None
-        metrics.request_started()
         started = time.perf_counter()
         try:
             handler()

@@ -101,37 +101,6 @@ class TestMemoryWatermarks:
         }
 
 
-class TestEmitResourceMetrics:
-    def test_noop_when_disabled(self):
-        from repro.obs import api as obs
-
-        cluster = Cluster(2)
-        cluster.allocate(0, "features", 100)
-        cluster.emit_resource_metrics()
-        assert obs.snapshot() == []
-
-    def test_emits_catalog_metrics_when_enabled(self):
-        from repro.obs import api as obs
-
-        obs.enable()
-        try:
-            cluster = Cluster(2)
-            cluster.allocate(0, "features", 100)
-            cluster.add_phase("load", np.zeros(2))
-            comm(
-                cluster, "sync", [10.0, 0.0], [0.0, 10.0],
-                matrix=[[0.0, 10.0], [0.0, 0.0]],
-            )
-            cluster.emit_resource_metrics()
-            names = {entry["name"] for entry in obs.snapshot()}
-        finally:
-            obs.reset()
-            obs.disable()
-        assert "cluster.memory_category_peak_bytes" in names
-        assert "cluster.memory_watermark_bytes" in names
-        assert "cluster.traffic_matrix_bytes" in names
-
-
 class TestEngineInvariants:
     """On real engine runs: fabric totals == machine ledger sums ==
     matrix totals, with and without injected message loss."""

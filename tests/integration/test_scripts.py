@@ -69,7 +69,7 @@ def test_sweep_with_telemetry(tmp_path):
     events = read_jsonl(str(obs_path))
     final = events[-1]
     assert final["kind"] == "metrics-snapshot"
-    assert any(m["name"] == "experiments.runs" for m in final["metrics"])
+    assert any(m["name"] == "distgnn.epochs" for m in final["metrics"])
 
 
 def test_build_run_report(tmp_path, capsys):

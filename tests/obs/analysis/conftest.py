@@ -1,14 +1,14 @@
 """Fixtures for analysis tests: synthetic records and snapshots.
 
-The analyzers duck-type sweep records (``degraded_steps`` marks a
-DistDGL-shaped record), so these stubs carry exactly the fields the
+The analyzers duck-type sweep records (``engine`` names the training
+system, as on the record dataclasses), so these stubs carry exactly the fields the
 analysis layer reads — keeping the tests independent of the engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 import pytest
 
@@ -23,7 +23,9 @@ class StubParams:
 
 @dataclass
 class StubRecord:
-    """DistGNN-shaped sweep record (no ``degraded_steps``)."""
+    """DistGNN-shaped sweep record."""
+
+    engine: ClassVar[str] = "distgnn"
 
     graph: str = "OR"
     partitioner: str = "random"
@@ -47,6 +49,8 @@ class StubRecord:
 @dataclass
 class StubDglRecord(StubRecord):
     """DistDGL-shaped record: has ``degraded_steps`` + phase table."""
+
+    engine: ClassVar[str] = "distdgl"
 
     degraded_steps: int = 0
     phase_seconds: Dict[str, float] = field(

@@ -174,8 +174,32 @@ class TestRecordTotals:
         assert "distgnn.replayed_epochs" in totals
         assert "distdgl.degraded_steps" not in totals
 
+    @pytest.mark.parametrize("engine", ["distgnn", "distdgl"])
+    @pytest.mark.parametrize("shimmed", [False, True])
+    def test_keys_are_catalog_names(
+        self, tiny_or, tiny_or_split, engine, shimmed
+    ):
+        """Every total is addressable by a rule (rules validate their
+        metric against the catalog at load), for both record types and
+        for the watch monitor's event shim."""
+        from repro.experiments import ENGINES, TrainingParams
+        from repro.obs.catalog import metric_names
+        from repro.obs.live.bus import record_event_fields
+        from repro.obs.live.watch import _RecordShim
+
+        extra = {"split": tiny_or_split} if engine == "distdgl" else {}
+        record = ENGINES[engine].run(
+            tiny_or, "random", 2, TrainingParams(), **extra
+        )
+        assert record.engine == engine
+        if shimmed:
+            record = _RecordShim(record_event_fields(record, engine))
+            assert record.engine == engine
+        assert set(record_totals(record)) <= set(metric_names())
+
     def test_obs_metrics_win_over_record_fields(self):
         class Shim:
+            engine = "distgnn"
             graph = "OR"
             partitioner = "hdrf"
             num_machines = 2
@@ -196,6 +220,7 @@ class TestRecordTotals:
 
     def test_ruleset_evaluate_records_subjects(self):
         class Shim:
+            engine = "distgnn"
             graph = "OR"
             partitioner = "hdrf"
             num_machines = 4

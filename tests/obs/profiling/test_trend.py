@@ -1,7 +1,11 @@
 """Bench-history trend analysis: series extraction, creep, anomalies."""
 
+import dataclasses
 import json
 
+import pytest
+
+from repro.obs.analysis import AnomalyThresholds
 from repro.obs.profiling import (
     TrendThresholds,
     detect_drift,
@@ -23,6 +27,18 @@ def _entry(kernel_seconds, off=0.07, plain=0.07, sampling=0.02):
             "off_seconds": off, "plain_seconds": plain,
         },
     }
+
+
+@pytest.mark.parametrize(
+    "thresholds", [AnomalyThresholds(), TrendThresholds()],
+    ids=lambda t: type(t).__name__,
+)
+def test_to_dict_covers_every_threshold_field(thresholds):
+    # Reports embed these for reproducibility: a knob missing from the
+    # dict would be a threshold a reader of the report cannot see.
+    names = {f.name for f in dataclasses.fields(thresholds)}
+    assert set(thresholds.to_dict()) == names
+    json.dumps(thresholds.to_dict())  # nested thresholds are plain too
 
 
 class TestSeriesExtraction:

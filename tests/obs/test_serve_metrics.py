@@ -16,11 +16,10 @@ from repro.obs.sink import MemorySink
 class TestDisabled:
     def test_hooks_are_noops_and_snapshot_empty(self):
         metrics = ServeMetrics(enabled=False)
-        metrics.request_started()
         metrics.request_finished("GET", "/queue", 200, 0.01)
         metrics.job_admitted("alice")
         metrics.cell_finished("distgnn", 0.1, 0.2)
-        metrics.refresh_queue({}, 0, 10, 0, 0, 0)
+        metrics.refresh_queue({}, 0, 10, 0)
         assert metrics.snapshot() == []
         assert metrics.totals() == {}
 
@@ -34,15 +33,9 @@ class TestDisabled:
 class TestEnabled:
     def test_http_request_accounting(self):
         metrics = ServeMetrics(enabled=True)
-        metrics.request_started()
         metrics.request_finished("GET", "/queue", 200, 0.01)
         metrics.request_finished("POST", "/jobs", 429, 0.02)
-        totals = metrics.totals()
-        assert totals["serve.http_requests"] == 2
-        assert totals["serve.http_inflight"] == 0
-        assert totals["serve.http_request_seconds"] == pytest.approx(
-            0.03
-        )
+        assert metrics.totals() == {"serve.http_requests": 2}
 
     def test_request_events_reach_sink(self):
         sink = MemorySink()
@@ -63,30 +56,22 @@ class TestEnabled:
         metrics.job_finished("done")
         metrics.admission_rejected("queue-full")
         metrics.dedup_hit("a")
-        metrics.dedup_miss("b")
-        metrics.cell_served("a")
-        metrics.cache_evicted(3)
-        metrics.job_evicted()
-        metrics.cache_evicted(0)  # no-op, no series created
-        totals = metrics.totals()
-        assert totals["serve.jobs_admitted"] == 1
-        assert totals["serve.jobs_finished"] == 1
-        assert totals["serve.admission_rejected"] == 1
-        assert totals["serve.dedup_hits"] == 1
-        assert totals["serve.dedup_misses"] == 1
-        assert totals["serve.tenant_cells_served"] == 1
-        assert totals["serve.cell_cache_evictions"] == 3
-        assert totals["serve.job_evictions"] == 1
+        # Evictions, dedup misses and per-tenant deliveries have no
+        # series: exactly these four counters exist.
+        assert metrics.totals() == {
+            "serve.jobs_admitted": 1,
+            "serve.jobs_finished": 1,
+            "serve.admission_rejected": 1,
+            "serve.dedup_hits": 1,
+        }
 
     def test_refresh_queue_zeroes_stale_tenants(self):
         metrics = ServeMetrics(enabled=True)
         metrics.refresh_queue(
-            {("alice", 0): 5}, total=5, capacity=10, running=1,
-            cached_cells=2, jobs_retained=3,
+            {("alice", 0): 5}, total=5, capacity=10, cached_cells=2,
         )
         metrics.refresh_queue(
-            {("bob", 1): 2}, total=2, capacity=10, running=0,
-            cached_cells=2, jobs_retained=3,
+            {("bob", 1): 2}, total=2, capacity=10, cached_cells=2,
         )
         depth = {
             tuple(sorted(entry["labels"].items())): entry["value"]
@@ -105,10 +90,10 @@ class TestEnabled:
         for seconds in (0.02, 0.03, 0.05):
             metrics.first_record(seconds)
         metrics.heartbeat(now=10.0)
-        totals = metrics.totals(metrics.snapshot(now=10.5))
-        assert totals[
-            "serve.scheduler_heartbeat_age_seconds"
-        ] == pytest.approx(0.5)
+        totals = metrics.totals()
+        # The heartbeat age is /healthz state, not a catalog series.
+        assert "serve.scheduler_heartbeat_age_seconds" not in totals
+        assert metrics.heartbeat_age(now=10.5) == pytest.approx(0.5)
         p95 = totals["serve.admission_to_first_record_p95_seconds"]
         assert 0.01 < p95 <= 0.1  # inside the observations' bucket
 
@@ -159,12 +144,12 @@ class TestExposition:
         metrics.job_admitted("alice")
         metrics.job_admitted("bob")
         metrics.refresh_queue(
-            {("alice", 0): 4}, total=4, capacity=16, running=1,
-            cached_cells=0, jobs_retained=2,
+            {("alice", 0): 4}, total=4, capacity=16, cached_cells=0,
         )
+        metrics.cell_finished("distgnn", 0.01, 0.03)
         text = render_prometheus(metrics.snapshot())
         assert "# TYPE repro_serve_http_requests counter" in text
-        assert "# TYPE repro_serve_http_request_seconds histogram" in text
+        assert "# TYPE repro_serve_cell_service_seconds histogram" in text
         assert 'le="+Inf"' in text
         totals = parse_prometheus_totals(text)
         # The scraped totals reconstruct the registry-side totals.

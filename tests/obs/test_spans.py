@@ -58,14 +58,6 @@ class TestHooksOn:
         assert entry["labels"] == {"span": "my-block"}
         assert entry["count"] == 1
 
-    def test_record_span_uses_given_seconds(self):
-        obs.enable()
-        obs.record_span("simulated", 42.0)
-        entry = next(
-            e for e in obs.snapshot() if e["name"] == "obs.span_seconds"
-        )
-        assert entry["sum"] == pytest.approx(42.0)
-
     def test_events_only_at_trace_level(self):
         sink = obs.MemorySink()
         obs.configure("metrics", sink)

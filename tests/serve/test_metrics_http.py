@@ -194,7 +194,6 @@ class TestReconciliation:
         )
         assert totals["serve.jobs_admitted"] == 2
         assert totals["serve.jobs_finished"] == 2
-        assert totals["serve.tenant_cells_served"] == 2
         assert totals["serve.cell_cache_size"] == queue["cached_cells"]
         assert totals["serve.queue_depth_total"] == 0
         assert totals["serve.admission_to_first_record_seconds"] > 0
