@@ -9,7 +9,8 @@ Runs a tiny sweep with telemetry on, then walks the diagnosis pipeline:
    :class:`~repro.obs.analysis.AnalysisReport` with typed, severity-
    ranked findings, and print the terminal summary;
 3. **dashboard** — render the same report as a self-contained HTML file
-   (inline CSS/JS, embedded JSON, opens offline from disk);
+   (inline CSS/JS, embedded JSON, opens offline from disk); its table
+   view is the section list the terminal summary just printed;
 4. **diffing** — compare two runs; a run diffed against itself must be
    clean, and a changed configuration shows up as typed cell changes.
 

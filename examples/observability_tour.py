@@ -9,8 +9,9 @@ Walks the three telemetry levels end to end:
    in-memory sink, then show the event stream;
 
 and finishes by folding a pair of experiment records (with their
-deterministic ``obs_metrics`` summaries) into the consolidated run
-report from :func:`repro.experiments.build_run_report`.
+deterministic ``obs_metrics`` summaries) into the one run report —
+:func:`repro.obs.analysis.build_analysis_report`, rendered as markdown
+(what ``repro obs analyze -o report.md`` writes).
 
 Usage::
 
@@ -19,8 +20,13 @@ Usage::
 
 from repro import obs
 from repro.distgnn import DistGnnEngine
-from repro.experiments import TrainingParams, build_run_report, run_distgnn
+from repro.experiments import TrainingParams, run_distgnn
 from repro.graph import load_dataset
+from repro.obs.analysis import (
+    RunData,
+    build_analysis_report,
+    render_report_markdown,
+)
 from repro.partitioning import make_edge_partitioner
 
 
@@ -80,12 +86,15 @@ def main() -> None:
     obs.reset()
     obs.disable()
     assert records[1].obs_metrics is not None
-    markdown, report = build_run_report(records)
-    print(f"report:   {report['num_records']} records, "
-          f"speedup rows: {len(report['speedups'])}, "
-          f"phase totals: {len(report['obs']['phase_seconds'])}")
+    report = build_analysis_report(
+        RunData(label="tour", records=records)
+    ).to_dict()
+    attribution = report["attribution"]
+    print(f"report:   {report['source']['num_records']} records, "
+          f"speedup rows: {len(attribution['speedups']['rows'])}, "
+          f"phase totals: {len(attribution['phase_mix']['phases'])}")
     print()
-    print(markdown)
+    print(render_report_markdown(report))
 
 
 if __name__ == "__main__":

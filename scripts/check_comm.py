@@ -1,7 +1,7 @@
 """Comm-axis smoke for CI (docs/communication.md).
 
 Runs a tiny codecs x refresh-interval sweep through
-``run_full_sweep.py`` and fails (exit 1) unless the exported records
+``python -m repro sweep`` and fails (exit 1) unless the exported records
 show what the compression model promises:
 
 1. within every grid cell, wire traffic shrinks strictly monotonically
@@ -31,7 +31,7 @@ CODEC_LADDER = ("none", "fp16", "int8", "topk")
 
 def run_sweep(out_dir: Path) -> None:
     command = [
-        sys.executable, "scripts/run_full_sweep.py", "--quick",
+        sys.executable, "-m", "repro", "sweep", "--quick",
         "--graphs", "OR", "--machines", "2", "--scale", "tiny",
         "--epochs", "2", "--compression", ",".join(CODEC_LADDER),
         "--refresh-interval", "1,2", "--out", str(out_dir),

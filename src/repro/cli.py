@@ -11,9 +11,8 @@ Subcommands::
     python -m repro distdgl    --graph OR --partitioner metis -k 8
     python -m repro sweep      --quick --graphs OR --machines 4,8 --out DIR
     python -m repro amortize   --graph OR -k 16 --epochs 100
-    python -m repro obs analyze   RUN_ARTIFACT...   # diagnose a run
+    python -m repro obs analyze   RUN_ARTIFACT... -o out.md -o out.html
     python -m repro obs diff      A B               # regression diff
-    python -m repro obs dashboard RUN... -o out.html
     python -m repro obs watch     BUS_DIR           # live sweep monitor
     python -m repro obs top       http://host:8642  # live daemon ops monitor
     python -m repro obs profile -o p.json -- distgnn --graph DI ...
@@ -49,11 +48,9 @@ from .experiments import (
     format_table,
     parameter_grid,
     reduced_grid,
-    robustness_summary,
     run_distgnn,
     run_grid,
     save_records,
-    speedup_summary,
 )
 from .graph import (
     DATASET_KEYS,
@@ -521,7 +518,6 @@ def _cmd_sweep(args) -> int:
     27 hyper-parameter configurations x partitioners x machine counts per
     graph and system — and writes ``sweep_distgnn.json`` /
     ``sweep_distdgl.json`` for offline analysis.
-    ``scripts/run_full_sweep.py`` is an alias of it.
 
     ``--quick`` restricts to the corner-covering reduced grid (the same one
     the benchmarks use). ``--workers N`` fans the (machines, partitioner)
@@ -546,8 +542,8 @@ def _cmd_sweep(args) -> int:
     deterministic ``obs_metrics`` summary — identical between serial and
     parallel runs — and ``--obs-out`` receives a JSONL dump (trace events,
     when tracing, plus a final metrics-snapshot record from the coordinator
-    process). Feed the saved sweeps to ``scripts/build_run_report.py`` for
-    a consolidated markdown/JSON run report.
+    process). Feed the saved sweeps to ``repro obs analyze ... -o
+    report.md -o report.json`` for the consolidated run report.
 
     ``--profile-out DIR`` captures one deterministic cProfile artifact per
     grid cell (``profile-cell-NNNNNN.json`` — see ``docs/profiling.md``);
@@ -701,24 +697,26 @@ def _cmd_sweep(args) -> int:
     if args.obs_level != "off" and args.obs_out:
         print(f"wrote {args.obs_out} (telemetry)")
 
-    if args.analysis_out or args.analysis_dashboard:
-        from .obs import analysis
+    from .obs import analysis
 
-        run = analysis.RunData(
+    # One summary of the finished run (docs/analysis.md): saved when
+    # asked, and its headline tables are the sweep's printed tail.
+    report = analysis.build_analysis_report(
+        analysis.RunData(
             label="sweep",
             records=[r for name in ENGINES for r in records[name]],
         )
-        report = analysis.build_analysis_report(run)
-        report_dict = report.to_dict()
-        if args.analysis_out:
-            report.save(args.analysis_out)
-            print(f"wrote {args.analysis_out} (analysis report)")
-        if args.analysis_dashboard:
-            with open(
-                args.analysis_dashboard, "w", encoding="utf-8"
-            ) as handle:
-                handle.write(analysis.render_dashboard(report_dict))
-            print(f"wrote {args.analysis_dashboard} (dashboard)")
+    )
+    report_dict = report.to_dict()
+    if args.analysis_out:
+        report.save(args.analysis_out)
+        print(f"wrote {args.analysis_out} (analysis report)")
+    if args.analysis_dashboard:
+        with open(
+            args.analysis_dashboard, "w", encoding="utf-8"
+        ) as handle:
+            handle.write(analysis.render_dashboard(report_dict))
+        print(f"wrote {args.analysis_dashboard} (dashboard)")
 
     if rules is not None:
         if fired_alerts:
@@ -731,58 +729,8 @@ def _cmd_sweep(args) -> int:
         else:
             print(f"\nalerts fired: none ({len(rules.rules)} rules)")
 
-    # Quick headline: mean speedups at the largest machine count.
-    top_k = max(machines)
-    for name, engine in ENGINES.items():
-        summaries = speedup_summary(records[name])
-        print(
-            f"\n{engine.label} mean speedup over Random "
-            f"@ {top_k} machines:"
-        )
-        for (graph, partitioner, k), summary in sorted(summaries.items()):
-            if k == top_k and partitioner != "random":
-                print(
-                    f"  {graph} {partitioner:>8s}: {summary.mean:5.2f}x "
-                    f"[{summary.minimum:.2f}, {summary.maximum:.2f}]"
-                )
-
-    if comm_sweep:
-        for name, engine in ENGINES.items():
-            totals = {}
-            for record in records[name]:
-                comm = record.comm_config
-                key = comm.label() if comm is not None else "baseline"
-                wire, saved, err = totals.get(key, (0.0, 0.0, 0.0))
-                totals[key] = (
-                    wire + record.network_bytes,
-                    saved + record.traffic_saved_bytes,
-                    max(err, record.accuracy_proxy_error),
-                )
-            print(f"\n{engine.label} traffic by comm config:")
-            for key, (wire, saved, err) in sorted(totals.items()):
-                raw = wire + saved
-                pct = 100.0 * saved / raw if raw else 0.0
-                print(
-                    f"  {key:>16s}: {wire / 1e6:10.1f} MB on the wire "
-                    f"({pct:5.1f}% saved, accuracy proxy error "
-                    f"{err:.4f})"
-                )
-
-    if fault_config is not None:
-        for name, engine in ENGINES.items():
-            summaries = robustness_summary(records[name])
-            print(
-                f"\n{engine.label} recovery overhead (fraction of "
-                f"makespan) @ {top_k} machines:"
-            )
-            for (graph, partitioner, k), summary in sorted(summaries.items()):
-                if k == top_k:
-                    print(
-                        f"  {graph} {partitioner:>8s}: "
-                        f"{summary.mean * 100:5.2f}% "
-                        f"[{summary.minimum * 100:.2f}, "
-                        f"{summary.maximum * 100:.2f}]"
-                    )
+    print()
+    print(analysis.render_headline_text(report_dict), end="")
     return 0
 
 
@@ -858,23 +806,42 @@ def _split_run_paths(values: List[str]) -> List[str]:
     return paths
 
 
+_REPORT_SUFFIXES = (".json", ".md", ".html")
+
+
+def _report_output(path: str) -> str:
+    """``obs analyze -o`` value: the suffix picks the renderer."""
+    if not path.endswith(_REPORT_SUFFIXES):
+        raise argparse.ArgumentTypeError(
+            f"{path!r}: expected a path ending in one of "
+            f"{', '.join(_REPORT_SUFFIXES)}"
+        )
+    return path
+
+
 def _cmd_obs_analyze(args) -> int:
     from .obs import analysis
 
     run = analysis.load_run_inputs(
         _split_run_paths(args.inputs), label=args.label or ""
     )
+    if not (run.records or run.metrics or run.events):
+        print("no records, metrics or events in the given inputs",
+              file=sys.stderr)
+        return 1
     report = analysis.build_analysis_report(run)
     report_dict = report.to_dict()
     print(analysis.render_report_text(report_dict), end="")
-    if args.out:
-        report.save(args.out)
-        print(f"report written to {args.out}")
-    if args.dashboard:
-        html = analysis.render_dashboard(report_dict, title=args.title)
-        with open(args.dashboard, "w", encoding="utf-8") as handle:
-            handle.write(html)
-        print(f"dashboard written to {args.dashboard}")
+    for path in args.out:
+        if path.endswith(".json"):
+            text = report.to_json()
+        elif path.endswith(".md"):
+            text = analysis.render_report_markdown(report_dict)
+        else:
+            text = analysis.render_dashboard(report_dict, title=args.title)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"report written to {path}")
     if args.strict and report.worst_severity() == "critical":
         return 1
     return 0
@@ -897,20 +864,6 @@ def _cmd_obs_diff(args) -> int:
             )
         print(f"diff written to {args.out}")
     return 0 if diff.clean else 1
-
-
-def _cmd_obs_dashboard(args) -> int:
-    from .obs import analysis
-
-    run = analysis.load_run_inputs(
-        _split_run_paths(args.inputs), label=args.label or ""
-    )
-    report = analysis.build_analysis_report(run)
-    html = analysis.render_dashboard(report.to_dict(), title=args.title)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(html)
-    print(f"dashboard written to {args.out}")
-    return 0
 
 
 def _cmd_obs_watch(args) -> int:
@@ -1197,7 +1150,7 @@ def _cmd_obs_profile_diff(args) -> int:
 
 def _cmd_obs_trend(args) -> int:
     from .obs.analysis.anomaly import AnomalyThresholds
-    from .obs.profiling import (
+    from .obs.profiling.trend import (
         TrendThresholds,
         detect_trends,
         extract_history_series,
@@ -1230,7 +1183,6 @@ def _cmd_obs_trend(args) -> int:
 _OBS_COMMANDS = {
     "analyze": _cmd_obs_analyze,
     "diff": _cmd_obs_diff,
-    "dashboard": _cmd_obs_dashboard,
     "watch": _cmd_obs_watch,
     "top": _cmd_obs_top,
     "profile": _cmd_obs_profile,
@@ -1245,10 +1197,10 @@ def _cmd_obs(args) -> int:
 
 
 def _add_obs_subcommands(sub) -> None:
-    """Attach the ``repro obs analyze|diff|dashboard`` command group."""
+    """Attach the ``repro obs`` command group."""
     obs_parser = sub.add_parser(
         "obs",
-        help="analyze run telemetry: diagnose, diff, dashboard, "
+        help="analyze run telemetry: diagnose, diff, watch, top, "
              "profile, flamegraph, trend",
     )
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
@@ -1263,12 +1215,10 @@ def _add_obs_subcommands(sub) -> None:
              "JSONL traces (comma-separated lists accepted)",
     )
     analyze.add_argument(
-        "-o", "--out", default=None,
-        help="write the analysis report JSON here",
-    )
-    analyze.add_argument(
-        "--dashboard", default=None,
-        help="also write the self-contained HTML dashboard here",
+        "-o", "--out", action="append", default=[], type=_report_output,
+        help="write the report here; the suffix picks the renderer "
+             "(.json report, .md run report, .html self-contained "
+             "dashboard) and the flag may be repeated",
     )
     analyze.add_argument("--label", default=None,
                          help="override the run label")
@@ -1291,16 +1241,6 @@ def _add_obs_subcommands(sub) -> None:
     diff.add_argument(
         "-o", "--out", default=None, help="write the diff JSON here"
     )
-
-    dashboard = obs_sub.add_parser(
-        "dashboard", help="build the single-file HTML dashboard"
-    )
-    dashboard.add_argument("inputs", nargs="+",
-                           help="run artifacts (as for analyze)")
-    dashboard.add_argument("-o", "--out", required=True,
-                           help="output HTML path")
-    dashboard.add_argument("--label", default=None)
-    dashboard.add_argument("--title", default="Telemetry analysis")
 
     watch = obs_sub.add_parser(
         "watch",
@@ -1568,8 +1508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run the full Table 3 sweep over both engines "
-             "(scripts/run_full_sweep.py is an alias)",
+        help="run the full Table 3 sweep over both engines",
         description=_cmd_sweep.__doc__,
     )
     sweep.add_argument("--quick", action="store_true",

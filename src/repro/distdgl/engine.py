@@ -629,7 +629,6 @@ class DistDglEngine:
         loads = num_inputs.astype(np.float64)
         balance = float(loads.max() / loads.mean()) if loads.size else 1.0
         if obs.enabled():
-            obs.count("distdgl.steps")
             obs.count("distdgl.network_bytes", step_bytes)
             obs.count("distdgl.remote_input_vertices", remote_inputs)
             obs.count("distdgl.cache_hits", hits)
@@ -788,11 +787,6 @@ class DistDglEngine:
                 )
                 for epoch in range(num_epochs)
             ]
-
-    @property
-    def codec_name(self) -> str:
-        """Name of the compression codec on this engine's wire traffic."""
-        return self._codec.name
 
     def comm_summary(self) -> CommSummary:
         """Accumulated communication-reduction accounting.

@@ -561,11 +561,6 @@ class DistGnnEngine:
         """Total simulated seconds per phase name."""
         return self.cluster.timeline.phase_totals()
 
-    @property
-    def codec_name(self) -> str:
-        """Name of the compression codec on this engine's wire traffic."""
-        return self._codec.name
-
     def comm_summary(self) -> CommSummary:
         """Accumulated communication-reduction accounting."""
         return self.comm

@@ -54,7 +54,6 @@ from .cells import (
 from .executor import CellExecutor, CellTask, execute_cells, fifo_schedule
 from .records import DistDglRecord, DistGnnRecord
 from .report import format_series, format_table, print_series, print_table
-from .runreport import build_run_report
 from .runner import (
     ENGINES,
     Engine,
@@ -111,7 +110,6 @@ __all__ = [
     "print_table",
     "format_series",
     "print_series",
-    "build_run_report",
     "DistributionSummary",
     "summarize",
     "speedup_summary",

@@ -8,13 +8,14 @@ those summaries from flat record lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "DistributionSummary",
     "summarize",
+    "record_speedups",
     "speedup_summary",
     "robustness_summary",
 ]
@@ -71,6 +72,34 @@ def summarize(
     }
 
 
+def record_speedups(
+    records: Sequence,
+    baseline: str = "random",
+    strict: bool = False,
+) -> Iterator[Tuple[object, float]]:
+    """Yield ``(record, speedup)`` over the ``baseline`` record with the
+    same (graph, k, params).
+
+    A record whose baseline is absent is skipped, or — with ``strict`` —
+    raises ``ValueError``; records without a positive epoch time are
+    always skipped.
+    """
+    base = {
+        (r.graph, r.num_machines, r.params): r.epoch_seconds
+        for r in records
+        if r.partitioner.lower() == baseline
+    }
+    for r in records:
+        reference = base.get((r.graph, r.num_machines, r.params))
+        if reference is None and strict:
+            raise ValueError(
+                f"missing {baseline!r} baseline for "
+                f"({r.graph}, {r.num_machines}, {r.params.label()})"
+            )
+        if reference is not None and r.epoch_seconds > 0:
+            yield r, reference / r.epoch_seconds
+
+
 def speedup_summary(
     records: Sequence,
     baseline: str = "random",
@@ -80,21 +109,10 @@ def speedup_summary(
     The baseline record for every (graph, k, params) combination must be
     present in ``records``.
     """
-    base = {
-        (r.graph, r.num_machines, r.params): r.epoch_seconds
-        for r in records
-        if r.partitioner.lower() == baseline
-    }
     groups: Dict[Tuple, list] = {}
-    for r in records:
-        reference = base.get((r.graph, r.num_machines, r.params))
-        if reference is None:
-            raise ValueError(
-                f"missing {baseline!r} baseline for "
-                f"({r.graph}, {r.num_machines}, {r.params.label()})"
-            )
+    for r, speedup in record_speedups(records, baseline, strict=True):
         key = (r.graph, r.partitioner, r.num_machines)
-        groups.setdefault(key, []).append(reference / r.epoch_seconds)
+        groups.setdefault(key, []).append(speedup)
     return {
         key: DistributionSummary.from_values(values)
         for key, values in groups.items()

@@ -30,6 +30,7 @@ from ..partitioning import (
     edge_partition_quality,
     vertex_partition_quality,
 )
+from .analysis import record_speedups
 from .cache import cached_edge_partition, cached_vertex_partition
 from .config import CommConfig, FaultConfig, TrainingParams
 from .records import DistDglRecord, DistGnnRecord
@@ -60,14 +61,6 @@ def _obs_record_metrics(
     for mark in timeline.marks:
         marks[mark.kind] = marks.get(mark.kind, 0) + 1
     cluster.check_traffic_invariant()
-    comm = engine.comm_summary()
-    codec_name = engine.codec_name
-    if obs.enabled() and comm.raw_bytes > 0:
-        obs.count("comm.raw_bytes", comm.raw_bytes, codec=codec_name)
-        obs.count("comm.saved_bytes", comm.saved_bytes, codec=codec_name)
-        if comm.stale_epochs:
-            obs.count("comm.stale_epochs", comm.stale_epochs)
-        obs.gauge("comm.cache_hit_rate", comm.cache_hit_rate)
     matrix = cluster.fabric.traffic_matrix()
     metrics: Dict[str, object] = {
         "phase_seconds": timeline.phase_totals(),
@@ -95,7 +88,7 @@ def _obs_record_metrics(
         },
     }
     if comm_config:
-        metrics["comm"] = comm.as_dict()
+        metrics["comm"] = engine.comm_summary().as_dict()
     return metrics
 
 
@@ -329,18 +322,9 @@ ENGINES: Dict[str, Engine] = {
 def speedup_vs_random(records: Sequence) -> dict:
     """Speedup of each record over the Random baseline with the same
     (graph, k, params); keyed by (graph, partitioner, k, params).
+    Records without a baseline are left out.
     """
-    baselines = {
-        (r.graph, r.num_machines, r.params): r.epoch_seconds
-        for r in records
-        if r.partitioner.lower() == "random"
+    return {
+        (r.graph, r.partitioner, r.num_machines, r.params): speedup
+        for r, speedup in record_speedups(records)
     }
-    speedups = {}
-    for r in records:
-        base = baselines.get((r.graph, r.num_machines, r.params))
-        if base is None or r.epoch_seconds <= 0:
-            continue
-        speedups[
-            (r.graph, r.partitioner, r.num_machines, r.params)
-        ] = base / r.epoch_seconds
-    return speedups

@@ -7,8 +7,8 @@ made of — which phase dominates epoch time per partitioner, who the
 stragglers are, how much wall-time skew vs. compute vs. recovery costs,
 and how two runs differ.
 
-Four stages, composable or driven end-to-end by the CLI
-(``repro obs analyze | diff | dashboard``):
+Five stages, composable or driven end-to-end by the CLI
+(``repro obs analyze | diff``):
 
 * :mod:`.attribution` — critical-path & straggler attribution from
   :class:`~repro.cluster.timeline.Timeline` phase vectors and from
@@ -17,9 +17,11 @@ Four stages, composable or driven end-to-end by the CLI
   over phase-duration series, metric streams and sweep records;
 * :mod:`.diff` — cross-run regression diffing of metric snapshots,
   traces and record sets;
-* :mod:`.render` / :mod:`.dashboard` — a terminal summary and a
-  self-contained single-file HTML dashboard (inline CSS/JS, embedded
-  JSON, no network).
+* :mod:`.report` — the one records -> summary fold (coverage, speed-up
+  over Random, faults, comm, telemetry, attribution, findings);
+* :mod:`.render` / :mod:`.dashboard` — that report as terminal text,
+  markdown and a self-contained single-file HTML dashboard (inline
+  CSS/JS, embedded JSON, no network).
 
 Everything here is deterministic: inputs are simulated quantities, the
 detectors use seed-free robust statistics, and reports serialize with
@@ -28,7 +30,9 @@ sweep of the same config yields byte-identical JSON.
 
 This subpackage is imported explicitly (``from repro.obs import
 analysis``); ``repro.obs`` itself does not import it, so the obs fast
-path stays import-light and free of cycles with ``repro.cluster``.
+path stays import-light and the dependency runs one way: this package
+imports ``repro.experiments`` (record loading, speed-up and robustness
+summaries), never the reverse.
 """
 
 from .anomaly import (
@@ -50,7 +54,13 @@ from .diff import RunDiff, diff_records, diff_runs, diff_snapshots
 from .findings import SEVERITIES, AnalysisReport, Finding, sort_findings
 from .load import RunData, load_run_inputs
 from .report import build_analysis_report, per_partitioner_breakdown
-from .render import render_diff_text, render_report_text
+from .render import (
+    render_diff_text,
+    render_headline_text,
+    render_report_markdown,
+    render_report_text,
+    report_sections,
+)
 from .tradeoff import traffic_accuracy_tradeoff
 
 __all__ = [
@@ -83,7 +93,10 @@ __all__ = [
     "per_partitioner_breakdown",
     "traffic_accuracy_tradeoff",
     # renderers
+    "report_sections",
     "render_report_text",
+    "render_report_markdown",
+    "render_headline_text",
     "render_diff_text",
     "render_dashboard",
 ]

@@ -13,8 +13,9 @@ resource depth (the ``src x dst`` traffic-matrix heatmap, per-category
 memory peaks and the per-phase memory-watermark timeline), the
 traffic-vs-accuracy tradeoff table for comm sweeps (wire bytes, saved
 fraction and accuracy-proxy error per comm config, Pareto-frontier
-rows marked), the findings list, and a plain-table fallback of every
-chart's data.
+rows marked), the findings list, and a plain-table view of every
+section the text and markdown renderers print (the same
+:func:`~.render.report_sections` list, embedded next to the report).
 
 The palette follows the repo's chart conventions: a fixed-order
 categorical palette for phase identity (9th phase onward folds into
@@ -28,6 +29,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..html import render_page
+from .render import report_sections
 
 __all__ = ["render_dashboard"]
 
@@ -60,6 +62,7 @@ _THEME = {
 
 _CSS = """
 h2 { font-size: 15px; margin: 0 0 12px; }
+#sections h2 { margin: 18px 0 8px; }
 .tiles { display: flex; flex-wrap: wrap; gap: 18px; }
 .tile { min-width: 150px; flex: 1; }
 .tile .label { color: var(--text-secondary); font-size: 12px; }
@@ -124,6 +127,8 @@ var CATEGORICAL = JSON.parse(
   document.getElementById('palette-data').textContent);
 var SEQUENTIAL = JSON.parse(
   document.getElementById('ramp-data').textContent);
+var SECTIONS = JSON.parse(
+  document.getElementById('sections-data').textContent);
 
 function seriesColor(slot) {
   return CATEGORICAL[slot][isDark() ? 1 : 0];
@@ -468,25 +473,24 @@ function renderFindings() {
   });
 }
 
-function renderPhaseTable() {
-  var host = document.getElementById('phase-table');
-  var phases = (report.attribution.phase_mix || {}).phases || [];
-  if (!phases.length) {
-    el('p', 'empty', host).textContent = 'No phase telemetry loaded.';
-    return;
-  }
-  var table = el('table', null, host);
-  var head = el('tr', null, el('thead', null, table));
-  ['phase', 'total s', 'share', 'recovery'].forEach(function (title) {
-    el('th', null, head).textContent = title;
-  });
-  var body = el('tbody', null, table);
-  phases.forEach(function (phase) {
-    var tr = el('tr', null, body);
-    el('td', null, tr).textContent = phase.name;
-    el('td', null, tr).textContent = phase.total_seconds.toPrecision(5);
-    el('td', null, tr).textContent = fmtPct(phase.fraction);
-    el('td', null, tr).textContent = phase.recovery ? 'yes' : '';
+// Every table of the text / markdown renderers (render.report_sections).
+function renderSections() {
+  var host = document.getElementById('sections');
+  SECTIONS.forEach(function (section) {
+    el('h2', null, host).textContent = section[0];
+    if (!section[2].length) return;
+    var table = el('table', null, host);
+    var head = el('tr', null, el('thead', null, table));
+    section[1].forEach(function (title) {
+      el('th', null, head).textContent = title;
+    });
+    var body = el('tbody', null, table);
+    section[2].forEach(function (row) {
+      var tr = el('tr', null, body);
+      row.forEach(function (cell) {
+        el('td', null, tr).textContent = cell;
+      });
+    });
   });
 }
 
@@ -516,7 +520,7 @@ function renderTiles() {
 
 function render() {
   ['stacks', 'heatmap', 'resources', 'tradeoff', 'findings',
-   'phase-table', 'tiles'].forEach(
+   'sections', 'tiles'].forEach(
     function (id) { document.getElementById(id).innerHTML = ''; });
   renderTiles();
   renderStacks();
@@ -524,7 +528,7 @@ function render() {
   renderResources();
   renderTradeoff();
   renderFindings();
-  renderPhaseTable();
+  renderSections();
 }
 """
 
@@ -543,8 +547,8 @@ _BODY = """\
   </div>
   <div class="card">
     <details open>
-      <summary>Phase table (all data, no color required)</summary>
-      <div id="phase-table"></div>
+      <summary>All report tables (no color required)</summary>
+      <div id="sections"></div>
     </details>
   </div>
 """
@@ -562,6 +566,7 @@ def render_dashboard(
         _BODY,
         {
             "report-data": report,
+            "sections-data": report_sections(report),
             "palette-data": _CATEGORICAL,
             "ramp-data": _SEQUENTIAL,
         },

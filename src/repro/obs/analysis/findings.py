@@ -130,7 +130,7 @@ class AnalysisReport:
     findings: List[Finding] = field(default_factory=list)
 
     #: Serialization format version.
-    SCHEMA = 1
+    SCHEMA = 2
 
     def severity_counts(self) -> Dict[str, int]:
         """``{severity: count}`` over every declared severity."""

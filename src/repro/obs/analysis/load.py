@@ -5,7 +5,7 @@ A "run" leaves up to three kinds of artifact behind: sweep record JSON
 JSONL traces (``JsonlSink`` / ``--obs-out``, whose final record is a
 metrics snapshot). :func:`load_run_inputs` sniffs any mix of those by
 content, folds them into one :class:`RunData`, and is what the CLI
-``repro obs analyze | diff | dashboard`` commands feed the analyzers
+``repro obs analyze | diff`` commands feed the analyzers
 with.
 
 Only basenames are recorded into reports — never absolute paths — so
@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Union
 
+from ...experiments.export import load_records
 from ..sink import read_jsonl
 
 __all__ = ["RunData", "load_run_inputs"]
@@ -81,10 +82,6 @@ def _load_json_file(run: RunData, path: str) -> None:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if _looks_like_records(payload):
-        # Lazy import: experiments.runreport imports this package, so a
-        # module-level import here would be a cycle.
-        from ...experiments.export import load_records
-
         run.records.extend(load_records(path))
     elif _looks_like_snapshot(payload):
         run.metrics.extend(payload)

@@ -1,125 +1,236 @@
-"""Terminal renderers for analysis reports and run diffs.
+"""Text and markdown renderers for analysis reports and run diffs.
 
-Plain fixed-width text (no ANSI), deterministic line order — suitable
-for CI logs and for eyeballing a sweep's diagnosis without opening the
-HTML dashboard.
+:func:`report_sections` turns an :class:`~.findings.AnalysisReport` dict
+into one ordered list of ``(title, header, rows)`` tables of formatted
+strings; the terminal text, the markdown file and the dashboard's table
+view are that list in three notations, so a section added here reaches
+all of them. Plain fixed-width text (no ANSI), deterministic line order
+— suitable for CI logs and for eyeballing a sweep's diagnosis without
+opening the HTML dashboard.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-__all__ = ["render_report_text", "render_diff_text"]
+__all__ = [
+    "report_sections",
+    "render_report_text",
+    "render_report_markdown",
+    "render_headline_text",
+    "render_diff_text",
+]
 
-_SEVERITY_TAGS = {"critical": "CRIT", "warning": "WARN", "info": "info"}
+#: One table of a report: title, column names, rows of formatted cells.
+Section = Tuple[str, List[str], List[List[str]]]
+
+#: Title prefixes of the sections ``repro sweep`` prints when it ends.
+_HEADLINE = ("Speedup over Random", "Communication", "Recovery overhead")
+
+#: Columns of a mean / min / max distribution over sweep cells.
+_SPREAD = (
+    "engine", "graph", "partitioner", "k", "mean", "minimum", "maximum",
+)
 
 
-def _format_seconds(value: float) -> str:
-    """Compact seconds formatting for tables."""
-    return f"{value:.4g}s"
+def _quantity(name: str, value: object) -> str:
+    """A report value formatted by its key and type: byte counts in MB,
+    fractions in percent, lists and ``{name: number}`` tables inline."""
+    if isinstance(value, dict):
+        return ", ".join(f"{k}={_quantity(name, v)}" for k, v in value.items())
+    if isinstance(value, list):
+        return ", ".join(str(item) for item in value)
+    if isinstance(value, bool):
+        return "yes" if value else ""
+    if "bytes" in name or name.startswith("memory"):
+        return f"{value / 1e6:.2f} MB"
+    if "fraction" in name:
+        return f"{value:.1%}"
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def _named(table: Dict[str, Dict], key: str) -> List[Dict]:
+    """``{name: row}`` as a list of rows carrying their name as ``key``."""
+    return [{key: name, **row} for name, row in sorted(table.items())]
+
+
+def report_sections(report: Dict[str, object]) -> List[Section]:
+    """An :class:`~.findings.AnalysisReport` dict as ordered tables.
+
+    A table's columns are report keys (spaces for underscores), its
+    cells :func:`_quantity` of the value unless the section names a
+    formatter. A section is present only when the report has data for it,
+    except that missing baselines, telemetry and findings are stated in
+    a row-less section.
+    """
+    source = report.get("source", {})
+    summary = report.get("summary", {})
+    attribution = report.get("attribution", {})
+    coverage = summary.get("coverage", {})
+    sections: List[Section] = []
+
+    def add(title, rows, keys, empty=None, **formats) -> None:
+        if rows:
+            cells = [
+                [
+                    formats[key](row[key]) if key in formats
+                    else _quantity(key, row.get(key, 0))
+                    for key in keys
+                ]
+                for row in rows
+            ]
+            header = [key.replace("_", " ") for key in keys]
+            sections.append((title, header, cells))
+        elif empty:
+            sections.append((empty, [], []))
+
+    def add_quantities(title, table, empty=None) -> None:
+        rows = [
+            {"quantity": name.replace("_", " "), "value": _quantity(name, v)}
+            for name, v in table.items()
+            if v not in ({}, [])
+        ]
+        add(title, rows, ("quantity", "value"), empty)
+
+    inputs = {**source, **coverage}
+    add_quantities(
+        "Inputs",
+        {k: v for k, v in inputs.items() if k not in ("label", "engines")},
+    )
+    add(
+        "Engines",
+        _named(coverage.get("engines", {}), "engine"),
+        ("engine", "num_records", "mean_epoch_seconds",
+         "mean_network_bytes", "out_of_memory_runs"),
+    )
+
+    speedups = attribution.get("speedups", {})
+    missing = speedups.get("cells_without_baseline", 0)
+    skipped = f"{missing} records without a Random baseline skipped"
+    add(
+        "Speedup over Random" + (f" ({skipped})" if missing else ""),
+        speedups.get("rows", []),
+        _SPREAD,
+        empty=f"Speedup over Random: {skipped}" if missing else None,
+        mean="{:.2f}x".format,
+        minimum="{:.2f}x".format,
+        maximum="{:.2f}x".format,
+    )
+
+    faults = dict(attribution.get("faults") or {})
+    overhead = faults.pop("recovery_overhead", [])
+    add_quantities("Faults and recovery", faults)
+    add(
+        "Recovery overhead (fraction of makespan)",
+        overhead,
+        _SPREAD,
+        mean="{:.2%}".format,
+        minimum="{:.2%}".format,
+        maximum="{:.2%}".format,
+    )
+
+    add(
+        "Communication reduction (see docs/communication.md)",
+        [
+            {"engine": engine, **row}
+            for engine, configs in sorted(
+                attribution.get("comm_configs", {}).items()
+            )
+            for row in _named(configs, "comm_config")
+        ],
+        ("engine", "comm_config", "cells", "wire_bytes", "saved_fraction",
+         "codec_seconds", "accuracy_proxy_error", "frontier_cells"),
+        wire_bytes=lambda total: f"{total / 1e6:.1f} MB",
+        accuracy_proxy_error="{:.4f}".format,
+    )
+
+    add_quantities(
+        "Telemetry (from record obs_metrics)",
+        attribution.get("telemetry") or {},
+        empty="Telemetry: none - rerun the sweep with --obs-level metrics"
+        if source.get("num_records") else None,
+    )
+
+    phase_mix = attribution.get("phase_mix", {})
+    add(
+        f"Critical path ({phase_mix.get('total_seconds', 0.0):.4g}s total "
+        f"phase time, {phase_mix.get('recovery_fraction', 0.0):.1%} "
+        "recovery)",
+        phase_mix.get("phases", []),
+        ("name", "total_seconds", "fraction", "recovery"),
+    )
+    for engine, table in sorted(
+        attribution.get("per_partitioner", {}).items()
+    ):
+        add(
+            f"{engine}: mean epoch seconds by partitioner",
+            sorted(
+                _named(table, "partitioner"),
+                key=lambda row: row["mean_epoch_seconds"],
+            ),
+            ("partitioner", "mean_epoch_seconds", "cells", "phase_fractions"),
+        )
+    add(
+        "Machines",
+        attribution.get("machines", []),
+        ("machine", "busy_seconds", "bytes_sent", "bytes_received",
+         "lost_messages", "memory_peak_bytes"),
+    )
+
+    by_severity = summary.get("by_severity", {})
+    findings = report.get("findings", [])
+    add(
+        f"Findings ({len(findings)}: "
+        f"{by_severity.get('critical', 0)} critical, "
+        f"{by_severity.get('warning', 0)} warning, "
+        f"{by_severity.get('info', 0)} info)",
+        findings,
+        ("severity", "kind", "message"),
+        empty="Findings: none - nothing anomalous detected",
+    )
+    return sections
+
+
+def _render(report: Dict[str, object], markdown: bool, only=("",)) -> str:
+    """The sections whose title starts with ``only``, as fixed-width
+    terminal tables or as markdown."""
+    label = report.get("source", {}).get("label", "?")
+    lines = [f"# Analysis: {label}" if markdown else f"analysis: {label}", ""]
+    for title, header, rows in report_sections(report):
+        if not title.startswith(only):
+            continue
+        if markdown:
+            lines += [f"## {title}", ""]
+            if rows:
+                lines.append("| " + " | ".join(header) + " |")
+                lines.append("|" + "---|" * len(header))
+            lines += ["| " + " | ".join(row) + " |" for row in rows]
+        else:
+            lines.append(title)
+            widths = [max(map(len, column)) for column in zip(header, *rows)]
+            for row in [header, *rows] if rows else []:
+                cells = (c.ljust(w) for c, w in zip(row, widths))
+                lines.append("  " + "  ".join(cells).rstrip())
+        lines.append("")
+    return "\n".join(lines)
 
 
 def render_report_text(report: Dict[str, object]) -> str:
     """Render an :class:`~.findings.AnalysisReport` dict for the
     terminal."""
-    lines: List[str] = []
-    source = report.get("source", {})
-    summary = report.get("summary", {})
-    attribution = report.get("attribution", {})
-    findings = report.get("findings", [])
+    return _render(report, markdown=False)
 
-    lines.append(f"analysis: {source.get('label', '?')}")
-    lines.append(
-        f"  inputs: {source.get('num_records', 0)} records, "
-        f"{source.get('num_metrics', 0)} metric series, "
-        f"{source.get('num_events', 0)} trace events"
-    )
-    if source.get("skipped_lines"):
-        lines.append(
-            f"  (skipped {source['skipped_lines']} truncated JSONL "
-            "line(s))"
-        )
 
-    phase_mix = attribution.get("phase_mix", {})
-    phases = phase_mix.get("phases", [])
-    if phases:
-        lines.append("")
-        lines.append(
-            f"critical path ({_format_seconds(phase_mix['total_seconds'])}"
-            " total phase time):"
-        )
-        for phase in phases[:10]:
-            marker = " [recovery]" if phase.get("recovery") else ""
-            lines.append(
-                f"  {phase['fraction']:6.1%}  {phase['name']}"
-                f" ({_format_seconds(phase['total_seconds'])})"
-                f"{marker}"
-            )
-        if len(phases) > 10:
-            lines.append(f"  ... and {len(phases) - 10} more phases")
-        if phase_mix.get("recovery_seconds", 0.0) > 0:
-            lines.append(
-                f"  recovery overhead: "
-                f"{phase_mix['recovery_fraction']:.1%} of phase time"
-            )
+def render_report_markdown(report: Dict[str, object]) -> str:
+    """Render an :class:`~.findings.AnalysisReport` dict as markdown
+    (see ``docs/analysis.md``)."""
+    return _render(report, markdown=True)
 
-    per_partitioner = attribution.get("per_partitioner", {})
-    for engine in sorted(per_partitioner):
-        lines.append("")
-        lines.append(f"{engine}: mean epoch seconds by partitioner")
-        table = per_partitioner[engine]
-        for partitioner in sorted(
-            table, key=lambda p: table[p]["mean_epoch_seconds"]
-        ):
-            entry = table[partitioner]
-            top = max(
-                entry["phase_fractions"].items(),
-                key=lambda item: (item[1], item[0]),
-                default=("-", 0.0),
-            )
-            lines.append(
-                f"  {partitioner:>10s}  "
-                f"{entry['mean_epoch_seconds']:9.4f}s  "
-                f"({entry['cells']} cells, top phase: {top[0]} "
-                f"{top[1]:.0%})"
-            )
 
-    machines = attribution.get("machines", [])
-    if machines:
-        busy = [row.get("busy_seconds", 0.0) for row in machines]
-        mean_busy = sum(busy) / len(busy) if busy else 0.0
-        lines.append("")
-        lines.append(f"machines ({len(machines)}):")
-        for row in machines:
-            ratio = (
-                row.get("busy_seconds", 0.0) / mean_busy
-                if mean_busy
-                else 0.0
-            )
-            lines.append(
-                f"  machine-{row['machine']:<3d} "
-                f"busy {_format_seconds(row.get('busy_seconds', 0.0)):>10s} "
-                f"({ratio:4.2f}x mean)"
-            )
-
-    lines.append("")
-    if findings:
-        by_severity = report.get("summary", {}).get("by_severity", {})
-        lines.append(
-            f"findings: {len(findings)} "
-            f"({by_severity.get('critical', 0)} critical, "
-            f"{by_severity.get('warning', 0)} warning, "
-            f"{by_severity.get('info', 0)} info)"
-        )
-        for finding in findings:
-            tag = _SEVERITY_TAGS.get(finding["severity"], "????")
-            lines.append(
-                f"  [{tag}] {finding['kind']}: {finding['message']}"
-            )
-    else:
-        lines.append("findings: none — nothing anomalous detected")
-    lines.append("")
-    return "\n".join(lines)
+def render_headline_text(report: Dict[str, object]) -> str:
+    """The tail ``repro sweep`` prints: only the speed-up, communication
+    and recovery-overhead tables of the report."""
+    return _render(report, markdown=False, only=_HEADLINE)
 
 
 def render_diff_text(diff: Dict[str, object]) -> str:

@@ -122,10 +122,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     # ------------------------------------------------------------- distdgl
     MetricSpec(
-        "distdgl.steps", "counter", "count",
-        "Global mini-batch training steps executed.",
-    ),
-    MetricSpec(
         "distdgl.network_bytes", "counter", "bytes",
         "Traffic per step: shipped edge lists, remote feature fetches, "
         "retransmits and the gradient all-reduce.",
@@ -178,30 +174,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "partition_cache.misses", "counter", "count",
         "Partition requests that had to run the partitioner.",
-    ),
-    # ---------------------------------------------------------------- comm
-    MetricSpec(
-        "comm.raw_bytes", "counter", "bytes (simulated)",
-        "Bytes the run's exchanges would have moved with no "
-        "communication reduction (uncompressed, no skipped syncs), "
-        "labelled with the codec in effect.",
-        labels=("codec",),
-    ),
-    MetricSpec(
-        "comm.saved_bytes", "counter", "bytes (simulated)",
-        "raw_bytes - wire_bytes: traffic kept off the fabric by the "
-        "run's communication-reduction settings.",
-        labels=("codec",),
-    ),
-    MetricSpec(
-        "comm.stale_epochs", "counter", "count",
-        "DistGNN epochs that computed on stale halo aggregates under "
-        "cd-r delayed aggregation (refresh_interval > 1).",
-    ),
-    MetricSpec(
-        "comm.cache_hit_rate", "gauge", "ratio",
-        "Fraction of would-be remote feature fetches served by the "
-        "DistDGL static feature cache over the run.",
     ),
     # ---------------------------------------------------------------- serve
     MetricSpec(

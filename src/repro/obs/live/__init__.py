@@ -19,7 +19,7 @@ what a sweep *is doing*. Three pieces:
   uses.
 * :mod:`.rules` — a declarative alert-rule engine: threshold/ratio/
   absence predicates over catalog metric names, validated against
-  :mod:`repro.obs.catalog`, with severities. ``run_full_sweep.py
+  :mod:`repro.obs.catalog`, with severities. ``repro sweep
   --rules FILE --abort-on critical`` evaluates them per finished cell
   and stops the sweep early when one fires at or above the bar.
 * :mod:`.top` — ``repro obs top <url>``: the same tick-driven monitor

@@ -10,7 +10,10 @@ normalized :class:`~.profile.Profile` artifact:
   daemon's ``POST /profile``;
 * tooling — :mod:`.flamegraph` (self-contained HTML), :mod:`.diff`
   (function-level regression ranking for the perf gate) and
-  :mod:`.trend` (MAD-based drift detection over the bench history).
+  :mod:`.trend` (MAD-based drift detection over the bench history;
+  built on :mod:`repro.obs.analysis`, so import it as a module —
+  re-exporting it here would load the analysis package, and through it
+  ``repro.experiments``, from inside ``import repro.obs``).
 """
 
 # NOTE: the ``capture`` *function* is deliberately not re-exported
@@ -28,14 +31,6 @@ from .profile import (
     save_profile,
 )
 from .sampler import ThreadSampler
-from .trend import (
-    TrendThresholds,
-    detect_drift,
-    detect_trends,
-    extract_history_series,
-    load_bench_history,
-    render_trend_report,
-)
 
 __all__ = [
     "DiffEntry",
@@ -43,19 +38,13 @@ __all__ = [
     "Profile",
     "ProfileDiff",
     "ThreadSampler",
-    "TrendThresholds",
     "build_profile",
-    "detect_drift",
-    "detect_trends",
     "drain",
-    "extract_history_series",
-    "load_bench_history",
     "load_profile",
     "normalize_func",
     "profile_diff",
     "profile_scope",
     "render_diff",
     "render_flamegraph",
-    "render_trend_report",
     "save_profile",
 ]

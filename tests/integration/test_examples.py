@@ -98,7 +98,7 @@ def test_observability_tour(capsys):
     assert "no instruments created" in out
     assert "series collected" in out
     assert "span-begin=1" in out
-    assert "# Run report" in out
+    assert "# Analysis: tour" in out
     # the tour must leave the global obs state clean
     assert not obs.enabled()
     assert len(obs.get_registry()) == 0

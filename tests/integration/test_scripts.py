@@ -19,9 +19,15 @@ def load_script(name):
     return module
 
 
+def sweep_main(argv):
+    """``python -m repro sweep ARGV`` in process."""
+    from repro import cli
+
+    return cli.main(["sweep", *argv])
+
+
 def test_full_sweep_quick(tmp_path, capsys):
-    sweep = load_script("run_full_sweep.py")
-    code = sweep.main(
+    code = sweep_main(
         [
             "--quick", "--graphs", "OR", "--machines", "4",
             "--scale", "tiny", "--out", str(tmp_path),
@@ -29,18 +35,68 @@ def test_full_sweep_quick(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "mean speedup over Random" in out
+    assert "Speedup over Random" in out
     for name in ("sweep_distgnn.json", "sweep_distdgl.json"):
         payload = json.loads((tmp_path / name).read_text())
         assert len(payload) > 0
         assert payload[0]["data"]["graph"] == "OR"
 
 
+def test_sweep_tail_keeps_the_old_headline_numbers(tmp_path, capsys):
+    """The printed tail is the report's speed-up / recovery / comm
+    tables; every number the hand-rolled tail used to print (at the top
+    machine count) is in it, recomputed here from the saved records."""
+    from repro.experiments import (
+        load_records,
+        robustness_summary,
+        speedup_summary,
+    )
+
+    assert sweep_main(
+        [
+            "--quick", "--graphs", "OR", "--machines", "2,4",
+            "--scale", "tiny", "--out", str(tmp_path),
+            "--compression", "none,fp16", "--fault-rate", "0.2",
+            "--epochs", "2",
+        ]
+    ) == 0
+    out = capsys.readouterr().out
+    tail = out[out.index("\nSpeedup over Random\n"):]
+    lines = [line.split() for line in tail.splitlines()]
+    for engine in ("distgnn", "distdgl"):
+        records = load_records(tmp_path / f"sweep_{engine}.json")
+        speedups = speedup_summary(records)
+        overheads = robustness_summary(records)
+        for (graph, partitioner, k), s in speedups.items():
+            if k == 4 and partitioner != "random":
+                assert [
+                    engine, graph, partitioner, "4", f"{s.mean:.2f}x",
+                    f"{s.minimum:.2f}x", f"{s.maximum:.2f}x",
+                ] in lines
+        for (graph, partitioner, k), s in overheads.items():
+            if k == 4:
+                assert [
+                    engine, graph, partitioner, "4", f"{s.mean:.2%}",
+                    f"{s.minimum:.2%}", f"{s.maximum:.2%}",
+                ] in lines
+        for label in ("none r1 c0", "fp16 r1 c0"):
+            group = [r for r in records if r.comm_config.label() == label]
+            wire = sum(r.network_bytes for r in group)
+            saved = sum(r.traffic_saved_bytes for r in group)
+            error = max(r.accuracy_proxy_error for r in group)
+            (row,) = [
+                line for line in lines
+                if line[:4] == [engine, *label.split()]
+            ]
+            assert row[4:6] == [str(len(group)), f"{wire / 1e6:.1f}"]
+            assert row[7] == f"{saved / (wire + saved):.1%}"
+            assert row[9] == f"{error:.4f}"
+
+
 def test_sweep_records_reloadable(tmp_path):
     from repro.experiments import load_records
 
-    sweep = load_script("run_full_sweep.py")
-    sweep.main(
+    sweep_main(
         [
             "--quick", "--graphs", "OR", "--machines", "4",
             "--scale", "tiny", "--out", str(tmp_path),
@@ -54,9 +110,8 @@ def test_sweep_with_telemetry(tmp_path):
     from repro.experiments import load_records
     from repro.obs import read_jsonl
 
-    sweep = load_script("run_full_sweep.py")
     obs_path = tmp_path / "telemetry.jsonl"
-    code = sweep.main(
+    code = sweep_main(
         [
             "--quick", "--graphs", "OR", "--machines", "4",
             "--scale", "tiny", "--out", str(tmp_path),
@@ -73,40 +128,42 @@ def test_sweep_with_telemetry(tmp_path):
 
 
 def test_build_run_report(tmp_path, capsys):
-    import json
+    from repro import cli
 
-    sweep = load_script("run_full_sweep.py")
-    sweep.main(
+    sweep_main(
         [
             "--quick", "--graphs", "OR", "--machines", "4",
             "--scale", "tiny", "--out", str(tmp_path),
             "--obs-level", "metrics",
         ]
     )
-    report_script = load_script("build_run_report.py")
-    code = report_script.main(
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    code = cli.main(
         [
+            "obs", "analyze",
             str(tmp_path / "sweep_distgnn.json"),
             str(tmp_path / "sweep_distdgl.json"),
-            "--out", str(tmp_path / "reports"),
+            "-o", str(reports / "run_report.md"),
+            "-o", str(reports / "run_report.json"),
         ]
     )
     assert code == 0
-    markdown = (tmp_path / "reports" / "run_report.md").read_text()
-    assert "# Run report" in markdown
+    markdown = (reports / "run_report.md").read_text()
+    assert markdown.startswith("# Analysis: ")
     assert "## Speedup over Random" in markdown
     assert "## Telemetry" in markdown
-    payload = json.loads(
-        (tmp_path / "reports" / "run_report.json").read_text()
-    )
-    assert payload["engines"]["distgnn"]["num_records"] > 0
+    payload = json.loads((reports / "run_report.json").read_text())
+    engines = payload["summary"]["coverage"]["engines"]
+    assert engines["distgnn"]["num_records"] > 0
 
 
 def test_build_run_report_rejects_empty(tmp_path, capsys):
+    from repro import cli
+
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
-    report_script = load_script("build_run_report.py")
-    assert report_script.main([str(empty)]) == 1
+    assert cli.main(["obs", "analyze", str(empty)]) == 1
 
 
 def test_gen_metric_docs(tmp_path):
@@ -161,12 +218,11 @@ def test_check_docstrings_ignores_private(tmp_path):
 
 
 def test_sweep_with_alert_rules_clean_run_passes(tmp_path, capsys):
-    sweep = load_script("run_full_sweep.py")
     rules = os.path.abspath(
         os.path.join(SCRIPTS_DIR, os.pardir, "examples",
                      "alert_rules.json")
     )
-    code = sweep.main(
+    code = sweep_main(
         [
             "--quick", "--graphs", "OR", "--machines", "2",
             "--scale", "tiny", "--out", str(tmp_path),
@@ -183,12 +239,11 @@ def test_sweep_abort_on_critical_rule(tmp_path, capsys):
     """Injected message loss trips the no-lost-messages rule: the sweep
     stops early with exit code 2, names the rule, and still saves the
     records finished so far."""
-    sweep = load_script("run_full_sweep.py")
     rules = os.path.abspath(
         os.path.join(SCRIPTS_DIR, os.pardir, "examples",
                      "alert_rules.json")
     )
-    code = sweep.main(
+    code = sweep_main(
         [
             "--quick", "--graphs", "OR", "--machines", "2",
             "--scale", "tiny", "--out", str(tmp_path),

@@ -7,7 +7,11 @@ from repro.experiments import (
     run_distgnn_grid,
     run_distgnn_grid_parallel,
 )
-from repro.obs.analysis import build_analysis_report, diff_runs
+from repro.obs.analysis import (
+    build_analysis_report,
+    diff_runs,
+    render_report_markdown,
+)
 from repro.obs.analysis.load import RunData
 
 EDGE_NAMES = ["random", "hdrf"]
@@ -42,11 +46,51 @@ def test_analysis_identical_serial_vs_parallel(tiny_or):
     assert _report(serial).to_json() == _report(parallel).to_json()
 
 
+def test_cli_outputs_identical_serial_vs_parallel(tmp_path, capsys):
+    """The report contract end to end: the ``.json`` *and* ``.md`` files
+    ``repro obs analyze`` writes for a serial sweep and for a
+    ``--workers 2`` sweep are byte-identical, as is the library markdown
+    across invocations."""
+    from repro import cli
+    from repro.experiments import clear_cache
+
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        # An empty partition cache each time: a warm one would make the
+        # serial and parallel sweeps trivially share partitions.
+        clear_cache()
+        assert cli.main([
+            "sweep", "--quick", "--graphs", "OR", "--machines", "2",
+            "--scale", "tiny", "--obs-level", "metrics",
+            "--fault-rate", "0.2", "--epochs", "2",
+            "--compression", "none,fp16", "--workers", workers,
+            "--out", str(out),
+        ]) == 0
+        assert cli.main([
+            "obs", "analyze", "--label", "sweep",
+            str(out / "sweep_distgnn.json"),
+            str(out / "sweep_distdgl.json"),
+            "-o", str(out / "report.json"), "-o", str(out / "report.md"),
+        ]) == 0
+        outputs[workers] = (
+            (out / "report.json").read_bytes(),
+            (out / "report.md").read_bytes(),
+        )
+    capsys.readouterr()
+    assert outputs["1"] == outputs["2"]
+    assert b"## Recovery overhead" in outputs["1"][1]
+    assert b"## Communication reduction" in outputs["1"][1]
+
+
 def test_analysis_json_stable_across_invocations(tiny_or):
     records = run_distgnn_grid(
         tiny_or, EDGE_NAMES, [2], _grid(), seed=0
     )
     assert _report(records).to_json() == _report(records).to_json()
+    assert render_report_markdown(
+        _report(records).to_dict()
+    ) == render_report_markdown(_report(records).to_dict())
 
 
 def test_serial_vs_parallel_diff_clean(tiny_or):

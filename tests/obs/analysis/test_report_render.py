@@ -3,12 +3,16 @@
 import json
 import re
 
+import pytest
+
 from repro.obs.analysis import (
     build_analysis_report,
     per_partitioner_breakdown,
     render_dashboard,
     render_diff_text,
+    render_report_markdown,
     render_report_text,
+    report_sections,
 )
 from repro.obs.analysis.load import RunData
 
@@ -47,7 +51,7 @@ def test_build_report_structure(make_record, make_dgl_record):
     run = make_run(make_record, make_dgl_record)
     report = build_analysis_report(run)
     data = report.to_dict()
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["source"]["label"] == "test-run"
     assert data["summary"]["engines"] == ["distdgl", "distgnn"]
     assert "thresholds" in data["summary"]
@@ -69,9 +73,92 @@ def test_render_report_text(make_record, make_dgl_record):
     run = make_run(make_record, make_dgl_record)
     text = render_report_text(build_analysis_report(run).to_dict())
     assert "analysis: test-run" in text
-    assert "critical path" in text
+    assert "Critical path" in text
     assert "distgnn" in text and "distdgl" in text
     assert "\x1b" not in text  # no ANSI; CI-log safe
+
+
+def _full_report(make_record, make_dgl_record, machine_snapshot):
+    """A report that populates every section: baseline + comm + faults
+    + telemetry + machines + a finding."""
+    from repro.experiments import CommConfig, FaultConfig
+
+    run = make_run(make_record, make_dgl_record)
+    run.records.append(
+        make_record(
+            partitioner="dbh",
+            comm_config=CommConfig(compression="fp16"),
+            traffic_saved_bytes=5e5,
+        )
+    )
+    for record in run.records:
+        record.fault_config = FaultConfig(crash_rate=0.5)
+        record.crashes = record.slowdowns = record.lost_messages = 1
+        record.makespan_seconds, record.recovery_seconds = 2.0, 1.5
+    run.metrics = machine_snapshot
+    run.skipped_lines = 1
+    return build_analysis_report(run).to_dict()
+
+
+def _dashboard_tables(html):
+    match = re.search(
+        r'<script type="application/json" id="sections-data">'
+        r"(.*?)</script>", html, re.S,
+    )
+    return json.dumps(
+        json.loads(match.group(1).replace("<\\/", "</")),
+        ensure_ascii=False,
+    )
+
+
+@pytest.mark.parametrize("renderer", [
+    render_report_text,
+    render_report_markdown,
+    lambda report: _dashboard_tables(render_dashboard(report)),
+], ids=["text", "markdown", "html"])
+def test_every_renderer_walks_the_same_sections(
+    renderer, monkeypatch, make_record, make_dgl_record, machine_snapshot
+):
+    """Text, markdown and HTML are three notations of one section list:
+    a section added to ``report_sections`` shows up in all of them."""
+    from repro.obs.analysis import dashboard, render
+
+    canary = ("Canary section", ["canary column"], [["canary cell"]])
+    for module in (render, dashboard):
+        monkeypatch.setattr(
+            module, "report_sections",
+            lambda report: report_sections(report) + [canary],
+        )
+    report = _full_report(make_record, make_dgl_record, machine_snapshot)
+    output = renderer(report)
+    sections = report_sections(report) + [canary]
+    titles = [title for title, _, _ in sections]
+    for wanted in (
+        "Inputs", "Engines", "Speedup over Random",
+        "Faults and recovery", "Recovery overhead", "Communication",
+        "Telemetry", "Critical path", "distgnn: mean epoch",
+        "Machines", "Findings", "Canary",
+    ):
+        assert any(title.startswith(wanted) for title in titles), wanted
+    position = 0
+    for title, header, rows in sections:
+        position = output.index(title, position)  # present, in order
+        for cell in header + [cell for row in rows for cell in row]:
+            assert cell in output
+
+
+def test_row_less_sections_state_what_is_absent(make_record):
+    run = RunData(label="bare", records=[make_record(partitioner="hdrf")])
+    report = build_analysis_report(run).to_dict()
+    titles = [title for title, _, rows in report_sections(report)
+              if not rows]
+    assert titles == [
+        "Speedup over Random: 1 records without a Random baseline skipped",
+        "Telemetry: none - rerun the sweep with --obs-level metrics",
+        "Findings: none - nothing anomalous detected",
+    ]
+    for render in (render_report_text, render_report_markdown):
+        assert all(title in render(report) for title in titles)
 
 
 def test_render_diff_text_clean_and_dirty():

@@ -130,31 +130,44 @@ class TestReportPlumbing:
         tradeoff = report.attribution["comm_tradeoff"]
         assert set(tradeoff) == {"distgnn"}
 
+    def _run_report(self, records):
+        from repro.obs.analysis import (
+            build_analysis_report,
+            render_report_markdown,
+        )
+        from repro.obs.analysis.load import RunData
+
+        report = build_analysis_report(RunData(records=records)).to_dict()
+        return render_report_markdown(report), report["attribution"]
+
     def test_runreport_markdown_has_comm_section(self, tiny_or):
         from repro.experiments import reduced_grid, run_distgnn
-        from repro.experiments.runreport import build_run_report
 
         params = list(reduced_grid())[0]
         records = [
             run_distgnn(tiny_or, "random", 2, params),
             run_distgnn(tiny_or, "random", 2, params, comm_config=FP16),
         ]
-        markdown, report = build_run_report(records)
+        markdown, attribution = self._run_report(records)
         assert "## Communication reduction" in markdown
         assert "fp16 r1 c0" in markdown
-        assert report["comm"] is not None
-        assert "fp16 r1 c0" in report["comm"]["configs"]
+        configs = attribution["comm_configs"]["distgnn"]
+        assert set(configs) == {"baseline", "fp16 r1 c0"}
+        fp16 = configs["fp16 r1 c0"]
+        assert fp16["cells"] == 1
+        assert fp16["wire_bytes"] == records[1].network_bytes
+        assert fp16["saved_bytes"] == records[1].traffic_saved_bytes
+        assert fp16["saved_fraction"] == pytest.approx(0.5)
 
     def test_runreport_without_comm_has_no_section(self, tiny_or):
         from repro.experiments import reduced_grid, run_distgnn
-        from repro.experiments.runreport import build_run_report
 
         params = list(reduced_grid())[0]
-        markdown, report = build_run_report(
+        markdown, attribution = self._run_report(
             [run_distgnn(tiny_or, "random", 2, params)]
         )
         assert "## Communication reduction" not in markdown
-        assert report["comm"] is None
+        assert attribution["comm_configs"] == {}
 
     def test_dashboard_html_includes_tradeoff_panel(self, make_record):
         from repro.obs.analysis import (

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs.analysis import AnomalyThresholds
-from repro.obs.profiling import (
+from repro.obs.profiling.trend import (
     TrendThresholds,
     detect_drift,
     detect_trends,

@@ -55,21 +55,7 @@ def corpus():
     return texts
 
 
-#: Known debt, strict so it cannot rot: ISSUE 16's audit took the
-#: ``comm.raw_bytes``-style ``CommSummary`` attribute reads of
-#: ``examples/communication_tour.py`` for readers of these four and kept
-#: them. Delete each with its emit site, or ship its reader.
-UNREAD = {
-    "comm.raw_bytes", "comm.saved_bytes", "comm.stale_epochs",
-    "comm.cache_hit_rate",
-}
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True))
-    if name in UNREAD else name
-    for name in metric_names()
-])
+@pytest.mark.parametrize("name", metric_names())
 def test_metric_is_emitted_and_read(name, corpus):
     emit = re.compile(EMIT_CALL % re.escape(name))
     # Quoted or back-ticked in Python (``comm.saved_bytes`` bare is an

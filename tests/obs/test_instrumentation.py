@@ -95,7 +95,7 @@ class TestEngineMetrics:
         vertex = make_vertex_partitioner("random").partition(tiny_or, 4)
         DistDglEngine(vertex, tiny_or_split, feature_size=32).run_epoch()
         names = _names()
-        assert "distdgl.steps" in names
+        assert "distdgl.network_bytes" in names
         assert "distdgl.remote_input_vertices" in names
 
     def test_cache_metrics(self, tiny_or):

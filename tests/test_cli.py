@@ -143,7 +143,7 @@ def test_recommend(capsys):
 
 
 class TestObsCommands:
-    """The telemetry-analysis subcommands: analyze, diff, dashboard."""
+    """The telemetry-analysis subcommands: analyze, diff."""
 
     @pytest.fixture()
     def record_file(self, tmp_path, tiny_or):
@@ -174,7 +174,7 @@ class TestObsCommands:
         # Records ran without obs enabled, so there is no phase mix —
         # but the header and findings sections always render.
         assert "analysis: records.json" in out
-        assert "findings" in out
+        assert "Findings" in out
         assert out_path.exists()
 
     def test_analyze_deterministic_output(
@@ -191,7 +191,7 @@ class TestObsCommands:
     ):
         dash = tmp_path / "dash.html"
         code, _ = run(
-            ["obs", "analyze", record_file, "--dashboard", str(dash)],
+            ["obs", "analyze", record_file, "-o", str(dash)],
             capsys,
         )
         assert code == 0
@@ -246,14 +246,41 @@ class TestObsCommands:
         )
         assert code == 0
 
-    def test_dashboard_command(self, capsys, tmp_path, record_file):
-        dash = tmp_path / "dash.html"
-        code, _ = run(
-            ["obs", "dashboard", record_file, "-o", str(dash)],
-            capsys,
-        )
+    def test_output_suffix_picks_the_renderer(
+        self, capsys, tmp_path, record_file
+    ):
+        """``-o`` repeats; ``.json`` / ``.md`` / ``.html`` each get
+        their renderer, all from the one report."""
+        import json
+
+        paths = [tmp_path / f"report{s}" for s in (".json", ".md", ".html")]
+        argv = ["obs", "analyze", record_file]
+        for path in paths:
+            argv += ["-o", str(path)]
+        code, out = run(argv, capsys)
         assert code == 0
-        assert "</html>" in dash.read_text()
+        assert all(f"report written to {path}" in out for path in paths)
+        report = json.loads(paths[0].read_text())
+        assert report["schema"] == 2
+        markdown = paths[1].read_text()
+        assert markdown.startswith("# Analysis: records.json")
+        assert "## Speedup over Random" in markdown
+        assert "</html>" in paths[2].read_text()
+
+    def test_unknown_output_suffix_is_an_argparse_error(
+        self, capsys, tmp_path, record_file
+    ):
+        with pytest.raises(SystemExit) as error:
+            main(["obs", "analyze", record_file,
+                  "-o", str(tmp_path / "report.txt")])
+        assert error.value.code == 2
+        assert "expected a path ending in" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_dashboard_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["obs", "dashboard", "x.json", "-o", "x.html"])
+        assert "invalid choice: 'dashboard'" in capsys.readouterr().err
 
 
 class TestOutOfCoreCommands:
