@@ -1,15 +1,19 @@
 """Bounded-memory gate for the out-of-core partitioning pipeline.
 
-Runs the full chunk-store pipeline — chunk-native RMAT generation →
-spool → streaming HDRF → per-partition shuffle — on a 10^6-edge graph
-and fails (exit 1) when the peak memory exceeds explicit caps:
+Runs the chunk-store pipeline on a 10^6-edge graph — chunk-native RMAT
+generation → spool, then over that one spool a streaming HDRF shuffle,
+a 2PS-L shuffle and an LDG ``partition_stream`` — and fails (exit 1)
+when any stage's peak memory exceeds explicit caps:
 
 * ``--max-traced-mb`` (default 96) bounds the Python-heap high-water
-  mark measured by ``tracemalloc``. The measured peak is ~47 MiB,
-  dominated by the k=32 bucket-writer buffers (32 × 1 MiB) plus HDRF's
-  O(num_vertices · k) state — a full in-memory pass over the same
-  stream would need the 10^6 × 2 int64 edge array *per copy held*, and
-  the pipeline's peak must stay independent of the edge count.
+  mark measured by ``tracemalloc``. The measured peaks are 47 and
+  49 MiB for the shuffles, dominated by the k=32 bucket-writer buffers
+  (32 × 1 MiB) plus the partitioner's state — HDRF's O(num_vertices · k)
+  table, 2PS-L's O(num_vertices) union-find and cluster arrays — and
+  18 MiB for LDG's O(num_vertices) state around a memmapped CSR. A full
+  in-memory pass over the same stream would need the 10^6 × 2 int64
+  edge array *per copy held*, and no stage's peak may depend on the
+  edge count.
 * ``--max-rss-mb`` (default 512) sanity-bounds the process RSS
   high-water mark. RSS includes the interpreter, numpy, and (on Linux)
   any page-cache-resident memmap pages, so the cap is loose; it exists
@@ -32,9 +36,14 @@ import sys
 import tempfile
 import time
 
-from repro.graph import EdgeChunkReader, rmat_edge_chunks, spool_edges
+from repro.graph import rmat_edge_chunks, spool_edges
 from repro.obs import PeakMemoryTracker
-from repro.partitioning import HdrfPartitioner, shuffle_stream
+from repro.partitioning import (
+    HdrfPartitioner,
+    LdgPartitioner,
+    TwoPsLPartitioner,
+    shuffle_stream,
+)
 
 #: Fixed vertex count (2^18) — matches the bench scale sweep.
 RMAT_SCALE = 18
@@ -44,40 +53,44 @@ CHUNK_ROWS = 1 << 16
 NUM_PARTITIONS = 32
 
 
-def run_pipeline(num_edges: int, directory: str) -> dict:
-    """Generate → spool → partition → shuffle; returns a summary."""
-    spool_dir = os.path.join(directory, "spool")
-    bucket_dir = os.path.join(directory, "buckets")
-    start = time.perf_counter()
-    with PeakMemoryTracker() as tracker:
-        spool_edges(
-            rmat_edge_chunks(RMAT_SCALE, num_edges, seed=42),
-            spool_dir,
-            chunk_size=CHUNK_ROWS,
-            num_vertices=1 << RMAT_SCALE,
-            directed=True,
-        )
-        reader = EdgeChunkReader(spool_dir)
-        result = shuffle_stream(
-            reader,
-            HdrfPartitioner(),
-            NUM_PARTITIONS,
-            bucket_dir,
-            seed=0,
-        )
-    elapsed = time.perf_counter() - start
-    if int(result.edge_counts.sum()) != num_edges:
-        raise AssertionError(
-            f"shuffle lost edges: buckets hold "
-            f"{int(result.edge_counts.sum())} of {num_edges}"
-        )
-    return {
-        "edges": num_edges,
-        "seconds": elapsed,
-        "traced_peak_bytes": tracker.traced_peak_bytes,
-        "rss_peak_bytes": tracker.rss_peak_bytes,
-        "rss_resettable": tracker.rss_resettable,
-    }
+def run_pipeline(num_edges: int, directory: str) -> list:
+    """Generate → spool, then each consumer; one summary per stage."""
+    summaries = []
+
+    def measured(name, stage):
+        start = time.perf_counter()
+        with PeakMemoryTracker() as tracker:
+            result = stage()
+        summaries.append({
+            "stage": name,
+            "seconds": time.perf_counter() - start,
+            **tracker.as_dict(),
+        })
+        return result
+
+    reader = measured("spool", lambda: spool_edges(
+        rmat_edge_chunks(RMAT_SCALE, num_edges, seed=42),
+        os.path.join(directory, "spool"),
+        chunk_size=CHUNK_ROWS,
+        num_vertices=1 << RMAT_SCALE,
+        directed=True,
+    ))
+    for partitioner in (HdrfPartitioner(), TwoPsLPartitioner()):
+        result = measured(f"{partitioner.name} shuffle", lambda: shuffle_stream(
+            reader, partitioner, NUM_PARTITIONS,
+            os.path.join(directory, "buckets-" + partitioner.name), seed=0,
+        ))
+        if int(result.edge_counts.sum()) != num_edges:
+            raise AssertionError(
+                f"{partitioner.name} shuffle lost edges: buckets hold "
+                f"{int(result.edge_counts.sum())} of {num_edges}"
+            )
+    partition = measured("LDG partition_stream", lambda: (
+        LdgPartitioner().partition_stream(reader, NUM_PARTITIONS, seed=0)
+    ))
+    if int(partition.vertex_counts().sum()) != reader.num_vertices:
+        raise AssertionError("LDG did not place every vertex")
+    return summaries
 
 
 def main(argv=None) -> int:
@@ -93,35 +106,36 @@ def main(argv=None) -> int:
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-oocmem-")
     try:
-        summary = run_pipeline(args.edges, workdir)
+        summaries = run_pipeline(args.edges, workdir)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    traced_mb = summary["traced_peak_bytes"] / 2**20
-    rss_mb = (summary["rss_peak_bytes"] or 0) / 2**20
+    seconds = sum(summary["seconds"] for summary in summaries)
     print(
-        f"out-of-core pipeline: {summary['edges']:,} edges in "
-        f"{summary['seconds']:.1f}s "
-        f"({summary['edges'] / summary['seconds']:,.0f} edges/s)"
-    )
-    print(
-        f"peak memory: {traced_mb:.1f} MiB traced "
-        f"(cap {args.max_traced_mb:.0f}), {rss_mb:.1f} MiB RSS "
-        f"(cap {args.max_rss_mb:.0f}, "
-        f"resettable={summary['rss_resettable']})"
+        f"out-of-core pipeline: {args.edges:,} edges in {seconds:.1f}s "
+        f"({len(summaries) - 1} consumers of one spool)"
     )
     failures = []
-    if traced_mb > args.max_traced_mb:
-        failures.append(
-            f"traced peak {traced_mb:.1f} MiB exceeds the "
-            f"{args.max_traced_mb:.0f} MiB cap"
+    for summary in summaries:
+        traced_mb = summary["traced_peak_bytes"] / 2**20
+        rss_mb = (summary["rss_peak_bytes"] or 0) / 2**20
+        print(
+            f"  {summary['stage']}: {summary['seconds']:.1f}s, "
+            f"{traced_mb:.1f} MiB traced (cap {args.max_traced_mb:.0f}), "
+            f"{rss_mb:.1f} MiB RSS (cap {args.max_rss_mb:.0f}, "
+            f"resettable={summary['rss_resettable']})"
         )
-    if summary["rss_peak_bytes"] is not None and rss_mb > args.max_rss_mb:
-        failures.append(
-            f"RSS peak {rss_mb:.1f} MiB exceeds the "
-            f"{args.max_rss_mb:.0f} MiB cap"
-        )
+        if traced_mb > args.max_traced_mb:
+            failures.append(
+                f"{summary['stage']}: traced peak {traced_mb:.1f} MiB "
+                f"exceeds the {args.max_traced_mb:.0f} MiB cap"
+            )
+        if summary["rss_peak_bytes"] is not None and rss_mb > args.max_rss_mb:
+            failures.append(
+                f"{summary['stage']}: RSS peak {rss_mb:.1f} MiB exceeds "
+                f"the {args.max_rss_mb:.0f} MiB cap"
+            )
     if failures:
         print("bounded-memory gate FAILED:")
         for line in failures:

@@ -15,6 +15,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from ..graph import Graph
+from .ordering import stable_order
 
 __all__ = ["EdgePartition", "VertexPartition", "ReplicaStats"]
 
@@ -229,7 +230,7 @@ class VertexPartition:
 
     def partition_subgraphs(self) -> List[np.ndarray]:
         """Vertex id arrays of each partition (convenience for engines)."""
-        order = np.argsort(self.assignment, kind="stable")
+        order = stable_order(self.assignment, self.num_partitions)
         counts = self.vertex_counts()
         bounds = np.concatenate([[0], np.cumsum(counts)])
         return [

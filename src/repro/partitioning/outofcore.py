@@ -35,6 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..graph.chunkstore import EdgeChunkReader
+from .ordering import stable_order
 
 __all__ = [
     "stream_degrees",
@@ -96,7 +97,7 @@ def build_stream_csr(
         # appear once, as in Graph.symmetric_csr().
         src = np.concatenate([u, v[~loops]])
         dst = np.concatenate([v, u[~loops]])
-        order = np.argsort(src, kind="stable")
+        order = stable_order(src, n)
         src, dst = src[order], dst[order]
         counts = np.bincount(src, minlength=n)
         group_start = np.cumsum(counts) - counts

@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..graph.chunkstore import EdgeChunkReader, EdgeChunkWriter
+from .ordering import stable_order
 
 __all__ = ["ShuffleResult", "shuffle_stream"]
 
@@ -73,6 +74,11 @@ def shuffle_stream(
     stream order survives within a bucket) and appended to the matching
     per-partition store under ``out_directory``. Bucket stores inherit
     the source's chunk size unless ``bucket_chunk_size`` overrides it.
+
+    Bucket manifests are written only once the whole stream has been
+    bucketed. A shuffle that raises part-way leaves chunk files but no
+    ``manifest.json``, so its buckets cannot be opened as if they were
+    whole, and a rerun into the same directory overwrites them.
     """
     if bucket_chunk_size is None:
         bucket_chunk_size = reader.manifest.chunk_size
@@ -87,22 +93,19 @@ def shuffle_stream(
         for p in range(num_partitions)
     ]
     counts = np.zeros(num_partitions, dtype=np.int64)
-    try:
-        for edges, assignment in partitioner.stream_assignments(
-            reader, num_partitions, seed=seed
-        ):
-            order = np.argsort(assignment, kind="stable")
-            bucketed = edges[order]
-            block_counts = np.bincount(
-                assignment, minlength=num_partitions
-            )
-            bounds = np.concatenate([[0], np.cumsum(block_counts)])
-            for p in np.flatnonzero(block_counts):
-                writers[p].append(bucketed[bounds[p] : bounds[p + 1]])
-            counts += block_counts
-    finally:
-        for writer in writers:
-            writer.close()
+    for edges, assignment in partitioner.stream_assignments(
+        reader, num_partitions, seed=seed
+    ):
+        order = stable_order(assignment, num_partitions)
+        bucketed = edges[order]
+        block_counts = np.bincount(assignment, minlength=num_partitions)
+        bounds = np.concatenate([[0], np.cumsum(block_counts)])
+        for p in np.flatnonzero(block_counts):
+            writers[p].append(bucketed[bounds[p] : bounds[p + 1]])
+        counts += block_counts
+    # Not in a ``finally``: closing is what publishes a bucket.
+    for writer in writers:
+        writer.close()
     return ShuffleResult(
         directory=out_directory,
         num_partitions=num_partitions,

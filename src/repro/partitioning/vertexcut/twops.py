@@ -10,12 +10,13 @@ but *large vertex imbalance* (Figure 4), which hurts its speedup (Figure 8)
 — emerges here naturally: clustering co-locates whole communities, so some
 partitions cover far more distinct vertices than others.
 
-Both phases are inherently sequential (a volume-capped union-find and a
-load-capped greedy), so unlike HDRF there is no chunk semantics to
-introduce: the fast paths below (plain-python union-find state, batch
-precomputation of each edge's candidate partitions) implement *exactly*
-the classic per-edge rules and are bit-identical to the retained
-reference loops by construction (still equivalence-tested).
+Both phases are sequential per-edge rules (a volume-capped union-find and
+a load-capped greedy) over *monotone* state: clusters only merge, volumes
+and loads only grow. So each phase evaluates a slice of
+:data:`_SLICE_EDGES` edges against the state at the slice's start in a
+few numpy passes and visits one by one only the edges that snapshot
+cannot settle (why that is exact is in the two phases' docstrings; the
+per-edge loops it is pinned against live in ``tests/oracles/twops.py``).
 
 Both phases consume the stream through a re-iterable *block factory*, so
 the same code drives the in-memory path (one block: the full edge array)
@@ -40,6 +41,26 @@ __all__ = ["TwoPsLPartitioner"]
 #: stream (phase one iterates the stream twice).
 BlockFactory = Callable[[], Iterable[np.ndarray]]
 
+#: Edges evaluated against one state snapshot. Shorter slices see
+#: fresher state (fewer edges reach the per-edge loops) but pay the fixed
+#: cost of the numpy passes more often; independent of the store's chunk
+#: size, so the in-memory single-block path is sliced too.
+_SLICE_EDGES = 4096
+
+
+def _slices(block: np.ndarray) -> Iterator[np.ndarray]:
+    for start in range(0, block.shape[0], _SLICE_EDGES):
+        yield block[start : start + _SLICE_EDGES]
+
+
+def _follow(roots: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Jump along ``roots`` from ``found`` until every entry is a root."""
+    while True:
+        jumped = roots[found]
+        if np.array_equal(jumped, found):
+            return found
+        found = jumped
+
 
 class TwoPsLPartitioner(EdgePartitioner):
     """Two-Phase Streaming (2PS-L): clustering pass then placement pass."""
@@ -50,14 +71,12 @@ class TwoPsLPartitioner(EdgePartitioner):
     def __init__(
         self,
         balance_cap: float = 1.05,
-        vectorised: bool = True,
         shuffle_stream: bool = True,
     ) -> None:
         super().__init__()
+        if balance_cap < 1:
+            raise ValueError("balance_cap must be at least 1")
         self.balance_cap = balance_cap
-        # ``vectorised=False`` runs the retained scalar reference loops
-        # (identical output; used by equivalence tests and benchmarks).
-        self.vectorised = vectorised
         # ``shuffle_stream=False`` streams edges in their given order
         # instead of a seeded permutation — the order the out-of-core
         # path necessarily uses.
@@ -79,34 +98,22 @@ class TwoPsLPartitioner(EdgePartitioner):
             streamed = edges
         degrees = graph.degrees()
         num_edges = edges.shape[0]
-        if self.vectorised:
-            factory: BlockFactory = lambda: (streamed,)
-            clusters = self._cluster_blocks(
-                degrees, graph.num_vertices, factory,
-                num_edges, num_partitions,
-            )
-            cluster_to_part = self._pack_clusters(
-                clusters, degrees, num_partitions
-            )
-            placed = np.concatenate(
-                [
-                    block_assignment
-                    for _, block_assignment in self._place_blocks(
-                        factory, clusters, cluster_to_part,
-                        num_partitions, degrees, num_edges,
-                    )
-                ]
-            )
-        else:
-            clusters = self._cluster_reference(
-                graph, streamed, num_edges, num_partitions
-            )
-            cluster_to_part = self._pack_clusters(
-                clusters, degrees, num_partitions
-            )
-            placed = self._place_reference(
-                streamed, clusters, cluster_to_part, num_partitions, degrees
-            )
+        factory: BlockFactory = lambda: (streamed,)
+        clusters = self._cluster_blocks(
+            degrees, graph.num_vertices, factory, num_edges, num_partitions
+        )
+        cluster_to_part = self._pack_clusters(
+            clusters, degrees, num_partitions
+        )
+        placed = np.concatenate(
+            [
+                block_assignment
+                for _, block_assignment in self._place_blocks(
+                    factory, clusters, cluster_to_part,
+                    num_partitions, degrees, num_edges,
+                )
+            ]
+        )
         if order is None:
             return placed
         assignment = np.empty(num_edges, dtype=np.int32)
@@ -147,80 +154,81 @@ class TwoPsLPartitioner(EdgePartitioner):
         num_edges: int,
         num_partitions: int,
     ) -> np.ndarray:
-        """Union-find on plain-python state; scalar array indexing in the
-        inner loop costs ~10x more than list indexing, and the merge
-        sequence itself cannot be batched. Final roots are resolved by
-        vectorised pointer jumping. Output is bit-identical to
-        :meth:`_cluster_reference` for the same stream order."""
+        """Volume-capped union-find over the stream, twice.
+
+        The forest lives in two numpy arrays: ``roots[x]`` points towards
+        the root of ``x``'s cluster (roots point at themselves) and
+        ``vol[r]`` is the volume of the cluster rooted at ``r``. Per
+        slice, every endpoint's root is resolved by pointer jumping and
+        only edges that could merge *at that snapshot* — different roots,
+        joint volume within the cap — go to :meth:`_merge_edges`. That
+        drops no merge: two vertices in one cluster stay in one cluster,
+        and a vertex's cluster never shrinks, so a pair over the cap stays
+        over it. Which vertex roots a cluster is decided by merges alone,
+        so the root ids, and with them ``np.unique``'s numbering, are
+        those of the edge-by-edge loop.
+        """
         cap = max(int(2 * num_edges / num_partitions), 2)
-        parent = list(range(num_vertices))
-        volume = degrees.astype(np.int64).tolist()
+        roots = np.arange(num_vertices, dtype=np.int64)
+        vol = degrees.astype(np.int64)
 
         for _ in range(2):  # one clustering pass + one restream pass
             for block in blocks():
-                for u, v in block.tolist():
-                    ru = u
-                    while parent[ru] != ru:
-                        parent[ru] = parent[parent[ru]]  # path halving
-                        ru = parent[ru]
-                    rv = v
-                    while parent[rv] != rv:
-                        parent[rv] = parent[parent[rv]]
-                        rv = parent[rv]
-                    if ru == rv:
-                        continue
-                    if volume[ru] + volume[rv] <= cap:
-                        small, large = (
-                            (ru, rv) if volume[ru] <= volume[rv] else (rv, ru)
-                        )
-                        parent[small] = large
-                        volume[large] += volume[small]
-        roots = np.asarray(parent, dtype=np.int64)
-        while True:
-            jumped = roots[roots]
-            if np.array_equal(jumped, roots):
-                break
-            roots = jumped
-        # Compact root ids to 0..C-1.
-        _, cluster_of = np.unique(roots, return_inverse=True)
-        return cluster_of.astype(np.int64)
-
-    def _cluster_reference(
-        self,
-        graph: Graph,
-        streamed: np.ndarray,
-        num_edges: int,
-        num_partitions: int,
-    ) -> np.ndarray:
-        """Retained scalar reference for :meth:`_cluster_blocks`."""
-        degrees = graph.degrees().astype(np.int64)
-        cap = max(int(2 * num_edges / num_partitions), 2)
-        parent = np.arange(graph.num_vertices, dtype=np.int64)
-        volume = degrees.copy()  # every vertex starts as its own cluster
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]  # path halving
-                x = int(parent[x])
-            return x
-
-        for _ in range(2):
-            for u, v in streamed:
-                ru, rv = find(int(u)), find(int(v))
-                if ru == rv:
-                    continue
-                if volume[ru] + volume[rv] <= cap:
-                    small, large = (
-                        (ru, rv) if volume[ru] <= volume[rv] else (rv, ru)
+                for ends in _slices(block):
+                    found = _follow(roots, roots[ends])
+                    roots[ends] = found  # shorten the next lookup
+                    vols = vol[found]
+                    mergeable = np.flatnonzero(
+                        (found[:, 0] != found[:, 1])
+                        & (vols[:, 0] + vols[:, 1] <= cap)
                     )
-                    parent[small] = large
-                    volume[large] += volume[small]
-        roots = np.array(
-            [find(int(v)) for v in range(graph.num_vertices)],
-            dtype=np.int64,
+                    if mergeable.size:
+                        self._merge_edges(
+                            found[mergeable].tolist(),
+                            vols[mergeable].tolist(),
+                            cap, roots, vol,
+                        )
+        # Compact root ids to 0..C-1.
+        _, cluster_of = np.unique(
+            _follow(roots, roots), return_inverse=True
         )
-        _, cluster_of = np.unique(roots, return_inverse=True)
         return cluster_of.astype(np.int64)
+
+    @staticmethod
+    def _merge_edges(
+        edge_roots: list,
+        edge_volumes: list,
+        cap: int,
+        roots: np.ndarray,
+        vol: np.ndarray,
+    ) -> None:
+        """Apply the merge rule edge by edge to one slice's candidates.
+
+        ``edge_roots`` / ``edge_volumes`` hold each candidate's two roots
+        and their volumes as of the slice's start; ``merged_into`` and
+        ``grown`` carry what the slice has changed since, and are written
+        back to ``roots`` / ``vol`` at the end.
+        """
+        merged_into: dict = {}
+        grown: dict = {}
+        for (ru, rv), (vol_u, vol_v) in zip(edge_roots, edge_volumes):
+            while ru in merged_into:
+                ru = merged_into[ru]
+            while rv in merged_into:
+                rv = merged_into[rv]
+            if ru == rv:
+                continue
+            # A root reached through ``merged_into`` absorbed a cluster
+            # in this slice, so ``grown`` has it.
+            vol_u = grown.get(ru, vol_u)
+            vol_v = grown.get(rv, vol_v)
+            if vol_u + vol_v <= cap:
+                small, large = (ru, rv) if vol_u <= vol_v else (rv, ru)
+                merged_into[small] = large
+                grown[large] = vol_u + vol_v
+        if merged_into:
+            roots[list(merged_into)] = list(merged_into.values())
+            vol[list(grown)] = list(grown.values())
 
     def _pack_clusters(
         self,
@@ -259,60 +267,46 @@ class TwoPsLPartitioner(EdgePartitioner):
         degrees: np.ndarray,
         num_edges: int,
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Each edge's candidate partitions (preferred, then spill) are
-        pure functions of the static cluster map, so they are computed
-        per block in one numpy pass; the remaining per-edge work is the
-        load-cap bookkeeping, kept in plain-python state persisting
-        across blocks. Output is bit-identical to
-        :meth:`_place_reference` for the same stream order."""
+        """First choice unless full, then second, then the lightest.
+
+        Each edge's two candidate partitions are pure functions of the
+        static cluster map, computed per block in one numpy pass. A slice
+        whose first choices all fit — every partition's load plus its
+        count in the slice stays within the cap — is committed whole:
+        whatever the order, each edge finds its first choice below the
+        cap. Other slices go through :meth:`_place_edges` one edge at a
+        time.
+        """
         cap = int(self.balance_cap * num_edges / num_partitions) + 1
-        k = num_partitions
-        loads = [0] * k
+        part_of = cluster_to_part[cluster_of]
+        loads = np.zeros(num_partitions, dtype=np.int64)
         for block in blocks():
-            pu = cluster_to_part[cluster_of[block[:, 0]]]
-            pv = cluster_to_part[cluster_of[block[:, 1]]]
+            pu = part_of[block[:, 0]]
+            pv = part_of[block[:, 1]]
             u_first = degrees[block[:, 0]] <= degrees[block[:, 1]]
-            first = np.where(u_first, pu, pv).tolist()
-            second = np.where(u_first, pv, pu).tolist()
-            out = np.empty(block.shape[0], dtype=np.int32)
-            for i in range(len(first)):
-                target = first[i]
-                if loads[target] >= cap:
-                    target = second[i]
-                    if loads[target] >= cap:
-                        target = min(range(k), key=loads.__getitem__)
-                out[i] = target
-                loads[target] += 1
+            out = np.where(u_first, pu, pv)
+            second = np.where(u_first, pv, pu)
+            for chosen, fallback in zip(_slices(out), _slices(second)):
+                counts = np.bincount(chosen, minlength=num_partitions)
+                if (loads + counts <= cap).all():
+                    loads += counts
+                else:
+                    self._place_edges(chosen, fallback, loads, cap)
             yield block, out
 
-    def _place_reference(
-        self,
-        streamed: np.ndarray,
-        cluster_of: np.ndarray,
-        cluster_to_part: np.ndarray,
-        num_partitions: int,
-        degrees: np.ndarray,
-    ) -> np.ndarray:
-        """Retained scalar reference for :meth:`_place_blocks`."""
-        cap = int(self.balance_cap * streamed.shape[0] / num_partitions) + 1
-        loads = np.zeros(num_partitions, dtype=np.int64)
-        assignment = np.empty(streamed.shape[0], dtype=np.int32)
-        for i, (u, v) in enumerate(streamed):
-            u, v = int(u), int(v)
-            pu = int(cluster_to_part[cluster_of[u]])
-            pv = int(cluster_to_part[cluster_of[v]])
-            if pu == pv:
-                target = pu if loads[pu] < cap else int(loads.argmin())
-            else:
-                first, second = (
-                    (pu, pv) if degrees[u] <= degrees[v] else (pv, pu)
-                )
-                if loads[first] < cap:
-                    target = first
-                elif loads[second] < cap:
-                    target = second
-                else:
-                    target = int(loads.argmin())
-            assignment[i] = target
-            loads[target] += 1
-        return assignment
+    @staticmethod
+    def _place_edges(
+        chosen: np.ndarray, fallback: np.ndarray, loads: np.ndarray, cap: int
+    ) -> None:
+        """Place one slice edge by edge, updating ``chosen`` (which arrives
+        holding the first choices) and ``loads`` in place."""
+        load = loads.tolist()
+        pairs = zip(chosen.tolist(), fallback.tolist())
+        for i, (target, second) in enumerate(pairs):
+            if load[target] >= cap:
+                target = second
+                if load[target] >= cap:
+                    target = min(range(len(load)), key=load.__getitem__)
+                chosen[i] = target
+            load[target] += 1
+        loads[:] = load

@@ -171,6 +171,33 @@ class TestShuffle:
         with pytest.raises(IndexError):
             result.bucket_path(K)
 
+    def test_failed_shuffle_publishes_no_bucket(
+        self, undirected_rmat, tmp_path
+    ):
+        """A stream that dies part-way must not leave stores that open
+        and verify but hold a prefix of the edges."""
+
+        class DiesAfterTwoBlocks(DbhPartitioner):
+            def _assign_stream(self, reader, num_partitions, seed):
+                blocks = super()._assign_stream(reader, num_partitions, seed)
+                for served, block in enumerate(blocks):
+                    if served == 2:
+                        raise OSError("No space left on device")
+                    yield block
+
+        reader = _spool(undirected_rmat, tmp_path, 300)
+        out = tmp_path / "buckets"
+        with pytest.raises(OSError, match="No space left"):
+            shuffle_stream(
+                reader, DiesAfterTwoBlocks(), K, str(out), bucket_chunk_size=16
+            )
+        assert list(out.glob("part-*/chunk-*.npy"))  # it did get going
+        assert not list(out.glob("part-*/manifest.json"))
+        # The rerun overwrites the debris instead of refusing the directory.
+        rerun = shuffle_stream(reader, DbhPartitioner(), K, str(out))
+        assert int(rerun.edge_counts.sum()) == reader.num_edges
+        assert all(rerun.bucket(p).verify() for p in range(K))
+
 
 class TestStreamResultContainers:
     def test_edge_assignment_validated(self, undirected_rmat, tmp_path):

@@ -5,7 +5,9 @@ Every chunk-vectorised partitioner retains a scalar reference path
 pin the bit-identical-assignment contract across graphs, seeds and
 partition counts, including degenerate topologies (hub-dominated star,
 self-contained cliques) and tiny chunk sizes that exercise the
-chunk-boundary logic.
+chunk-boundary logic. 2PS-L ships no slow path: its scalar reference is
+``tests.oracles.twops`` (the full matrix is
+``tests/oracles/test_twops_identity.py``).
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from repro.partitioning import (
 )
 from repro.partitioning.extensions.fennel import FennelPartitioner
 from repro.partitioning.extensions.reldg import RestreamingLdgPartitioner
+
+from ..oracles.twops import OracleTwoPsLPartitioner
 
 GRAPHS = ["tiny_or", "tiny_di", "tiny_hw"]
 KS = [2, 4, 8]
@@ -36,6 +40,12 @@ def _assert_identical(factory, graph, k, seed, **kwargs):
     vec, ref = _pair(factory, **kwargs)
     a = vec.partition(graph, k, seed=seed).assignment
     b = ref.partition(graph, k, seed=seed).assignment
+    assert np.array_equal(a, b)
+
+
+def _assert_twops_identical(graph, k, seed):
+    a = TwoPsLPartitioner().partition(graph, k, seed=seed).assignment
+    b = OracleTwoPsLPartitioner().reference_assignment(graph, k, seed=seed)
     assert np.array_equal(a, b)
 
 
@@ -62,7 +72,7 @@ class TestAcrossGraphsAndK:
 
     def test_twops(self, graph_name, k, request):
         graph = request.getfixturevalue(graph_name)
-        _assert_identical(TwoPsLPartitioner, graph, k, seed=0)
+        _assert_twops_identical(graph, k, seed=0)
 
     def test_hep_streaming_tail(self, graph_name, k, request):
         # tau=1 pushes most edges through the HDRF streaming tail.
@@ -82,7 +92,7 @@ def test_ldg_across_seeds(tiny_or, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_twops_across_seeds(tiny_or, seed):
-    _assert_identical(TwoPsLPartitioner, tiny_or, 4, seed=seed)
+    _assert_twops_identical(tiny_or, 4, seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +116,10 @@ def test_degenerate_topologies(star_graph, two_cliques, factory):
     """Hub-dominated and clique graphs hit the conflict-heavy scalar
     fallbacks; equivalence must survive them."""
     for graph in (star_graph, two_cliques):
-        _assert_identical(factory, graph, 3, seed=0)
+        if factory is TwoPsLPartitioner:
+            _assert_twops_identical(graph, 3, seed=0)
+        else:
+            _assert_identical(factory, graph, 3, seed=0)
 
 
 def test_hdrf_lambda_zero_equivalence(tiny_or):

@@ -94,6 +94,11 @@ class TestTwoPsL:
         )
         assert edge_balance(part) <= 1.12
 
+    def test_balance_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="balance_cap"):
+            TwoPsLPartitioner(balance_cap=0.99)
+        TwoPsLPartitioner(balance_cap=1.0)  # perfect balance is allowed
+
     def test_better_rf_than_random(self, tiny_or):
         two_ps = TwoPsLPartitioner().partition(tiny_or, 8, seed=0)
         rnd = RandomEdgePartitioner().partition(tiny_or, 8, seed=0)
