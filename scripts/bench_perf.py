@@ -1,11 +1,10 @@
 """Microbenchmark suite for the partitioning and sampling kernels.
 
 Times every registered partitioner (plus the streaming extensions) on
-the standard small-scale synthetic graphs at ``k=32``, the HDRF
-vectorised kernel against its retained scalar reference on the largest
-graph (verifying bit-identical assignments), the neighbourhood
-sampling kernel, one 27-configuration DistDGL cell with and without
-recorded sampling traces, the overhead of the observability hooks on a
+the standard small-scale synthetic graphs at ``k=32``, the
+neighbourhood sampling kernel on the largest graph, one
+27-configuration DistDGL cell with and without recorded sampling
+traces, the overhead of the observability hooks on a
 fixed simulation cell (plain / off / metrics / trace), the bookkeeping cost
 of the comm codecs on the same cell (none / fp16 / int8 / topk —
 ``docs/communication.md``), and — new with the
@@ -174,36 +173,6 @@ def bench_partitioners(graphs: dict, repeats: int) -> dict:
             )
             results[f"{key}/{name}"] = {"seconds": seconds}
     return results
-
-
-def bench_hdrf_reference(graph, repeats: int) -> dict:
-    """Vectorised vs scalar-reference HDRF on the largest graph."""
-    graph.undirected_edges()
-    reference = HdrfPartitioner(vectorised=False).partition(
-        graph, BENCH_K, seed=0
-    )
-    vectorised = HdrfPartitioner().partition(graph, BENCH_K, seed=0)
-    identical = bool(
-        np.array_equal(reference.assignment, vectorised.assignment)
-    )
-    ref_seconds = _time(
-        lambda: HdrfPartitioner(vectorised=False).partition(
-            graph, BENCH_K, seed=0
-        ),
-        repeats,
-    )
-    vec_seconds = _time(
-        lambda: HdrfPartitioner().partition(graph, BENCH_K, seed=0),
-        repeats,
-    )
-    return {
-        "graph": graph.name,
-        "k": BENCH_K,
-        "reference_seconds": ref_seconds,
-        "vectorised_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": identical,
-    }
 
 
 def bench_sampling(graph, repeats: int) -> dict:
@@ -711,9 +680,6 @@ def run_bench(
         "platform": platform.platform(),
         "machine": platform.machine(),
         "kernels": bench_partitioners(graphs, repeats),
-        "hdrf_vs_reference": bench_hdrf_reference(
-            graphs[LARGEST_GRAPH], repeats
-        ),
         "sampling": bench_sampling(graphs[LARGEST_GRAPH], repeats),
         "distdgl_cell": bench_distdgl_cell(graphs["OR"], repeats),
         "obs_overhead": bench_obs_overhead(repeats),
@@ -823,16 +789,9 @@ def main(argv=None) -> int:
         json.dump(series, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    hdrf = report["hdrf_vs_reference"]
     print(
         f"wrote {args.out} ({len(series['history'])} history "
         f"entries, latest {timestamp})"
-    )
-    print(
-        f"HDRF on {hdrf['graph']} (k={hdrf['k']}): "
-        f"{hdrf['reference_seconds']:.3f}s -> "
-        f"{hdrf['vectorised_seconds']:.3f}s "
-        f"({hdrf['speedup']:.1f}x, identical={hdrf['identical']})"
     )
     overhead = report["obs_overhead"]
     print(

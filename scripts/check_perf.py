@@ -213,11 +213,6 @@ def compare(
                 base_cell[series],
                 fresh["distdgl_cell"][series],
             )
-    hdrf = fresh.get("hdrf_vs_reference", {})
-    if not hdrf.get("identical", False):
-        regressions.append(
-            "hdrf_vs_reference: vectorised and reference assignments differ"
-        )
     overhead = fresh.get("obs_overhead")
     if overhead:
         plain = overhead["plain_seconds"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +76,30 @@ class Partitioner(abc.ABC):
         if reader.num_vertices <= 0:
             raise ValueError("cannot partition an empty store")
 
+    def _timed(
+        self, scope: str, assign: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """Run ``assign`` as one timed, profiled, counted partitioning run.
+
+        The wall clock lands in :attr:`last_partitioning_seconds`, the
+        profile scope is ``partitioner.<name>`` plus ``scope``; a
+        vertex-cut run also counts the edges it assigned.
+        """
+        start = time.perf_counter()
+        with profiling.profile_scope(
+            f"partitioner.{self.name.lower()}{scope}"
+        ):
+            assignment = assign()
+        self.last_partitioning_seconds = time.perf_counter() - start
+        obs.count("partitioner.runs", algorithm=self.name)
+        if self.cut_type == "vertex-cut":
+            obs.count(
+                "partitioner.edges_assigned",
+                int(assignment.shape[0]),
+                algorithm=self.name,
+            )
+        return assignment
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -91,19 +115,9 @@ class EdgePartitioner(Partitioner):
         """Partition the graph's edges into ``num_partitions`` buckets."""
         self._check_args(graph, num_partitions)
         edges = graph.undirected_edges()
-        start = time.perf_counter()
-        with profiling.profile_scope(f"partitioner.{self.name.lower()}"):
-            assignment = self._assign(
-                graph, edges, num_partitions, seed
-            )
-        self.last_partitioning_seconds = time.perf_counter() - start
-        if obs.enabled():
-            obs.count("partitioner.runs", algorithm=self.name)
-            obs.count(
-                "partitioner.edges_assigned",
-                int(assignment.shape[0]),
-                algorithm=self.name,
-            )
+        assignment = self._timed(
+            "", lambda: self._assign(graph, edges, num_partitions, seed)
+        )
         return EdgePartition(graph, edges, assignment, num_partitions)
 
     @abc.abstractmethod
@@ -142,29 +156,19 @@ class EdgePartitioner(Partitioner):
         pass and the scale benchmarks consume the generator directly.
         """
         self._check_stream_args(reader, num_partitions)
-        start = time.perf_counter()
-        with profiling.profile_scope(
-            f"partitioner.{self.name.lower()}.stream"
-        ):
+
+        def assign() -> np.ndarray:
             parts = [
                 assignment
                 for _, assignment in self._assign_stream(
                     reader, num_partitions, seed
                 )
             ]
-        self.last_partitioning_seconds = time.perf_counter() - start
-        assignment = (
-            np.concatenate(parts)
-            if parts
-            else np.empty(0, dtype=np.int32)
-        )
-        if obs.enabled():
-            obs.count("partitioner.runs", algorithm=self.name)
-            obs.count(
-                "partitioner.edges_assigned",
-                int(assignment.shape[0]),
-                algorithm=self.name,
-            )
+            if not parts:
+                return np.empty(0, dtype=np.int32)
+            return np.concatenate(parts)
+
+        assignment = self._timed(".stream", assign)
         return StreamEdgePartition(reader, assignment, num_partitions)
 
     def _assign_stream(
@@ -186,11 +190,9 @@ class VertexPartitioner(Partitioner):
     ) -> VertexPartition:
         """Partition the graph's vertices into ``num_partitions`` parts."""
         self._check_args(graph, num_partitions)
-        start = time.perf_counter()
-        with profiling.profile_scope(f"partitioner.{self.name.lower()}"):
-            assignment = self._assign(graph, num_partitions, seed)
-        self.last_partitioning_seconds = time.perf_counter() - start
-        obs.count("partitioner.runs", algorithm=self.name)
+        assignment = self._timed(
+            "", lambda: self._assign(graph, num_partitions, seed)
+        )
         return VertexPartition(graph, assignment, num_partitions)
 
     @abc.abstractmethod
@@ -212,15 +214,10 @@ class VertexPartitioner(Partitioner):
         two store passes with a memmap-backed neighbour array).
         """
         self._check_stream_args(reader, num_partitions)
-        start = time.perf_counter()
-        with profiling.profile_scope(
-            f"partitioner.{self.name.lower()}.stream"
-        ):
-            assignment = self._assign_stream(
-                reader, num_partitions, seed
-            )
-        self.last_partitioning_seconds = time.perf_counter() - start
-        obs.count("partitioner.runs", algorithm=self.name)
+        assignment = self._timed(
+            ".stream",
+            lambda: self._assign_stream(reader, num_partitions, seed),
+        )
         return StreamVertexPartition(reader, assignment, num_partitions)
 
     def _assign_stream(

@@ -1,4 +1,4 @@
-"""Chunk schedule shared by the vectorised streaming kernels.
+"""Chunk schedule shared by the streaming kernels.
 
 Streaming partitioners (HDRF, LDG, Fennel, reLDG, HEP's tail phase)
 process their stream in chunks: per-stream-element state (partition
@@ -7,16 +7,18 @@ chunk so the chunk body can be scored with numpy batch operations. The
 schedule ramps up geometrically from :data:`MIN_CHUNK` so the early
 stream — where balance is the only signal — still reacts quickly, and
 the transient staleness introduced later is bounded by the final chunk
-size.
+size. :func:`iter_ramp_blocks` is the one implementation of the ramp:
+in-memory runs pass the whole stream as a single block, out-of-core
+runs pass the store's chunks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["DEFAULT_CHUNK", "MIN_CHUNK", "chunk_spans", "iter_ramp_blocks"]
+__all__ = ["DEFAULT_CHUNK", "MIN_CHUNK", "iter_ramp_blocks"]
 
 #: Default ceiling of the chunk-size ramp.
 DEFAULT_CHUNK = 1024
@@ -24,35 +26,19 @@ DEFAULT_CHUNK = 1024
 MIN_CHUNK = 32
 
 
-def chunk_spans(
-    total: int, chunk_size: int = DEFAULT_CHUNK
-) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start, stop)`` spans ramping from MIN_CHUNK to chunk_size."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    size = min(MIN_CHUNK, chunk_size)
-    start = 0
-    while start < total:
-        stop = min(start + size, total)
-        yield start, stop
-        start = stop
-        size = min(size * 2, chunk_size)
-
-
 def iter_ramp_blocks(
     blocks: Iterable[np.ndarray], chunk_size: int = DEFAULT_CHUNK
 ) -> Iterator[np.ndarray]:
     """Re-chunk an iterable of arbitrary-size blocks into the ramp spans.
 
-    The out-of-core path streams edges from an on-disk store whose chunk
-    size has nothing to do with the kernels' :func:`chunk_spans` ramp.
-    This generator stitches the incoming blocks back into exactly the
-    span sequence ``chunk_spans(total, chunk_size)`` would produce over
-    the concatenated stream — carrying partial spans across block
-    boundaries — so a kernel driven through it is bit-identical to the
-    in-memory kernel over the full array, whatever the store chunking.
-    Only spans that straddle a block boundary are copied (concatenated);
-    interior spans are views into the incoming block.
+    Spans start at ``min(MIN_CHUNK, chunk_size)`` rows and double up to
+    ``chunk_size``; the last one holds whatever is left. The spans depend
+    only on the concatenated stream, never on where the incoming blocks
+    end — partial spans are carried across block boundaries — so a
+    kernel driven through it is bit-identical whether it gets the whole
+    array or an on-disk store's chunks. Only spans that straddle a block
+    boundary are copied (concatenated); interior spans are views into
+    the incoming block.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")

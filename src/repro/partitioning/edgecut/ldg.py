@@ -13,7 +13,6 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import VertexPartitioner
-from ..chunking import DEFAULT_CHUNK
 from .streaming import VertexStreamState
 
 __all__ = ["LdgPartitioner"]
@@ -27,18 +26,11 @@ class LdgPartitioner(VertexPartitioner):
     # so the store-backed CSR drives it bit-identically out-of-core.
     supports_stream = True
 
-    def __init__(
-        self,
-        slack: float = 1.1,
-        chunk_size: int = DEFAULT_CHUNK,
-        vectorised: bool = True,
-    ) -> None:
+    def __init__(self, slack: float = 1.1) -> None:
         super().__init__()
+        if slack < 1:
+            raise ValueError("slack must be at least 1")
         self.slack = slack
-        self.chunk_size = chunk_size
-        # ``vectorised=False`` runs the retained scalar reference kernel
-        # (identical output; used by equivalence tests and benchmarks).
-        self.vectorised = vectorised
 
     def _assign(
         self, graph: Graph, num_partitions: int, seed: int
@@ -51,8 +43,6 @@ class LdgPartitioner(VertexPartitioner):
             num_partitions,
             capacity=self.slack * graph.num_vertices / num_partitions,
             mode="ldg",
-            chunk_size=self.chunk_size,
         )
-        place = state.place if self.vectorised else state.place_reference
-        place(rng.permutation(graph.num_vertices))
+        state.place(rng.permutation(graph.num_vertices))
         return state.assignment

@@ -6,21 +6,19 @@ placed on the partition maximising ``affinity(counts) - load penalty``,
 where ``counts`` is the per-partition tally of the vertex's already
 placed neighbours.
 
-Two equivalent execution paths are provided, mirroring
-:mod:`..vertexcut.streaming`:
+There is one drive, :meth:`VertexStreamState.place`, mirroring
+:mod:`..vertexcut.streaming`: the vertex order is cut into the chunk
+ramp of :func:`~repro.partitioning.chunking.iter_ramp_blocks`; the load
+*penalty* term is frozen at the start of each chunk, which lets
+neighbour tallies and scores for the whole chunk be computed with numpy
+batch operations. Vertices with a neighbour earlier in the same chunk
+(whose placement the batch tally cannot see) fall back to scalar
+scoring. The scalar per-vertex reference with the same chunked
+semantics lives in ``tests/oracles/streaming.py``, which pins this
+kernel to it bit for bit.
 
-* :meth:`VertexStreamState.place` — the production kernel. The stream is
-  cut into chunks (see :mod:`..chunking`); the load *penalty* term is
-  frozen at the start of each chunk, which lets neighbour tallies and
-  scores for the whole chunk be computed with numpy batch operations.
-  Vertices with a neighbour earlier in the same chunk (whose placement
-  the batch tally cannot see) fall back to scalar scoring.
-* :meth:`VertexStreamState.place_reference` — the retained scalar
-  reference with identical chunked semantics, against which the
-  vectorised kernel is equivalence-tested (bit-identical assignments).
-
-Two parts of the decision are deliberately kept *live* (per vertex, in
-both paths) rather than frozen:
+Two parts of the decision are deliberately kept *live* (per vertex)
+rather than frozen:
 
 * capacity eligibility — a partition at its cap is never assigned to,
   no matter how stale the penalty is, so hard balance caps hold exactly;
@@ -41,7 +39,7 @@ import time
 import numpy as np
 
 from ...obs import api as obs
-from ..chunking import DEFAULT_CHUNK, chunk_spans
+from ..chunking import DEFAULT_CHUNK, iter_ramp_blocks
 
 __all__ = ["VertexStreamState"]
 
@@ -66,7 +64,8 @@ class VertexStreamState:
         Fennel penalty coefficients (ignored for ``"ldg"``).
     chunk_size:
         Ceiling of the chunk ramp; the penalty term is refreshed once
-        per chunk (see module docstring).
+        per chunk (see module docstring). No partitioner exposes it; the
+        oracle tests drive it down to 1.
     """
 
     def __init__(
@@ -123,59 +122,26 @@ class VertexStreamState:
     # Streaming passes
     # ------------------------------------------------------------------
     def place(self, order: np.ndarray, vacate: bool = False) -> None:
-        """Stream vertices in ``order``, assigning each one (vectorised).
+        """Stream vertices in ``order``, assigning each one.
 
         ``vacate=True`` (restreaming passes) releases each vertex's old
-        slot before re-placing it. Bit-identical to
-        :meth:`place_reference` (equivalence-tested).
+        slot before re-placing it.
         """
-        if not obs.enabled():
-            for start, stop in chunk_spans(order.shape[0], self.chunk_size):
-                self._place_chunk(order[start:stop], vacate)
-            return
-        for start, stop in chunk_spans(order.shape[0], self.chunk_size):
-            began = time.perf_counter()
-            self._place_chunk(order[start:stop], vacate)
-            obs.observe(
-                "partitioner.chunk_seconds",
-                time.perf_counter() - began,
-                kernel=self.mode,
-            )
-            obs.observe(
-                "partitioner.chunk_items",
-                float(stop - start),
-                kernel=self.mode,
-            )
-
-    def place_reference(
-        self, order: np.ndarray, vacate: bool = False
-    ) -> None:
-        """Retained scalar reference for :meth:`place`."""
-        k = self.num_partitions
-        for start, stop in chunk_spans(order.shape[0], self.chunk_size):
-            penalty = self._penalty()
-            for v in order[start:stop]:
-                v = int(v)
-                old = int(self.assignment[v])
-                if vacate and old >= 0:
-                    self.sizes[old] -= 1
-                nbrs = self.indices[self.indptr[v] : self.indptr[v + 1]]
-                placed = self.assignment[nbrs]
-                placed = placed[placed >= 0]
-                if placed.size == 0:
-                    best = self._fallback(self.sizes)
-                else:
-                    counts = np.bincount(placed, minlength=k)
-                    if self.mode == "ldg":
-                        score = counts * penalty
-                    else:
-                        score = counts - penalty
-                    score[self.sizes >= self.capacity] = -np.inf
-                    best = int(score.argmax())
-                    if self.mode == "ldg" and score[best] <= 0:
-                        best = self._fallback(self.sizes)
-                self.assignment[v] = best
-                self.sizes[best] += 1
+        instrumented = obs.enabled()
+        for chunk in iter_ramp_blocks([order], self.chunk_size):
+            began = time.perf_counter() if instrumented else 0.0
+            self._place_chunk(chunk, vacate)
+            if instrumented:
+                obs.observe(
+                    "partitioner.chunk_seconds",
+                    time.perf_counter() - began,
+                    kernel=self.mode,
+                )
+                obs.observe(
+                    "partitioner.chunk_items",
+                    float(chunk.shape[0]),
+                    kernel=self.mode,
+                )
 
     # ------------------------------------------------------------------
     def _place_chunk(self, chunk: np.ndarray, vacate: bool) -> None:
@@ -221,7 +187,7 @@ class VertexStreamState:
         has_nbr = counts.any(axis=1)
 
         # Frozen score order per row; ties resolved by index, matching
-        # the reference's argmax (stable sort of the negated scores).
+        # the per-vertex rule's argmax (stable sort of the negated scores).
         order_rows = np.argsort(-score, axis=1, kind="stable").tolist()
         positive = (score > 0).tolist()
         sizes = self.sizes.tolist()

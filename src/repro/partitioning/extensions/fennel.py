@@ -19,7 +19,6 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import VertexPartitioner
-from ..chunking import DEFAULT_CHUNK
 from ..edgecut.streaming import VertexStreamState
 
 __all__ = ["FennelPartitioner"]
@@ -33,20 +32,14 @@ class FennelPartitioner(VertexPartitioner):
     # so the store-backed CSR drives it bit-identically out-of-core.
     supports_stream = True
 
-    def __init__(
-        self,
-        gamma: float = 1.5,
-        slack: float = 1.1,
-        chunk_size: int = DEFAULT_CHUNK,
-        vectorised: bool = True,
-    ) -> None:
+    def __init__(self, gamma: float = 1.5, slack: float = 1.1) -> None:
         super().__init__()
         if gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
+        if slack < 1:
+            raise ValueError("slack must be at least 1")
         self.gamma = gamma
         self.slack = slack
-        self.chunk_size = chunk_size
-        self.vectorised = vectorised
 
     def _assign(
         self, graph: Graph, num_partitions: int, seed: int
@@ -63,8 +56,6 @@ class FennelPartitioner(VertexPartitioner):
             mode="fennel",
             alpha=np.sqrt(k) * m / max(n, 1) ** self.gamma,
             gamma=self.gamma,
-            chunk_size=self.chunk_size,
         )
-        place = state.place if self.vectorised else state.place_reference
-        place(rng.permutation(n))
+        state.place(rng.permutation(n))
         return state.assignment

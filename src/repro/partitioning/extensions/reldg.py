@@ -16,7 +16,6 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import VertexPartitioner
-from ..chunking import DEFAULT_CHUNK
 from ..edgecut.streaming import VertexStreamState
 
 __all__ = ["RestreamingLdgPartitioner"]
@@ -30,20 +29,14 @@ class RestreamingLdgPartitioner(VertexPartitioner):
     # so the store-backed CSR drives it bit-identically out-of-core.
     supports_stream = True
 
-    def __init__(
-        self,
-        passes: int = 5,
-        slack: float = 1.1,
-        chunk_size: int = DEFAULT_CHUNK,
-        vectorised: bool = True,
-    ) -> None:
+    def __init__(self, passes: int = 5, slack: float = 1.1) -> None:
         super().__init__()
         if passes < 1:
             raise ValueError("need at least one pass")
+        if slack < 1:
+            raise ValueError("slack must be at least 1")
         self.passes = passes
         self.slack = slack
-        self.chunk_size = chunk_size
-        self.vectorised = vectorised
 
     def _assign(
         self, graph: Graph, num_partitions: int, seed: int
@@ -57,11 +50,9 @@ class RestreamingLdgPartitioner(VertexPartitioner):
             num_partitions,
             capacity=self.slack * n / num_partitions,
             mode="ldg",
-            chunk_size=self.chunk_size,
         )
-        place = state.place if self.vectorised else state.place_reference
         for pass_index in range(self.passes):
             # Restreaming passes vacate each vertex's old slot before
             # re-placing it against the previous pass's assignment.
-            place(rng.permutation(n), vacate=pass_index > 0)
+            state.place(rng.permutation(n), vacate=pass_index > 0)
         return state.assignment

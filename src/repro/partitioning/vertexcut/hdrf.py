@@ -16,7 +16,7 @@ import numpy as np
 from ...graph import Graph
 from ...graph.chunkstore import EdgeChunkReader
 from ..base import EdgePartitioner
-from .streaming import DEFAULT_CHUNK, HdrfState
+from .streaming import HdrfState
 
 __all__ = ["HdrfPartitioner"]
 
@@ -28,18 +28,10 @@ class HdrfPartitioner(EdgePartitioner):
     supports_stream = True
 
     def __init__(
-        self,
-        lambda_balance: float = 1.1,
-        chunk_size: int = DEFAULT_CHUNK,
-        vectorised: bool = True,
-        shuffle_stream: bool = True,
+        self, lambda_balance: float = 1.1, shuffle_stream: bool = True
     ) -> None:
         super().__init__()
         self.lambda_balance = lambda_balance
-        self.chunk_size = chunk_size
-        # ``vectorised=False`` runs the retained scalar reference kernel
-        # (identical output; used by equivalence tests and benchmarks).
-        self.vectorised = vectorised
         # ``shuffle_stream=False`` streams edges in their given order
         # instead of a seeded permutation — the order the out-of-core
         # path necessarily uses (permuting is O(m) memory), so the two
@@ -54,31 +46,20 @@ class HdrfPartitioner(EdgePartitioner):
         seed: int,
     ) -> np.ndarray:
         state = HdrfState(
-            graph.num_vertices,
-            num_partitions,
-            self.lambda_balance,
-            chunk_size=self.chunk_size,
-        )
-        place = (
-            state.place_edges
-            if self.vectorised
-            else state.place_edges_reference
+            graph.num_vertices, num_partitions, self.lambda_balance
         )
         if not self.shuffle_stream:
-            return place(edges)
+            return state.place_edges(edges)
         rng = np.random.default_rng(seed)
         order = rng.permutation(edges.shape[0])
         assignment = np.empty(edges.shape[0], dtype=np.int32)
-        assignment[order] = place(edges[order])
+        assignment[order] = state.place_edges(edges[order])
         return assignment
 
     def _assign_stream(
         self, reader: EdgeChunkReader, num_partitions: int, seed: int
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         state = HdrfState(
-            reader.num_vertices,
-            num_partitions,
-            self.lambda_balance,
-            chunk_size=self.chunk_size,
+            reader.num_vertices, num_partitions, self.lambda_balance
         )
         return state.place_blocks(reader.iter_chunks())

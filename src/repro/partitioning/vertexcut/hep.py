@@ -36,12 +36,7 @@ class HepPartitioner(EdgePartitioner):
     """Hybrid Edge Partitioner: in-memory core plus streamed remainder (HEP)."""
     category = "hybrid"
 
-    def __init__(
-        self,
-        tau: float = 10.0,
-        balance_cap: float = 1.1,
-        vectorised: bool = True,
-    ) -> None:
+    def __init__(self, tau: float = 10.0, balance_cap: float = 1.1) -> None:
         super().__init__()
         if tau <= 0:
             raise ValueError("tau must be positive")
@@ -49,7 +44,6 @@ class HepPartitioner(EdgePartitioner):
             raise ValueError("balance_cap must be at least 1")
         self.tau = tau
         self.balance_cap = balance_cap
-        self.vectorised = vectorised
         self.name = f"HEP{int(tau)}"
 
     def _assign(
@@ -118,12 +112,7 @@ class HepPartitioner(EdgePartitioner):
         state.seed_from(edges[placed], assignment[placed])
         order = rng.permutation(stream_ids.shape[0])
         streamed = stream_ids[order]
-        place = (
-            state.place_edges
-            if self.vectorised
-            else state.place_edges_reference
-        )
-        assignment[streamed] = place(edges[streamed])
+        assignment[streamed] = state.place_edges(edges[streamed])
         return assignment
 
 

@@ -5,44 +5,40 @@
 HEP's streaming phase for high-degree edges, seeded with the state produced
 by the in-memory phase.
 
-Two equivalent execution paths are provided:
-
-* :meth:`HdrfState.place_edges` — the production kernel. Edges are
-  streamed in *chunks*; the balance term is frozen at the start of each
-  chunk, and within a chunk edges are peeled off in vectorised waves of
-  mutually vertex-disjoint edges (an edge joins a wave when none of the
-  still-unplaced edges before it in the stream shares an endpoint), so
-  each wave can be scored and committed with numpy batch operations.
-* :meth:`HdrfState.place_edges_reference` — the retained scalar
-  reference with identical chunked semantics, against which the
-  vectorised kernel is equivalence-tested (bit-identical assignments).
+There is one drive, :meth:`HdrfState.place_blocks`: edges are streamed
+in *chunks* (the ramp of :func:`..chunking.iter_ramp_blocks`); the
+balance term is frozen at the start of each chunk, and within a chunk
+edges are peeled off in vectorised waves of mutually vertex-disjoint
+edges (an edge joins a wave when none of the still-unplaced edges
+before it in the stream shares an endpoint), so each wave can be scored
+and committed with numpy batch operations.
+:meth:`HdrfState.place_edges` is that drive over a single in-memory
+block. The scalar per-edge reference with the same chunked semantics
+lives in ``tests/oracles/streaming.py``, which pins this kernel to it
+bit for bit.
 
 The chunked semantics is the only (documented) deviation from classic
 edge-at-a-time HDRF: partition loads used by the balance term are
 refreshed per chunk instead of per edge. The chunk schedule ramps up
-geometrically from :data:`MIN_CHUNK` so the early stream — where the
-balance term is the only signal — still spreads edges across partitions;
-the transient load imbalance this introduces is bounded by the final
-chunk size, which is negligible against the partition sizes of the
-experiment graphs. With ``chunk_size=1`` the semantics degenerates to
-the classic per-edge algorithm.
+geometrically from :data:`..chunking.MIN_CHUNK` so the early stream —
+where the balance term is the only signal — still spreads edges across
+partitions; the transient load imbalance this introduces is bounded by
+the final chunk size, which is negligible against the partition sizes
+of the experiment graphs. With ``chunk_size=1`` the semantics
+degenerates to the classic per-edge algorithm.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 import numpy as np
 
 from ...obs import api as obs
-from ..chunking import (
-    DEFAULT_CHUNK,
-    MIN_CHUNK,
-    chunk_spans,
-    iter_ramp_blocks,
-)
+from ..chunking import DEFAULT_CHUNK, iter_ramp_blocks
 
-__all__ = ["HdrfState", "DEFAULT_CHUNK", "MIN_CHUNK", "chunk_spans"]
+__all__ = ["HdrfState"]
 
 #: Stop peeling vectorised waves when fewer edges than this remain clean.
 _MIN_WAVE = 8
@@ -63,7 +59,8 @@ class HdrfState:
         Weight of the balance term (paper default 1.1: mild balancing).
     chunk_size:
         Ceiling of the chunk ramp; the balance term is refreshed once per
-        chunk (see module docstring).
+        chunk (see module docstring). No partitioner exposes it; the
+        oracle tests drive it down to 1.
     """
 
     def __init__(
@@ -106,16 +103,6 @@ class HdrfState:
             self.lambda_balance
             * (max_load - self.loads)
             / (1e-9 + max_load - min_load)
-        )
-
-    def place_edge(self, u: int, v: int) -> int:
-        """Score all partitions for edge ``(u, v)``, place it, return pid.
-
-        Classic per-edge HDRF: the balance term is computed fresh, i.e.
-        ``chunk_size=1`` semantics.
-        """
-        return self._place_edge_frozen(
-            u, v, self.balance_vector(), self.loads.copy()
         )
 
     def _place_edge_frozen(
@@ -161,38 +148,25 @@ class HdrfState:
     def place_edges(self, edges: np.ndarray) -> np.ndarray:
         """Stream ``edges`` (in given order) and return their assignment.
 
-        Chunk-vectorised; bit-identical to
-        :meth:`place_edges_reference` (equivalence-tested).
+        :meth:`place_blocks` over the single block ``edges``; an empty
+        input gives an empty int32 array.
         """
-        assignment = np.empty(edges.shape[0], dtype=np.int32)
-        if not obs.enabled():
-            for start, stop in chunk_spans(edges.shape[0], self.chunk_size):
-                self._place_chunk(edges[start:stop], assignment[start:stop])
-            return assignment
-        for start, stop in chunk_spans(edges.shape[0], self.chunk_size):
-            began = time.perf_counter()
-            self._place_chunk(edges[start:stop], assignment[start:stop])
-            obs.observe(
-                "partitioner.chunk_seconds",
-                time.perf_counter() - began,
-                kernel="hdrf",
-            )
-            obs.observe(
-                "partitioner.chunk_items", float(stop - start), kernel="hdrf"
-            )
-        return assignment
+        parts = [out for _, out in self.place_blocks([edges])]
+        if not parts:
+            return np.empty(0, dtype=np.int32)
+        return np.concatenate(parts)
 
     def place_blocks(self, blocks):
         """Stream an iterable of edge blocks, yielding per-span results.
 
-        The out-of-core counterpart of :meth:`place_edges`: ``blocks``
-        (e.g. :meth:`EdgeChunkReader.iter_chunks`) is re-chunked through
-        :func:`~repro.partitioning.chunking.iter_ramp_blocks` into the
-        same span sequence :meth:`place_edges` would use over the
-        concatenated stream, so the assignments are bit-identical to the
-        in-memory path whatever the incoming block sizes. Yields
-        ``(span_edges, span_assignment)`` pairs; peak memory is bounded
-        by the largest incoming block plus the O(n k) state.
+        ``blocks`` (the whole edge array, or e.g.
+        :meth:`EdgeChunkReader.iter_chunks`) is re-chunked through
+        :func:`~repro.partitioning.chunking.iter_ramp_blocks`, whose spans
+        depend only on the concatenated stream, so the assignments are
+        bit-identical in memory and out of core whatever the incoming
+        block sizes. Yields ``(span_edges, span_assignment)`` pairs; peak
+        memory is bounded by the largest incoming block plus the O(n k)
+        state.
         """
         instrumented = obs.enabled()
         for span in iter_ramp_blocks(blocks, self.chunk_size):
@@ -212,18 +186,6 @@ class HdrfState:
                 )
             yield span, out
 
-    def place_edges_reference(self, edges: np.ndarray) -> np.ndarray:
-        """Retained scalar reference for :meth:`place_edges`."""
-        assignment = np.empty(edges.shape[0], dtype=np.int32)
-        for start, stop in chunk_spans(edges.shape[0], self.chunk_size):
-            balance = self.balance_vector()
-            fill = self.loads.copy()
-            for i in range(start, stop):
-                assignment[i] = self._place_edge_frozen(
-                    int(edges[i, 0]), int(edges[i, 1]), balance, fill
-                )
-        return assignment
-
     def _place_chunk(self, chunk: np.ndarray, out: np.ndarray) -> None:
         """Place one chunk, writing partition ids into ``out`` (a view).
 
@@ -237,6 +199,9 @@ class HdrfState:
         """
         balance = self.balance_vector()
         fill = self.loads.copy()
+        loops = chunk[:, 0] == chunk[:, 1]
+        if not loops.any():
+            loops = None
         remaining = np.arange(chunk.shape[0])
         rounds = 0
         while remaining.size:
@@ -249,24 +214,36 @@ class HdrfState:
             self._scratch[flat[::-1]] = positions[::-1]
             is_first = self._scratch[flat] == positions
             clean = is_first[0::2] & is_first[1::2]
+            if loops is not None:
+                # A self-loop's second endpoint repeats its first; the
+                # loop is clean when that first one is a first occurrence.
+                clean |= is_first[0::2] & loops[remaining]
             wave = remaining[clean]
             rounds += 1
             if rounds > _MAX_ROUNDS or wave.size < min(
                 _MIN_WAVE, remaining.size
             ):
                 # Conflict chains too dense (e.g. a hub dominating the
-                # chunk, or a self-loop): finish the chunk scalar-wise.
+                # chunk): finish the chunk scalar-wise.
                 for i in remaining:
                     out[i] = self._place_edge_frozen(
                         int(chunk[i, 0]), int(chunk[i, 1]), balance, fill
                     )
                 return
-            self._place_wave(chunk[wave], balance, fill, out, wave)
+            self._place_wave(
+                chunk[wave],
+                None if loops is None else loops[wave],
+                balance,
+                fill,
+                out,
+                wave,
+            )
             remaining = remaining[~clean]
 
     def _place_wave(
         self,
         edges: np.ndarray,
+        loops: Optional[np.ndarray],
         balance: np.ndarray,
         fill: np.ndarray,
         out: np.ndarray,
@@ -274,13 +251,18 @@ class HdrfState:
     ) -> None:
         """Vectorised placement of vertex-disjoint edges.
 
-        Endpoints are pairwise distinct across the wave, so plain fancy
-        indexing (no ``ufunc.at``) is safe, and both endpoints of all
-        edges can be processed through single fused gathers/scatters.
+        No two edges of the wave share a vertex, so plain fancy indexing
+        (no ``ufunc.at``) is safe, and both endpoints of all edges can be
+        processed through single fused gathers/scatters. A self-loop's
+        two endpoint slots hold the same vertex and the same values;
+        ``loops`` marks them (``None`` when the chunk has none).
         """
         c = rows.size
         ends = edges.T.reshape(-1)  # [u_0..u_c-1, v_0..v_c-1]
         pd = self.partial_degree[ends] + 1
+        if loops is not None:
+            # The per-edge rule bumps a self-loop's vertex twice.
+            pd += np.concatenate([loops, loops])
         self.partial_degree[ends] = pd
         mem = self.membership[ends]  # (2c, k) gather
         best = np.empty(c, dtype=np.int64)

@@ -138,6 +138,13 @@ class TestLdg:
         cap = 1.1 * tiny_or.num_vertices / 4
         assert part.vertex_counts().max() <= cap + 1
 
+    def test_slack_below_one_rejected(self, tiny_or):
+        # Below 1 the k caps hold fewer than n vertices.
+        with pytest.raises(ValueError, match="slack"):
+            LdgPartitioner(slack=0.99)
+        part = LdgPartitioner(slack=1.0).partition(tiny_or, 4, seed=0)
+        assert (part.assignment >= 0).all()  # perfect balance is allowed
+
 
 class TestSpinner:
     def test_capacity_cap_held(self, tiny_or):

@@ -76,6 +76,17 @@ class TestRestreamingLdg:
         assert part.vertex_counts().max() <= 1.1 * tiny_or.num_vertices / 4 + 1
 
 
+@pytest.mark.parametrize(
+    "factory", [FennelPartitioner, RestreamingLdgPartitioner],
+    ids=lambda f: f.__name__,
+)
+def test_slack_below_one_rejected(factory, tiny_or):
+    with pytest.raises(ValueError, match="slack"):
+        factory(slack=0.5)
+    part = factory(slack=1.0).partition(tiny_or, 4, seed=0)
+    assert (part.assignment >= 0).all()  # perfect balance is allowed
+
+
 class TestNe:
     def test_contract(self, tiny_or):
         part = NePartitioner().partition(tiny_or, 4, seed=0)

@@ -1,13 +1,15 @@
 """Vectorised streaming kernels must match their scalar references.
 
-Every chunk-vectorised partitioner retains a scalar reference path
-(``vectorised=False``) with identical chunked semantics; these tests
-pin the bit-identical-assignment contract across graphs, seeds and
-partition counts, including degenerate topologies (hub-dominated star,
+Every chunk-vectorised partitioner ships one drive; its scalar per-item
+reference with identical chunked semantics lives in ``tests.oracles``
+(``tests.oracles.streaming`` for HDRF, HEP's tail and the LDG family,
+``tests.oracles.twops`` for 2PS-L). These tests pin the
+bit-identical-assignment contract across graphs, seeds and partition
+counts, including degenerate topologies (hub-dominated star,
 self-contained cliques) and tiny chunk sizes that exercise the
-chunk-boundary logic. 2PS-L ships no slow path: its scalar reference is
-``tests.oracles.twops`` (the full matrix is
-``tests/oracles/test_twops_identity.py``).
+chunk-boundary logic; the full matrices are
+``tests/oracles/test_streaming_identity.py`` and
+``tests/oracles/test_twops_identity.py``.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.partitioning import (
 from repro.partitioning.extensions.fennel import FennelPartitioner
 from repro.partitioning.extensions.reldg import RestreamingLdgPartitioner
 
+from ..oracles.streaming import streaming_kernels
 from ..oracles.twops import OracleTwoPsLPartitioner
 
 GRAPHS = ["tiny_or", "tiny_di", "tiny_hw"]
@@ -29,17 +32,11 @@ KS = [2, 4, 8]
 SEEDS = [0, 1, 2]
 
 
-def _pair(factory, **kwargs):
-    return (
-        factory(vectorised=True, **kwargs),
-        factory(vectorised=False, **kwargs),
-    )
-
-
-def _assert_identical(factory, graph, k, seed, **kwargs):
-    vec, ref = _pair(factory, **kwargs)
-    a = vec.partition(graph, k, seed=seed).assignment
-    b = ref.partition(graph, k, seed=seed).assignment
+def _assert_identical(factory, graph, k, seed, chunk_size=None, **kwargs):
+    with streaming_kernels(oracle=False, chunk_size=chunk_size):
+        a = factory(**kwargs).partition(graph, k, seed=seed).assignment
+    with streaming_kernels(oracle=True, chunk_size=chunk_size):
+        b = factory(**kwargs).partition(graph, k, seed=seed).assignment
     assert np.array_equal(a, b)
 
 
@@ -103,7 +100,7 @@ def test_twops_across_seeds(tiny_or, seed):
 @pytest.mark.parametrize("chunk_size", [1, 7, 64])
 def test_small_chunks_still_identical(tiny_or, factory, chunk_size):
     """Chunk boundaries (including chunk_size=1, the classic per-item
-    semantics) must not break the vectorised/reference equivalence."""
+    semantics) must not break the equivalence with the reference."""
     _assert_identical(factory, tiny_or, 4, seed=0, chunk_size=chunk_size)
 
 

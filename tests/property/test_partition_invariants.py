@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from repro.graph import Graph
 from repro.partitioning import (
     EdgePartition,
+    FennelPartitioner,
+    NePartitioner,
+    RestreamingLdgPartitioner,
     VertexPartition,
     all_edge_partitioners,
     all_vertex_partitioners,
@@ -17,34 +20,45 @@ from repro.partitioning import (
     vertex_balance,
 )
 
+#: The study's twelve plus the three extensions.
+EDGE_PARTITIONERS = all_edge_partitioners() + [NePartitioner()]
+VERTEX_PARTITIONERS = all_vertex_partitioners() + [
+    FennelPartitioner(),
+    RestreamingLdgPartitioner(),
+]
+
 
 @st.composite
 def random_graphs(draw):
-    """Connected-ish random graphs of 6..60 vertices."""
-    n = draw(st.integers(min_value=6, max_value=60))
+    """Random graphs of 1..65 vertices and at least one edge.
+
+    Rows may repeat and self-loop; an optional chain connects a prefix
+    of the vertices, and up to five trailing vertices touch no edge.
+    """
+    n = draw(st.integers(min_value=1, max_value=60))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = np.random.default_rng(seed)
-    # A spanning chain keeps every vertex non-isolated, plus random extras.
-    chain = np.stack(
-        [np.arange(n - 1), np.arange(1, n)], axis=1
-    )
-    extra_count = draw(st.integers(min_value=0, max_value=4 * n))
-    extras = rng.integers(0, n, size=(extra_count, 2))
-    extras = extras[extras[:, 0] != extras[:, 1]]
-    return Graph(n, np.concatenate([chain, extras]))
+    extra_count = draw(st.integers(min_value=1, max_value=4 * n))
+    rows = [rng.integers(0, n, size=(extra_count, 2))]
+    if draw(st.booleans()):
+        span = draw(st.integers(min_value=1, max_value=n))
+        chain = np.stack([np.arange(span - 1), np.arange(1, span)], axis=1)
+        rows.append(chain)
+    isolated = draw(st.integers(min_value=0, max_value=5))
+    return Graph(n + isolated, np.concatenate(rows))
 
 
 @st.composite
 def graph_and_k(draw):
     graph = draw(random_graphs())
-    k = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=9))  # may exceed |V|
     return graph, k
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=graph_and_k())
 @pytest.mark.parametrize(
-    "partitioner", all_edge_partitioners(), ids=lambda p: p.name
+    "partitioner", EDGE_PARTITIONERS, ids=lambda p: p.name
 )
 def test_edge_partitioner_invariants(partitioner, case):
     graph, k = case
@@ -71,7 +85,7 @@ def test_edge_partitioner_invariants(partitioner, case):
 @settings(max_examples=25, deadline=None)
 @given(case=graph_and_k())
 @pytest.mark.parametrize(
-    "partitioner", all_vertex_partitioners(), ids=lambda p: p.name
+    "partitioner", VERTEX_PARTITIONERS, ids=lambda p: p.name
 )
 def test_vertex_partitioner_invariants(partitioner, case):
     graph, k = case
