@@ -1,14 +1,19 @@
-"""The simulated compute cluster tying machines, network and timeline."""
+"""The simulated compute cluster tying machines, network and timeline.
+
+Every per-machine ledger is a k-vector: a phase costs the same Python
+calls on 4 machines as on 64, and the same float operations per machine
+as a loop over the machines."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..obs import api as obs
-from .machine import Machine
+from .machine import Machine, MemoryLedger
 from .network import NetworkFabric
 from .timeline import Timeline
 
@@ -56,12 +61,14 @@ class Cluster:
             raise ValueError("need one speed factor per machine")
         if (machine_speeds <= 0).any():
             raise ValueError("speed factors must be positive")
+        self.num_machines = num_machines
         self.machine_speeds = machine_speeds
-        self.machines: List[Machine] = [
-            Machine(i) for i in range(num_machines)
-        ]
+        self.memory = MemoryLedger(num_machines)
+        #: Rows: compute seconds, bytes sent, bytes received; per machine.
+        self.work = np.zeros((3, num_machines))
+        self._compute, self._sent, self._received = self.work
         self.fabric = NetworkFabric(num_machines, cost_model)
-        self.timeline = Timeline()
+        self.timeline = Timeline(num_machines)
         #: Prepended to every phase name recorded through the cluster;
         #: the fault layer sets it to ``"replay:"`` while re-executing
         #: epochs after a restore, so recovery work is distinguishable
@@ -75,10 +82,20 @@ class Cluster:
         #: flat, but it captures any per-phase allocate/free churn.
         self._memory_watermarks: Dict[str, np.ndarray] = {}
 
-    @property
-    def num_machines(self) -> int:
-        """Number of machines in the cluster."""
-        return len(self.machines)
+    @cached_property
+    def machines(self) -> List[Machine]:
+        """One :class:`Machine` view per column of the ledgers."""
+        return [Machine(i, self.work) for i in range(self.num_machines)]
+
+    def _checked(self, values, what: str, shape=None) -> np.ndarray:
+        """Checked float64 ``values`` of ``shape`` (default ``(k,)``)."""
+        array = np.asarray(values, dtype=np.float64)
+        shape = shape or (self.num_machines,)
+        if array.shape != shape:
+            raise ValueError(
+                f"{what} must have shape {shape}, not {array.shape}"
+            )
+        return array
 
     # ------------------------------------------------------------------
     # Phase execution
@@ -91,17 +108,15 @@ class Cluster:
     ) -> float:
         """Record a raw timeline phase under the current phase prefix."""
         full_name = self.phase_prefix + name
-        totals = np.array(
-            [machine.memory.total_bytes for machine in self.machines]
+        duration = self.timeline.add_phase(
+            full_name, per_machine_seconds, interrupted
         )
         watermark = self._memory_watermarks.get(full_name)
         if watermark is None:
-            self._memory_watermarks[full_name] = totals
+            self._memory_watermarks[full_name] = self.memory.total.copy()
         else:
-            np.maximum(watermark, totals, out=watermark)
-        return self.timeline.add_phase(
-            full_name, per_machine_seconds, interrupted
-        )
+            np.maximum(watermark, self.memory.total, out=watermark)
+        return duration
 
     def run_compute_phase(
         self, name: str, per_machine_seconds: np.ndarray
@@ -111,13 +126,13 @@ class Cluster:
         ``per_machine_seconds`` is at nominal speed; heterogeneous
         machines stretch their share by ``1 / speed``.
         """
-        per_machine_seconds = (
-            np.asarray(per_machine_seconds, dtype=np.float64)
+        seconds = (
+            self._checked(per_machine_seconds, "per_machine_seconds")
             / self.machine_speeds
         )
-        for machine, seconds in zip(self.machines, per_machine_seconds):
-            machine.add_compute(float(seconds))
-        return self.add_phase(name, per_machine_seconds)
+        duration = self.add_phase(name, seconds)
+        self._compute += seconds
+        return duration
 
     def record_traffic(
         self,
@@ -126,7 +141,7 @@ class Cluster:
         received_per_machine: np.ndarray,
         messages_per_machine: np.ndarray | None = None,
         matrix: np.ndarray | None = None,
-    ) -> None:
+    ) -> tuple:
         """Record phase traffic on the fabric and machine ledgers.
 
         No time is charged — callers that model their own phase timing
@@ -134,15 +149,23 @@ class Cluster:
         communication) use this to keep the byte ledgers and the
         ``src x dst`` matrix consistent with what they simulated. The
         phase name is recorded under the current :attr:`phase_prefix`.
+        Every argument is checked before any ledger changes; returns the
+        checked ``(sent, received, messages)``.
         """
-        sent = np.asarray(sent_per_machine, dtype=np.float64)
-        received = np.asarray(received_per_machine, dtype=np.float64)
-        self.fabric.transfer_bulk(sent, received, messages_per_machine)
-        for machine, s, r in zip(self.machines, sent, received):
-            machine.bytes_sent += float(s)
-            machine.bytes_received += float(r)
+        sent = self._checked(sent_per_machine, "sent_per_machine")
+        received = self._checked(received_per_machine, "received")
+        messages = messages_per_machine
+        if messages is not None:
+            messages = self._checked(messages, "messages").astype(np.int64)
+        if matrix is not None:
+            k = self.num_machines
+            matrix = self._checked(matrix, "traffic matrix", (k, k))
+        self.fabric.transfer_bulk(sent, received, messages)
+        self._sent += sent
+        self._received += received
         if matrix is not None:
             self.fabric.record_matrix(self.phase_prefix + name, matrix)
+        return sent, received, messages
 
     def run_comm_phase(
         self,
@@ -158,10 +181,9 @@ class Cluster:
         traffic pairwise for the fabric's per-phase matrices; it never
         affects the returned duration.
         """
-        sent = np.asarray(sent_per_machine, dtype=np.float64)
-        received = np.asarray(received_per_machine, dtype=np.float64)
-        self.record_traffic(
-            name, sent, received, messages_per_machine, matrix
+        sent, received, messages = self.record_traffic(
+            name, sent_per_machine, received_per_machine,
+            messages_per_machine, matrix,
         )
         # Per-machine port bound, floored by the fabric's bisection bound:
         # with every machine communicating concurrently the shared fabric
@@ -175,18 +197,13 @@ class Cluster:
             )
         else:  # pure per-port model (ablation)
             bisection_floor = 0.0
-        per_machine_seconds = np.array(
-            [
-                self.cost_model.transfer_seconds(
-                    max(s, r, bisection_floor),
-                    int(messages_per_machine[i])
-                    if messages_per_machine is not None
-                    else 1,
-                )
-                if max(s, r, bisection_floor) > 0
-                else 0.0
-                for i, (s, r) in enumerate(zip(sent, received))
-            ]
+        port_bytes = np.maximum(np.maximum(sent, received), bisection_floor)
+        per_machine_seconds = np.where(
+            port_bytes > 0,
+            self.cost_model.transfer_seconds(
+                port_bytes, 1 if messages is None else messages
+            ),
+            0.0,
         )
         return self.add_phase(name, per_machine_seconds)
 
@@ -203,8 +220,8 @@ class Cluster:
         """
         fabric_sent = float(self.fabric.sent.sum())
         fabric_received = float(self.fabric.received.sum())
-        machine_sent = sum(m.bytes_sent for m in self.machines)
-        machine_received = sum(m.bytes_received for m in self.machines)
+        machine_sent = sum(self._sent.tolist())
+        machine_received = sum(self._received.tolist())
         for side, fabric_total, machine_total in (
             ("sent", fabric_sent, machine_sent),
             ("received", fabric_received, machine_received),
@@ -219,35 +236,27 @@ class Cluster:
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
-    def allocate(
-        self, machine_id: int, category: str, num_bytes: float
-    ) -> None:
-        """Record a memory allocation on one machine's ledger."""
-        self.machines[machine_id].memory.allocate(category, num_bytes)
+    def allocate(self, machine, category: str, num_bytes) -> None:
+        """Record a memory allocation on one machine's ledger, or on
+        every machine of an index array (``num_bytes`` then a scalar or
+        one size per listed machine)."""
+        self.memory.allocate(machine, category, num_bytes)
 
     def check_memory_budget(self) -> None:
         """Raise :class:`OutOfMemoryError` if any machine is over budget."""
         budget = self.cost_model.memory_budget_bytes
-        for machine in self.machines:
-            obs.gauge(
-                "cluster.memory_peak_bytes",
-                machine.memory.peak_bytes,
-                machine=machine.machine_id,
-            )
-            if machine.memory.peak_bytes > budget:
-                raise OutOfMemoryError(
-                    machine.machine_id, machine.memory.peak_bytes, budget
-                )
+        for machine, peak in enumerate(self.memory.peak_total.tolist()):
+            obs.gauge("cluster.memory_peak_bytes", peak, machine=machine)
+            if peak > budget:
+                raise OutOfMemoryError(machine, peak, budget)
 
     def memory_per_machine(self) -> np.ndarray:
         """Per-machine peak memory in bytes, indexed by machine id."""
-        return np.array(
-            [machine.memory.peak_bytes for machine in self.machines]
-        )
+        return self.memory.peak_total.copy()
 
     def memory_utilization_balance(self) -> float:
         """max/mean of per-machine peak memory (paper Figure 5)."""
-        peaks = self.memory_per_machine()
+        peaks = self.memory.peak_total
         mean = peaks.mean()
         return float(peaks.max() / mean) if mean > 0 else 1.0
 
@@ -264,17 +273,10 @@ class Cluster:
         }
 
     def memory_category_peaks(self) -> Dict[str, List[float]]:
-        """Per-category peak bytes per machine: category -> [bytes, ...].
-
-        Categories are the union across machines, sorted; a machine
-        without the category contributes 0.0.
-        """
-        per_machine = [
-            machine.memory.peak_by_category() for machine in self.machines
-        ]
-        categories = sorted(set().union(*per_machine)) if per_machine else []
+        """Per-category peak bytes per machine: category -> [bytes, ...]
+        (categories any machine ever held bytes of, sorted)."""
         return {
-            category: [float(peaks.get(category, 0.0))
-                       for peaks in per_machine]
-            for category in categories
+            category: peak.tolist()
+            for category, peak in sorted(self.memory.peak.items())
+            if peak.any()
         }

@@ -1,8 +1,11 @@
-"""Simulated machine: memory ledger and compute accounting."""
+"""Simulated machines: the cluster's columnar memory ledger and a
+per-machine view of its compute and traffic counters."""
 
 from __future__ import annotations
 
 from typing import Dict
+
+import numpy as np
 
 __all__ = ["MemoryLedger", "Machine"]
 
@@ -10,92 +13,129 @@ __all__ = ["MemoryLedger", "Machine"]
 #: a category that drops under it is removed from the ledger entirely.
 _ZERO_BYTES = 1e-9
 
+#: Insertion stamp of a category a machine does not hold (sorts last).
+_ABSENT = np.iinfo(np.int64).max
+
+#: Rows of a cluster's ``(3, k)`` work block.
+COMPUTE, SENT, RECEIVED = range(3)
+
 
 class MemoryLedger:
-    """Tracks bytes allocated per category, with peak watermarks.
+    """Bytes per category (structure, features, activations, buffers,
+    ...) on each of ``num_machines`` machines, as k-vectors with their
+    high-water marks, so transient allocations stay visible once freed.
+    :attr:`total` sums each machine's live categories in that machine's
+    insertion order (a category freed to zero and allocated again goes
+    last), :attr:`peak_total` is its high-water mark."""
 
-    Categories mirror the footprint breakdown the paper discusses: graph
-    structure, features, activations (intermediate representations),
-    replicas, model/optimizer state, communication buffers. Both the
-    total and every category keep a high-water mark, so transient
-    allocations remain visible after they are freed.
-    """
+    def __init__(self, num_machines: int = 1) -> None:
+        self.held: Dict[str, np.ndarray] = {}
+        self.peak: Dict[str, np.ndarray] = {}
+        self._stamp: Dict[str, np.ndarray] = {}
+        self._next_stamp = 0
+        self.total = np.zeros(num_machines)
+        self.peak_total = np.zeros(num_machines)
+        self._absent = np.full(num_machines, _ABSENT)
 
-    def __init__(self) -> None:
-        self._current: Dict[str, float] = {}
-        self._peak_total = 0.0
-        self._peak_by_category: Dict[str, float] = {}
+    def _columns(self, category: str):
+        if category not in self.held:
+            k = self.total.size
+            self.held[category], self.peak[category] = np.zeros(k), np.zeros(k)
+            self._stamp[category] = self._absent.copy()
+        return self.held[category], self.peak[category], self._stamp[category]
 
-    def allocate(self, category: str, num_bytes: float) -> None:
-        """Add ``num_bytes`` to ``category`` and update the peaks."""
-        if num_bytes < 0:
+    def allocate(self, machines, category: str, num_bytes) -> None:
+        """Add ``num_bytes`` to ``category`` on ``machines`` (a machine id
+        or an array of distinct ids; sizes scalar or one per machine)."""
+        num_bytes = np.asarray(num_bytes, dtype=np.float64)
+        if (num_bytes < 0).any():
             raise ValueError("allocate takes non-negative sizes; use free")
-        held = self._current.get(category, 0.0) + num_bytes
-        self._current[category] = held
-        if held > self._peak_by_category.get(category, 0.0):
-            self._peak_by_category[category] = held
-        self._peak_total = max(self._peak_total, self.total_bytes)
+        held, peak, stamp = self._columns(category)
+        fresh = stamp[machines] == _ABSENT
+        now = held[machines] + num_bytes
+        held[machines] = now
+        if fresh.all():  # appended last everywhere: the sums gain one term
+            stamp[machines] = self._next_stamp
+            self.total[machines] += now
+        else:
+            stamp[machines] = np.where(
+                fresh, self._next_stamp, stamp[machines]
+            )
+            self._resum(machines)
+        self._next_stamp += 1
+        # A peak never falls below what it covers, so a whole-vector
+        # maximum moves only the machines just allocated on.
+        np.maximum(peak, held, out=peak)
+        np.maximum(self.peak_total, self.total, out=self.peak_total)
 
-    def free(self, category: str, num_bytes: float) -> None:
-        """Release ``num_bytes`` previously allocated under ``category``.
-
-        A category freed back to zero is removed from the current
-        ledger (its peak watermark is kept), so :meth:`by_category`
-        only ever reports live allocations.
-        """
-        held = self._current.get(category, 0.0)
-        if num_bytes > held + 1e-6:
+    def free(self, machine: int, category: str, num_bytes: float) -> None:
+        """Release ``num_bytes`` of ``category`` on one machine; freed to
+        zero, the category leaves that machine's ledger (not its peak)."""
+        held, _, stamp = self._columns(category)
+        current = float(held[machine])
+        if num_bytes > current + 1e-6:
             raise ValueError(
                 f"freeing {num_bytes} bytes of {category!r} "
-                f"but only {held} allocated"
+                f"but only {current} allocated"
             )
-        remaining = held - num_bytes
+        remaining = current - num_bytes
         if remaining <= _ZERO_BYTES:
-            self._current.pop(category, None)
-        else:
-            self._current[category] = remaining
+            remaining, stamp[machine] = 0.0, _ABSENT
+        held[machine] = remaining
+        self._resum(machine)
 
-    @property
-    def total_bytes(self) -> float:
-        """Bytes currently allocated across all categories."""
-        return sum(self._current.values())
+    def _resum(self, machines) -> None:
+        """Re-add the machines' categories, each in its insertion order."""
+        stamps = np.array([stamp[machines] for stamp in self._stamp.values()])
+        held = np.array([held[machines] for held in self.held.values()])
+        total = 0.0
+        for row in np.take_along_axis(held, np.argsort(stamps, axis=0), 0):
+            total = total + row
+        self.total[machines] = total
 
-    @property
-    def peak_bytes(self) -> float:
-        """High-water mark of total allocated bytes."""
-        return self._peak_total
+    def by_category(self, machine: int) -> Dict[str, float]:
+        """Live bytes per category on ``machine``, in insertion order."""
+        live = sorted(
+            (stamp[machine], category)
+            for category, stamp in self._stamp.items()
+            if stamp[machine] != _ABSENT
+        )
+        return {c: float(self.held[c][machine]) for _, c in live}
 
-    def by_category(self) -> Dict[str, float]:
-        """Current allocation per category (a copy)."""
-        return dict(self._current)
+    def peak_by_category(self, machine: int) -> Dict[str, float]:
+        """High-water mark per category ``machine`` ever held bytes of
+        (maxima at different times: they need not sum to the peak)."""
+        return {
+            category: float(peak[machine])
+            for category, peak in self.peak.items()
+            if peak[machine] > 0
+        }
 
-    def peak_by_category(self) -> Dict[str, float]:
-        """High-water mark per category (a copy).
 
-        Unlike :attr:`peak_bytes` these are per-category maxima, so they
-        need not sum to the total peak (categories can peak at different
-        times).
-        """
-        return dict(self._peak_by_category)
+def _work_column(row: int, doc: str) -> property:
+    def get(self) -> float:
+        return float(self._work[row, self.machine_id])
+
+    def set(self, value: float) -> None:
+        self._work[row, self.machine_id] = value
+
+    return property(get, set, doc=doc)
 
 
 class Machine:
-    """One worker of the simulated cluster."""
+    """One worker of the simulated cluster: its column of the cluster's
+    ``(3, k)`` block of compute seconds, bytes sent and bytes received,
+    plus fault counters."""
 
-    def __init__(self, machine_id: int) -> None:
+    compute_seconds = _work_column(COMPUTE, "Busy compute seconds.")
+    bytes_sent = _work_column(SENT, "Bytes this machine sent.")
+    bytes_received = _work_column(RECEIVED, "Bytes this machine received.")
+
+    def __init__(self, machine_id: int, work: np.ndarray) -> None:
         self.machine_id = machine_id
-        self.memory = MemoryLedger()
-        self.compute_seconds = 0.0
-        self.bytes_sent = 0.0
-        self.bytes_received = 0.0
+        self._work = work
         self.crashes = 0
         self.restarts = 0
-
-    def add_compute(self, seconds: float) -> None:
-        """Accumulate ``seconds`` of busy compute time."""
-        if seconds < 0:
-            raise ValueError("compute time must be non-negative")
-        self.compute_seconds += seconds
 
     def record_crash(self) -> None:
         """Count an injected crash of this machine."""
@@ -104,9 +144,3 @@ class Machine:
     def record_restart(self) -> None:
         """Count a recovery restart of this machine."""
         self.restarts += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Machine({self.machine_id}, mem={self.memory.total_bytes:.0f}B, "
-            f"cpu={self.compute_seconds:.3f}s)"
-        )

@@ -29,6 +29,9 @@ from ..obs import api as obs
 
 __all__ = ["NetworkFabric"]
 
+_BYTES_SENT = obs.Bound("cluster.bytes_sent", "machine")
+_BYTES_RECEIVED = obs.Bound("cluster.bytes_received", "machine")
+
 
 class NetworkFabric:
     """Per-machine sent/received/message counters plus phase timing."""
@@ -74,19 +77,12 @@ class NetworkFabric:
         if messages_per_machine is not None:
             self.messages += messages_per_machine
         if obs.enabled():
-            for machine in range(self.num_machines):
-                if sent_per_machine[machine]:
-                    obs.count(
-                        "cluster.bytes_sent",
-                        float(sent_per_machine[machine]),
-                        machine=machine,
-                    )
-                if received_per_machine[machine]:
-                    obs.count(
-                        "cluster.bytes_received",
-                        float(received_per_machine[machine]),
-                        machine=machine,
-                    )
+            ports = np.array([sent_per_machine, received_per_machine], float)
+            for machine, (sent, received) in enumerate(ports.T.tolist()):
+                if sent:
+                    _BYTES_SENT[machine].add(sent)
+                if received:
+                    _BYTES_RECEIVED[machine].add(received)
 
     def record_matrix(self, phase: str, matrix: np.ndarray) -> None:
         """Accumulate a ``src x dst`` byte matrix under ``phase``.
@@ -130,22 +126,6 @@ class NetworkFabric:
             phase: matrix.copy()
             for phase, matrix in self._matrix_by_phase.items()
         }
-
-    def phase_seconds(
-        self,
-        sent_per_machine: np.ndarray,
-        received_per_machine: np.ndarray,
-        messages_per_machine: np.ndarray | None = None,
-    ) -> float:
-        """Duration of a communication phase: busiest port wins."""
-        port_bytes = np.maximum(sent_per_machine, received_per_machine)
-        busiest = float(port_bytes.max()) if port_bytes.size else 0.0
-        num_msgs = 1
-        if messages_per_machine is not None and messages_per_machine.size:
-            num_msgs = int(messages_per_machine.max())
-        if busiest <= 0:
-            return 0.0
-        return self.cost_model.transfer_seconds(busiest, num_msgs)
 
     @property
     def total_bytes(self) -> float:

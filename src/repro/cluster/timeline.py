@@ -15,7 +15,7 @@ instant events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,20 +37,9 @@ class PhaseRecord:
     interrupted: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.per_machine_seconds, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(
-                f"phase {self.name!r}: per_machine_seconds must be 1-D, "
-                f"got shape {arr.shape}"
-            )
-        if arr.size == 0:
-            raise ValueError(
-                f"phase {self.name!r}: per_machine_seconds is empty — a "
-                "phase needs at least one machine"
-            )
         # Defensive copy, then freeze: the dataclass is frozen, so the
         # array it holds must not be writable through an outside alias.
-        arr = arr.copy()
+        arr = np.array(self.per_machine_seconds, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "per_machine_seconds", arr)
 
@@ -70,11 +59,24 @@ class TimelineMark:
     machine: Optional[int] = None
 
 
-@dataclass
+_PHASE_SECONDS = obs.Bound("cluster.phase_seconds", "phase")
+_BUSY_SECONDS = obs.Bound("cluster.machine_busy_seconds", "machine")
+
+
 class Timeline:
-    """Ordered log of phase records and point-in-time marks for one run."""
-    records: List[PhaseRecord] = field(default_factory=list)
-    marks: List[TimelineMark] = field(default_factory=list)
+    """Ordered log of phases and point-in-time marks for one run.
+
+    Phases are columns: a growable (phases x ``num_machines``) float64
+    block — as wide as the first phase when built without a width —
+    beside lists of names, interrupted flags and straggler durations.
+    """
+
+    def __init__(self, num_machines: Optional[int] = None) -> None:
+        self.marks: List[TimelineMark] = []
+        self._seconds = np.empty((16, num_machines or 0))
+        self._names: List[str] = []
+        self._interrupted: List[bool] = []
+        self._durations: List[float] = []
 
     def add_phase(
         self,
@@ -82,27 +84,40 @@ class Timeline:
         per_machine_seconds: np.ndarray,
         interrupted: bool = False,
     ) -> float:
-        """Append a phase record and return its straggler-bound duration."""
-        per_machine_seconds = np.asarray(per_machine_seconds, dtype=np.float64)
-        if (per_machine_seconds < 0).any():
+        """Append a phase and return its straggler-bound duration."""
+        seconds = np.asarray(per_machine_seconds, dtype=np.float64)
+        if self._seconds.shape[1] == 0 and seconds.ndim == 1:
+            self._seconds = np.empty((16, seconds.size))
+        width = self._seconds.shape[1]
+        if width == 0 or seconds.shape != (width,):
+            raise ValueError(
+                f"phase {name!r}: per_machine_seconds must be a non-empty "
+                f"1-D array of {width or 'n'} values, got {seconds.shape}"
+            )
+        if seconds.min() < 0:
             raise ValueError("phase times must be non-negative")
-        record = PhaseRecord(name, per_machine_seconds, interrupted)
-        self.records.append(record)
+        row = len(self._names)
+        if row == len(self._seconds):  # full: double the block
+            self._seconds = np.concatenate([self._seconds, self._seconds])
+        self._seconds[row] = seconds
+        duration = float(seconds.max())
+        self._names.append(name)
+        self._interrupted.append(interrupted)
+        self._durations.append(duration)
         if obs.enabled():
-            obs.observe(
-                "cluster.phase_seconds", record.duration, phase=name
-            )
-            for machine, seconds in enumerate(record.per_machine_seconds):
-                obs.count(
-                    "cluster.machine_busy_seconds",
-                    float(seconds),
-                    machine=machine,
-                )
+            _PHASE_SECONDS[name].observe(duration)
+            for machine, busy in enumerate(seconds.tolist()):
+                _BUSY_SECONDS[machine].add(busy)
             obs.event(
-                "phase", name,
-                seconds=record.duration, interrupted=interrupted,
+                "phase", name, seconds=duration, interrupted=interrupted,
             )
-        return record.duration
+        return duration
+
+    @property
+    def records(self) -> List[PhaseRecord]:
+        """The phases in order, as read-only records (built per access)."""
+        phases = zip(self._names, self._seconds, self._interrupted)
+        return [PhaseRecord(*phase) for phase in phases]
 
     def add_mark(
         self,
@@ -122,21 +137,14 @@ class Timeline:
     @property
     def total_seconds(self) -> float:
         """Sum of all phase durations (the simulated makespan)."""
-        return sum(record.duration for record in self.records)
+        return sum(self._durations)
 
     def phase_totals(self) -> Dict[str, float]:
         """Total straggler seconds per phase name."""
         totals: Dict[str, float] = {}
-        for record in self.records:
-            totals[record.name] = totals.get(record.name, 0.0) + record.duration
+        for name, duration in zip(self._names, self._durations):
+            totals[name] = totals.get(name, 0.0) + duration
         return totals
-
-    def straggler_phase_totals(self) -> Dict[str, float]:
-        """Paper Section 5.3 methodology: per occurrence, take the slowest
-        worker's time in each phase, then sum over occurrences per phase.
-        (With barrier semantics this equals :meth:`phase_totals`.)
-        """
-        return self.phase_totals()
 
     def interrupted_records(self) -> List[PhaseRecord]:
         """Phases a fault cut short."""
@@ -145,9 +153,9 @@ class Timeline:
     def recovery_seconds(self) -> float:
         """Straggler seconds spent on failure handling and replay."""
         return sum(
-            record.duration
-            for record in self.records
-            if record.name.startswith(RECOVERY_PHASE_PREFIXES)
+            duration
+            for name, duration in zip(self._names, self._durations)
+            if name.startswith(RECOVERY_PHASE_PREFIXES)
         )
 
     def checkpoint_seconds(self) -> float:
@@ -155,10 +163,8 @@ class Timeline:
         return self.phase_totals().get("checkpoint", 0.0)
 
     def per_machine_totals(self) -> np.ndarray:
-        """Summed busy time per machine (for balance plots)."""
-        if not self.records:
+        """Summed busy time per machine (for balance plots), phase by
+        phase in order."""
+        if not self._names:
             return np.zeros(0)
-        total = np.zeros_like(self.records[0].per_machine_seconds)
-        for record in self.records:
-            total += record.per_machine_seconds
-        return total
+        return np.cumsum(self._seconds[: len(self._names)], axis=0)[-1]

@@ -295,25 +295,25 @@ class DistDglEngine:
             - np.bincount(owners_u[owners_u == owners_v], minlength=k)
         )
         self._owned_per_worker = np.bincount(self.owner, minlength=k)
-        num_cached = 0 if self._cached is None else int(self._cached.sum())
-        for w in range(k):
-            local_edges = int(self._local_edges_per_worker[w])
-            owned = int(self._owned_per_worker[w])
+        workers = np.arange(k)
+        owned = self._owned_per_worker
+        self.cluster.allocate(
+            workers,
+            "structure",
+            (2 * self._local_edges_per_worker + owned) * cm.index_bytes,
+        )
+        self.cluster.allocate(
+            workers, "features", cm.feature_bytes(owned, self.feature_size)
+        )
+        if self._cached is not None:
             self.cluster.allocate(
-                w, "structure", (2 * local_edges + owned) * cm.index_bytes
+                workers,
+                "feature-cache",
+                cm.feature_bytes(int(self._cached.sum()), self.feature_size),
             )
-            self.cluster.allocate(
-                w, "features", cm.feature_bytes(owned, self.feature_size)
-            )
-            if self._cached is not None:
-                self.cluster.allocate(
-                    w,
-                    "feature-cache",
-                    cm.feature_bytes(num_cached, self.feature_size),
-                )
-            # Model/optimizer state is partitioner-independent and (at the
-            # paper's graph scale) negligible - excluded from the ledger,
-            # as in the DistGNN engine.
+        # Model/optimizer state is partitioner-independent and (at the
+        # paper's graph scale) negligible - excluded from the ledger, as
+        # in the DistGNN engine.
 
     def memory_per_machine(self) -> np.ndarray:
         """Per-machine peak memory of the underlying cluster."""

@@ -139,44 +139,42 @@ class DistGnnEngine:
     # ------------------------------------------------------------------
     def _account_memory(self) -> None:
         cm = self.cost_model
+        machines = np.arange(self.num_machines)
+        edges, vertices = self.edges_per_machine, self.vertices_per_machine
         activation_dims = sum(self.dims[1:])  # one stored output per layer
-        for i in range(self.num_machines):
-            edges = self.edges_per_machine[i]
-            vertices = self.vertices_per_machine[i]
-            # Forward + reverse CSR over the local edges plus per-edge halo
-            # metadata (DistGNN tracks, per edge, whether the counterpart
-            # is a replica and where its master lives).
-            self.cluster.allocate(
-                i, "structure", (5 * edges + 2 * vertices) * cm.index_bytes
-            )
-            self.cluster.allocate(
-                i, "features", cm.feature_bytes(vertices, self.feature_size)
-            )
-            # Intermediate representations are kept for the backward pass,
-            # one per vertex copy and layer (gradients are transient: they
-            # live only while the layer's backward step runs).
-            self.cluster.allocate(
-                i,
-                "activations",
-                cm.feature_bytes(vertices, activation_dims),
-            )
-            # Model + optimizer state is identical on every machine and
-            # partitioner-independent; at the paper's graph scale it is a
-            # negligible share of the footprint (<0.1%), so including it
-            # at our deliberately reduced graph scale would only distort
-            # the relative footprints the study compares. It is therefore
-            # excluded from the ledger.
-            # Halo exchanges are streamed in chunks; the resident buffer
-            # holds a slice of the replica payload, not all of it.
-            max_dim = max(self.dims)
-            chunk_fraction = 0.1
-            self.cluster.allocate(
-                i,
-                "comm-buffers",
-                2
-                * chunk_fraction
-                * cm.feature_bytes(self.nonmaster_per_machine[i], max_dim),
-            )
+        # Forward + reverse CSR over the local edges plus per-edge halo
+        # metadata (DistGNN tracks, per edge, whether the counterpart
+        # is a replica and where its master lives).
+        self.cluster.allocate(
+            machines, "structure", (5 * edges + 2 * vertices) * cm.index_bytes,
+        )
+        self.cluster.allocate(
+            machines, "features", cm.feature_bytes(vertices, self.feature_size)
+        )
+        # Intermediate representations are kept for the backward pass,
+        # one per vertex copy and layer (gradients are transient: they
+        # live only while the layer's backward step runs).
+        self.cluster.allocate(
+            machines, "activations",
+            cm.feature_bytes(vertices, activation_dims),
+        )
+        # Model + optimizer state is identical on every machine and
+        # partitioner-independent; at the paper's graph scale it is a
+        # negligible share of the footprint (<0.1%), so including it
+        # at our deliberately reduced graph scale would only distort
+        # the relative footprints the study compares. It is therefore
+        # excluded from the ledger.
+        # Halo exchanges are streamed in chunks; the resident buffer
+        # holds a slice of the replica payload, not all of it.
+        max_dim = max(self.dims)
+        chunk_fraction = 0.1
+        self.cluster.allocate(
+            machines,
+            "comm-buffers",
+            2
+            * chunk_fraction
+            * cm.feature_bytes(self.nonmaster_per_machine, max_dim),
+        )
 
     def memory_per_machine(self) -> np.ndarray:
         """Peak bytes per machine (paper's memory footprint metric)."""

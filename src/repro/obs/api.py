@@ -27,6 +27,7 @@ import json
 import time
 from typing import Dict, List, Optional
 
+from .catalog import find_spec
 from .registry import MetricsRegistry
 from .sink import EventSink
 
@@ -46,6 +47,7 @@ __all__ = [
     "gauge",
     "observe",
     "event",
+    "Bound",
     "span",
     "snapshot",
     "save_metrics",
@@ -218,6 +220,27 @@ def event(kind: str, name: str, /, **fields) -> None:
         payload.update(_context)
     payload.update(fields)
     _sink.emit(payload)
+
+
+class Bound:
+    """A metric resolved once per label value, for hot emitters:
+    ``BUSY = Bound("cluster.machine_busy_seconds", "machine")``, then
+    ``BUSY[3].add(s)`` (after :func:`enabled`). Re-resolved after the
+    registry is cleared (:func:`reset`)."""
+
+    def __init__(self, name: str, label: str) -> None:
+        self.name, self.label = name, label
+        self._generation, self._instruments = -1, {}
+
+    def __getitem__(self, value):
+        if self._generation != _registry.generation:
+            self._generation, self._instruments = _registry.generation, {}
+        instrument = self._instruments.get(value)
+        if instrument is None:
+            access = getattr(_registry, find_spec(self.name).kind)
+            instrument = access(self.name, **{self.label: value})
+            self._instruments[value] = instrument
+        return instrument
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ surface at the call site rather than as silently missing series.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .catalog import MetricSpec, find_spec
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 LabelItems = Tuple[Tuple[str, str], ...]
+
+_GENERATIONS = itertools.count()
 
 
 class _Instrument:
@@ -163,6 +166,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelItems], _Instrument] = {}
+        #: Process-unique, renewed by :meth:`clear` (see ``api.Bound``).
+        self.generation = next(_GENERATIONS)
 
     # ------------------------------------------------------------------
     # Instrument access
@@ -245,6 +250,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every instrument (a fresh scope for the next run)."""
         self._instruments.clear()
+        self.generation = next(_GENERATIONS)
 
 
 def snapshot_totals(

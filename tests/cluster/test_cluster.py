@@ -43,6 +43,11 @@ def test_comm_phase_dominant_port_wins():
     assert duration == pytest.approx(cm.transfer_seconds(10000.0, 1))
 
 
+def test_comm_phase_without_traffic_takes_no_time():
+    cluster = Cluster(4, CostModel(fabric_model="port"))
+    assert cluster.run_comm_phase("sync", np.zeros(4), np.zeros(4)) == 0.0
+
+
 def test_memory_budget_enforced():
     cm = CostModel(memory_budget_bytes=1000)
     cluster = Cluster(2, cm)
@@ -62,3 +67,55 @@ def test_memory_balance():
 def test_needs_at_least_one_machine():
     with pytest.raises(ValueError):
         Cluster(0)
+
+
+WRONG_SHAPES = {
+    "phase-3-of-4": lambda c: c.add_phase("b", np.ones(3)),
+    "phase-2d": lambda c: c.add_phase("b", np.ones((4, 1))),
+    "compute-scalar": lambda c: c.run_compute_phase("b", 1.0),
+    "compute-5-of-4": lambda c: c.run_compute_phase("b", np.ones(5)),
+    "comm-received-3": lambda c: c.run_comm_phase(
+        "b", np.ones(4), np.ones(3)
+    ),
+    "comm-messages-2": lambda c: c.run_comm_phase(
+        "b", np.ones(4), np.ones(4), np.ones(2, dtype=np.int64)
+    ),
+    "traffic-scalars": lambda c: c.record_traffic(
+        "t", np.float64(5), np.float64(5)
+    ),
+    "traffic-matrix-3x3": lambda c: c.record_traffic(
+        "t", np.ones(4), np.ones(4), matrix=np.ones((3, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_SHAPES))
+def test_wrong_shape_rejected_before_any_ledger_changes(call):
+    """A per-machine vector that is not (k,) — or a matrix that is not
+    (k, k) — raises ValueError up front and leaves every ledger as it
+    was (it used to be recorded silently, or to half-update the fabric
+    before a TypeError)."""
+    cluster = Cluster(4)
+    cluster.allocate(1, "features", 100.0)
+    with pytest.raises(ValueError, match="shape|must be"):
+        WRONG_SHAPES[call](cluster)
+    assert cluster.timeline.records == []
+    assert cluster.memory_watermark_timeline() == {}
+    assert not cluster.work.any()
+    for name in ("sent", "received", "messages"):
+        assert not getattr(cluster.fabric, name).any(), name
+    assert cluster.fabric.traffic_matrix_phases() == {}
+    cluster.check_traffic_invariant()
+
+
+def test_machines_view_the_cluster_ledgers():
+    cluster = Cluster(3)
+    cluster.run_compute_phase("fwd", np.array([1.0, 2.0, 0.5]))
+    cluster.allocate(np.arange(3), "features", np.array([1.0, 2.0, 3.0]))
+    cluster.memory.free(2, "features", 3.0)
+    assert [m.compute_seconds for m in cluster.machines] == [1.0, 2.0, 0.5]
+    assert cluster.memory.by_category(1) == {"features": 2.0}
+    assert cluster.memory.by_category(2) == {}
+    assert cluster.memory_per_machine().tolist() == [1.0, 2.0, 3.0]
+    cluster.machines[0].bytes_sent += 7.0
+    assert cluster.work[1].tolist() == [7.0, 0.0, 0.0]

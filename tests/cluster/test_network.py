@@ -35,21 +35,6 @@ def test_bulk_transfer():
     assert fabric.received[1] == 10
 
 
-def test_phase_seconds_busiest_port():
-    fabric = make_fabric()
-    cm = fabric.cost_model
-    sent = np.array([1e6, 0, 0, 0])
-    recv = np.array([0, 1e6, 0, 0])
-    expected = cm.transfer_seconds(1e6, 1)
-    assert fabric.phase_seconds(sent, recv) == expected
-
-
-def test_phase_seconds_zero_traffic():
-    fabric = make_fabric()
-    zero = np.zeros(4)
-    assert fabric.phase_seconds(zero, zero) == 0.0
-
-
 class TestTrafficMatrix:
     def test_record_accumulates_per_phase(self):
         fabric = make_fabric(2)

@@ -76,7 +76,7 @@ class TestMemoryWatermarks:
         cluster = Cluster(1)
         cluster.allocate(0, "buffers", 100)
         cluster.add_phase("step", np.zeros(1))
-        cluster.machines[0].memory.free("buffers", 80)
+        cluster.memory.free(0, "buffers", 80)
         cluster.add_phase("step", np.zeros(1))
         assert list(
             cluster.memory_watermark_timeline()["step"]

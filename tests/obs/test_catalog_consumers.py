@@ -37,8 +37,11 @@ NOT_READERS = (
     os.path.join("docs", "observability.md"),
 )
 
-#: ``obs.count("name"``, ``registry.gauge(\n    "name"``, ``_count(...``.
-EMIT_CALL = r'\b_?(?:count|counter|gauge|observe|timer|histogram)\(\s*"%s"'
+#: ``obs.count("name"``, ``registry.gauge(\n    "name"``, ``_count(...``,
+#: ``obs.Bound("name"`` (a metric bound once, emitted by label value).
+EMIT_CALL = (
+    r'\b_?(?:count|counter|gauge|observe|timer|histogram|Bound)\(\s*"%s"'
+)
 
 
 @pytest.fixture(scope="module")

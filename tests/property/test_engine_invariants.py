@@ -64,18 +64,18 @@ def test_distgnn_memory_decomposition(partition):
     small = DistGnnEngine(partition, 8, 16, 2)
     large = DistGnnEngine(partition, 16, 16, 2)
     for engine in (small, large):
-        for machine in engine.cluster.machines:
-            assert machine.memory.total_bytes == sum(
-                machine.memory.by_category().values()
+        memory = engine.cluster.memory
+        for machine in range(partition.num_partitions):
+            assert memory.total[machine] == sum(
+                memory.by_category(machine).values()
             )
-    for m_small, m_large in zip(
-        small.cluster.machines, large.cluster.machines
-    ):
+    for machine in range(partition.num_partitions):
+        small_features = small.cluster.memory.by_category(machine)["features"]
         delta = (
-            m_large.memory.by_category()["features"]
-            - m_small.memory.by_category()["features"]
+            large.cluster.memory.by_category(machine)["features"]
+            - small_features
         )
-        assert delta == m_small.memory.by_category()["features"]
+        assert delta == small_features
 
 
 @settings(max_examples=15, deadline=None)
