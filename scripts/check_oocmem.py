@@ -1,13 +1,14 @@
 """Bounded-memory gate for the out-of-core partitioning pipeline.
 
 Runs the chunk-store pipeline on a 10^6-edge graph — chunk-native RMAT
-generation → spool, then over that one spool a streaming HDRF shuffle,
-a 2PS-L shuffle and an LDG ``partition_stream`` — and fails (exit 1)
-when any stage's peak memory exceeds explicit caps:
+generation → spool, then over that one spool streaming HDRF, DBH and
+2PS-L shuffles and an LDG ``partition_stream`` — and fails (exit 1)
+when any stage's peak memory exceeds explicit caps, or (at the default
+``--edges``) when the bytes it wrote move from :data:`EXPECTED_DIGEST`:
 
 * ``--max-traced-mb`` (default 96) bounds the Python-heap high-water
-  mark measured by ``tracemalloc``. The measured peaks are 47 and
-  49 MiB for the shuffles, dominated by the k=32 bucket-writer buffers
+  mark measured by ``tracemalloc``. The measured peaks are 40–51 MiB
+  for the shuffles, dominated by the k=32 bucket-writer buffers
   (32 × 1 MiB) plus the partitioner's state — HDRF's O(num_vertices · k)
   table, 2PS-L's O(num_vertices) union-find and cluster arrays — and
   18 MiB for LDG's O(num_vertices) state around a memmapped CSR. A full
@@ -30,6 +31,7 @@ Scale or caps can be overridden for local experiments
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import shutil
 import sys
@@ -39,6 +41,7 @@ import time
 from repro.graph import rmat_edge_chunks, spool_edges
 from repro.obs import PeakMemoryTracker
 from repro.partitioning import (
+    DbhPartitioner,
     HdrfPartitioner,
     LdgPartitioner,
     TwoPsLPartitioner,
@@ -51,11 +54,20 @@ RMAT_SCALE = 18
 CHUNK_ROWS = 1 << 16
 #: Machine count (the paper's largest).
 NUM_PARTITIONS = 32
+#: Default stream length; the output digest is pinned at this size only.
+DEFAULT_EDGES = 10**6
+#: sha1 of the default run's output (see :func:`run_pipeline`).
+EXPECTED_DIGEST = "22a978b10c865c5b205cd40669c9789ca07032a9"
 
 
-def run_pipeline(num_edges: int, directory: str) -> list:
-    """Generate → spool, then each consumer; one summary per stage."""
+def run_pipeline(num_edges: int, directory: str) -> tuple:
+    """Generate → spool, then each consumer; one summary per stage.
+
+    Also returns the sha1 over every bucket fingerprint of the three
+    shuffles, in order, and LDG's assignment bytes.
+    """
     summaries = []
+    digest = hashlib.sha1()
 
     def measured(name, stage):
         start = time.perf_counter()
@@ -75,7 +87,7 @@ def run_pipeline(num_edges: int, directory: str) -> list:
         num_vertices=1 << RMAT_SCALE,
         directed=True,
     ))
-    for partitioner in (HdrfPartitioner(), TwoPsLPartitioner()):
+    for partitioner in (HdrfPartitioner(), DbhPartitioner(), TwoPsLPartitioner()):
         result = measured(f"{partitioner.name} shuffle", lambda: shuffle_stream(
             reader, partitioner, NUM_PARTITIONS,
             os.path.join(directory, "buckets-" + partitioner.name), seed=0,
@@ -85,17 +97,20 @@ def run_pipeline(num_edges: int, directory: str) -> list:
                 f"{partitioner.name} shuffle lost edges: buckets hold "
                 f"{int(result.edge_counts.sum())} of {num_edges}"
             )
+        for p in range(NUM_PARTITIONS):
+            digest.update(result.bucket(p).fingerprint.encode())
     partition = measured("LDG partition_stream", lambda: (
         LdgPartitioner().partition_stream(reader, NUM_PARTITIONS, seed=0)
     ))
     if int(partition.vertex_counts().sum()) != reader.num_vertices:
         raise AssertionError("LDG did not place every vertex")
-    return summaries
+    digest.update(partition.assignment.tobytes())
+    return summaries, digest.hexdigest()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--edges", type=int, default=10**6)
+    parser.add_argument("--edges", type=int, default=DEFAULT_EDGES)
     parser.add_argument("--max-traced-mb", type=float, default=96.0)
     parser.add_argument("--max-rss-mb", type=float, default=512.0)
     parser.add_argument(
@@ -106,7 +121,7 @@ def main(argv=None) -> int:
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-oocmem-")
     try:
-        summaries = run_pipeline(args.edges, workdir)
+        summaries, digest = run_pipeline(args.edges, workdir)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -116,7 +131,10 @@ def main(argv=None) -> int:
         f"out-of-core pipeline: {args.edges:,} edges in {seconds:.1f}s "
         f"({len(summaries) - 1} consumers of one spool)"
     )
+    print(f"  output sha1 {digest}")
     failures = []
+    if args.edges == DEFAULT_EDGES and digest != EXPECTED_DIGEST:
+        failures.append(f"output sha1 is not the pinned {EXPECTED_DIGEST}")
     for summary in summaries:
         traced_mb = summary["traced_peak_bytes"] / 2**20
         rss_mb = (summary["rss_peak_bytes"] or 0) / 2**20

@@ -152,9 +152,9 @@ class VertexStreamState:
         occurs earlier in the same chunk (that neighbour's placement is
         invisible to the batch tally) and is re-scored scalar at its
         turn. Capacity eligibility and the no-neighbour fallback use
-        live sizes, so the commit walks each vertex's frozen score order
-        (stable-sorted, ties by index — matching ``argmax``) until an
-        open partition is found.
+        live sizes, so the commit takes each vertex's frozen ``argmax``
+        and, only when that partition is full, walks the rest of its
+        frozen score order (:meth:`_first_open`).
         """
         k = self.num_partitions
         c = chunk.shape[0]
@@ -186,17 +186,19 @@ class VertexStreamState:
         self._chunk_pos[chunk] = -1
         has_nbr = counts.any(axis=1)
 
-        # Frozen score order per row; ties resolved by index, matching
-        # the per-vertex rule's argmax (stable sort of the negated scores).
-        order_rows = np.argsort(-score, axis=1, kind="stable").tolist()
-        positive = (score > 0).tolist()
+        # A row's frozen order (stable sort of -score) starts at its
+        # argmax; the rest is walked only when that partition is full.
+        first = score.argmax(axis=1)
+        first_positive = (score[np.arange(c), first] > 0).tolist()
+        first = first.tolist()
+        dirty = dirty.tolist()
+        has_nbr = has_nbr.tolist()
         sizes = self.sizes.tolist()
         assignment = self.assignment
         capacity = self.capacity
         is_ldg = self.mode == "ldg"
         penalty_list = penalty.tolist()
-        for pos in range(c):
-            v = int(chunk[pos])
+        for pos, v in enumerate(chunk.tolist()):
             if vacate:
                 old = assignment[v]
                 if old >= 0:
@@ -206,16 +208,24 @@ class VertexStreamState:
             elif not has_nbr[pos]:
                 best = self._fallback(sizes)
             else:
-                best = -1
-                for p in order_rows[pos]:
-                    if sizes[p] < capacity:
-                        best = p
-                        break
-                if is_ldg and not positive[pos][best]:
+                best = first[pos]
+                positive = first_positive[pos]
+                if sizes[best] >= capacity:
+                    best = self._first_open(score[pos], sizes)
+                    positive = score[pos, best] > 0
+                if is_ldg and not positive:
                     best = self._fallback(sizes)
             assignment[v] = best
             sizes[best] += 1
         self.sizes[:] = sizes
+
+    def _first_open(self, row: np.ndarray, sizes: list) -> int:
+        """The best-scoring open partition of ``row``, lowest index on ties
+        as in the per-vertex rule's argmax (-1: none is open)."""
+        for p in np.argsort(-row, kind="stable").tolist():
+            if sizes[p] < self.capacity:
+                return p
+        return -1
 
     def _place_dirty(
         self, v: int, penalty: list, sizes: list

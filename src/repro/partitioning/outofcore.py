@@ -144,7 +144,10 @@ class StoreGraphView:
     def symmetric_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """The out-of-core symmetric CSR (built and cached on first use)."""
         if self._indptr is None:
-            self._indptr, self._indices = build_stream_csr(self.reader)
+            self._indptr, indices = build_stream_csr(self.reader)
+            # A plain view of the memmap: slicing a ``np.memmap`` pays
+            # for its subclass on every call.
+            self._indices = indices.view(np.ndarray)
         return self._indptr, self._indices
 
     def degrees(self) -> np.ndarray:

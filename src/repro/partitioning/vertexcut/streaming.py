@@ -8,10 +8,10 @@ by the in-memory phase.
 There is one drive, :meth:`HdrfState.place_blocks`: edges are streamed
 in *chunks* (the ramp of :func:`..chunking.iter_ramp_blocks`); the
 balance term is frozen at the start of each chunk, and within a chunk
-edges are peeled off in vectorised waves of mutually vertex-disjoint
-edges (an edge joins a wave when none of the still-unplaced edges
-before it in the stream shares an endpoint), so each wave can be scored
-and committed with numpy batch operations.
+edges are peeled off in vectorised waves of edges that do not interact
+(an edge joins a wave when none of the still-unplaced edges before it
+in the stream shares an endpoint other than a saturated one), so each
+wave can be scored and committed with numpy batch operations.
 :meth:`HdrfState.place_edges` is that drive over a single in-memory
 block. The scalar per-edge reference with the same chunked semantics
 lives in ``tests/oracles/streaming.py``, which pins this kernel to it
@@ -31,12 +31,13 @@ degenerates to the classic per-edge algorithm.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ...obs import api as obs
 from ..chunking import DEFAULT_CHUNK, iter_ramp_blocks
+from ..ordering import stable_order
 
 __all__ = ["HdrfState"]
 
@@ -45,7 +46,7 @@ _MIN_WAVE = 8
 #: Cap on peel rounds per chunk: long conflict chains (hub vertices) hit
 #: diminishing wave sizes, so after this many rounds the rest of the
 #: chunk is finished with the scalar kernel instead.
-_MAX_ROUNDS = 6
+_MAX_ROUNDS = 10
 
 
 class HdrfState:
@@ -77,8 +78,11 @@ class HdrfState:
         self.membership = np.zeros(
             (num_vertices, num_partitions), dtype=bool
         )
+        # Bumped with every membership bit set: a row is non-empty iff > 0.
         self.partial_degree = np.zeros(num_vertices, dtype=np.int64)
         self.loads = np.zeros(num_partitions, dtype=np.int64)
+        # membership[v] is all True (flagged at chunk start; never unset).
+        self._saturated = np.zeros(num_vertices, dtype=bool)
         # Uninitialised scratch for first-occurrence detection in the
         # peel loop; only positions written in a round are read back.
         self._scratch = np.empty(num_vertices, dtype=np.int64)
@@ -106,40 +110,26 @@ class HdrfState:
         )
 
     def _place_edge_frozen(
-        self, u: int, v: int, balance: np.ndarray, fill: np.ndarray
+        self, edge: np.ndarray, du: int, dv: int, touched: bool,
+        balance: np.ndarray, best: int,
     ) -> int:
         """Place one edge using a pre-computed (chunk-frozen) balance.
 
-        ``fill`` is the chunk's waterfill ledger for *untouched* edges
-        (no membership signal on either endpoint): their decision is
-        balance-only, and the stale chunk balance would dump them all on
-        one partition, so they instead go to the least-filled partition
-        and bump the ledger. Untouched edges always surface in the first
-        peel wave of a chunk (any earlier conflicting edge would have
-        marked an endpoint), which is what lets the vectorised kernel
-        reproduce this rule bit-identically. With a fresh balance vector
-        (``chunk_size=1``) ``argmin(fill)`` equals ``argmax(balance)``
-        and the classic behaviour is preserved.
+        ``du`` / ``dv`` are the endpoints' partial degrees at the edge's
+        turn, ``touched`` whether either endpoint held an edge before it
+        (see :meth:`_turn_degrees`); an untouched edge keeps ``best``,
+        its waterfill slot (see :meth:`_place_chunk`).
         """
-        self.partial_degree[u] += 1
-        self.partial_degree[v] += 1
-        mu = self.membership[u]
-        mv = self.membership[v]
-        if self.lambda_balance > 0 and not (mu.any() or mv.any()):
-            best = int(fill.argmin())
-            fill[best] += 1
-        else:
-            du = self.partial_degree[u]
-            dv = self.partial_degree[v]
+        u, v = edge
+        if touched:
             theta_u = du / (du + dv)
             theta_v = 1.0 - theta_u
-            g_u = mu * (2.0 - theta_u)  # 1 + (1 - theta)
-            g_v = mv * (2.0 - theta_v)
+            g_u = self.membership[u] * (2.0 - theta_u)  # 1 + (1 - theta)
+            g_v = self.membership[v] * (2.0 - theta_v)
             score = g_u + g_v + balance
             best = int(score.argmax())
         self.membership[u, best] = True
         self.membership[v, best] = True
-        self.loads[best] += 1
         return best
 
     # ------------------------------------------------------------------
@@ -196,12 +186,26 @@ class HdrfState:
         scored against the committed state and placed in one batch;
         committed edges *later* in the stream are always vertex-disjoint
         from the remaining ones, so commit order cannot leak forward.
+        A *saturated* vertex counts as a first occurrence: its row is
+        all True at each of its edges' turns and no commit changes it.
+
+        *Untouched* edges (no membership on either endpoint) are balance
+        only; the stale chunk balance would dump them all on one
+        partition, so they take, in stream order, the least-filled
+        partition of a ledger started at the chunk's loads. Nothing else
+        reads the ledger, so this is the per-edge rule whichever wave
+        commits them; with ``chunk_size=1`` it is ``argmax(balance)``.
         """
         balance = self.balance_vector()
-        fill = self.loads.copy()
         loops = chunk[:, 0] == chunk[:, 1]
         if not loops.any():
             loops = None
+        du, dv, touched = self._turn_degrees(chunk, loops)
+        fill = self.loads.tolist()
+        for i in np.flatnonzero(~touched).tolist():
+            slot = min(range(self.num_partitions), key=fill.__getitem__)
+            fill[slot] += 1
+            out[i] = slot
         remaining = np.arange(chunk.shape[0])
         rounds = 0
         while remaining.size:
@@ -213,6 +217,7 @@ class HdrfState:
             positions = np.arange(flat.size)
             self._scratch[flat[::-1]] = positions[::-1]
             is_first = self._scratch[flat] == positions
+            is_first |= self._saturated[flat]
             clean = is_first[0::2] & is_first[1::2]
             if loops is not None:
                 # A self-loop's second endpoint repeats its first; the
@@ -225,87 +230,82 @@ class HdrfState:
             ):
                 # Conflict chains too dense (e.g. a hub dominating the
                 # chunk): finish the chunk scalar-wise.
-                for i in remaining:
+                for i in remaining.tolist():
                     out[i] = self._place_edge_frozen(
-                        int(chunk[i, 0]), int(chunk[i, 1]), balance, fill
+                        chunk[i], du[i], dv[i], touched[i], balance, out[i]
                     )
-                return
+                break
             self._place_wave(
-                chunk[wave],
-                None if loops is None else loops[wave],
-                balance,
-                fill,
-                out,
-                wave,
+                chunk[wave], du[wave], dv[wave], touched[wave],
+                balance, out, wave,
             )
             remaining = remaining[~clean]
+        self.loads += np.bincount(out, minlength=self.num_partitions)
+
+    def _turn_degrees(
+        self, chunk: np.ndarray, loops: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-edge ``(du, dv, touched)`` at each edge's turn in the chunk.
+
+        A degree at an edge's turn is the chunk-start degree plus the
+        vertex's earlier occurrences in the chunk plus one (a self-loop
+        is bumped twice: both ends read the second slot). *Touched*: an
+        endpoint had a degree, so a membership bit, before the edge.
+        Writes the degrees back and flags saturated repeated vertices.
+        """
+        flat = chunk.ravel()  # [u_0, v_0, u_1, v_1, ...]
+        order = stable_order(flat, self._saturated.shape[0])
+        keys = flat[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        starts = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
+        rank = np.empty(flat.size, dtype=np.int64)
+        rank[order] = np.arange(keys.size) - starts[group]
+        turn = self.partial_degree[flat] + rank + 1
+        firsts = keys[starts]
+        sizes = np.bincount(group)
+        self.partial_degree[firsts] += sizes
+        repeats = firsts[(sizes > 1) & ~self._saturated[firsts]]
+        self._saturated[repeats] = self.membership[repeats].all(axis=1)
+        du, dv = turn[0::2], turn[1::2]
+        touched = (du > 1) | (dv > 1)
+        if loops is not None:
+            touched[loops] = du[loops] > 1
+            du[loops] = dv[loops]
+        if self.lambda_balance <= 0:
+            touched[:] = True
+        return du, dv, touched
 
     def _place_wave(
         self,
         edges: np.ndarray,
-        loops: Optional[np.ndarray],
+        du: np.ndarray,
+        dv: np.ndarray,
+        touched: np.ndarray,
         balance: np.ndarray,
-        fill: np.ndarray,
         out: np.ndarray,
         rows: np.ndarray,
     ) -> None:
-        """Vectorised placement of vertex-disjoint edges.
+        """Vectorised placement of edges that do not interact.
 
-        No two edges of the wave share a vertex, so plain fancy indexing
-        (no ``ufunc.at``) is safe, and both endpoints of all edges can be
-        processed through single fused gathers/scatters. A self-loop's
-        two endpoint slots hold the same vertex and the same values;
-        ``loops`` marks them (``None`` when the chunk has none).
+        No two edges of the wave share a vertex other than a saturated
+        one, whose membership bits are all set already, so plain fancy
+        indexing (no ``ufunc.at``) is safe. Untouched edges keep their
+        waterfill slot from ``out``; membership rows are gathered only
+        for the touched ones.
         """
-        c = rows.size
-        ends = edges.T.reshape(-1)  # [u_0..u_c-1, v_0..v_c-1]
-        pd = self.partial_degree[ends] + 1
-        if loops is not None:
-            # The per-edge rule bumps a self-loop's vertex twice.
-            pd += np.concatenate([loops, loops])
-        self.partial_degree[ends] = pd
-        mem = self.membership[ends]  # (2c, k) gather
-        best = np.empty(c, dtype=np.int64)
-        seen = mem.any(axis=1)
-        touched = seen[:c] | seen[c:]
-        if self.lambda_balance <= 0:
-            touched[:] = True
-        if not touched.all():
-            # Balance-only decisions: exact sequential waterfill on the
-            # chunk ledger (see _place_edge_frozen). Pure-python argmin
-            # over <=k entries per edge; untouched edges are rare after
-            # the first few chunks.
-            untouched = np.flatnonzero(~touched)
-            fill_list = fill.tolist()
-            k = self.num_partitions
-            targets = []
-            for _ in range(untouched.size):
-                t = min(range(k), key=fill_list.__getitem__)
-                fill_list[t] += 1
-                targets.append(t)
-            fill[:] = fill_list
-            best[untouched] = targets
-            ti = np.flatnonzero(touched)
-            mu, mv = mem[:c][ti], mem[c:][ti]
-            du, dv = pd[:c][ti], pd[c:][ti]
-        else:
-            ti = None
-            mu, mv = mem[:c], mem[c:]
-            du, dv = pd[:c], pd[c:]
-        if mu.shape[0]:
+        best = out[rows]
+        scored = edges[touched]
+        if scored.shape[0]:
+            du, dv = du[touched], dv[touched]
             theta_u = du / (du + dv)
             theta_v = 1.0 - theta_u
             # Same elementwise operations, in the same order, as the
             # scalar reference — keeps the float scores bit-identical.
-            score = (
-                mu * (2.0 - theta_u)[:, None]
-                + mv * (2.0 - theta_v)[:, None]
-                + balance
-            )
-            if ti is None:
-                best[:] = score.argmax(axis=1)
-            else:
-                best[ti] = score.argmax(axis=1)
-        self.membership[ends, np.concatenate([best, best])] = True
-        self.loads += np.bincount(best, minlength=self.num_partitions)
+            score = self.membership[scored[:, 0]] * (2.0 - theta_u)[:, None]
+            score += self.membership[scored[:, 1]] * (2.0 - theta_v)[:, None]
+            score += balance
+            best[touched] = score.argmax(axis=1)
+        self.membership[edges[:, 0], best] = True
+        self.membership[edges[:, 1], best] = True
         out[rows] = best

@@ -10,6 +10,9 @@ are compared with ``shuffle_stream=False`` since the out-of-core path
 necessarily consumes the stream in natural store order.
 """
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,10 +29,13 @@ from repro.partitioning import (
     StreamVertexPartition,
     TwoPsLPartitioner,
     build_stream_csr,
+    make_edge_partitioner,
     shuffle_stream,
     stream_degrees,
 )
+from repro.partitioning.chunking import iter_ramp_blocks
 from repro.partitioning.outofcore import StoreGraphView
+from repro.partitioning.shuffle import _coalesce
 
 K = 8
 CHUNK_SIZES = [257, 4096]
@@ -197,6 +203,88 @@ class TestShuffle:
         rerun = shuffle_stream(reader, DbhPartitioner(), K, str(out))
         assert int(rerun.edge_counts.sum()) == reader.num_edges
         assert all(rerun.bucket(p).verify() for p in range(K))
+
+    def test_partitioner_that_cannot_stream_leaves_no_bucket(
+        self, undirected_rmat, tmp_path
+    ):
+        reader = _spool(undirected_rmat, tmp_path, 300)
+        out = tmp_path / "buckets"
+        with pytest.raises(NotImplementedError):
+            shuffle_stream(reader, make_edge_partitioner("hep10"), K, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("store_chunk", [7, 4096])
+    def test_bucket_bytes_do_not_depend_on_span_size(
+        self, undirected_rmat, tmp_path, store_chunk
+    ):
+        """One fixed assignment yielded as 1-row spans, as HDRF's ramp
+        spans and as whole store blocks writes the same buckets."""
+        reader = _spool(undirected_rmat, tmp_path, store_chunk)
+        edges = reader.read_all()
+        assignment = np.random.default_rng(5).integers(
+            0, K, edges.shape[0]
+        ).astype(np.int32)
+        block_sizes = [chunk.shape[0] for chunk in reader.iter_chunks()]
+        spans = {
+            "rows": [1] * edges.shape[0],
+            "ramp": [s.shape[0] for s in iter_ramp_blocks([edges])],
+            "blocks": block_sizes,
+        }
+
+        class FixedAssignment(DbhPartitioner):
+            def __init__(self, sizes):
+                super().__init__()
+                self.bounds = np.cumsum([0] + sizes)
+
+            def _assign_stream(self, reader, num_partitions, seed):
+                for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+                    yield edges[lo:hi], assignment[lo:hi]
+
+        written = {}
+        for mode, sizes in spans.items():
+            out = tmp_path / mode
+            result = shuffle_stream(
+                reader, FixedAssignment(sizes), K, str(out)
+            )
+            written[mode] = {
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file()
+            }
+            assert [result.bucket(p).fingerprint for p in range(K)]
+        assert len(written["blocks"]) > K  # chunk files and manifests
+        assert written["rows"] == written["blocks"]
+        assert written["ramp"] == written["blocks"]
+
+    def test_coalescing_buffer_holds_one_chunk_plus_one_span(self):
+        rows, span, row_bytes = 4096, 1000, 16 + 4
+        held = []
+
+        def spans():
+            for _ in range(40):
+                pair = (
+                    np.ones((span, 2), dtype=np.int64),
+                    np.zeros(span, dtype=np.int32),
+                )
+                held.append(tracemalloc.get_traced_memory()[0])
+                yield pair
+
+        joined = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            # Consumed without a loop variable, which would keep the
+            # previous join alive across the next pull.
+            collections.deque(map(
+                lambda pair: joined.append(pair[0].shape[0]),
+                _coalesce(spans(), rows),
+            ), maxlen=0)
+        finally:
+            tracemalloc.stop()
+        assert sum(joined) == 40 * span
+        assert all(size >= rows for size in joined[:-1])
+        # Slack for the list, the tuples and the array headers.
+        assert max(held) - base <= (rows + span) * row_bytes + 4096
 
 
 class TestStreamResultContainers:
