@@ -36,7 +36,7 @@ from ..costmodel import (
     gcn_layer_flops,
     sage_layer_flops,
 )
-from ..gnn import default_fanouts, sample_blocks
+from ..gnn import default_fanouts, sample_layers
 from ..graph import VertexSplit
 from ..obs import api as obs
 from ..obs.profiling import capture as profiling
@@ -412,7 +412,8 @@ class DistDglEngine:
         """Draw and sample one step's mini-batches; keep only their
         counts. Per active worker with training vertices, in ascending
         order: one ``rng.choice`` of seeds from its pool, then
-        :func:`~repro.gnn.sample_blocks`."""
+        :func:`~repro.gnn.sample_layers`, whose layers are counted as
+        they come — no blocks are built."""
         k = self.num_machines
         rng_state = rng.bit_generator.state
         workers = [w for w in active if self.train_per_worker[w].size]
@@ -427,20 +428,20 @@ class DistDglEngine:
                 seeds = rng.choice(
                     pool, size=min(take, pool.size), replace=False
                 )
-                batch = sample_blocks(self.graph, seeds, self.fanouts, rng)
-                for layer, block in enumerate(batch.blocks):
+                layers = sample_layers(self.graph, seeds, self.fanouts, rng)
+                # Layers come seeds inward: the last GNN layer first.
+                for layer, (frontier, src, _, extra) in zip(
+                    reversed(range(self.num_layers)), layers
+                ):
                     # Frontier vertices owned elsewhere need a sampling RPC.
-                    looked_up = np.bincount(
-                        self.owner[block.src_ids[: block.num_dst]],
-                        minlength=k,
-                    )
+                    looked_up = np.bincount(self.owner[frontier], minlength=k)
                     looked_up[w] = 0
                     sample_owners[i] += looked_up
                     blocks[:, layer, i] = (
-                        block.num_dst, block.num_src, block.num_edges,
+                        frontier.size, frontier.size + extra.size, src.size,
                         looked_up.sum(),
                     )
-                ids = batch.input_ids
+                ids = np.concatenate([frontier, extra])
                 owners = self.owner[ids]
                 remote = owners != w
                 hits = 0

@@ -19,6 +19,7 @@ from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..gnn import GnnModel
 from ..gnn.activations import relu
 from ..gnn.blocks import Block
+from ..graph import sorted_unique
 from ..partitioning import VertexPartition
 
 __all__ = ["DistributedInference", "InferenceReport"]
@@ -87,7 +88,7 @@ class DistributedInference:
         # Sources: owned first (prefix), then the distinct halo vertices.
         local_of = np.full(self.graph.num_vertices, -1, dtype=np.int64)
         local_of[owned] = np.arange(owned.shape[0])
-        halo = np.unique(neighbors[local_of[neighbors] < 0])
+        halo = sorted_unique(neighbors[local_of[neighbors] < 0])
         local_of[halo] = owned.shape[0] + np.arange(halo.shape[0])
         block = Block(
             src_ids=np.concatenate([owned, halo]),

@@ -6,7 +6,7 @@ from .layers import GatLayer, GcnLayer, GraphLayer, SageLayer
 from .loss import accuracy, softmax_cross_entropy
 from .models import ARCHITECTURES, GnnModel, build_model
 from .optim import Adam, Sgd
-from .sampling import MiniBatch, default_fanouts, sample_blocks
+from .sampling import MiniBatch, default_fanouts, sample_blocks, sample_layers
 
 __all__ = [
     "relu",
@@ -27,5 +27,6 @@ __all__ = [
     "Adam",
     "MiniBatch",
     "sample_blocks",
+    "sample_layers",
     "default_fanouts",
 ]

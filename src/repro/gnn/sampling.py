@@ -1,8 +1,10 @@
 """Neighbourhood sampling for mini-batch GNN training.
 
 Implements DGL-style fan-out sampling: starting from the mini-batch seeds,
-each GNN layer samples up to ``fanout`` neighbours of the current frontier,
-producing one :class:`~repro.gnn.blocks.Block` per layer. The paper's
+each GNN layer samples up to ``fanout`` neighbours of the current frontier.
+:func:`sample_layers` yields the layers as global-id arrays (what the
+DistDGL engine counts); :func:`sample_blocks` turns them into one
+:class:`~repro.gnn.blocks.Block` per layer. The paper's
 fan-out configuration (Section 5.1) is exposed via
 :func:`default_fanouts`.
 """
@@ -10,14 +12,14 @@ fan-out configuration (Section 5.1) is exposed via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, sorted_unique
 from .blocks import Block
 
-__all__ = ["MiniBatch", "sample_blocks", "default_fanouts"]
+__all__ = ["MiniBatch", "sample_blocks", "sample_layers", "default_fanouts"]
 
 _PAPER_FANOUTS = {
     2: (25, 20),
@@ -62,60 +64,71 @@ class MiniBatch:
         return sum(self.edges_per_layer())
 
 
+def sample_layers(
+    graph: Graph,
+    seeds: np.ndarray,
+    fanouts: Sequence[int],
+    rng: np.random.Generator,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Sample a multi-layer computation graph from ``seeds``, layer by layer.
+
+    ``fanouts[i]`` is the fan-out of GNN layer ``i``; sampling proceeds
+    from the seeds inward (last layer first), as in DGL, and yields
+    ``(frontier, src, dst, extra)`` per layer: the layer's destination
+    vertices (at first the sorted, deduplicated seeds), each sampled
+    edge's global source and frontier index, and the sorted sources not
+    in ``frontier``. The next frontier is ``frontier`` then ``extra``.
+    Vertices with degree below the fan-out keep all their neighbours;
+    higher-degree vertices draw ``fanout`` samples with replacement,
+    deduplicated per (source, destination) pair — statistically close
+    to DGL's without-replacement sampling and fully vectorisable.
+
+    ``rng`` is consumed by one ``integers`` call per layer that has a
+    frontier vertex of degree above the fan-out, and by nothing else;
+    the layers are a function of ``(graph, seeds, fanouts, generator
+    state)`` alone. The DistDGL engine relies on that: it records the
+    counts of a sampled step once and replays them for every model
+    configuration (:mod:`repro.distdgl.trace`).
+    """
+    indptr, indices = graph.symmetric_csr()
+    num_vertices = indptr.shape[0] - 1
+    frontier = sorted_unique(np.asarray(seeds, dtype=np.int64))
+    if frontier.size == 0:
+        raise ValueError("cannot sample an empty mini-batch")
+    if frontier[0] < 0 or frontier[-1] >= num_vertices:
+        raise ValueError(f"seeds must lie in [0, {num_vertices})")
+    if len(fanouts) == 0 or min(fanouts) <= 0:
+        raise ValueError("fanouts must be one or more positive ints")
+    outside = np.ones(num_vertices, dtype=bool)
+    outside[frontier] = False
+    for fanout in reversed(fanouts):
+        src, dst = _sample_layer(frontier, indptr, indices, fanout, rng)
+        extra = sorted_unique(src[outside[src]])
+        outside[extra] = False
+        yield frontier, src, dst, extra
+        frontier = np.concatenate([frontier, extra])
+
+
 def sample_blocks(
     graph: Graph,
     seeds: np.ndarray,
     fanouts: Sequence[int],
     rng: np.random.Generator,
 ) -> MiniBatch:
-    """Sample a multi-layer computation graph from ``seeds``.
-
-    ``fanouts[i]`` is the fan-out of GNN layer ``i``; sampling proceeds
-    from the seeds inward (last layer first), as in DGL. Vertices with
-    degree below the fan-out keep all their neighbours; higher-degree
-    vertices draw ``fanout`` samples with replacement, deduplicated per
-    (source, destination) pair — statistically close to DGL's
-    without-replacement sampling and fully vectorisable.
-
-    ``rng`` is consumed by one ``integers`` call per layer that has a
-    frontier vertex of degree above the fan-out, and by nothing else;
-    the result is a function of ``(graph, seeds, fanouts, generator
-    state)`` alone. The DistDGL engine relies on that: it records the
-    counts of a sampled step once and replays them for every model
-    configuration (:mod:`repro.distdgl.trace`).
-    """
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    if seeds.size == 0:
-        raise ValueError("cannot sample an empty mini-batch")
-    indptr, indices = graph.symmetric_csr()
-    blocks_reversed: List[Block] = []
-    frontier = seeds
-    num_vertices = indptr.shape[0] - 1
-    local_of = np.full(num_vertices, -1, dtype=np.int64)
-    for fanout in reversed(list(fanouts)):
-        if fanout <= 0:
-            raise ValueError("fanouts must be positive")
-        edge_src_global, edge_dst_local = _sample_layer(
-            frontier, indptr, indices, fanout, rng
-        )
-        # Sources: frontier first (prefix convention), then new vertices.
-        local_of[frontier] = np.arange(frontier.shape[0])
-        new_mask = local_of[edge_src_global] < 0
-        extra = np.unique(edge_src_global[new_mask])
-        local_of[extra] = frontier.shape[0] + np.arange(extra.shape[0])
-        edge_src_local = local_of[edge_src_global]
+    """:func:`sample_layers` as one :class:`Block` per layer, outermost
+    first, with sources relabelled to block-local ids (frontier first,
+    then the new vertices: DGL's prefix convention)."""
+    local_of = np.full(graph.num_vertices, -1, dtype=np.int64)
+    blocks: List[Block] = []
+    for frontier, src, dst, extra in sample_layers(graph, seeds, fanouts, rng):
         src_ids = np.concatenate([frontier, extra])
-        local_of[src_ids] = -1  # reset for the next layer / call
-        blocks_reversed.append(
-            Block(
-                src_ids=src_ids,
-                num_dst=frontier.shape[0],
-                edge_src=edge_src_local,
-                edge_dst=edge_dst_local,
-            )
-        )
-        frontier = src_ids
-    return MiniBatch(seeds=seeds, blocks=list(reversed(blocks_reversed)))
+        local_of[src_ids] = np.arange(src_ids.size)
+        blocks.insert(0, Block(
+            src_ids=src_ids, num_dst=frontier.size, edge_src=local_of[src],
+            edge_dst=dst,
+        ))
+    last = blocks[-1]
+    return MiniBatch(seeds=last.src_ids[: last.num_dst], blocks=blocks)
 
 
 def _sample_layer(
@@ -127,46 +140,36 @@ def _sample_layer(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample up to ``fanout`` neighbours per frontier vertex.
 
-    Returns global source ids and local (frontier-index) destinations.
+    Returns global source ids and local (frontier-index) destinations:
+    the low-degree vertices' edges in frontier order, then the
+    high-degree vertices' in (destination, source) order.
     """
-    degrees = indptr[frontier + 1] - indptr[frontier]
-    src_parts: List[np.ndarray] = []
-    dst_parts: List[np.ndarray] = []
-    # Low-degree vertices keep everything - fully vectorised.
+    starts = indptr[frontier]
+    degrees = indptr[frontier + 1] - starts
     small = degrees <= fanout
-    if small.any():
-        small_idx = np.flatnonzero(small)
-        take = degrees[small_idx]
-        starts = indptr[frontier[small_idx]]
-        # Expand the per-vertex CSR ranges in one batch: repeat each
-        # start `take` times and add the within-range offset
-        # (a global arange minus each range's cumulative start).
-        total = int(take.sum())
-        within = np.arange(total) - np.repeat(np.cumsum(take) - take, take)
-        offsets = np.repeat(starts, take) + within
-        src_parts.append(indices[offsets])
-        dst_parts.append(np.repeat(small_idx, take))
+    # Low-degree vertices keep everything. Expand their CSR ranges in one
+    # batch: a global arange plus, repeated over each range, its start
+    # minus its offset in the output.
+    small_idx = small.nonzero()[0]
+    take = degrees[small_idx]
+    base = (starts[small_idx] + take - take.cumsum()).repeat(take)
+    src = indices[base + np.arange(base.size)]
+    dst = small_idx.repeat(take)
     # High-degree vertices: `fanout` draws with replacement, deduplicated
     # per (dst, src) pair - vectorised across the whole frontier.
-    big_idx = np.flatnonzero(~small)
+    big_idx = (~small).nonzero()[0]
     if big_idx.size:
         draws = rng.integers(
             0, degrees[big_idx][:, None], size=(big_idx.size, fanout)
         )
-        sampled = indices[indptr[frontier[big_idx]][:, None] + draws]
-        dst = np.repeat(big_idx, fanout)
-        src = sampled.ravel()
+        sampled = indices[starts[big_idx][:, None] + draws]
         # Injective (dst, src) key: src < |V|, so |V| as multiplier
-        # suffices — no O(E) indices.max() scan, and no overflow risk
-        # from a needlessly larger base.
+        # suffices. Its distinct values, sorted, are the kept pairs.
         num_vertices = indptr.shape[0] - 1
-        pair = dst * num_vertices + src
-        _, keep = np.unique(pair, return_index=True)
-        src_parts.append(src[keep])
-        dst_parts.append(dst[keep])
-    if src_parts:
-        return (
-            np.concatenate(src_parts).astype(np.int64),
-            np.concatenate(dst_parts).astype(np.int64),
+        big_dst, big_src = np.divmod(
+            sorted_unique(big_idx[:, None] * num_vertices + sampled),
+            num_vertices,
         )
-    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        src = np.concatenate([src, big_src])
+        dst = np.concatenate([dst, big_dst])
+    return src, dst

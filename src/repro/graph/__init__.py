@@ -8,7 +8,7 @@ from .chunkstore import (
     spool_edges,
     spool_graph,
 )
-from .csr import Graph, build_csr
+from .csr import Graph, build_csr, sorted_unique
 from .datasets import DATASET_KEYS, DatasetSpec, dataset_specs, load_dataset
 from .generators import (
     affiliation_graph,
@@ -35,6 +35,7 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "build_csr",
+    "sorted_unique",
     "ChunkManifest",
     "EdgeChunkReader",
     "EdgeChunkWriter",

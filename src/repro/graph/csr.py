@@ -16,7 +16,20 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Graph", "build_csr"]
+__all__ = ["Graph", "build_csr", "sorted_unique"]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of an integer array, by a sort and a
+    neighbour compare: same values, dtype and order. numpy >= 2.3
+    hashes a 1-D ``unique`` before sorting, which costs several times
+    a plain sort.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def build_csr(

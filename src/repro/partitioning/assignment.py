@@ -14,7 +14,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, sorted_unique
 from .ordering import stable_order
 
 __all__ = ["EdgePartition", "VertexPartition", "ReplicaStats"]
@@ -98,8 +98,8 @@ class EdgePartition:
             n = max(self.graph.num_vertices, 1)
             part = np.concatenate([self.assignment, self.assignment])
             vert = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            keys = np.unique(part.astype(np.int64) * n + vert)
-            self._replica_pairs = np.stack([keys // n, keys % n], axis=1)
+            keys = sorted_unique(part.astype(np.int64) * n + vert)
+            self._replica_pairs = np.stack(np.divmod(keys, n), axis=1)
         return self._replica_pairs
 
     def replica_stats(self) -> ReplicaStats:

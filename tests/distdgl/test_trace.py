@@ -86,7 +86,7 @@ class TestSharing:
         def no_sampling(*args, **kwargs):
             raise AssertionError("a replaying engine sampled")
 
-        monkeypatch.setattr(engine_module, "sample_blocks", no_sampling)
+        monkeypatch.setattr(engine_module, "sample_layers", no_sampling)
         assert epoch_seconds(make_engine(partition, split)) == first
 
 
@@ -248,7 +248,7 @@ class TestInconsistency:
         reference = step_seconds(make_engine(partition, split, seed=6), 4)
         clear_cache()
         engine = make_engine(partition, split, seed=6)
-        real = engine_module.sample_blocks
+        real = engine_module.sample_layers
         calls = []
 
         def failing(*args, **kwargs):
@@ -257,7 +257,7 @@ class TestInconsistency:
                 raise KeyboardInterrupt
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "sample_blocks", failing)
+        monkeypatch.setattr(engine_module, "sample_layers", failing)
         with pytest.raises(KeyboardInterrupt):
             engine.run_step()
         assert not engine._trace.steps

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.distdgl import DistDglEngine
 from repro.gnn import build_model, default_fanouts, sample_blocks
+from repro.graph import random_split
+from repro.partitioning import (
+    EdgePartition,
+    RandomEdgePartitioner,
+    RandomVertexPartitioner,
+)
 
 
 class TestDefaultFanouts:
@@ -80,6 +87,14 @@ class TestSampleBlocks:
         with pytest.raises(ValueError):
             sample_blocks(tiny_or, np.array([0]), (0,), rng)
 
+    @pytest.mark.parametrize("seeds", [[-3, 2], [-1], ["n"], [0, "n", 4]])
+    def test_out_of_range_seeds_rejected(self, tiny_or, rng, seeds):
+        n = tiny_or.num_vertices
+        seeds = np.array([n if s == "n" else s for s in seeds])
+        message = rf"seeds must lie in \[0, {n}\)"
+        with pytest.raises(ValueError, match=message):
+            sample_blocks(tiny_or, seeds, (5, 5), rng)
+
     def test_stats_helpers(self, tiny_or, rng):
         mb = sample_blocks(tiny_or, np.arange(16), (5, 5), rng)
         assert mb.num_input_vertices == mb.blocks[0].num_src
@@ -92,3 +107,27 @@ class TestSampleBlocks:
         x = rng.normal(size=(tiny_or.num_vertices, 6))
         logits = model.forward(mb.blocks, x[mb.input_ids])
         assert logits.shape == (12, 3)
+
+
+def test_cold_sampling_path_makes_no_hash_unique_call(tiny_or, monkeypatch):
+    """numpy >= 2.3 hashes inside a 1-D ``np.unique``; the cold path —
+    a first-time DistDGL step at k = 4, ``sample_blocks`` and
+    ``replica_pairs`` — goes through the sort-based ``sorted_unique``."""
+    split = random_split(tiny_or, seed=0)
+    engine = DistDglEngine(
+        RandomVertexPartitioner().partition(tiny_or, 4, seed=0), split,
+        num_layers=4, global_batch_size=64, seed=0,
+    )
+    cut = RandomEdgePartitioner().partition(tiny_or, 4, seed=0)
+    fresh = EdgePartition(tiny_or, cut.edges, cut.assignment, 4)
+
+    def hashing(*args, **kwargs):
+        raise AssertionError("np.unique called on the cold sampling path")
+
+    monkeypatch.setattr(np, "unique", hashing)
+    engine.run_step()
+    assert len(engine._trace.steps) == 1  # sampled, not replayed
+    sample_blocks(
+        tiny_or, split.train[:64], (10, 10, 5, 5), np.random.default_rng(0)
+    )
+    assert fresh.replica_pairs().shape[1] == 2

@@ -18,8 +18,9 @@ import numpy as np
 from repro.costmodel import BACKWARD_FACTOR, aggregation_bytes
 from repro.distdgl import DistDglEngine, StepBreakdown
 from repro.distdgl.engine import PHASES
-from repro.gnn import sample_blocks
 from repro.obs import api as obs
+
+from .sampling import sample_blocks
 
 
 class OracleDistDglEngine(DistDglEngine):

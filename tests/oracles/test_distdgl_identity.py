@@ -244,8 +244,8 @@ def test_full_grid_cell_samples_as_often_as_three_configurations(monkeypatch):
         return sample_blocks
 
     monkeypatch.setattr(
-        engine_module, "sample_blocks",
-        counting("new", engine_module.sample_blocks),
+        engine_module, "sample_layers",
+        counting("new", engine_module.sample_layers),
     )
     monkeypatch.setattr(
         old_distdgl, "sample_blocks",
