@@ -7,14 +7,15 @@ as a loop over the machines."""
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List
+from math import isfinite
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..costmodel import DEFAULT_COST_MODEL, CostModel
 from ..obs import api as obs
 from .machine import Machine, MemoryLedger
-from .network import NetworkFabric
+from .network import NetworkFabric, add_rows
 from .timeline import Timeline
 
 __all__ = ["Cluster", "OutOfMemoryError"]
@@ -111,12 +112,27 @@ class Cluster:
         duration = self.timeline.add_phase(
             full_name, per_machine_seconds, interrupted
         )
+        self._mark_memory(full_name)
+        return duration
+
+    def add_phases(
+        self, names: Sequence[str], block: np.ndarray
+    ) -> List[float]:
+        """:meth:`add_phase` for each row of a ``(phases x k)`` block,
+        in one append; a name's memory watermark is taken once (nothing
+        allocates between the rows)."""
+        full_names = [self.phase_prefix + name for name in names]
+        durations = self.timeline.add_phases(full_names, block)
+        for full_name in dict.fromkeys(full_names):
+            self._mark_memory(full_name)
+        return durations
+
+    def _mark_memory(self, full_name: str) -> None:
         watermark = self._memory_watermarks.get(full_name)
         if watermark is None:
             self._memory_watermarks[full_name] = self.memory.total.copy()
         else:
             np.maximum(watermark, self.memory.total, out=watermark)
-        return duration
 
     def run_compute_phase(
         self, name: str, per_machine_seconds: np.ndarray
@@ -149,11 +165,15 @@ class Cluster:
         communication) use this to keep the byte ledgers and the
         ``src x dst`` matrix consistent with what they simulated. The
         phase name is recorded under the current :attr:`phase_prefix`.
-        Every argument is checked before any ledger changes; returns the
+        Every argument is checked before any ledger changes (shapes, and
+        sent and received bytes finite and non-negative); returns the
         checked ``(sent, received, messages)``.
         """
         sent = self._checked(sent_per_machine, "sent_per_machine")
         received = self._checked(received_per_machine, "received")
+        values = sent.tolist() + received.tolist()  # NaN, inf: sum is one
+        if not (min(values) >= 0 and isfinite(sum(values))):
+            raise ValueError("traffic bytes must be finite, non-negative")
         messages = messages_per_machine
         if messages is not None:
             messages = self._checked(messages, "messages").astype(np.int64)
@@ -166,6 +186,34 @@ class Cluster:
         if matrix is not None:
             self.fabric.record_matrix(self.phase_prefix + name, matrix)
         return sent, received, messages
+
+    def record_traffics(
+        self, names: Sequence[str], blocks: Iterable[np.ndarray]
+    ) -> None:
+        """``record_traffic(name, m.sum(axis=1), m.sum(axis=0),
+        matrix=m)`` for each non-zero ``src x dst`` byte matrix ``m``,
+        given as ``(rows, k, k)`` blocks whose rows are the ``names`` in
+        order. A block is checked before any of its rows is recorded."""
+        start = 0
+        for block in blocks:
+            k, rows = self.num_machines, names[start:start + len(block)]
+            block = self._checked(block, "traffic matrices", (len(rows), k, k))
+            start += len(rows)
+            kept = np.logical_or.reduce(block, axis=(1, 2))
+            block, labels = block[kept], np.array(rows)[kept]
+            # Stacked reductions give each matrix the bits of its own
+            # sum(axis=1) / sum(axis=0).
+            sent, received = np.add.reduce(block, 2), np.add.reduce(block, 1)
+            values = sent.ravel().tolist() + received.ravel().tolist()
+            if values and not (min(values) >= 0 and isfinite(sum(values))):
+                raise ValueError("traffic bytes must be finite, non-negative")
+            self.fabric.transfer_bulk(sent, received)
+            add_rows(self._sent, sent)
+            add_rows(self._received, received)
+            for name in dict.fromkeys(labels.tolist()):
+                self.fabric.record_matrix(
+                    self.phase_prefix + name, block[labels == name]
+                )
 
     def run_comm_phase(
         self,
@@ -193,7 +241,7 @@ class Cluster:
         # the barrier, as the paper observes for 2PS-L.
         if self.cost_model.fabric_model == "bisection":
             bisection_floor = (
-                2.0 * float(sent.sum()) / max(self.num_machines, 1)
+                2.0 * float(np.add.reduce(sent)) / max(self.num_machines, 1)
             )
         else:  # pure per-port model (ablation)
             bisection_floor = 0.0

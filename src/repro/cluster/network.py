@@ -33,6 +33,12 @@ _BYTES_SENT = obs.Bound("cluster.bytes_sent", "machine")
 _BYTES_RECEIVED = obs.Bound("cluster.bytes_received", "machine")
 
 
+def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """``total += row`` for each row of ``rows`` in order, in place (one
+    sequential ``cumsum``: the same float additions as that loop)."""
+    total[...] = np.cumsum(np.concatenate((total[np.newaxis], rows)), 0)[-1]
+
+
 class NetworkFabric:
     """Per-machine sent/received/message counters plus phase timing."""
 
@@ -71,21 +77,29 @@ class NetworkFabric:
         received_per_machine: np.ndarray,
         messages_per_machine: np.ndarray | None = None,
     ) -> None:
-        """Record aggregate per-machine traffic for one phase."""
-        self.sent += sent_per_machine
-        self.received += received_per_machine
+        """Record aggregate per-machine traffic for one phase, or for a
+        run of phases given as ``(phases, k)`` rows, added row by row."""
+        if sent_per_machine.ndim == 2:
+            add_rows(self.sent, sent_per_machine)
+            add_rows(self.received, received_per_machine)
+        else:
+            self.sent += sent_per_machine
+            self.received += received_per_machine
         if messages_per_machine is not None:
             self.messages += messages_per_machine
         if obs.enabled():
             ports = np.array([sent_per_machine, received_per_machine], float)
-            for machine, (sent, received) in enumerate(ports.T.tolist()):
-                if sent:
-                    _BYTES_SENT[machine].add(sent)
-                if received:
-                    _BYTES_RECEIVED[machine].add(received)
+            k = self.num_machines
+            for row in ports.reshape(2, -1, k).transpose(1, 2, 0).tolist():
+                for machine, (sent, received) in enumerate(row):
+                    if sent:
+                        _BYTES_SENT[machine].add(sent)
+                    if received:
+                        _BYTES_RECEIVED[machine].add(received)
 
     def record_matrix(self, phase: str, matrix: np.ndarray) -> None:
-        """Accumulate a ``src x dst`` byte matrix under ``phase``.
+        """Accumulate a ``src x dst`` byte matrix under ``phase`` — or a
+        ``(n, k, k)`` stack of them, one after another.
 
         Bookkeeping only — the matrix never affects phase timing, and
         its row/column sums are expected (and test-enforced for the
@@ -93,12 +107,16 @@ class NetworkFabric:
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         k = self.num_machines
-        if matrix.shape != (k, k):
+        if matrix.shape[-2:] != (k, k) or matrix.ndim not in (2, 3):
             raise ValueError(
                 f"traffic matrix must be ({k}, {k}), got {matrix.shape}"
             )
         existing = self._matrix_by_phase.get(phase)
-        if existing is None:
+        if matrix.ndim == 3:  # a sequential cumsum is one += at a time
+            if existing is not None:
+                matrix = np.concatenate((existing[np.newaxis], matrix))
+            self._matrix_by_phase[phase] = np.cumsum(matrix, axis=0)[-1]
+        elif existing is None:
             self._matrix_by_phase[phase] = matrix.copy()
         else:
             existing += matrix

@@ -15,8 +15,9 @@ instant events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class TimelineMark:
     machine: Optional[int] = None
 
 
+_row_max = np.maximum.reduce  # ndarray.max without its Python wrapper
+
 _PHASE_SECONDS = obs.Bound("cluster.phase_seconds", "phase")
 _BUSY_SECONDS = obs.Bound("cluster.machine_busy_seconds", "machine")
 
@@ -86,32 +89,48 @@ class Timeline:
     ) -> float:
         """Append a phase and return its straggler-bound duration."""
         seconds = np.asarray(per_machine_seconds, dtype=np.float64)
-        if self._seconds.shape[1] == 0 and seconds.ndim == 1:
-            self._seconds = np.empty((16, seconds.size))
+        return self._append((name,), seconds[np.newaxis], interrupted)[0]
+
+    def add_phases(self, names: Sequence[str], block) -> List[float]:
+        """Append a ``(phases x num_machines)`` block, row ``i`` named
+        ``names[i]``, as that many :meth:`add_phase` calls would; returns
+        the durations."""
+        return self._append(names, np.asarray(block, dtype=np.float64), False)
+
+    def _append(self, names, block, interrupted: bool) -> List[float]:
+        if self._seconds.shape[1] == 0 and block.ndim == 2:
+            self._seconds = np.empty((16, block.shape[1]))
         width = self._seconds.shape[1]
-        if width == 0 or seconds.shape != (width,):
+        if width == 0 or block.shape != (len(names), width):
             raise ValueError(
-                f"phase {name!r}: per_machine_seconds must be a non-empty "
-                f"1-D array of {width or 'n'} values, got {seconds.shape}"
+                f"phases {list(names)!r}: per_machine_seconds must be a "
+                f"non-empty 1-D array of {width or 'n'} values per phase, "
+                f"got {block.shape[1:]}"
             )
-        if seconds.min() < 0:
-            raise ValueError("phase times must be non-negative")
+        durations = _row_max(block, axis=1).tolist()
+        # A NaN or +inf in a row is its maximum, and makes the sum one.
+        if durations and not (
+            min(block.ravel().tolist()) >= 0 and math.isfinite(sum(durations))
+        ):
+            raise ValueError("phase times must be finite and non-negative")
         row = len(self._names)
-        if row == len(self._seconds):  # full: double the block
+        while row + len(names) > len(self._seconds):  # full: double it
             self._seconds = np.concatenate([self._seconds, self._seconds])
-        self._seconds[row] = seconds
-        duration = float(seconds.max())
-        self._names.append(name)
-        self._interrupted.append(interrupted)
-        self._durations.append(duration)
+        self._seconds[row:row + len(names)] = block
+        self._names.extend(names)
+        self._interrupted.extend([interrupted] * len(names))
+        self._durations.extend(durations)
         if obs.enabled():
-            _PHASE_SECONDS[name].observe(duration)
-            for machine, busy in enumerate(seconds.tolist()):
-                _BUSY_SECONDS[machine].add(busy)
-            obs.event(
-                "phase", name, seconds=duration, interrupted=interrupted,
-            )
-        return duration
+            for name, duration, seconds in zip(
+                names, durations, block.tolist()
+            ):
+                _PHASE_SECONDS[name].observe(duration)
+                for machine, busy in enumerate(seconds):
+                    _BUSY_SECONDS[machine].add(busy)
+                obs.event(
+                    "phase", name, seconds=duration, interrupted=interrupted,
+                )
+        return durations
 
     @property
     def records(self) -> List[PhaseRecord]:

@@ -46,6 +46,9 @@ from .trace import SamplingTrace, StepCounts, TraceError, shared_trace
 __all__ = ["DistDglEngine", "StepBreakdown", "EpochReport"]
 
 PHASES = ("sample", "fetch", "forward", "backward", "update")
+SAMPLE, FETCH, FORWARD, BACKWARD, UPDATE = range(len(PHASES))
+#: Bound on one block of an epoch's traffic matrices (see ``_traffic``).
+_TRAFFIC_BLOCK_BYTES = 1 << 20
 
 
 def _running_sum(start: float, terms: np.ndarray) -> float:
@@ -124,11 +127,8 @@ class EpochReport:
     def phase_seconds(self) -> Dict[str, float]:
         """Per-phase simulated seconds summed over the epoch's steps."""
         return {
-            "sample": sum(s.sample_seconds for s in self.steps),
-            "fetch": sum(s.fetch_seconds for s in self.steps),
-            "forward": sum(s.forward_seconds for s in self.steps),
-            "backward": sum(s.backward_seconds for s in self.steps),
-            "update": sum(s.update_seconds for s in self.steps),
+            phase: sum(getattr(s, phase + "_seconds") for s in self.steps)
+            for phase in PHASES
         }
 
     @property
@@ -141,7 +141,10 @@ class EpochReport:
         )
 
     def training_time_balance(self) -> float:
-        """max/mean of summed per-worker busy seconds (paper Figure 17)."""
+        """max/mean of summed per-worker busy seconds (paper Figure 17);
+        1.0 for a report without steps."""
+        if not self.steps:
+            return 1.0
         total = sum(s.per_worker_seconds for s in self.steps)
         mean = total.mean()
         return float(total.max() / mean) if mean > 0 else 1.0
@@ -250,16 +253,14 @@ class DistDglEngine:
 
     # ------------------------------------------------------------------
     def _count_params(self) -> int:
-        per_layer = []
-        for i in range(self.num_layers):
-            d_in, d_out = self.dims[i], self.dims[i + 1]
-            if self.arch == "sage":
-                per_layer.append(2 * d_in * d_out + d_out)
-            elif self.arch == "gcn":
-                per_layer.append(d_in * d_out + d_out)
-            else:  # gat
-                per_layer.append(d_in * d_out + 3 * d_out)
-        return sum(per_layer)
+        # Weight matrices and per-output vectors (biases, attention).
+        weights, vectors = {"sage": (2, 1), "gcn": (1, 1), "gat": (1, 3)}[
+            self.arch
+        ]
+        return sum(
+            weights * d_in * d_out + vectors * d_out
+            for d_in, d_out in zip(self.dims, self.dims[1:])
+        )
 
     def _build_feature_cache(self) -> Optional[np.ndarray]:
         """Boolean ``(n,)`` mask of globally cached high-degree vertices.
@@ -283,19 +284,12 @@ class DistDglEngine:
 
     def _account_memory(self) -> None:
         cm = self.cost_model
-        edges = self.graph.undirected_edges()
         # DistDGL stores each edge on the owner(s) of its endpoints (inner
-        # edges once, halo edges on both sides).
-        k = self.num_machines
-        owners_u = self.owner[edges[:, 0]]
-        owners_v = self.owner[edges[:, 1]]
-        self._local_edges_per_worker = (
-            np.bincount(owners_u, minlength=k)
-            + np.bincount(owners_v, minlength=k)
-            - np.bincount(owners_u[owners_u == owners_v], minlength=k)
+        # edges once, halo edges on both sides): a per-partition tally.
+        self._local_edges_per_worker, self._owned_per_worker = (
+            self.partition.owner_tallies()
         )
-        self._owned_per_worker = np.bincount(self.owner, minlength=k)
-        workers = np.arange(k)
+        workers = np.arange(self.num_machines)
         owned = self._owned_per_worker
         self.cluster.allocate(
             workers,
@@ -371,9 +365,9 @@ class DistDglEngine:
             else np.asarray(slow_factors, dtype=np.float64)
         )
         return self._price(
-            self._measure(active_workers), active_workers, stretch,
+            [self._measure(active_workers)], active_workers, stretch,
             lost_workers, retransmit_timeout,
-        )
+        )[0]
 
     def _measure(self, active: Tuple[int, ...]) -> StepCounts:
         """This step's sampling counts: replayed while this engine's
@@ -474,30 +468,38 @@ class DistDglEngine:
 
     def _price(
         self,
-        counts: StepCounts,
+        steps: Sequence[StepCounts],
         active: Tuple[int, ...],
         stretch: np.ndarray,
         lost_workers: Collection[int],
         retransmit_timeout: float,
-    ) -> StepBreakdown:
-        """Phase seconds, bytes and traffic matrices of one measured
-        step. Array expressions over the workers that drew a batch;
-        every worker's value is computed by the floating-point
+    ) -> List[StepBreakdown]:
+        """Phase seconds, bytes and traffic matrices of measured steps
+        with one active set, priced together: ``(S, m)`` array
+        expressions over the S steps and the workers that drew a batch.
+        Every worker's value is computed by the floating-point
         operations, in the order, of the per-worker loop this replaced
-        (``tests/oracles/distdgl.py``), so records are byte-identical.
+        (``tests/oracles/distdgl.py``) — elementwise arithmetic gives the
+        same bits in any shape, and every reduction that reaches a
+        record keeps its order — so records are byte-identical to one
+        step at a time. Lost messages only come with single steps.
         """
         cm = self.cost_model
-        k = self.num_machines
-        w = counts.workers
-        num_dst, num_src, num_edges, remote_frontier = counts.blocks
-        num_inputs, num_local, num_remote, cache_hits = counts.inputs
-        sample_owners = counts.sample_owners.astype(np.int64)
-        fetch_owners = counts.fetch_owners.astype(np.int64)
-        per_worker = {phase: np.zeros(k) for phase in PHASES}
+        k, num, w = self.num_machines, len(steps), steps[0].workers
+        # Each block / input count as a (layers, S, m) / (S, m) array.
+        num_dst, num_src, num_edges, remote_frontier = np.array(
+            [counts.blocks for counts in steps]).transpose(1, 2, 0, 3)
+        num_inputs, num_local, num_remote, cache_hits = np.array(
+            [counts.inputs for counts in steps]).transpose(1, 0, 2)
+        sample_owners, fetch_owners = (
+            np.array([getattr(c, owners) for c in steps], dtype=np.int64)
+            for owners in ("sample_owners", "fetch_owners")
+        )
+        per_worker = np.zeros((num, len(PHASES), k))
 
         # ---- sampling and compute phases, layer by layer ------------
-        sample_sec = np.zeros(w.size)
-        fwd = np.zeros(w.size)
+        sample_sec = np.zeros((num, w.size))
+        fwd = np.zeros((num, w.size))
         for layer in range(self.num_layers):
             sample_sec += (
                 num_edges[layer] * cm.sample_seconds_per_edge
@@ -513,9 +515,9 @@ class DistDglEngine:
                     num_edges[layer], self.dims[layer], cm.float_bytes
                 )
             )
-        per_worker["sample"][w] = sample_sec * stretch[w]
-        per_worker["forward"][w] = fwd * stretch[w]
-        per_worker["backward"][w] = BACKWARD_FACTOR * fwd * stretch[w]
+        per_worker[:, SAMPLE, w] = sample_sec * stretch[w]
+        per_worker[:, FORWARD, w] = fwd * stretch[w]
+        per_worker[:, BACKWARD, w] = BACKWARD_FACTOR * fwd * stretch[w]
         # Remote frontiers ship their sampled edge lists back, each
         # remote vertex's owner -> this worker. src x dst byte
         # attribution (owners -> worker for sampling/fetching, ring for
@@ -523,8 +525,6 @@ class DistDglEngine:
         # function of the per-worker vectors. Whole-number counts times
         # whole-number widths: summing a worker's blocks first is exact.
         edge_list_bytes = self.fanouts[0] * 2 * cm.index_bytes
-        sample_matrix = np.zeros((k, k), dtype=np.float64)
-        sample_matrix[:, w] = (sample_owners * edge_list_bytes).T
 
         # ---- feature fetching phase ---------------------------------
         raw_fetch = cm.feature_bytes(num_remote, self.feature_size)
@@ -541,59 +541,57 @@ class DistDglEngine:
         )
         # One RPC per peer that actually owns remote inputs: a good
         # partition talks to few peers, not to all k-1 of them.
-        peers = np.count_nonzero(fetch_owners, axis=1)
-        per_worker["fetch"][w] = cm.transfer_seconds(
+        peers = np.count_nonzero(fetch_owners, axis=2)
+        per_worker[:, FETCH, w] = cm.transfer_seconds(
             wire_fetch, np.maximum(peers, 1)
         ) + cm.memory_seconds(
             cm.feature_bytes(num_local, self.feature_size)
         ) + codec_seconds
-        fetch_matrix = np.zeros((k, k), dtype=np.float64)
-        fetch_matrix[:, w] = wire_owner.T
-        fetch_bytes_per_worker = np.zeros(k)
-        fetch_bytes_per_worker[w] = wire_fetch
-        raw_fetch_per_worker = np.zeros(k)
-        raw_fetch_per_worker[w] = raw_fetch
-        # Per worker: its blocks' edge-list bytes, then its fetch.
-        step_bytes = _running_sum(0.0, np.vstack(
-            [remote_frontier * edge_list_bytes, wire_fetch]
-        ).T)
+        # Per step, per worker: its blocks' edge-list bytes, then its
+        # fetch, summed left to right from 0.0.
+        terms = np.concatenate(
+            [remote_frontier * edge_list_bytes, wire_fetch[np.newaxis]]
+        ).transpose(1, 2, 0).reshape(num, -1)
+        step_bytes = np.cumsum(
+            np.concatenate([np.zeros((num, 1)), terms], axis=1), axis=1
+        )[:, -1]
         # A cache hit is a remote fetch the wire never carries: its raw
         # bytes count as saved.
         self.comm.raw_bytes = _running_sum(self.comm.raw_bytes, np.stack(
             [cm.feature_bytes(cache_hits, self.feature_size), raw_fetch],
-            axis=1,
+            axis=2,
         ))
         self.comm.wire_bytes = _running_sum(self.comm.wire_bytes, wire_fetch)
 
-        # Injected lost messages: the affected worker's fetch RPC times
-        # out and is refetched in full.
-        for lost in lost_workers:
-            if lost not in active:
-                continue
+        # Injected lost messages (single steps): the affected worker's
+        # fetch RPC times out and is refetched in full.
+        lost_active = [lost for lost in lost_workers if lost in active]
+        fetched, raw = np.zeros((2, k))
+        if lost_active:
+            fetched[w], raw[w] = wire_fetch[0], raw_fetch[0]
+        for lost in lost_active:
             self.cluster.fabric.record_lost_message(lost)
-            per_worker["fetch"][lost] += (
-                retransmit_timeout
-                + cm.transfer_seconds(fetch_bytes_per_worker[lost])
+            per_worker[0, FETCH, lost] += (
+                retransmit_timeout + cm.transfer_seconds(fetched[lost])
             )
-            step_bytes += fetch_bytes_per_worker[lost]
+            step_bytes[0] += fetched[lost]
             # The full fetch is re-sent by the same owners; the dropped
             # copy itself is a pure count on the fabric, no bytes. The
             # resend ships the already-encoded payload, so no fresh
             # codec time is charged.
-            self.comm.raw_bytes += raw_fetch_per_worker[lost]
-            self.comm.wire_bytes += fetch_bytes_per_worker[lost]
-            fetch_matrix[:, lost] *= 2.0
+            self.comm.raw_bytes += raw[lost]
+            self.comm.wire_bytes += fetched[lost]
 
         # Gradient all-reduce is part of the backward phase, as in the
         # paper's measurement methodology (Section 5.3).
         grad_bytes = self.num_params * cm.float_bytes
         num_active = len(active)
         active_index = list(active)
-        per_worker["backward"][active_index] += cm.allreduce_seconds(
+        per_worker[:, BACKWARD, active_index] += cm.allreduce_seconds(
             grad_bytes, num_active
         )
         step_bytes += 2 * grad_bytes * max(num_active - 1, 0)
-        per_worker["update"][active_index] = (
+        per_worker[:, UPDATE, active_index] = (
             cm.compute_seconds(6.0 * self.num_params)
             * stretch[active_index]
         )
@@ -607,47 +605,57 @@ class DistDglEngine:
                     src, active_index[(i + 1) % num_active]
                 ] = per_link
 
-        total_per_worker = sum(per_worker[phase] for phase in PHASES)
-        for phase in PHASES:
-            self.cluster.add_phase(phase, per_worker[phase])
-        for phase, matrix in (
-            ("sample", sample_matrix),
-            ("fetch", fetch_matrix),
-            ("backward", allreduce_matrix),  # all-reduce rides backward
-        ):
-            if matrix.any():
-                self.cluster.record_traffic(
-                    phase,
-                    matrix.sum(axis=1),
-                    matrix.sum(axis=0),
-                    matrix=matrix,
-                )
-        local_inputs = int(num_local.sum())
-        remote_inputs = int(num_remote.sum())
-        hits = int(cache_hits.sum())
-        self.comm.cache_hits += hits
-        self._comm_remote_inputs += remote_inputs
-        loads = num_inputs.astype(np.float64)
-        balance = float(loads.max() / loads.mean()) if loads.size else 1.0
-        if obs.enabled():
-            obs.count("distdgl.network_bytes", step_bytes)
-            obs.count("distdgl.remote_input_vertices", remote_inputs)
-            obs.count("distdgl.cache_hits", hits)
-            if num_active < k:
-                obs.count("distdgl.degraded_steps")
-        return StepBreakdown(
-            sample_seconds=float(per_worker["sample"].max()),
-            fetch_seconds=float(per_worker["fetch"].max()),
-            forward_seconds=float(per_worker["forward"].max()),
-            backward_seconds=float(per_worker["backward"].max()),
-            update_seconds=float(per_worker["update"].max()),
-            network_bytes=step_bytes,
-            local_input_vertices=local_inputs,
-            remote_input_vertices=remote_inputs,
-            input_vertex_balance=balance,
-            per_worker_seconds=total_per_worker,
-            cache_hits=hits,
+        total_per_worker = sum(per_worker[:, p] for p in range(len(PHASES)))
+        self.cluster.add_phases(PHASES * num, per_worker.reshape(-1, k))
+        self.cluster.record_traffics(
+            ("sample", "fetch", "backward") * num,  # all-reduce: backward
+            self._traffic(
+                w, sample_owners * edge_list_bytes, wire_owner, lost_active,
+                allreduce_matrix,
+            ),
         )
+        local_inputs = num_local.sum(axis=1).tolist()
+        remote_inputs = num_remote.sum(axis=1).tolist()
+        hits = cache_hits.sum(axis=1).tolist()
+        self.comm.cache_hits += sum(hits)
+        self._comm_remote_inputs += sum(remote_inputs)
+        loads = num_inputs.astype(np.float64)
+        balance = (
+            (loads.max(axis=1) / loads.mean(axis=1)).tolist() if loads.size
+            else [1.0] * num
+        )
+        step_bytes = step_bytes.tolist()
+        if obs.enabled():
+            for network, remote, hit in zip(step_bytes, remote_inputs, hits):
+                obs.count("distdgl.network_bytes", network)
+                obs.count("distdgl.remote_input_vertices", remote)
+                obs.count("distdgl.cache_hits", hit)
+                if num_active < k:
+                    obs.count("distdgl.degraded_steps")
+        return [
+            StepBreakdown(*seconds, *counts)  # the fields' order
+            for seconds, *counts in zip(
+                per_worker.max(axis=2).tolist(), step_bytes, local_inputs,
+                remote_inputs, balance, total_per_worker, hits,
+            )
+        ]
+
+    def _traffic(self, w, sample_bytes, wire_owner, doubled, ring):
+        """Per step, the sample and fetch phases' ``src x dst`` byte
+        matrices and the all-reduce ring, in recording order, as
+        ``(3 x steps, k, k)`` blocks of at most ``_TRAFFIC_BLOCK_BYTES``.
+        """
+        k = self.num_machines
+        chunk = max(_TRAFFIC_BLOCK_BYTES // (3 * 8 * k * k), 1)
+        for start in range(0, len(sample_bytes), chunk):
+            steps = slice(start, start + chunk)
+            block = np.zeros((len(sample_bytes[steps]), 3, k, k))
+            block[:, 0][:, :, w] = sample_bytes[steps].transpose(0, 2, 1)
+            block[:, 1][:, :, w] = wire_owner[steps].transpose(0, 2, 1)
+            for lost in doubled:
+                block[:, 1, :, lost] *= 2.0
+            block[:, 2] = ring
+            yield block.reshape(-1, k, k)
 
     def _steps_per_epoch(self) -> int:
         num_train = self.split.train.shape[0]
@@ -694,8 +702,19 @@ class DistDglEngine:
         report = EpochReport()
         self.comm.total_epochs += 1
         if fault_plan is None and recovery is None:
-            for _ in range(steps):
-                report.steps.append(self.run_step())
+            # Measure every step, then price them in one pass; a step
+            # that raises leaves the ones before it priced, as a
+            # step-by-step loop would.
+            active = tuple(range(self.num_machines))
+            measured: List[StepCounts] = []
+            try:
+                for _ in range(steps):
+                    measured.append(self._measure(active))
+            finally:
+                if measured:
+                    report.steps = self._price(
+                        measured, active, np.ones(self.num_machines), (), 0.0
+                    )
             return report
         if fault_plan is None:
             fault_plan = FaultPlan()

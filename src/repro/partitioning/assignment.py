@@ -10,7 +10,7 @@ Two result types mirror the paper's two partitioning families:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -202,6 +202,23 @@ class VertexPartition:
         self.graph = graph
         self.assignment = assignment
         self.num_partitions = int(num_partitions)
+        self._owner_tallies: Tuple[np.ndarray, np.ndarray] | None = None
+
+    def owner_tallies(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per machine, derived once (read-only): the undirected edges it
+        stores — those with an endpoint it owns, inner edges once, halo
+        edges on both sides, as DistDGL does — and the vertices it owns."""
+        if self._owner_tallies is None:
+            k, edges = self.num_partitions, self.graph.undirected_edges()
+            u, v = self.assignment[edges[:, 0]], self.assignment[edges[:, 1]]
+            self._owner_tallies = (
+                np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
+                - np.bincount(u[u == v], minlength=k),
+                self.vertex_counts(),
+            )
+            for array in self._owner_tallies:
+                array.setflags(write=False)
+        return self._owner_tallies
 
     def vertex_counts(self) -> np.ndarray:
         """Vertices per partition, shape ``(k,)``."""

@@ -1,10 +1,12 @@
 """Structural guard: pricing costs a fixed number of Python calls into
-``repro.cluster``, whatever the cluster size.
+``repro.cluster``, whatever the cluster size or the epoch's length.
 
 Every per-machine ledger is a k-vector, so building an engine and
 running one DistGNN epoch or one DistDGL step makes the same calls into
-the cluster layer on 64 machines as on 4. Counted with
-``sys.setprofile`` (Python frames only), so no wall clock is involved.
+the cluster layer on 64 machines as on 4; and a DistDGL epoch is priced
+in one pass, so it makes the same calls at 2 steps as at 24. Counted
+with ``sys.setprofile`` (Python frames only), so no wall clock is
+involved.
 """
 
 import os
@@ -60,3 +62,21 @@ def test_cluster_calls_do_not_grow_with_k(engine, tiny_or, tiny_or_split):
     small, large = calls(4), calls(64)
     assert small > 0
     assert large <= small, (small, large)
+
+
+def test_distdgl_epoch_cluster_calls_do_not_grow_with_steps(
+    tiny_or, tiny_or_split
+):
+    partition = make_vertex_partitioner("ldg").partition(tiny_or, 4, seed=0)
+
+    def calls(global_batch_size):
+        engine = DistDglEngine(
+            partition, tiny_or_split, num_layers=2,
+            global_batch_size=global_batch_size,
+        )
+        assert engine._steps_per_epoch() == {35: 2, 3: 24}[global_batch_size]
+        return cluster_calls(engine.run_epoch)
+
+    few, many = calls(35), calls(3)
+    assert few > 0
+    assert many == few, (few, many)

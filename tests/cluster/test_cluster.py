@@ -119,3 +119,82 @@ def test_machines_view_the_cluster_ledgers():
     assert cluster.memory_per_machine().tolist() == [1.0, 2.0, 3.0]
     cluster.machines[0].bytes_sent += 7.0
     assert cluster.work[1].tolist() == [7.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+def test_non_finite_or_negative_values_rejected_before_any_ledger_changes(bad):
+    """``Cluster(2).add_phase("x", [nan, 1.0])`` used to return NaN and
+    make ``total_seconds`` NaN; sending ``[-5, 0]`` left
+    ``fabric.total_bytes == -5.0``."""
+    cluster = Cluster(2)
+    for call in (
+        lambda: cluster.add_phase("x", [bad, 1.0]),
+        lambda: cluster.run_compute_phase("x", [bad, 1.0]),
+        lambda: cluster.record_traffic("t", [bad, 0.0], [0.0, 0.0]),
+        lambda: cluster.record_traffic("t", [1.0, 0.0], [0.0, bad]),
+        lambda: cluster.run_comm_phase("t", [bad, 0.0], [0.0, 5.0]),
+        lambda: cluster.record_traffics(
+            ["t", "u"], [np.array([np.ones((2, 2)), [[0.0, bad], [0, 0]]])]
+        ),
+    ):
+        with pytest.raises(ValueError, match="finite.* non-negative"):
+            call()
+    assert cluster.timeline.total_seconds == 0.0
+    assert cluster.timeline.records == []
+    assert cluster.fabric.total_bytes == 0.0
+    assert not cluster.work.any()
+    assert cluster.fabric.traffic_matrix_phases() == {}
+    assert cluster.memory_watermark_timeline() == {}
+
+
+def test_bulk_entries_equal_their_single_calls():
+    """``add_phases`` / ``record_traffics`` record what one
+    ``add_phase`` / ``record_traffic`` per row records, bit for bit;
+    all-zero matrices are skipped, so first-occurrence order holds."""
+    rng = np.random.default_rng(5)
+    k = 9  # >= 8: numpy's pairwise row sums differ from a plain loop
+    names = ["sample", "fetch", "backward"] * 6
+    matrices = [
+        rng.random((k, k)) * 0.2 * (i % 4 != 0) * (i > 1)
+        for i in range(len(names))
+    ]
+    block = rng.random((len(names), k))
+    bulk, single = Cluster(k), Cluster(k)
+    held = rng.random(k)
+    for cluster in (bulk, single):
+        cluster.allocate(np.arange(k), "features", held)
+        cluster.record_traffic("fetch", np.ones(k), np.ones(k) / 3)
+        cluster.phase_prefix = "replay:"
+    bulk.add_phases(names, block)
+    bulk.record_traffics(  # in blocks of 7, 0 and 11 matrices
+        names, iter([matrices[:7], np.zeros((0, k, k)), matrices[7:]])
+    )
+    for name, row in zip(names, block):
+        single.add_phase(name, row)
+    for name, matrix in zip(names, matrices):
+        if matrix.any():
+            single.record_traffic(
+                name, matrix.sum(axis=1), matrix.sum(axis=0), matrix=matrix
+            )
+    assert np.array_equal(bulk.work, single.work)
+    for field in ("sent", "received"):
+        assert np.array_equal(
+            getattr(bulk.fabric, field), getattr(single.fabric, field)
+        )
+    ours = bulk.fabric.traffic_matrix_phases()
+    theirs = single.fabric.traffic_matrix_phases()
+    # Rows 0 and 1 are all zero: "backward" (row 2) is recorded first.
+    assert list(ours) == list(theirs) == [
+        "replay:backward", "replay:sample", "replay:fetch",
+    ]
+    for phase in theirs:
+        assert np.array_equal(ours[phase], theirs[phase])
+    assert [r.name for r in bulk.timeline.records] == [
+        r.name for r in single.timeline.records
+    ]
+    assert bulk.timeline.total_seconds == single.timeline.total_seconds
+    ours, theirs = (
+        c.memory_watermark_timeline() for c in (bulk, single)
+    )
+    assert list(ours) == list(theirs)
+    assert all(np.array_equal(ours[p], theirs[p]) for p in theirs)

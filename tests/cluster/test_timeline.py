@@ -141,3 +141,44 @@ def test_recovery_and_checkpoint_seconds():
     assert timeline.checkpoint_seconds() == pytest.approx(0.5)
     # Normal work is counted by neither.
     assert timeline.total_seconds == pytest.approx(5.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_non_finite_or_negative_times_rejected(bad):
+    """``seconds.min() < 0`` is False for NaN: a NaN phase time used to be
+    recorded, and made ``total_seconds`` NaN."""
+    timeline = Timeline(2)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        timeline.add_phase("x", np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        timeline.add_phases(["a", "b"], np.array([[1.0, 2.0], [bad, 0.0]]))
+    assert timeline.records == [] and timeline.total_seconds == 0
+
+
+def test_add_phases_equals_add_phase_per_row():
+    rng = np.random.default_rng(3)
+    block = rng.random((37, 3))
+    names = [f"p{i % 4}" for i in range(37)]
+    bulk, single = Timeline(), Timeline()
+    bulk.add_phase("first", np.ones(3))
+    single.add_phase("first", np.ones(3))
+    durations = bulk.add_phases(names, block)
+    assert durations == [single.add_phase(n, row) for n, row in zip(names, block)]
+    assert bulk.add_phases([], np.zeros((0, 3))) == []
+    assert [(r.name, r.per_machine_seconds.tolist()) for r in bulk.records] == [
+        (r.name, r.per_machine_seconds.tolist()) for r in single.records
+    ]
+    assert bulk.total_seconds == single.total_seconds
+    assert bulk.phase_totals() == single.phase_totals()
+    assert np.array_equal(bulk.per_machine_totals(), single.per_machine_totals())
+
+
+def test_add_phases_rejects_a_block_of_the_wrong_shape():
+    timeline = Timeline(2)
+    for names, block in (
+        (["a"], np.ones((2, 2))), (["a", "b"], np.ones(2)),
+        (["a"], np.ones((1, 3))),
+    ):
+        with pytest.raises(ValueError, match="1-D"):
+            timeline.add_phases(names, block)
+    assert timeline.records == []

@@ -150,3 +150,13 @@ class TestValidation:
             make_engine(
                 partitions["random"], split, num_layers=2, fanouts=(5,)
             )
+
+
+def test_empty_report_balances_are_one():
+    """``training_time_balance`` on a report without steps used to raise
+    ``AttributeError: 'int' object has no attribute 'mean'``."""
+    from repro.distdgl import EpochReport
+
+    report = EpochReport()
+    assert report.training_time_balance() == 1.0
+    assert report.mean_input_vertex_balance == 1.0

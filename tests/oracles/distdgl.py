@@ -4,19 +4,22 @@
 ``DistDglEngine.run_step`` (one loop over the workers that samples,
 counts and prices in one go, on the engine's own
 ``default_rng(seed)``), ``_account_memory`` (k scans over the edges)
-and the ``train_per_worker`` construction (k boolean masks). Everything
-else — epochs, faults, restarts — is inherited, so an oracle engine and
-a production engine driven the same way must agree field for field.
+and the ``train_per_worker`` construction (k boolean masks), plus the
+verbatim ``run_epoch`` from before epochs were priced in one pass (one
+``run_step`` per step). Everything else — training, restarts — is
+inherited, so an oracle engine and a production engine driven the same
+way must agree field for field.
 """
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional
+from typing import Collection, Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster import FaultPlan, RecoveryPolicy
 from repro.costmodel import BACKWARD_FACTOR, aggregation_bytes
-from repro.distdgl import DistDglEngine, StepBreakdown
+from repro.distdgl import DistDglEngine, EpochReport, StepBreakdown
 from repro.distdgl.engine import PHASES
 from repro.obs import api as obs
 
@@ -301,3 +304,94 @@ class OracleDistDglEngine(DistDglEngine):
             per_worker_seconds=total_per_worker,
             cache_hits=cache_hits,
         )
+
+    def run_epoch(
+        self,
+        fault_plan: Optional[FaultPlan] = None,
+        recovery: Optional[RecoveryPolicy] = None,
+        epoch_index: int = 0,
+    ) -> EpochReport:
+        """One epoch = enough steps to touch every training vertex once.
+
+        With a ``fault_plan``, crashes at their step trigger retry with
+        exponential backoff and then graceful degradation to the
+        surviving workers; slowdowns stretch the affected worker's
+        compute for the whole epoch; lost messages charge a fetch
+        retransmit. Dead workers restart at the next epoch boundary.
+        """
+        steps = self._steps_per_epoch()
+        report = EpochReport()
+        self.comm.total_epochs += 1
+        if fault_plan is None and recovery is None:
+            for _ in range(steps):
+                report.steps.append(self.run_step())
+            return report
+        if fault_plan is None:
+            fault_plan = FaultPlan()
+        if recovery is None:
+            recovery = RecoveryPolicy()
+        k = self.num_machines
+        if self._dead_workers:
+            self._restart_dead_workers()
+        active = set(range(k))
+        crash_by_step: Dict[int, list] = {}
+        loss_by_step: Dict[int, list] = {}
+        for event in fault_plan.crashes_at(epoch_index):
+            crash_by_step.setdefault(event.step % steps, []).append(event)
+        for event in fault_plan.losses_at(epoch_index):
+            loss_by_step.setdefault(event.step % steps, []).append(event)
+        stretch = np.ones(k)
+        for event in fault_plan.slowdowns_at(epoch_index):
+            machine = event.machine % k
+            stretch[machine] *= event.magnitude
+            self.cluster.timeline.add_mark(
+                f"slowdown:worker-{machine}", "fault", machine
+            )
+            self.fault_summary.slowdowns += 1
+        for step in range(steps):
+            for event in crash_by_step.get(step, ()):
+                machine = event.machine % k
+                if machine not in active or len(active) <= 1:
+                    # Never kill the last survivor: a cluster-wide outage
+                    # has no recovery path inside one training run.
+                    continue
+                active.discard(machine)
+                self._dead_workers.add(machine)
+                self.fault_summary.crashes += 1
+                self.cluster.machines[machine].record_crash()
+                self.cluster.timeline.add_mark(
+                    f"crash:worker-{machine}", "fault", machine
+                )
+                self.cluster.add_phase(
+                    "fault-detect",
+                    np.full(k, recovery.detection_timeout_seconds),
+                    interrupted=True,
+                )
+                backoff = recovery.backoff_seconds()
+                if backoff > 0:
+                    self.cluster.add_phase(
+                        "fault-backoff", np.full(k, backoff)
+                    )
+                self.fault_summary.retries += recovery.max_retries
+            lost = {
+                event.machine % k
+                for event in loss_by_step.get(step, ())
+                if event.machine % k in active
+            }
+            self.fault_summary.lost_messages += len(lost)
+            for machine in sorted(lost):
+                self.cluster.timeline.add_mark(
+                    f"lost-message:worker-{machine}", "fault", machine
+                )
+            if len(active) < k:
+                self.fault_summary.degraded_steps += 1
+            report.steps.append(
+                self.run_step(
+                    active=active,
+                    slow_factors=stretch,
+                    lost_workers=lost,
+                    retransmit_timeout=recovery.detection_timeout_seconds,
+                )
+            )
+        return report
+

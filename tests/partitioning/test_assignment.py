@@ -112,3 +112,20 @@ class TestVertexPartition:
             VertexPartition(
                 two_cliques, np.full(8, 9, dtype=np.int32), 2
             )
+
+
+def test_owner_tallies_are_derived_once_and_read_only():
+    graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (2, 2)])
+    partition = VertexPartition(graph, np.array([0, 0, 1, 1, 2, 0]), 4)
+    tallies = partition.owner_tallies()
+    assert partition.owner_tallies() is tallies
+    local_edges, owned = tallies
+    owner, edges = partition.assignment, graph.undirected_edges()
+    for w in range(4):
+        touches = (owner[edges[:, 0]] == w) | (owner[edges[:, 1]] == w)
+        assert local_edges[w] == touches.sum()
+        assert owned[w] == (owner == w).sum()
+    for array in tallies:
+        assert array.dtype == np.int64
+        with pytest.raises(ValueError):
+            array[0] = 1
