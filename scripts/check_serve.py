@@ -10,8 +10,10 @@ fails (exit 1) unless the whole lifecycle is clean:
    the same grid byte-for-byte;
 4. resubmit the identical spec as a second tenant and verify it is
    served entirely from the dedup cache (no fresh compute);
-5. run ``repro obs watch --once`` over the job's bus directory —
-   the replayed streams must parse and show the completed sweep;
+5. run ``repro obs watch --once --summary-json`` over the job's bus
+   directory — the replayed streams must parse and show the completed
+   sweep, and the summary must equal ``repro obs analyze`` of the
+   job's ``records.json`` byte for byte;
 6. scrape ``GET /metrics`` + ``GET /healthz`` (the daemon runs with
    ``--obs-level metrics``) and reconcile the exposed counters with
    the scheduler's own queue accounting;
@@ -67,6 +69,14 @@ def _free_port() -> int:
 def _fail(message: str) -> "NoReturn":  # noqa: F821 (doc type)
     print(f"FAIL: {message}")
     sys.exit(1)
+
+
+def _obs(env, *argv) -> subprocess.CompletedProcess:
+    """``python -m repro obs ARGV`` with its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "obs", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def main() -> int:
@@ -152,18 +162,27 @@ def main() -> int:
         )
 
         bus_dir = done["bus_dir"]
-        watch = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "obs", "watch",
-                bus_dir, "--once", "--no-ansi",
-            ],
-            env=env, capture_output=True, text=True, timeout=120,
+        summary = os.path.join(data_dir, "watch-summary.json")
+        analysis = os.path.join(data_dir, "analysis.json")
+        watch = _obs(
+            env, "watch", bus_dir, "--once", "--no-ansi",
+            "--summary-json", summary,
         )
-        if watch.returncode != 0:
-            _fail(f"obs watch failed:\n{watch.stdout}\n{watch.stderr}")
+        analyze = _obs(
+            env, "analyze", os.path.join(os.path.dirname(bus_dir), "records.json"),
+            "--label", "sweep", "-o", analysis,
+        )
+        for name, proc in (("watch", watch), ("analyze", analyze)):
+            if proc.returncode != 0:
+                _fail(f"obs {name} failed:\n{proc.stdout}\n{proc.stderr}")
         if "[complete]" not in watch.stdout:
             _fail(f"obs watch does not show completion:\n{watch.stdout}")
-        print("obs watch renders the completed job from its bus")
+        with open(summary, "rb") as a, open(analysis, "rb") as b:
+            if a.read() != b.read():
+                _fail("watch summary differs from obs analyze of "
+                      "records.json")
+        print("obs watch renders the completed job from its bus; its "
+              "summary is obs analyze of records.json, byte for byte")
 
         totals = parse_prometheus_totals(client.metrics())
         queue = client.queue()
@@ -213,13 +232,9 @@ def main() -> int:
             f"({int(profiler['samples_collected'])} samples collected)"
         )
 
-        top = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "obs", "top",
-                client.base_url, "--once", "--no-ansi",
-                "--rules", "examples/serve_rules.json",
-            ],
-            env=env, capture_output=True, text=True, timeout=120,
+        top = _obs(
+            env, "top", client.base_url, "--once", "--no-ansi",
+            "--rules", "examples/serve_rules.json",
         )
         if top.returncode != 0:
             _fail(f"obs top failed:\n{top.stdout}\n{top.stderr}")

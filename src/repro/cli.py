@@ -27,6 +27,7 @@ see ``repro.costmodel`` for calibration details.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -553,7 +554,8 @@ def _cmd_sweep(args) -> int:
 
     ``--bus-out DIR`` streams live progress events onto a telemetry bus
     (per-worker JSONL files; watch it from another terminal with
-    ``python -m repro obs watch DIR`` — see ``docs/live.md``). ``--rules
+    ``python -m repro obs watch DIR`` — see ``docs/live.md``); DIR must
+    not hold an earlier sweep's streams. ``--rules
     FILE`` evaluates a declarative alert-rule file against every finished
     cell's records; firings are printed (and pushed onto the bus) as
     findings, and ``--abort-on {warning,critical}`` stops the sweep early
@@ -587,8 +589,6 @@ def _cmd_sweep(args) -> int:
             f"epochs={args.epochs} seed={fault_config.seed}"
         )
 
-    _configure_obs(args)
-
     from .obs.live import (
         BusWriter,
         RuleSet,
@@ -596,13 +596,26 @@ def _cmd_sweep(args) -> int:
         severity_at_least,
     )
 
+    # Refuse bad flags before obs is configured, so a refused sweep
+    # leaves no telemetry state behind.
+    if args.abort_on and not args.rules:
+        print("--abort-on needs --rules", file=sys.stderr)
+        return 1
+    if args.bus_out and glob.glob(
+        os.path.join(args.bus_out, "events-*.jsonl")
+    ):
+        print(
+            f"--bus-out {args.bus_out} already holds event streams of "
+            "an earlier sweep; pass a new or empty directory",
+            file=sys.stderr,
+        )
+        return 1
     rules = None
     if args.rules:
         rules = RuleSet.load(args.rules)
         print(f"rules: {len(rules.rules)} loaded from {args.rules}")
-    if args.abort_on and rules is None:
-        print("--abort-on needs --rules", file=sys.stderr)
-        return 1
+
+    _configure_obs(args)
 
     bus = None
     if args.bus_out:
@@ -878,51 +891,8 @@ def _cmd_obs_watch(args) -> int:
         out=sys.stdout, ansi=not args.no_ansi,
     )
     if args.summary_json:
-        with open(args.summary_json, "w", encoding="utf-8") as handle:
-            handle.write(state.to_deterministic_json())
+        state.report().save(args.summary_json)
         print(f"summary written to {args.summary_json}")
-    if args.check_against:
-        from .experiments.export import load_records
-        from .obs import analysis
-
-        records = []
-        for path in _split_run_paths(args.check_against):
-            records.extend(load_records(path))
-        expected = [
-            finding.to_dict()
-            for finding in analysis.sort_findings(
-                analysis.detect_record_anomalies(
-                    records, state.thresholds
-                )
-            )
-        ]
-        streamed = [
-            finding.to_dict()
-            for finding in analysis.sort_findings(
-                analysis.detect_record_anomalies(
-                    state.shims(), state.thresholds
-                )
-            )
-        ]
-        if len(records) != len(state.records):
-            print(
-                f"check-against: record count mismatch — bus streamed "
-                f"{len(state.records)} records, files hold "
-                f"{len(records)}"
-            )
-            return 1
-        if expected != streamed:
-            print(
-                "check-against: streamed findings diverge from the "
-                f"post-hoc analysis ({len(streamed)} streamed vs "
-                f"{len(expected)} expected)"
-            )
-            return 1
-        print(
-            f"check-against: OK — {len(state.records)} records, "
-            f"{len(expected)} anomaly findings match the post-hoc "
-            "analysis"
-        )
     return 0
 
 
@@ -1275,14 +1245,8 @@ def _add_obs_subcommands(sub) -> None:
     )
     watch.add_argument(
         "--summary-json", default=None,
-        help="write the deterministic (simulated-only) sweep summary "
-             "JSON here on exit",
-    )
-    watch.add_argument(
-        "--check-against", nargs="+", default=None,
-        help="record JSON file(s); verify the streamed records and "
-             "anomaly findings match a post-hoc analysis of these "
-             "files (exit 1 on divergence)",
+        help="write the analysis report of the streamed records here "
+             "on exit (the bytes repro sweep --analysis-out writes)",
     )
 
     top = obs_sub.add_parser(
@@ -1544,8 +1508,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--analysis-dashboard", default=None,
                        help="also write the self-contained HTML dashboard")
     sweep.add_argument("--bus-out", default=None,
-                       help="telemetry-bus directory: stream live "
-                            "progress events for `repro obs watch`")
+                       help="telemetry-bus directory (new or empty): "
+                            "stream live progress events for "
+                            "`repro obs watch`")
     sweep.add_argument("--profile-out", default=None,
                        help="directory for per-cell cProfile artifacts "
                             "(profile-cell-NNNNNN.json; render with "

@@ -78,19 +78,23 @@ def record_speedups(
     strict: bool = False,
 ) -> Iterator[Tuple[object, float]]:
     """Yield ``(record, speedup)`` over the ``baseline`` record with the
-    same (graph, k, params).
+    same (graph, k, params, comm config, fault config).
 
     A record whose baseline is absent is skipped, or — with ``strict`` —
     raises ``ValueError``; records without a positive epoch time are
     always skipped.
     """
+    def cell(r) -> Tuple:
+        return (r.graph, r.num_machines, r.params, r.comm_config,
+                r.fault_config)
+
     base = {
-        (r.graph, r.num_machines, r.params): r.epoch_seconds
+        cell(r): r.epoch_seconds
         for r in records
         if r.partitioner.lower() == baseline
     }
     for r in records:
-        reference = base.get((r.graph, r.num_machines, r.params))
+        reference = base.get(cell(r))
         if reference is None and strict:
             raise ValueError(
                 f"missing {baseline!r} baseline for "
@@ -106,7 +110,7 @@ def speedup_summary(
 ) -> Dict[Tuple, DistributionSummary]:
     """Speedup-over-baseline distributions per (graph, partitioner, k).
 
-    The baseline record for every (graph, k, params) combination must be
+    Every record's baseline (see :func:`record_speedups`) must be
     present in ``records``.
     """
     groups: Dict[Tuple, list] = {}

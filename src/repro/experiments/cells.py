@@ -28,7 +28,10 @@ serial runs.
 Live telemetry: with ``bus_dir`` set, every process that runs cells
 appends cell-start/record-done/cell-done/heartbeat events to its own
 JSONL stream in the bus directory (see :mod:`repro.obs.live.bus`), which
-``repro obs watch`` tails; cell indices are global submission order
+``repro obs watch`` tails. Each record-done event carries the finished
+record in its export form (:func:`~.export.record_to_dict`), so the
+watcher analyses the very records the sweep saves. Cell indices are
+global submission order
 (``cell_offset`` threads the running index across multiple grid
 invocations of one sweep). Worker-process writers are closed by the
 ``atexit`` hook :class:`~repro.obs.live.bus.BusWriter` registers; the
@@ -246,9 +249,7 @@ def run_cell(
                 )
                 records.append(record)
                 if writer:
-                    writer.record_done(
-                        io.cell, index, record, spec.engine
-                    )
+                    writer.record_done(io.cell, index, record)
                     writer.heartbeat()
         obs.event(
             "span-end", "serve.cell", cell=io.cell,

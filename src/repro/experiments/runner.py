@@ -321,8 +321,8 @@ ENGINES: Dict[str, Engine] = {
 
 def speedup_vs_random(records: Sequence) -> dict:
     """Speedup of each record over the Random baseline with the same
-    (graph, k, params); keyed by (graph, partitioner, k, params).
-    Records without a baseline are left out.
+    (graph, k, params, comm and fault config); keyed by (graph,
+    partitioner, k, params). Records without a baseline are left out.
     """
     return {
         (r.graph, r.partitioner, r.num_machines, r.params): speedup

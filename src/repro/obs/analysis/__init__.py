@@ -39,7 +39,6 @@ from .anomaly import (
     AnomalyThresholds,
     detect_record_anomalies,
     detect_snapshot_anomalies,
-    detect_timeline_anomalies,
     rolling_mad_zscores,
 )
 from .attribution import (
@@ -78,7 +77,6 @@ __all__ = [
     # anomaly
     "AnomalyThresholds",
     "rolling_mad_zscores",
-    "detect_timeline_anomalies",
     "detect_record_anomalies",
     "detect_snapshot_anomalies",
     # diff

@@ -20,14 +20,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..registry import snapshot_totals
-from .attribution import attribute_timeline, is_recovery_phase
+from .attribution import is_recovery_phase
 from .findings import Finding, cell_key
 
 __all__ = [
     "AnomalyThresholds",
     "rolling_mad_zscores",
     "detect_series_anomalies",
-    "detect_timeline_anomalies",
     "detect_record_anomalies",
     "detect_snapshot_anomalies",
 ]
@@ -56,10 +55,6 @@ class AnomalyThresholds:
     #: Recovery share of wall time that warrants a warning / critical.
     recovery_fraction_warn: float = 0.10
     recovery_fraction_critical: float = 0.25
-    #: A machine bounding at least this fraction of barriers, at least
-    #: this much slower than the pack, is a straggler machine.
-    straggler_fraction_warn: float = 0.5
-    straggler_severity_warn: float = 0.2
     #: Cache hit rate below this (with enough traffic) is a collapse.
     cache_hit_rate_floor: float = 0.5
     cache_min_requests: int = 100
@@ -150,74 +145,6 @@ def detect_series_anomalies(
                 },
             )
         )
-    return findings
-
-
-def detect_timeline_anomalies(
-    timeline,
-    thresholds: AnomalyThresholds = AnomalyThresholds(),
-) -> List[Finding]:
-    """Diagnose one timeline: phase-duration spikes, straggler
-    machines, and recovery-overhead share.
-
-    ``timeline`` is duck-typed like :func:`.attribution.attribute_timeline`.
-    """
-    findings: List[Finding] = []
-
-    # Phase-duration series, per phase name, in occurrence order.
-    series: Dict[str, List[float]] = {}
-    for record in timeline.records:
-        series.setdefault(record.name, []).append(
-            float(record.per_machine_seconds.max())
-        )
-    for name in sorted(series):
-        findings.extend(
-            detect_series_anomalies(
-                f"phase:{name}",
-                series[name],
-                thresholds,
-                kind="phase-duration-spike",
-                unit="s",
-            )
-        )
-
-    attribution = attribute_timeline(timeline)
-    for machine in attribution.machines:
-        if (
-            machine.straggler_fraction
-            >= thresholds.straggler_fraction_warn
-            and machine.straggler_severity
-            >= thresholds.straggler_severity_warn
-        ):
-            findings.append(
-                Finding(
-                    kind="straggler-machine",
-                    severity="warning",
-                    subject=f"machine-{machine.machine}",
-                    message=(
-                        f"machine {machine.machine} bound "
-                        f"{machine.straggler_fraction:.0%} of barriers, "
-                        f"running {machine.straggler_severity:.0%} "
-                        "slower than the pack when it did"
-                    ),
-                    value=machine.straggler_fraction,
-                    threshold=thresholds.straggler_fraction_warn,
-                    context={
-                        "straggler_count": machine.straggler_count,
-                        "straggler_severity": machine.straggler_severity,
-                        "busy_ratio": machine.busy_ratio,
-                    },
-                )
-            )
-
-    findings.extend(
-        _recovery_findings(
-            "timeline",
-            attribution.recovery_seconds,
-            attribution.total_seconds,
-            thresholds,
-        )
-    )
     return findings
 
 

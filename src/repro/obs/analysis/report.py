@@ -1,8 +1,9 @@
 """End-to-end report building: RunData in, AnalysisReport out.
 
 This is the only records -> summary path: the CLI (``repro obs
-analyze``) and the sweep runner (its printed tail, ``--analysis-out``,
-``--analysis-dashboard``) fold whatever artifacts a run left behind —
+analyze``), the sweep runner (its printed tail, ``--analysis-out``,
+``--analysis-dashboard``) and the live monitor (``repro obs watch
+--summary-json``) fold whatever artifacts a run left behind —
 sweep records, metric snapshots, JSONL traces — through the coverage,
 speed-up, attribution and anomaly layers into one
 :class:`~.findings.AnalysisReport`, and every renderer (:mod:`.render`,
@@ -11,12 +12,15 @@ speed-up, attribution and anomaly layers into one
 Only simulated quantities enter the report (phase totals, busy seconds,
 traffic, counts) — never wall-clock measurements — so the report for a
 given config is byte-identical across serial and parallel sweeps and
-across repeated invocations.
+across repeated invocations. Records are sorted into one canonical
+order first, so a sweep's saved records and the same records tailed
+off its bus report byte for byte alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import operator
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -25,6 +29,7 @@ from ...experiments.analysis import (
     robustness_summary,
     speedup_summary,
 )
+from ...experiments.export import record_to_dict
 from .anomaly import (
     AnomalyThresholds,
     detect_record_anomalies,
@@ -219,9 +224,10 @@ def _distribution_rows(engine: str, summaries: Dict) -> List[Dict]:
 def _speedups(records: Sequence) -> Dict[str, object]:
     """Speed-up over Random per (engine, graph, partitioner, k).
 
-    Only records whose (graph, k, params) Random baseline is present
-    contribute; the rest are counted, never an error — a served job for
-    ``partitioners=["hdrf"]`` has no baseline at all.
+    Only records whose Random baseline (same graph, k, params, comm and
+    fault config) is present contribute; the rest are counted, never an
+    error — a served job for ``partitioners=["hdrf"]`` has no baseline
+    at all.
     """
     rows: List[Dict] = []
     missing = 0
@@ -392,24 +398,43 @@ def _trace_phase_findings(
     return findings
 
 
+def _record_order(record) -> tuple:
+    """Canonical sort key: the record's identity (engine, graph, k,
+    partitioner, params, fault and comm config), then its export JSON.
+    The report sums floats across records, so it sorts them first and
+    never depends on the order they were loaded or streamed in. The
+    identity goes first because the JSON holds the wall-clock
+    ``partitioning_seconds`` ahead of the configs."""
+    data = record_to_dict(record)["data"]
+    configs = tuple(
+        tuple((data[name] or {}).values())
+        for name in ("params", "fault_config", "comm_config")
+    )
+    return (
+        record.engine, record.graph, record.num_machines,
+        record.partitioner, configs, json.dumps(data),
+    )
+
+
 def build_analysis_report(
     run: RunData,
     thresholds: Optional[AnomalyThresholds] = None,
 ) -> AnalysisReport:
     """Diagnose one loaded run into an :class:`AnalysisReport`."""
     thresholds = thresholds or AnomalyThresholds()
+    records = sorted(run.records, key=_record_order)
 
     # Record totals win (they cover every cell); the snapshot's
     # ``cluster.phase_seconds`` series is the fallback.
     phase_totals = record_phase_totals(
-        run.records
+        records
     ) or snapshot_phase_totals(run.metrics)
     phase_mix = attribute_phase_totals(phase_totals)
-    breakdown = per_partitioner_breakdown(run.records)
+    breakdown = per_partitioner_breakdown(records)
     machines = _machine_table(run.metrics)
 
     findings = []
-    findings.extend(detect_record_anomalies(run.records, thresholds))
+    findings.extend(detect_record_anomalies(records, thresholds))
     findings.extend(detect_snapshot_anomalies(run.metrics, thresholds))
     findings.extend(_trace_phase_findings(run, thresholds))
     if run.skipped_lines:
@@ -427,10 +452,10 @@ def build_analysis_report(
         )
 
     dominant = phase_mix["phases"][0]["name"] if phase_mix["phases"] else None
-    tradeoff = traffic_accuracy_tradeoff(run.records)
+    tradeoff = traffic_accuracy_tradeoff(records)
     summary: Dict[str, object] = {
-        "engines": sorted(_by_engine(run.records)),
-        "coverage": _coverage(run.records),
+        "engines": sorted(_by_engine(records)),
+        "coverage": _coverage(records),
         "total_phase_seconds": phase_mix["total_seconds"],
         "recovery_fraction": phase_mix["recovery_fraction"],
         "dominant_phase": dominant,
@@ -444,12 +469,12 @@ def build_analysis_report(
             "phase_mix": phase_mix,
             "per_partitioner": breakdown,
             "machines": machines,
-            "resources": resource_depth(run.records),
-            "speedups": _speedups(run.records),
-            "faults": _faults(run.records),
+            "resources": resource_depth(records),
+            "speedups": _speedups(records),
+            "faults": _faults(records),
             "comm_tradeoff": tradeoff,
             "comm_configs": _comm_configs(tradeoff),
-            "telemetry": _telemetry(run.records),
+            "telemetry": _telemetry(records),
         },
         findings=findings,
     )

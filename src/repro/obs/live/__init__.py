@@ -28,11 +28,7 @@ what a sweep *is doing*. Three pieces:
   tenant shares, dedup rate and firing SLO rules.
 """
 
-from .bus import (
-    BusTailer,
-    BusWriter,
-    record_event_fields,
-)
+from .bus import BusTailer, BusWriter
 from .rules import (
     AlertRule,
     RuleSet,
@@ -54,7 +50,6 @@ from .watch import (
 __all__ = [
     "BusWriter",
     "BusTailer",
-    "record_event_fields",
     "AlertRule",
     "RuleSet",
     "SweepAborted",

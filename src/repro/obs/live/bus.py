@@ -26,9 +26,11 @@ Event kinds:
     Worker, per cell: engine/graph/partitioner/k plus
     ``records_total`` (the parameter-grid length).
 ``record-done``
-    Worker, one per finished record, carrying every *simulated* field
-    the online anomaly detector and alert rules need (see
-    :func:`record_event_fields`).
+    Worker, one per finished record: ``"record"`` is the record's export
+    entry (:func:`~repro.experiments.export.record_to_dict`) as a
+    compact JSON *string*. A string, because the sink writes objects
+    with sorted keys, which would reorder ``phase_seconds`` and change
+    float sums downstream; decoded, it equals the saved record.
 ``cell-done``
     Worker, per cell: record count plus the cell's wall time (the ETA
     input; wall-only, so excluded from deterministic summaries).
@@ -61,6 +63,7 @@ import os
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ...experiments.export import record_to_dict
 from ..sink import JsonlSink
 
 __all__ = [
@@ -69,7 +72,6 @@ __all__ = [
     "MAX_CELL_RECORDS",
     "BusWriter",
     "BusTailer",
-    "record_event_fields",
     "merge_key",
 ]
 
@@ -103,55 +105,6 @@ MAX_CELL_RECORDS = FINDING_CSEQ_BASE - 2
 def merge_key(event: Dict[str, object]) -> Tuple[int, int]:
     """Deterministic total order for merged cell-scoped events."""
     return (int(event.get("cell", -1)), int(event.get("cseq", 0)))
-
-
-def record_event_fields(record, engine: str) -> Dict[str, object]:
-    """The simulated fields of one sweep record a ``record-done`` event
-    carries: everything the online anomaly detector
-    (:func:`repro.obs.analysis.anomaly.detect_record_anomalies`) and the
-    alert rules (:func:`~.rules.record_totals`) consume. All values are
-    simulated quantities, so serial and parallel sweeps emit identical
-    payloads.
-    """
-    metrics = getattr(record, "obs_metrics", None) or {}
-    fields: Dict[str, object] = {
-        "engine": engine,
-        "graph": record.graph,
-        "partitioner": record.partitioner,
-        "k": record.num_machines,
-        "params_label": record.params.label(),
-        "epoch_seconds": float(record.epoch_seconds),
-        "makespan_seconds": float(
-            getattr(record, "makespan_seconds", 0.0)
-        ),
-        "recovery_seconds": float(
-            getattr(record, "recovery_seconds", 0.0)
-        ),
-        "network_bytes": float(record.network_bytes),
-        "lost_messages": int(getattr(record, "lost_messages", 0)),
-        "crashes": int(getattr(record, "crashes", 0)),
-    }
-    if engine == "distdgl":
-        fields["degraded_steps"] = int(
-            getattr(record, "degraded_steps", 0)
-        )
-    for key in (
-        "bytes_sent_total",
-        "lost_messages_total",
-        "memory_peak_bytes_max",
-    ):
-        if key in metrics:
-            fields[key] = metrics[key]
-    if "phase_seconds" in metrics:
-        # As ordered [name, seconds] pairs: the sink serializes objects
-        # with sorted keys, which would reorder the phase dict and
-        # change float-summation order downstream — the replayed dict
-        # must sum bit-identically to the original record's.
-        fields["phase_seconds"] = [
-            [name, float(seconds)]
-            for name, seconds in metrics["phase_seconds"].items()
-        ]
-    return fields
 
 
 class BusWriter:
@@ -238,12 +191,14 @@ class BusWriter:
             "t_wall": time.time(),
         })
 
-    def record_done(self, cell: int, index: int, record, engine: str) -> None:
+    def record_done(self, cell: int, index: int, record) -> None:
         """Worker: one record of the cell finished."""
         self.emit({
             "kind": "record-done", "cell": int(cell),
             "cseq": self._next_cseq(cell), "index": int(index),
-            **record_event_fields(record, engine),
+            "record": json.dumps(
+                record_to_dict(record), separators=(",", ":")
+            ),
         })
 
     def cell_done(self, cell: int, records: int, wall_seconds: float) -> None:

@@ -269,27 +269,19 @@ class RuleSet:
 def record_totals(record) -> Dict[str, float]:
     """Map one sweep record onto catalog metric names for rules.
 
-    Works on real record dataclasses and on the watch monitor's event
-    shims alike (duck-typed): only fields the record actually carries
-    appear in the mapping, so rules over missing metrics simply don't
-    evaluate (or fire, for ``absence`` rules).
+    Telemetry totals (``obs_metrics``) win over the record's own
+    fields; the memory peak exists only with telemetry on, so rules
+    over it don't evaluate (or fire, for ``absence`` rules) without.
     """
-    metrics = getattr(record, "obs_metrics", None) or {}
+    metrics = record.obs_metrics or {}
     totals: Dict[str, float] = {
         "cluster.lost_messages": float(
-            metrics.get(
-                "lost_messages_total",
-                getattr(record, "lost_messages", 0),
-            )
+            metrics.get("lost_messages_total", record.lost_messages)
         ),
         "cluster.bytes_sent": float(
-            metrics.get(
-                "bytes_sent_total", record.network_bytes
-            )
+            metrics.get("bytes_sent_total", record.network_bytes)
         ),
-        "cluster.phase_seconds": float(
-            getattr(record, "makespan_seconds", 0.0)
-        ),
+        "cluster.phase_seconds": float(record.makespan_seconds),
     }
     if "memory_peak_bytes_max" in metrics:
         totals["cluster.memory_peak_bytes"] = float(
@@ -302,7 +294,5 @@ def record_totals(record) -> Dict[str, float]:
         totals["distgnn.network_bytes"] = float(record.network_bytes)
         # Only the full-batch engine has a catalogued epoch timer.
         totals["distgnn.epoch_seconds"] = float(record.epoch_seconds)
-        totals["distgnn.replayed_epochs"] = float(
-            getattr(record, "reexecuted_epochs", 0)
-        )
+        totals["distgnn.replayed_epochs"] = float(record.reexecuted_epochs)
     return totals

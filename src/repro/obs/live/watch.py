@@ -1,22 +1,27 @@
 """The live sweep monitor behind ``repro obs watch``.
 
 :class:`WatchState` folds bus events into a keyed, order-insensitive
-model of the sweep (cells, records, alerts); because every update is a
-keyed overwrite and the anomaly findings are recomputed from the full
-record set on demand, the state reached from a parallel sweep's
-interleaved streams is *identical* to the state from a serial sweep —
-:meth:`WatchState.to_deterministic_json` is byte-stable across worker
-counts (tested).
+model of the sweep: cells, alerts, and the finished records themselves,
+decoded from each ``record-done`` event with
+:func:`~repro.experiments.export.record_from_dict`. Every update is a
+keyed overwrite, so the state reached from a parallel sweep's
+interleaved streams equals the state from a serial sweep.
+
+Nothing here summarizes records on its own: the frame's findings and
+phase mix run the post-hoc functions
+(:func:`~repro.obs.analysis.anomaly.detect_record_anomalies`,
+:meth:`~.rules.RuleSet.evaluate_records`,
+:func:`~repro.obs.analysis.attribution.record_phase_totals`) over the
+decoded records, and :meth:`WatchState.report` is
+:func:`~repro.obs.analysis.report.build_analysis_report` over them — the
+same bytes ``repro sweep --analysis-out`` writes for the same sweep.
 
 Rendering is a pure function (:func:`render_frame`) from state + clock
 to a plain-ANSI string, and :func:`watch_loop` drives it tick by tick
 with an injectable clock/sleep/output, so the whole monitor is testable
 without a terminal or a wall clock. The tick loop and the frame
 primitives (:func:`frame_loop`, :func:`bar`, :func:`finding_lines`) are
-shared with the daemon monitor in :mod:`.top`. The streaming anomaly findings use
-the *same* :class:`~repro.obs.analysis.anomaly.AnomalyThresholds` the
-post-hoc analyzer uses, so what you see live is what ``repro obs
-analyze`` reports afterwards.
+shared with the daemon monitor in :mod:`.top`.
 """
 
 from __future__ import annotations
@@ -25,10 +30,14 @@ import json
 import time
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
+from ...experiments.export import record_from_dict
 from ..analysis.anomaly import AnomalyThresholds, detect_record_anomalies
-from ..analysis.findings import Finding, sort_findings
+from ..analysis.attribution import record_phase_totals
+from ..analysis.findings import AnalysisReport, Finding, sort_findings
+from ..analysis.load import RunData
+from ..analysis.report import build_analysis_report
 from .bus import WALL_ONLY_KINDS, BusTailer
-from .rules import RuleSet, record_totals
+from .rules import RuleSet
 
 __all__ = [
     "WatchState",
@@ -41,61 +50,6 @@ __all__ = [
 
 #: ANSI: clear screen + home. The only escape codes the monitors use.
 _CLEAR = "\x1b[2J\x1b[H"
-
-
-class _ParamsShim:
-    """Duck-types ``TrainingParams.label()`` for replayed events."""
-
-    def __init__(self, label: str) -> None:
-        self._label = label
-
-    def label(self) -> str:
-        return self._label
-
-
-class _RecordShim:
-    """A sweep record reconstructed from one ``record-done`` event.
-
-    Carries exactly the attributes the anomaly detector and the alert
-    rules read, ``engine`` included (as on the record dataclasses).
-    """
-
-    def __init__(self, event: Dict[str, object]) -> None:
-        self.engine = str(event.get("engine") or "distgnn")
-        self.graph = str(event.get("graph", ""))
-        self.partitioner = str(event.get("partitioner", ""))
-        self.num_machines = int(event.get("k", 0))
-        self.params = _ParamsShim(str(event.get("params_label", "")))
-        self.epoch_seconds = float(event.get("epoch_seconds", 0.0))
-        self.makespan_seconds = float(
-            event.get("makespan_seconds", 0.0)
-        )
-        self.recovery_seconds = float(
-            event.get("recovery_seconds", 0.0)
-        )
-        self.network_bytes = float(event.get("network_bytes", 0.0))
-        self.lost_messages = int(event.get("lost_messages", 0))
-        self.crashes = int(event.get("crashes", 0))
-        if self.engine == "distdgl":
-            self.degraded_steps = int(event.get("degraded_steps", 0))
-        metrics = {}
-        for key in (
-            "bytes_sent_total",
-            "lost_messages_total",
-            "memory_peak_bytes_max",
-        ):
-            if key in event:
-                metrics[key] = event[key]
-        if "phase_seconds" in event:
-            # The bus ships phases as ordered [name, seconds] pairs
-            # (see bus.record_event_fields); rebuild the dict in the
-            # original insertion order so float summations downstream
-            # are bit-identical to the source record's.
-            metrics["phase_seconds"] = {
-                str(name): float(seconds)
-                for name, seconds in event["phase_seconds"]
-            }
-        self.obs_metrics = metrics or None
 
 
 class WatchState:
@@ -112,8 +66,8 @@ class WatchState:
         #: cell index -> {engine, graph, partitioner, k, records_total,
         #: records_done, status, worker, wall_seconds}
         self.cells: Dict[int, Dict[str, object]] = {}
-        #: (cell, index) -> record-done event
-        self.records: Dict[Tuple[int, int], Dict[str, object]] = {}
+        #: (cell, index) -> the finished record, decoded once.
+        self.records: Dict[Tuple[int, int], object] = {}
         #: Alert findings delivered over the bus (coordinator rules).
         self.bus_findings: List[Finding] = []
         self._bus_finding_keys: set = set()
@@ -148,9 +102,11 @@ class WatchState:
             })
             entry.setdefault("status", "running")
         elif kind == "record-done":
-            cell = int(event.get("cell", -1))
-            index = int(event.get("index", 0))
-            self.records[(cell, index)] = event
+            key = (int(event.get("cell", -1)), int(event.get("index", 0)))
+            if key not in self.records:
+                self.records[key] = record_from_dict(
+                    json.loads(event["record"])
+                )
         elif kind == "cell-done":
             cell = int(event.get("cell", -1))
             entry = self.cells.setdefault(cell, {})
@@ -194,12 +150,9 @@ class WatchState:
             and self.cells_done() >= self.total_cells
         )
 
-    def shims(self) -> List[_RecordShim]:
-        """Record shims in deterministic ``(cell, index)`` order."""
-        return [
-            _RecordShim(self.records[key])
-            for key in sorted(self.records)
-        ]
+    def sweep_records(self) -> List:
+        """The finished records in ``(cell, index)`` order."""
+        return [self.records[key] for key in sorted(self.records)]
 
     def findings(self) -> List[Finding]:
         """Current findings: online anomalies over every finished
@@ -207,26 +160,16 @@ class WatchState:
         firings evaluated locally when the watcher has rules, and any
         findings the coordinator pushed over the bus — deduplicated and
         in canonical severity order."""
-        shims = self.shims()
-        findings = detect_record_anomalies(shims, self.thresholds)
+        records = self.sweep_records()
+        findings = detect_record_anomalies(records, self.thresholds)
         if self.rules is not None:
-            findings.extend(self.rules.evaluate_records(shims))
+            findings.extend(self.rules.evaluate_records(records))
         merged: Dict[str, Finding] = {}
         for finding in findings + self.bus_findings:
             merged.setdefault(
                 json.dumps(finding.to_dict(), sort_keys=True), finding
             )
         return sort_findings(list(merged.values()))
-
-    def phase_mix(self) -> Dict[str, float]:
-        """Aggregate simulated phase seconds over finished records."""
-        mix: Dict[str, float] = {}
-        for key in sorted(self.records):
-            for phase, seconds in (
-                self.records[key].get("phase_seconds") or ()
-            ):
-                mix[phase] = mix.get(phase, 0.0) + float(seconds)
-        return mix
 
     def eta_seconds(self) -> Optional[float]:
         """Remaining-cells ETA from completed-cell wall times."""
@@ -243,48 +186,14 @@ class WatchState:
         remaining = max(self.total_cells - self.cells_done(), 0)
         return remaining * (sum(walls) / len(walls))
 
-    # ----------------------------------------------------- determinism
-    def deterministic_summary(self) -> Dict[str, object]:
-        """The simulated-only view of the sweep: everything wall-clock
-        or worker-identity is excluded, so a serial and a parallel run
-        of the same sweep summarize byte-identically."""
-        cells = {}
-        for cell in sorted(self.cells):
-            entry = self.cells[cell]
-            cells[str(cell)] = {
-                "engine": entry.get("engine"),
-                "graph": entry.get("graph"),
-                "partitioner": entry.get("partitioner"),
-                "k": entry.get("k"),
-                "records_total": entry.get("records_total", 0),
-                "records_done": self.records_done(cell),
-                "status": entry.get("status"),
-            }
-        return {
-            "schema": 1,
-            "total_cells": self.total_cells,
-            "cells": cells,
-            "records_done": len(self.records),
-            "epoch_seconds": {
-                f"{c}/{i}": float(
-                    event.get("epoch_seconds", 0.0)
-                )
-                for (c, i), event in sorted(self.records.items())
-            },
-            "phase_mix": {
-                phase: float(seconds)
-                for phase, seconds in sorted(
-                    self.phase_mix().items()
-                )
-            },
-            "findings": [f.to_dict() for f in self.findings()],
-        }
-
-    def to_deterministic_json(self) -> str:
-        """Canonical JSON of :meth:`deterministic_summary`."""
-        return json.dumps(
-            self.deterministic_summary(), indent=2, sort_keys=True
-        ) + "\n"
+    def report(self) -> AnalysisReport:
+        """The analysis report of the records streamed so far: what
+        ``repro sweep --analysis-out`` writes once the sweep is done
+        (wall clock, workers and alert firings stay out of it)."""
+        return build_analysis_report(RunData(
+            label="sweep", records=self.sweep_records(),
+            skipped_lines=self.skipped,
+        ))
 
 
 def bar(fraction: float, width: int) -> str:
@@ -357,7 +266,7 @@ def render_frame(
             label = "idle"
         lines.append(f"  {worker}: {label}{age}")
 
-    mix = state.phase_mix()
+    mix = record_phase_totals(state.sweep_records())
     total_seconds = sum(mix.values())
     if total_seconds > 0:
         top = sorted(

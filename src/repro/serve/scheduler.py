@@ -525,7 +525,7 @@ class SweepScheduler:
                 cell.num_machines, len(cell.grid),
             )
             for index, record in enumerate(records):
-                writer.record_done(local, index, record, spec.engine)
+                writer.record_done(local, index, record)
             writer.cell_done(local, len(records), wall)
         ruleset = self._rulesets.get(job_id)
         if ruleset is not None:

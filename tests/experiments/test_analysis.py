@@ -55,3 +55,29 @@ def test_speedup_summary_missing_baseline(records):
     ]
     with pytest.raises(ValueError):
         speedup_summary(without_baseline)
+
+
+def test_speedup_baseline_shares_the_comm_config(tiny_or):
+    """In a comm sweep each record is compared with Random under its own
+    comm config, whatever order the records come in."""
+    from repro.experiments import CommConfig
+    from repro.experiments.analysis import record_speedups
+
+    grid = [TrainingParams(feature_size=64, hidden_dim=32, num_layers=2)]
+    records = [
+        record
+        for comm in (CommConfig(compression="int8"), CommConfig())
+        for record in run_distgnn_grid(
+            tiny_or, ["random", "hep100"], [4], grid, comm_config=comm,
+        )
+    ]
+    random = {r.comm_config: r for r in records if r.partitioner == "random"}
+    assert random[CommConfig()].epoch_seconds != random[
+        CommConfig(compression="int8")
+    ].epoch_seconds
+    for order in (records, records[::-1]):
+        for record, speedup in record_speedups(order):
+            assert speedup == (
+                random[record.comm_config].epoch_seconds
+                / record.epoch_seconds
+            )

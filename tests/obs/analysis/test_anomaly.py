@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Timeline
 from repro.obs.analysis import (
-    AnomalyThresholds,
     detect_record_anomalies,
     detect_snapshot_anomalies,
-    detect_timeline_anomalies,
     rolling_mad_zscores,
 )
 from .conftest import snapshot_entry
@@ -42,54 +39,6 @@ class TestRollingMadZscores:
         a = rolling_mad_zscores(values)
         b = rolling_mad_zscores(values)
         assert np.array_equal(a, b)
-
-
-class TestTimelineAnomalies:
-    def test_phase_duration_spike_flagged(self):
-        timeline = Timeline()
-        for _ in range(8):
-            timeline.add_phase("fwd", np.array([1.0, 1.01]))
-        timeline.add_phase("fwd", np.array([1.0, 5.0]))
-        findings = detect_timeline_anomalies(timeline)
-        kinds = {f.kind for f in findings}
-        assert "phase-duration-spike" in kinds
-
-    def test_straggler_machine_flagged(self):
-        timeline = Timeline()
-        for _ in range(6):
-            timeline.add_phase("fwd", np.array([1.0, 1.0, 1.9]))
-        findings = detect_timeline_anomalies(timeline)
-        stragglers = [
-            f for f in findings if f.kind == "straggler-machine"
-        ]
-        assert len(stragglers) == 1
-        assert stragglers[0].subject == "machine-2"
-
-    def test_recovery_spike_severities(self):
-        thresholds = AnomalyThresholds()
-        quiet = Timeline()
-        quiet.add_phase("fwd", np.array([10.0]))
-        assert not any(
-            f.kind == "recovery-spike"
-            for f in detect_timeline_anomalies(quiet, thresholds)
-        )
-
-        noisy = Timeline()
-        noisy.add_phase("fwd", np.array([1.0]))
-        noisy.add_phase("fault-restore", np.array([1.0]))
-        spikes = [
-            f
-            for f in detect_timeline_anomalies(noisy, thresholds)
-            if f.kind == "recovery-spike"
-        ]
-        assert len(spikes) == 1
-        assert spikes[0].severity == "critical"  # 50% >= 25% bar
-
-    def test_healthy_timeline_yields_no_findings(self):
-        timeline = Timeline()
-        for _ in range(10):
-            timeline.add_phase("fwd", np.array([1.0, 1.0]))
-        assert detect_timeline_anomalies(timeline) == []
 
 
 class TestRecordAnomalies:

@@ -106,3 +106,40 @@ def test_serial_vs_parallel_diff_clean(tiny_or):
     )
     assert diff.clean
     assert diff.findings() == []
+
+
+def test_report_invariant_under_record_order(tiny_or, tiny_di):
+    """The report sorts records into one canonical order before it sums
+    anything: every permutation of a multi-graph, multi-comm sweep's
+    records (both engines, telemetry on) reports byte for byte alike."""
+    import random
+
+    from repro import obs
+    from repro.experiments import CommConfig, run_grid
+
+    obs.enable()
+    try:
+        records = [
+            record
+            for graph in (tiny_or, tiny_di)
+            for comm in (None, CommConfig(compression="fp16"))
+            for engine, names in (
+                ("distgnn", EDGE_NAMES), ("distdgl", ["random", "ldg"]),
+            )
+            for record in run_grid(
+                engine, graph, names, [2, 4], _grid(), seed=0,
+                comm_config=comm,
+            )
+        ]
+    finally:
+        obs.reset()
+        obs.disable()
+    assert len({(r.graph, r.comm_config) for r in records}) == 4
+    expected = _report(records).to_json()
+    orders = [records[::-1], sorted(records, key=lambda r: r.partitioner)]
+    for seed in range(4):
+        shuffled = list(records)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    for order in orders:
+        assert _report(order).to_json() == expected

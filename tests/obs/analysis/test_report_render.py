@@ -1,5 +1,6 @@
 """Report building and the renderers (text + HTML dashboard)."""
 
+import dataclasses
 import json
 import re
 
@@ -91,10 +92,14 @@ def _full_report(make_record, make_dgl_record, machine_snapshot):
             traffic_saved_bytes=5e5,
         )
     )
-    for record in run.records:
-        record.fault_config = FaultConfig(crash_rate=0.5)
-        record.crashes = record.slowdowns = record.lost_messages = 1
-        record.makespan_seconds, record.recovery_seconds = 2.0, 1.5
+    run.records = [
+        dataclasses.replace(
+            record, fault_config=FaultConfig(crash_rate=0.5),
+            crashes=1, slowdowns=1, lost_messages=1,
+            makespan_seconds=2.0, recovery_seconds=1.5,
+        )
+        for record in run.records
+    ]
     run.metrics = machine_snapshot
     run.skipped_lines = 1
     return build_analysis_report(run).to_dict()

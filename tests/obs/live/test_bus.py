@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.obs.live import BusTailer, BusWriter, record_event_fields
+from repro.experiments import record_from_dict, records_to_json
+from repro.obs.live import BusTailer, BusWriter
 from repro.obs.live.bus import (
     FINDING_CSEQ_BASE,
     MAX_CELL_RECORDS,
@@ -13,66 +14,82 @@ from repro.obs.live.bus import (
 )
 
 
-class _Params:
-    def label(self):
-        return "f8 h4 L2"
+@pytest.fixture
+def record(make_record):
+    """A finished DistGNN record with telemetry and per-machine memory."""
+    return make_record(
+        partitioner="hdrf", epoch_seconds=1.25, makespan_seconds=5.0,
+        recovery_seconds=0.5, lost_messages=2, crashes=1,
+        memory_per_machine=(1.5, 2.5),
+        obs_metrics={
+            "phase_seconds": {"forward-l0": 0.3, "allreduce": 0.1},
+            "bytes_sent_total": 1e6,
+            "lost_messages_total": 2,
+        },
+    )
 
 
-class _Record:
-    """Minimal stand-in for a sweep record."""
-
-    graph = "OR"
-    partitioner = "hdrf"
-    num_machines = 4
-    params = _Params()
-    epoch_seconds = 1.25
-    makespan_seconds = 5.0
-    recovery_seconds = 0.5
-    network_bytes = 1e6
-    lost_messages = 2
-    crashes = 1
-    obs_metrics = {
-        "phase_seconds": {"forward-l0": 0.3, "allreduce": 0.1},
-        "bytes_sent_total": 1e6,
-        "lost_messages_total": 2,
-    }
+def _record_events(bus, *records):
+    with BusWriter(bus, "w0") as writer:
+        for index, record in enumerate(records):
+            writer.record_done(0, index, record)
+    return BusTailer(bus).poll()
 
 
 class TestRecordEventFields:
-    def test_simulated_fields(self):
-        fields = record_event_fields(_Record(), "distgnn")
-        assert fields["graph"] == "OR"
-        assert fields["partitioner"] == "hdrf"
-        assert fields["k"] == 4
-        assert fields["params_label"] == "f8 h4 L2"
-        assert fields["epoch_seconds"] == 1.25
-        assert fields["lost_messages"] == 2
-        assert fields["bytes_sent_total"] == 1e6
-        assert "degraded_steps" not in fields
+    """A record-done event carries the finished record itself."""
 
-    def test_phase_seconds_as_ordered_pairs(self):
-        # The sink writes sorted-key JSON, so phases must travel as a
-        # list that preserves the record's insertion order — float
-        # summation order downstream depends on it.
-        fields = record_event_fields(_Record(), "distgnn")
-        assert fields["phase_seconds"] == [
-            ["forward-l0", 0.3], ["allreduce", 0.1],
+    def test_simulated_fields(self, tmp_path, record):
+        (event,) = _record_events(str(tmp_path), record)
+        decoded = record_from_dict(json.loads(event["record"]))
+        assert decoded == record
+        assert (decoded.graph, decoded.partitioner, decoded.num_machines) == (
+            "OR", "hdrf", 4,
+        )
+        assert decoded.epoch_seconds == 1.25
+        assert decoded.memory_per_machine == (1.5, 2.5)
+        assert decoded.obs_metrics["bytes_sent_total"] == 1e6
+
+    def test_payload_is_the_export_entry(self, tmp_path, record):
+        (event,) = _record_events(str(tmp_path), record)
+        assert json.loads(event["record"]) == json.loads(
+            records_to_json([record])
+        )[0]
+        assert set(event) == {
+            "kind", "cell", "cseq", "seq", "index", "record", "worker",
+        }
+
+    def test_phase_seconds_as_ordered_pairs(self, tmp_path, record):
+        # The sink writes sorted-key JSON, so the record travels as a
+        # string: its (phase, seconds) pairs keep the record's order,
+        # which fixes the float summation order downstream.
+        (event,) = _record_events(str(tmp_path), record)
+        decoded = record_from_dict(json.loads(event["record"]))
+        assert list(decoded.obs_metrics["phase_seconds"].items()) == [
+            ("forward-l0", 0.3), ("allreduce", 0.1),
         ]
 
-    def test_distdgl_gets_degraded_steps(self):
-        record = _Record()
-        record.degraded_steps = 3
-        fields = record_event_fields(record, "distdgl")
-        assert fields["degraded_steps"] == 3
+    def test_distdgl_gets_degraded_steps(
+        self, tmp_path, record, make_dgl_record
+    ):
+        dgl = make_dgl_record(degraded_steps=3, retries=2)
+        events = _record_events(str(tmp_path), record, dgl)
+        assert [e["index"] for e in events] == [0, 1]
+        decoded = [
+            record_from_dict(json.loads(e["record"])) for e in events
+        ]
+        assert decoded == [record, dgl]
+        assert decoded[1].engine == "distdgl"
+        assert decoded[1].degraded_steps == 3
 
 
 class TestBusWriter:
-    def test_per_writer_file_and_cseq(self, tmp_path):
+    def test_per_writer_file_and_cseq(self, tmp_path, record):
         bus = str(tmp_path)
         writer = BusWriter(bus, "w0")
         writer.cell_start(0, "distgnn", "OR", "hdrf", 4, 2)
-        writer.record_done(0, 0, _Record(), "distgnn")
-        writer.record_done(0, 1, _Record(), "distgnn")
+        writer.record_done(0, 0, record)
+        writer.record_done(0, 1, record)
         writer.cell_start(1, "distgnn", "OR", "random", 4, 2)
         writer.close()
         with open(os.path.join(bus, "events-w0.jsonl")) as fh:
@@ -228,14 +245,16 @@ class TestCseqBudget:
         )
         assert len(BusTailer(str(tmp_path)).poll()) == 1
 
-    def test_cseq_overflow_raises_instead_of_colliding(self, tmp_path):
+    def test_cseq_overflow_raises_instead_of_colliding(
+        self, tmp_path, record
+    ):
         writer = BusWriter(str(tmp_path), "w0")
         writer.cell_start(0, "distgnn", "OR", "hdrf", 4, 1)
         # White box: wind the cell's counter to the finding range
         # instead of emitting 100k events.
         writer._cseq[0] = FINDING_CSEQ_BASE
         with pytest.raises(ValueError, match="finding range"):
-            writer.record_done(0, 0, _Record(), "distgnn")
+            writer.record_done(0, 0, record)
 
     def test_finding_rejects_negative_index(self, tmp_path):
         writer = BusWriter(str(tmp_path), "w0")

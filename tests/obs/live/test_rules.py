@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments import record_from_dict, record_to_dict
 from repro.obs.live import (
     AlertRule,
     RuleSet,
@@ -175,63 +176,48 @@ class TestRecordTotals:
         assert "distdgl.degraded_steps" not in totals
 
     @pytest.mark.parametrize("engine", ["distgnn", "distdgl"])
-    @pytest.mark.parametrize("shimmed", [False, True])
+    @pytest.mark.parametrize("via_bus", [False, True])
     def test_keys_are_catalog_names(
-        self, tiny_or, tiny_or_split, engine, shimmed
+        self, tiny_or, tiny_or_split, engine, via_bus
     ):
         """Every total is addressable by a rule (rules validate their
-        metric against the catalog at load), for both record types and
-        for the watch monitor's event shim."""
+        metric against the catalog at load), for both record types, as
+        run and as decoded from a bus ``record-done`` event."""
         from repro.experiments import ENGINES, TrainingParams
         from repro.obs.catalog import metric_names
-        from repro.obs.live.bus import record_event_fields
-        from repro.obs.live.watch import _RecordShim
 
         extra = {"split": tiny_or_split} if engine == "distdgl" else {}
         record = ENGINES[engine].run(
             tiny_or, "random", 2, TrainingParams(), **extra
         )
-        assert record.engine == engine
-        if shimmed:
-            record = _RecordShim(record_event_fields(record, engine))
-            assert record.engine == engine
-        assert set(record_totals(record)) <= set(metric_names())
+        totals = record_totals(record)
+        if via_bus:
+            decoded = record_from_dict(
+                json.loads(json.dumps(record_to_dict(record)))
+            )
+            assert decoded.engine == engine
+            assert record_totals(decoded) == totals
+        assert set(totals) <= set(metric_names())
 
-    def test_obs_metrics_win_over_record_fields(self):
-        class Shim:
-            engine = "distgnn"
-            graph = "OR"
-            partitioner = "hdrf"
-            num_machines = 2
-            epoch_seconds = 1.0
-            makespan_seconds = 2.0
-            network_bytes = 10.0
-            lost_messages = 1
-            obs_metrics = {
+    def test_obs_metrics_win_over_record_fields(self, make_record):
+        record = make_record(
+            num_machines=2, epoch_seconds=1.0, makespan_seconds=2.0,
+            network_bytes=10.0, lost_messages=1,
+            obs_metrics={
                 "bytes_sent_total": 99.0,
                 "lost_messages_total": 7,
                 "memory_peak_bytes_max": 123.0,
-            }
-
-        totals = record_totals(Shim())
+            },
+        )
+        totals = record_totals(record)
         assert totals["cluster.bytes_sent"] == 99.0
         assert totals["cluster.lost_messages"] == 7.0
         assert totals["cluster.memory_peak_bytes"] == 123.0
 
-    def test_ruleset_evaluate_records_subjects(self):
-        class Shim:
-            engine = "distgnn"
-            graph = "OR"
-            partitioner = "hdrf"
-            num_machines = 4
-            epoch_seconds = 1.0
-            makespan_seconds = 2.0
-            network_bytes = 10.0
-            lost_messages = 3
-            obs_metrics = None
-
+    def test_ruleset_evaluate_records_subjects(self, make_record):
+        record = make_record(partitioner="hdrf", lost_messages=3)
         ruleset = RuleSet((rule(severity="critical"),))
-        findings = ruleset.evaluate_records([Shim()])
+        findings = ruleset.evaluate_records([record])
         assert len(findings) == 1
         assert findings[0].subject == "OR/hdrf/k=4"
 

@@ -3,9 +3,14 @@
 import io
 import json
 
+from repro.experiments import record_to_dict
+from repro.obs.analysis import RunData, build_analysis_report
+from repro.obs.analysis.attribution import record_phase_totals
 from repro.obs.live import BusTailer, BusWriter, RuleSet, WatchState
 from repro.obs.live import render_frame, watch_loop
 from repro.obs.live.rules import AlertRule
+
+from ..conftest import gnn_record
 
 
 def sweep_start(cells):
@@ -20,15 +25,21 @@ def cell_start(cell, worker="w0", partitioner="hdrf", k=4):
             "worker": worker, "t_wall": 11.0}
 
 
-def record_done(cell, index, epoch=1.5, phases=None):
+def finished_record(cell, epoch=1.5):
+    return gnn_record(
+        partitioner=("hdrf", "random")[cell], epoch_seconds=epoch,
+        makespan_seconds=4 * epoch, network_bytes=1e5,
+        obs_metrics={"phase_seconds": {"forward": 1.0, "sync": 0.5}},
+    )
+
+
+def record_done(cell, index, epoch=1.5):
+    """A record-done event as a bus writer emits it."""
+    record = record_to_dict(finished_record(cell, epoch))
     return {
         "kind": "record-done", "cell": cell, "cseq": 1 + index,
-        "index": index, "engine": "distgnn", "graph": "OR",
-        "partitioner": "hdrf", "k": 4, "params_label": "p",
-        "epoch_seconds": epoch, "makespan_seconds": 4 * epoch,
-        "recovery_seconds": 0.0, "network_bytes": 1e5,
-        "lost_messages": 0, "crashes": 0, "worker": "w0",
-        "phase_seconds": phases or [["forward", 1.0], ["sync", 0.5]],
+        "index": index, "worker": "w0",
+        "record": json.dumps(record, separators=(",", ":")),
     }
 
 
@@ -67,20 +78,18 @@ class TestWatchState:
         shuffled = WatchState()
         shuffled.apply_all(reversed(events))
         shuffled.apply_all(events)  # replays must be harmless
-        assert (
-            forward.to_deterministic_json()
-            == shuffled.to_deterministic_json()
-        )
+        assert forward.cells == shuffled.cells
+        assert forward.records == shuffled.records
+        assert forward.report().to_json() == shuffled.report().to_json()
 
     def test_heartbeats_update_liveness_only(self):
         state = WatchState()
-        baseline = None
         state.apply_all(full_sweep_events())
-        baseline = state.to_deterministic_json()
+        baseline = state.report().to_json()
         state.apply({"kind": "heartbeat", "worker": "w9",
                      "t_wall": 99.0})
         assert state.workers["w9"] == 99.0
-        assert state.to_deterministic_json() == baseline
+        assert state.report().to_json() == baseline
 
     def test_worker_timestamp_keeps_max(self):
         state = WatchState()
@@ -111,10 +120,13 @@ class TestWatchState:
         assert state.eta_seconds() == 6.0
 
     def test_phase_mix_sums_ordered_pairs(self):
+        # The frame's phase mix is record_phase_totals over the decoded
+        # records: each record's (phase, seconds) pairs, in its order.
         state = WatchState()
         state.apply_all(full_sweep_events())
-        mix = state.phase_mix()
-        assert mix == {"forward": 4.0, "sync": 2.0}
+        mix = record_phase_totals(state.sweep_records())
+        assert list(mix.items()) == [("forward", 4.0), ("sync", 2.0)]
+        assert "phase mix: forward 67%, sync 33%" in render_frame(state)
 
     def test_bus_findings_deduplicated(self):
         finding = {
@@ -147,11 +159,41 @@ class TestWatchState:
     def test_deterministic_summary_has_no_wall_fields(self):
         state = WatchState()
         state.apply_all(full_sweep_events())
-        summary = state.deterministic_summary()
-        text = json.dumps(summary)
+        # Other workers, other clocks: the same summary bytes.
+        moved = WatchState()
+        for event in full_sweep_events():
+            moved.apply({
+                **event, "worker": "elsewhere",
+                **({"t_wall": 1e9} if "t_wall" in event else {}),
+                **({"wall_seconds": 99.0} if "wall_seconds" in event
+                   else {}),
+            })
+        text = state.report().to_json()
+        assert moved.report().to_json() == text
         assert "wall" not in text
         assert "worker" not in text
-        assert summary["cells"]["0"]["records_done"] == 2
+        assert json.loads(text)["source"]["num_records"] == 4
+
+    def test_report_is_the_analysis_report_of_the_records(self):
+        state = WatchState()
+        state.apply_all(reversed(full_sweep_events()))
+        records = [
+            finished_record(cell, epoch)
+            for cell, epoch in ((0, 1.5), (0, 1.6), (1, 1.7), (1, 1.8))
+        ]
+        assert state.sweep_records() == records
+        expected = build_analysis_report(
+            RunData(label="sweep", records=records)
+        )
+        assert state.report().to_json() == expected.to_json()
+
+    def test_skipped_lines_reach_the_report(self):
+        state = WatchState()
+        state.apply_all(full_sweep_events())
+        state.skipped = 2
+        report = json.loads(state.report().to_json())
+        assert report["source"]["skipped_lines"] == 2
+        assert "trace-truncated" in {f["kind"] for f in report["findings"]}
 
 
 class TestRenderFrame:

@@ -361,3 +361,59 @@ class TestOutOfCoreCommands:
         )
         assert code == 2
         assert "no streaming drive path" in out
+
+
+class TestSweepRefusals:
+    """A sweep refused for its flags exits before any cell runs and
+    leaves no telemetry state behind."""
+
+    SWEEP = [
+        "sweep", "--quick", "--graphs", "OR", "--machines", "2",
+        "--scale", "tiny", "--obs-level", "metrics",
+    ]
+
+    @pytest.fixture(autouse=True)
+    def obs_off(self):
+        from repro import obs
+
+        obs.reset()
+        obs.disable()
+        yield obs
+        obs.reset()
+        obs.disable()
+
+    def test_abort_on_without_rules_leaves_obs_off(
+        self, capsys, tmp_path, obs_off
+    ):
+        out = tmp_path / "out"
+        code = main([*self.SWEEP, "--out", str(out),
+                     "--abort-on", "critical"])
+        assert code == 1
+        assert "--abort-on needs --rules" in capsys.readouterr().err
+        assert obs_off.level() == "off"
+        assert not out.exists()
+
+    def test_unloadable_rules_leave_obs_off(self, tmp_path, obs_off):
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"rules": {"name": "not-a-list"}}')
+        with pytest.raises(ValueError):
+            main([*self.SWEEP, "--out", str(tmp_path / "out"),
+                  "--rules", str(rules)])
+        assert obs_off.level() == "off"
+
+    def test_bus_out_holding_streams_refused(
+        self, capsys, tmp_path, obs_off
+    ):
+        bus = tmp_path / "bus"
+        bus.mkdir()
+        stale = bus / "events-coordinator.jsonl"
+        stale.write_text('{"cells": 12, "kind": "sweep-start"}\n')
+        out = tmp_path / "out"
+        code = main([*self.SWEEP, "--out", str(out),
+                     "--bus-out", str(bus)])
+        assert code == 1
+        assert f"--bus-out {bus} already holds" in capsys.readouterr().err
+        assert [p.name for p in bus.iterdir()] == [stale.name]
+        assert stale.read_text() == '{"cells": 12, "kind": "sweep-start"}\n'
+        assert not out.exists()
+        assert obs_off.level() == "off"
