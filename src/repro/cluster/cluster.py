@@ -60,8 +60,9 @@ class Cluster:
         machine_speeds = np.asarray(machine_speeds, dtype=np.float64)
         if machine_speeds.shape != (num_machines,):
             raise ValueError("need one speed factor per machine")
-        if (machine_speeds <= 0).any():
-            raise ValueError("speed factors must be positive")
+        speeds = machine_speeds.tolist()  # NaN, inf: sum is one
+        if not (min(speeds) > 0 and isfinite(sum(speeds))):
+            raise ValueError("speed factors must be positive and finite")
         self.num_machines = num_machines
         self.machine_speeds = machine_speeds
         self.memory = MemoryLedger(num_machines)
@@ -112,7 +113,7 @@ class Cluster:
         duration = self.timeline.add_phase(
             full_name, per_machine_seconds, interrupted
         )
-        self._mark_memory(full_name)
+        self._mark_memory((full_name,))
         return duration
 
     def add_phases(
@@ -123,16 +124,16 @@ class Cluster:
         allocates between the rows)."""
         full_names = [self.phase_prefix + name for name in names]
         durations = self.timeline.add_phases(full_names, block)
-        for full_name in dict.fromkeys(full_names):
-            self._mark_memory(full_name)
+        self._mark_memory(dict.fromkeys(full_names))
         return durations
 
-    def _mark_memory(self, full_name: str) -> None:
-        watermark = self._memory_watermarks.get(full_name)
-        if watermark is None:
-            self._memory_watermarks[full_name] = self.memory.total.copy()
-        else:
-            np.maximum(watermark, self.memory.total, out=watermark)
+    def _mark_memory(self, full_names: Iterable[str]) -> None:
+        for full_name in full_names:
+            watermark = self._memory_watermarks.get(full_name)
+            if watermark is None:
+                self._memory_watermarks[full_name] = self.memory.total.copy()
+            else:
+                np.maximum(watermark, self.memory.total, out=watermark)
 
     def run_compute_phase(
         self, name: str, per_machine_seconds: np.ndarray
@@ -149,6 +150,13 @@ class Cluster:
         duration = self.add_phase(name, seconds)
         self._compute += seconds
         return duration
+
+    def add_compute(self, rows: np.ndarray) -> None:
+        """Add ``(phases x k)`` compute seconds, already divided by the
+        machine speeds, to the compute ledger row by row (the ledger
+        half of that many :meth:`run_compute_phase` calls)."""
+        k = self.num_machines
+        add_rows(self._compute, self._checked(rows, "compute", (len(rows), k)))
 
     def record_traffic(
         self,
@@ -171,21 +179,45 @@ class Cluster:
         """
         sent = self._checked(sent_per_machine, "sent_per_machine")
         received = self._checked(received_per_machine, "received")
-        values = sent.tolist() + received.tolist()  # NaN, inf: sum is one
-        if not (min(values) >= 0 and isfinite(sum(values))):
-            raise ValueError("traffic bytes must be finite, non-negative")
         messages = messages_per_machine
         if messages is not None:
             messages = self._checked(messages, "messages").astype(np.int64)
         if matrix is not None:
             k = self.num_machines
-            matrix = self._checked(matrix, "traffic matrix", (k, k))
-        self.fabric.transfer_bulk(sent, received, messages)
-        self._sent += sent
-        self._received += received
-        if matrix is not None:
-            self.fabric.record_matrix(self.phase_prefix + name, matrix)
+            matrix = self._checked(matrix, "traffic matrix", (k, k))[None]
+        self.record_traffic_rows(
+            [name], sent[None], received[None], matrix, messages
+        )
         return sent, received, messages
+
+    def record_traffic_rows(
+        self,
+        names: Sequence[str],
+        sent: np.ndarray,
+        received: np.ndarray,
+        matrices: np.ndarray | None = None,
+        messages: np.ndarray | None = None,
+    ) -> None:
+        """:meth:`record_traffic` for each row of ``(n, k)`` ``sent`` and
+        ``received`` bytes (and ``(k, k)`` matrix of ``(n, k, k)``
+        ``matrices``), named ``names``, in order and in one append; all
+        of it is checked before any ledger changes."""
+        n, k = len(names), self.num_machines
+        sent = self._checked(sent, "sent", (n, k))
+        received = self._checked(received, "received", (n, k))
+        # A NaN propagates to the minimum, and a NaN or +inf to the sum.
+        low = min(sent.min(initial=0.0), received.min(initial=0.0))
+        if not (low >= 0 and isfinite(sent.sum() + received.sum())):
+            raise ValueError("traffic bytes must be finite, non-negative")
+        if matrices is not None:
+            matrices = self._checked(matrices, "traffic matrices", (n, k, k))
+        self.fabric.transfer_bulk(sent, received, messages)
+        add_rows(self._sent, sent)
+        add_rows(self._received, received)
+        if matrices is not None:
+            self.fabric.record_matrices(
+                [self.phase_prefix + name for name in names], matrices
+            )
 
     def record_traffics(
         self, names: Sequence[str], blocks: Iterable[np.ndarray]
@@ -204,16 +236,43 @@ class Cluster:
             # Stacked reductions give each matrix the bits of its own
             # sum(axis=1) / sum(axis=0).
             sent, received = np.add.reduce(block, 2), np.add.reduce(block, 1)
-            values = sent.ravel().tolist() + received.ravel().tolist()
-            if values and not (min(values) >= 0 and isfinite(sum(values))):
-                raise ValueError("traffic bytes must be finite, non-negative")
-            self.fabric.transfer_bulk(sent, received)
-            add_rows(self._sent, sent)
-            add_rows(self._received, received)
+            self.record_traffic_rows(labels, sent, received)
             for name in dict.fromkeys(labels.tolist()):
                 self.fabric.record_matrix(
                     self.phase_prefix + name, block[labels == name]
                 )
+
+    def comm_seconds(
+        self,
+        sent: np.ndarray,
+        received: np.ndarray,
+        messages: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Per-machine seconds of a communication phase from its ``(k,)``
+        sent and received bytes — or of each row of ``(n, k)`` stacks.
+
+        Per-machine port bound, floored by the fabric's bisection bound:
+        with every machine communicating concurrently the shared fabric
+        sustains ~k/2 concurrent full-rate transfers, so a phase cannot
+        finish faster than 2 * total / (k * bandwidth). Mild imbalance is
+        therefore absorbed; extreme imbalance (a dominant port) stalls
+        the barrier, as the paper observes for 2PS-L.
+        """
+        if self.cost_model.fabric_model == "bisection":
+            bisection_floor = (
+                2.0 * np.add.reduce(sent, -1, keepdims=True)
+                / max(self.num_machines, 1)
+            )
+        else:  # pure per-port model (ablation)
+            bisection_floor = 0.0
+        port_bytes = np.maximum(np.maximum(sent, received), bisection_floor)
+        return np.where(
+            port_bytes > 0,
+            self.cost_model.transfer_seconds(
+                port_bytes, 1 if messages is None else messages
+            ),
+            0.0,
+        )
 
     def run_comm_phase(
         self,
@@ -233,27 +292,9 @@ class Cluster:
             name, sent_per_machine, received_per_machine,
             messages_per_machine, matrix,
         )
-        # Per-machine port bound, floored by the fabric's bisection bound:
-        # with every machine communicating concurrently the shared fabric
-        # sustains ~k/2 concurrent full-rate transfers, so a phase cannot
-        # finish faster than 2 * total / (k * bandwidth). Mild imbalance is
-        # therefore absorbed; extreme imbalance (a dominant port) stalls
-        # the barrier, as the paper observes for 2PS-L.
-        if self.cost_model.fabric_model == "bisection":
-            bisection_floor = (
-                2.0 * float(np.add.reduce(sent)) / max(self.num_machines, 1)
-            )
-        else:  # pure per-port model (ablation)
-            bisection_floor = 0.0
-        port_bytes = np.maximum(np.maximum(sent, received), bisection_floor)
-        per_machine_seconds = np.where(
-            port_bytes > 0,
-            self.cost_model.transfer_seconds(
-                port_bytes, 1 if messages is None else messages
-            ),
-            0.0,
+        return self.add_phase(
+            name, self.comm_seconds(sent, received, messages)
         )
-        return self.add_phase(name, per_machine_seconds)
 
     def check_traffic_invariant(self, tolerance: float = 1e-6) -> None:
         """Assert fabric totals equal the per-machine byte ledgers.

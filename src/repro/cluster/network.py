@@ -20,7 +20,7 @@ per-machine sent bytes (see ``Cluster.check_traffic_invariant``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ _BYTES_RECEIVED = obs.Bound("cluster.bytes_received", "machine")
 def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
     """``total += row`` for each row of ``rows`` in order, in place (one
     sequential ``cumsum``: the same float additions as that loop)."""
-    total[...] = np.cumsum(np.concatenate((total[np.newaxis], rows)), 0)[-1]
+    rows = np.concatenate((total[np.newaxis], rows))
+    total[...] = np.add.accumulate(rows, 0)[-1]
 
 
 class NetworkFabric:
@@ -120,6 +121,18 @@ class NetworkFabric:
             self._matrix_by_phase[phase] = matrix.copy()
         else:
             existing += matrix
+
+    def record_matrices(
+        self, phases: Sequence[str], matrices: np.ndarray
+    ) -> None:
+        """:meth:`record_matrix` for each ``(k, k)`` matrix of a stack,
+        under the phase name in the same position, in order."""
+        for phase, matrix in zip(phases, np.array(matrices, np.float64)):
+            existing = self._matrix_by_phase.get(phase)
+            if existing is None:
+                self._matrix_by_phase[phase] = matrix
+            else:
+                existing += matrix
 
     def traffic_matrix(self, phase: Optional[str] = None) -> np.ndarray:
         """``src x dst`` byte matrix for ``phase`` (or all phases summed).

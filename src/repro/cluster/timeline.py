@@ -110,7 +110,7 @@ class Timeline:
         durations = _row_max(block, axis=1).tolist()
         # A NaN or +inf in a row is its maximum, and makes the sum one.
         if durations and not (
-            min(block.ravel().tolist()) >= 0 and math.isfinite(sum(durations))
+            block.min() >= 0 and math.isfinite(sum(durations))
         ):
             raise ValueError("phase times must be finite and non-negative")
         row = len(self._names)

@@ -18,11 +18,12 @@ codec, mirroring how compression enters a real training system:
   time for their savings.
 
 The :class:`NullCodec` is the identity: ratio 1, zero error, zero
-work. A null-codec run is the pre-codec baseline bit for bit: DistGNN
-branches on :meth:`Codec.is_null` and takes the pre-codec code path;
-DistDGL prices the null codec with the same array expressions as any
-other, where its ``x 1.0`` and ``+ 0.0`` are exact in floating point
-(pinned by ``tests/oracles/test_distdgl_identity.py``).
+work. A null-codec run is the pre-codec baseline bit for bit: both
+engines price the null codec with the same array expressions as any
+other, where its ``x 1.0`` and ``+ 0.0`` are exact in floating point,
+and DistGNN records no ``codec`` phases for it (pinned by
+``tests/oracles/test_distdgl_identity.py`` and
+``tests/oracles/test_distgnn_identity.py``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class Codec:
     work_factor: float = 0.0
 
     def is_null(self) -> bool:
-        """True for the identity codec (engines skip the codec path)."""
+        """True for the identity codec (no ``codec`` phases priced)."""
         return self.ratio >= 1.0 and self.work_factor == 0.0
 
     def wire_bytes(self, raw_bytes: float) -> float:

@@ -181,7 +181,7 @@ class DistDglEngine:
         payload. The default null codec executes the exact baseline
         code path bit for bit.
         """
-        if feature_size <= 0 or hidden_dim <= 0 or num_layers <= 0:
+        if min(feature_size, hidden_dim, num_layers, num_classes) <= 0:
             raise ValueError("model dimensions must be positive")
         if global_batch_size <= 0:
             raise ValueError("global_batch_size must be positive")
@@ -792,6 +792,8 @@ class DistDglEngine:
         recovery: Optional[RecoveryPolicy] = None,
     ) -> List[EpochReport]:
         """Run ``num_epochs`` epochs, optionally under a fault plan."""
+        if num_epochs < 1:
+            raise ValueError("num_epochs must be >= 1")
         if fault_plan is None and recovery is None:
             with profiling.profile_scope("distdgl.epochs"):
                 return [self.run_epoch() for _ in range(num_epochs)]

@@ -20,6 +20,7 @@ time is the sum over barrier-separated phases of the slowest machine
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
@@ -84,10 +85,10 @@ class DistGnnEngine:
         the halo syncs and the gradient all-reduce; ``refresh_interval``
         is cd-r delayed aggregation (Md et al., SC 2021): halo syncs run
         only every r-th epoch and the replicas compute on stale
-        aggregates in between. The defaults execute the exact baseline
-        code path bit for bit.
+        aggregates in between. The defaults price the exact baseline
+        bit for bit.
         """
-        if feature_size <= 0 or hidden_dim <= 0 or num_layers <= 0:
+        if min(feature_size, hidden_dim, num_layers, num_classes) <= 0:
             raise ValueError("model dimensions must be positive")
         if refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1")
@@ -195,206 +196,178 @@ class DistGnnEngine:
     # ------------------------------------------------------------------
     # Epoch simulation
     # ------------------------------------------------------------------
-    def _layer_compute_seconds(
-        self, dim_in: int, dim_out: int
-    ) -> np.ndarray:
-        """Per-machine forward seconds for one layer."""
+    @cached_property
+    def _layer_costs(self) -> tuple:
+        """Every layer's costs at once: nominal forward compute seconds
+        ``(L, k)`` (``dims`` as a column), and for each layer's two halo
+        syncs — forward, then backward — the bytes sent and received
+        ``(L, 2, k)`` and the ``src x dst`` bytes ``(L, 2, k, k)``.
+
+        In the forward sync, replica machine ``i`` pushes ``dim_in``
+        partial aggregates to the master machine ``j`` and receives the
+        ``dim_out`` result back, so its matrix is the pair-count matrix
+        weighted one way plus its transpose weighted the other (row and
+        column sums: the sent and received vectors). Backward gradients
+        flow along the same replica links, the two dimensions swapped.
+        """
         cm = self.cost_model
+        dims = np.array(self.dims)[:, np.newaxis]
+        dim_in, dim_out = dims[:-1], dims[1:]
         # Aggregation: every local edge moves a dim_in message both ways.
         agg_bytes = aggregation_bytes(
             2 * self.edges_per_machine, dim_in, cm.float_bytes
         )
         agg_flops = 2.0 * 2 * self.edges_per_machine * dim_in
         # Dense transform on mastered vertices (two GEMMs for SAGE).
-        transform = 2.0 * gemm_flops(
-            self.masters_per_machine, dim_in, dim_out
-        )
-        return (
+        transform = 2.0 * gemm_flops(self.masters_per_machine, dim_in, dim_out)
+        compute = (
             cm.memory_seconds(agg_bytes)
             + cm.compute_seconds(agg_flops + transform)
         )
-
-    def _layer_sync(
-        self, dim_in: int, dim_out: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Per-machine (sent, received) bytes for one layer's halo sync."""
-        cm = self.cost_model
-        push = cm.feature_bytes(self.nonmaster_per_machine, dim_in)
-        push_recv = cm.feature_bytes(self.master_excess_per_machine, dim_in)
-        bcast = cm.feature_bytes(self.master_excess_per_machine, dim_out)
-        bcast_recv = cm.feature_bytes(self.nonmaster_per_machine, dim_out)
-        sent = push + bcast
-        received = push_recv + bcast_recv
-        return sent, received, float(sent.sum())
-
-    def _layer_sync_matrix(self, dim_in: int, dim_out: int) -> np.ndarray:
-        """``src x dst`` bytes of one layer's halo sync.
-
-        Replica machine ``i`` pushes ``dim_in`` partial aggregates to
-        the master machine ``j`` and receives the ``dim_out`` result
-        back, so the matrix is the pair-count matrix weighted one way
-        plus its transpose weighted the other. Row/column sums equal the
-        sent/received vectors of :meth:`_layer_sync`; the backward sync
-        is the same matrix with the dimensions swapped.
-        """
-        cm = self.cost_model
+        # Bytes per machine (per machine pair) at every layer boundary's
+        # dimension: row l is a layer's dim_in, row l + 1 its dim_out.
+        nonmasters = cm.feature_bytes(self.nonmaster_per_machine, dims)
+        excess = cm.feature_bytes(self.master_excess_per_machine, dims)
+        pairs = cm.feature_bytes(self.pair_counts, dims[..., np.newaxis])
+        sent = nonmasters[:-1] + excess[1:]
+        received = excess[:-1] + nonmasters[1:]
+        forward = pairs[:-1] + pairs[1:].swapaxes(1, 2)
+        backward = pairs[1:] + pairs[:-1].swapaxes(1, 2)
+        layers, k = compute.shape
         return (
-            cm.feature_bytes(self.pair_counts, dim_in)
-            + cm.feature_bytes(self.pair_counts, dim_out).T
+            compute,
+            np.concatenate([sent, received], 1).reshape(layers, 2, k),
+            np.concatenate([received, sent], 1).reshape(layers, 2, k),
+            np.concatenate([forward, backward], 1).reshape(layers, 2, k, k),
         )
-
-    def _allreduce_matrix(self, grad_bytes: float) -> np.ndarray:
-        """``src x dst`` bytes of the ring gradient all-reduce."""
-        k = self.num_machines
-        matrix = np.zeros((k, k), dtype=np.float64)
-        if k > 1:
-            per_link = 2.0 * grad_bytes * (k - 1) / k
-            for i in range(k):
-                matrix[i, (i + 1) % k] = per_link
-        return matrix
-
-    def _run_sync_phase(
-        self,
-        name: str,
-        sent: np.ndarray,
-        received: np.ndarray,
-        matrix: np.ndarray,
-    ) -> tuple[float, float]:
-        """Run one halo-sync comm phase through the codec.
-
-        Returns ``(straggler seconds, wire bytes)``. The null codec
-        takes the exact baseline path; otherwise the payload shrinks
-        by the codec ratio and every machine is charged a ``codec``
-        compute phase for its encode+decode passes over the raw bytes.
-        """
-        codec = self._codec
-        raw_total = float(sent.sum())
-        self.comm.raw_bytes += raw_total
-        if codec.is_null():
-            self.comm.wire_bytes += raw_total
-            seconds = self.cluster.run_comm_phase(
-                name, sent, received, matrix=matrix
-            )
-            return seconds, raw_total
-        codec_seconds = (
-            codec.work_factor * (sent + received)
-            / self.cost_model.memory_bandwidth
-        )
-        self.comm.codec_seconds += float(codec_seconds.sum())
-        wire_sent = codec.wire_bytes(sent)
-        wire_total = float(wire_sent.sum())
-        self.comm.wire_bytes += wire_total
-        seconds = self.cluster.run_compute_phase("codec", codec_seconds)
-        seconds += self.cluster.run_comm_phase(
-            name,
-            wire_sent,
-            codec.wire_bytes(received),
-            matrix=codec.wire_bytes(matrix),
-        )
-        return seconds, wire_total
 
     def simulate_epoch(
         self, speed_multipliers: np.ndarray | None = None
     ) -> EpochBreakdown:
         """Account one epoch; updates the cluster timeline and fabric.
 
-        ``speed_multipliers`` (optional, per machine, >= 1) stretch a
-        machine's compute phases — transient stragglers injected by a
-        :class:`~repro.cluster.FaultPlan` slowdown event.
+        ``speed_multipliers`` (optional, per machine, finite, >= 1)
+        stretch a machine's compute phases — transient stragglers
+        injected by a :class:`~repro.cluster.FaultPlan` slowdown event.
 
         With ``refresh_interval`` r > 1, only every r-th epoch runs
         the halo syncs (the first epoch always does); the epochs in
         between compute on stale replica aggregates, moving no halo
         bytes and paying no sync time — the gradient all-reduce still
         runs every epoch, as in cd-r, so the model stays consistent.
+
+        All layers are priced at once, in one ``(phases x k)`` block:
+        per layer, ``forward-l``, [``codec``], ``forward-sync-l``,
+        ``backward-l``, [``codec``], ``backward-sync-l``; then
+        [``codec``], ``gradient-allreduce`` and ``optimizer``. A codec
+        shrinks every sync payload by its ratio and charges a ``codec``
+        compute phase for its encode+decode passes over the raw bytes
+        (the null codec: ratio 1.0, exact, and no codec phases).
         """
-        cm = self.cost_model
-        cluster = self.cluster
-        codec = self._codec
-        if speed_multipliers is None:
-            stretch = np.ones(self.num_machines)
-        else:
+        cm, cluster, codec, comm = (
+            self.cost_model, self.cluster, self._codec, self.comm
+        )
+        k, layers = self.num_machines, self.num_layers
+        stretch = np.ones(k)
+        if speed_multipliers is not None:
             stretch = np.asarray(speed_multipliers, dtype=np.float64)
-        stale = (
-            self.refresh_interval > 1
-            and self._epoch_index % self.refresh_interval != 0
-        )
+            if stretch.shape != (k,) or not (
+                (stretch >= 1) & (stretch < np.inf)
+            ).all():
+                raise ValueError(
+                    f"speed_multipliers must be {k} finite factors >= 1"
+                )
+        fresh = self._epoch_index % self.refresh_interval == 0
+        coded = int(not codec.is_null())
         self._epoch_index += 1
-        self.comm.total_epochs += 1
-        if stale:
-            self.comm.stale_epochs += 1
-        forward = backward = 0.0
-        total_bytes = 0.0
-        for layer in range(self.num_layers):
-            dim_in, dim_out = self.dims[layer], self.dims[layer + 1]
-            compute = self._layer_compute_seconds(dim_in, dim_out) * stretch
-            sent, received, layer_bytes = self._layer_sync(dim_in, dim_out)
-
-            forward += cluster.run_compute_phase(
-                f"forward-l{layer}", compute
-            )
-            if not stale:
-                seconds, wire = self._run_sync_phase(
-                    f"forward-sync-l{layer}", sent, received,
-                    self._layer_sync_matrix(dim_in, dim_out),
-                )
-                forward += seconds
-                total_bytes += wire
-            else:
-                # Skipped sync: the bytes it would have moved are the
-                # delayed-aggregation saving.
-                self.comm.raw_bytes += layer_bytes
-            # Backward mirrors the forward: same sync volume (gradients
-            # flow along the same replica links), ~2x the compute.
-            backward += cluster.run_compute_phase(
-                f"backward-l{layer}", BACKWARD_FACTOR * compute
-            )
-            if not stale:
-                seconds, wire = self._run_sync_phase(
-                    f"backward-sync-l{layer}", received, sent,
-                    self._layer_sync_matrix(dim_out, dim_in),
-                )
-                backward += seconds
-                total_bytes += wire
-            else:
-                self.comm.raw_bytes += float(received.sum())
-
+        comm.total_epochs += 1
+        comm.stale_epochs += not fresh
+        compute, sent, received, matrices = self._layer_costs
+        compute = compute * stretch
+        # Raw bytes count every sync, run or skipped: a skipped (stale)
+        # sync's bytes are the delayed-aggregation saving.
+        for raw in np.add.reduce(sent, -1).ravel().tolist():
+            comm.raw_bytes += raw
+        # Per layer and direction: the compute row, then, when the halo
+        # syncs run, the codec row and the sync row.
+        both = np.concatenate([compute, BACKWARD_FACTOR * compute], 1)
+        busy = [both.reshape(layers, 2, 1, k)]
+        kinds = ["{}-l{}"]
+        if fresh:
+            if coded:
+                codec_seconds = codec.codec_seconds(sent + received, cm)
+                busy.append(codec_seconds[:, :, np.newaxis])
+                kinds.append("codec")
+            kinds.append("{}-sync-l{}")
+            sent, received = codec.wire_bytes(sent), codec.wire_bytes(received)
+            matrices = codec.wire_bytes(matrices)
         grad_bytes = self.num_params * cm.float_bytes
-        ring_factor = 2.0 * max(self.num_machines - 1, 0)
-        self.comm.raw_bytes += grad_bytes * ring_factor
-        if codec.is_null():
-            wire_grad_bytes = grad_bytes
-        else:
-            wire_grad_bytes = codec.wire_bytes(grad_bytes)
-            # Each machine encodes its own gradient once and decodes
-            # the reduced result once.
-            codec_seconds = np.full(
-                self.num_machines,
-                codec.codec_seconds(2.0 * grad_bytes, cm),
-            )
-            self.comm.codec_seconds += float(codec_seconds.sum())
-            backward += cluster.run_compute_phase("codec", codec_seconds)
-        self.comm.wire_bytes += wire_grad_bytes * ring_factor
-        sync_seconds = cm.allreduce_seconds(
-            wire_grad_bytes, self.num_machines
-        )
-        cluster.add_phase(
-            "gradient-allreduce",
-            np.full(self.num_machines, sync_seconds),
-        )
-        allreduce_matrix = self._allreduce_matrix(wire_grad_bytes)
-        cluster.record_traffic(
-            "gradient-allreduce",
-            allreduce_matrix.sum(axis=1),
-            allreduce_matrix.sum(axis=0),
-            matrix=allreduce_matrix,
-        )
-        total_bytes += wire_grad_bytes * ring_factor
-
+        ring_factor = 2.0 * max(k - 1, 0)
+        comm.raw_bytes += grad_bytes * ring_factor
+        wire_grad_bytes = codec.wire_bytes(grad_bytes)
+        # Each machine encodes its own gradient once and decodes the
+        # reduced result once.
+        tail = np.full((coded, k), codec.codec_seconds(2.0 * grad_bytes, cm))
+        codec_rows = [block.reshape(-1, k) for block in busy[1:]] + [tail]
+        for seconds in np.add.reduce(np.concatenate(codec_rows), -1).tolist():
+            comm.codec_seconds += seconds
+        busy = np.concatenate([np.concatenate(busy, 2).reshape(-1, k), tail])
+        busy = busy / cluster.machine_speeds
+        cluster.add_compute(busy)
+        sync_seconds = cm.allreduce_seconds(wire_grad_bytes, k)
         optimizer_seconds = cm.compute_seconds(6.0 * self.num_params)
-        cluster.add_phase(
-            "optimizer",
-            np.full(self.num_machines, optimizer_seconds) * stretch,
+        rows = busy[: len(busy) - coded].reshape(layers, 2, -1, k)
+        syncs = 2 * layers * fresh
+        sent = sent.reshape(-1, k)[:syncs]
+        received = received.reshape(-1, k)[:syncs]
+        if fresh:
+            rows = np.concatenate([
+                rows,
+                cluster.comm_seconds(sent, received).reshape(layers, 2, 1, k),
+            ], 2)
+        cells = [
+            (direction, layer)
+            for layer in range(layers) for direction in ("forward", "backward")
+        ]
+        durations = iter(cluster.add_phases(
+            [kind.format(*cell) for cell in cells for kind in kinds]
+            + ["codec"] * coded + ["gradient-allreduce", "optimizer"],
+            np.concatenate([
+                rows.reshape(-1, k),
+                busy[len(busy) - coded:],
+                np.full((1, k), sync_seconds),
+                np.full((1, k), optimizer_seconds) * stretch,
+            ]),
+        ))
+        # Explicit left-to-right ``+=`` in phase order: the builtin
+        # ``sum`` is compensated on Python 3.12+ and would change bits.
+        straggler = [0.0, 0.0]  # forward, backward
+        for cell in range(2 * layers):
+            straggler[cell % 2] += next(durations)
+            if fresh:
+                seconds = next(durations)
+                if coded:
+                    seconds += next(durations)
+                straggler[cell % 2] += seconds
+        forward, backward = straggler
+        if coded:
+            backward += next(durations)
+        total_bytes = 0.0
+        for wire in np.add.reduce(sent, -1).tolist():
+            comm.wire_bytes += wire
+            total_bytes += wire
+        comm.wire_bytes += wire_grad_bytes * ring_factor
+        total_bytes += wire_grad_bytes * ring_factor
+        # The ring all-reduce: machine i sends to machine (i + 1) mod k.
+        ring = np.full((1, k), 2.0 * wire_grad_bytes * (k - 1) / k)
+        links = np.zeros((1, k, k))
+        links[0, np.arange(k), np.arange(1, k + 1) % k] = ring[0]
+        cluster.record_traffic_rows(
+            ["{}-sync-l{}".format(*cell) for cell in cells][:syncs]
+            + ["gradient-allreduce"],
+            np.concatenate([sent, ring]),
+            np.concatenate([received, ring]),
+            np.concatenate([matrices.reshape(-1, k, k)[:syncs], links]),
         )
         breakdown = EpochBreakdown(
             forward_seconds=forward,
@@ -492,6 +465,8 @@ class DistGnnEngine:
         (``fault-*``, ``replay:*`` and ``checkpoint`` phases) and in
         :attr:`fault_summary`.
         """
+        if num_epochs < 1:
+            raise ValueError("num_epochs must be >= 1")
         if fault_plan is None and recovery is None:
             with profiling.profile_scope("distgnn.epochs"):
                 return [

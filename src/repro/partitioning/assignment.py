@@ -81,6 +81,8 @@ class EdgePartition:
         self.num_partitions = int(num_partitions)
         self._replica_pairs: np.ndarray | None = None
         self._replica_stats: ReplicaStats | None = None
+        #: Memo of :func:`~repro.partitioning.edge_partition_quality`.
+        self._quality = None
 
     @property
     def num_edges(self) -> int:

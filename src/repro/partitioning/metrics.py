@@ -122,12 +122,15 @@ class VertexPartitionQuality:
 
 
 def edge_partition_quality(partition: EdgePartition) -> EdgePartitionQuality:
-    """All Section 2.1 vertex-cut metrics in one bundle."""
-    return EdgePartitionQuality(
-        replication_factor=replication_factor(partition),
-        edge_balance=edge_balance(partition),
-        vertex_balance=vertex_balance_vertex_cut(partition),
-    )
+    """All Section 2.1 vertex-cut metrics in one bundle, derived once
+    per (immutable) partition."""
+    if partition._quality is None:
+        partition._quality = EdgePartitionQuality(
+            replication_factor=replication_factor(partition),
+            edge_balance=edge_balance(partition),
+            vertex_balance=vertex_balance_vertex_cut(partition),
+        )
+    return partition._quality
 
 
 def vertex_partition_quality(

@@ -3,8 +3,9 @@
 
 Every per-machine ledger is a k-vector, so building an engine and
 running one DistGNN epoch or one DistDGL step makes the same calls into
-the cluster layer on 64 machines as on 4; and a DistDGL epoch is priced
-in one pass, so it makes the same calls at 2 steps as at 24. Counted
+the cluster layer on 64 machines as on 4; and epochs are priced in one
+pass, so a DistGNN epoch makes the same calls at 2 layers as at 6, and
+a DistDGL epoch the same calls at 2 steps as at 24. Counted
 with ``sys.setprofile`` (Python frames only), so no wall clock is
 involved.
 """
@@ -78,5 +79,22 @@ def test_distdgl_epoch_cluster_calls_do_not_grow_with_steps(
         return cluster_calls(engine.run_epoch)
 
     few, many = calls(35), calls(3)
+    assert few > 0
+    assert many == few, (few, many)
+
+
+@pytest.mark.parametrize("compression", ["none", "fp16"])
+def test_distgnn_epoch_cluster_calls_do_not_grow_with_layers(
+    tiny_or, compression
+):
+    partition = make_edge_partitioner("hdrf").partition(tiny_or, 4, seed=0)
+
+    def calls(layers):
+        engine = DistGnnEngine(
+            partition, 16, 16, layers, compression=compression
+        )
+        return cluster_calls(engine.simulate_epoch)
+
+    few, many = calls(2), calls(6)
     assert few > 0
     assert many == few, (few, many)

@@ -86,6 +86,13 @@ WRONG_SHAPES = {
     "traffic-matrix-3x3": lambda c: c.record_traffic(
         "t", np.ones(4), np.ones(4), matrix=np.ones((3, 3))
     ),
+    "traffic-rows-2-for-3-names": lambda c: c.record_traffic_rows(
+        ["t", "u", "v"], np.ones((2, 4)), np.ones((2, 4))
+    ),
+    "traffic-rows-matrices-3x3": lambda c: c.record_traffic_rows(
+        ["t"], np.ones((1, 4)), np.ones((1, 4)), np.ones((1, 3, 3))
+    ),
+    "compute-rows-5-wide": lambda c: c.add_compute(np.ones((2, 5))),
 }
 
 
@@ -133,6 +140,10 @@ def test_non_finite_or_negative_values_rejected_before_any_ledger_changes(bad):
         lambda: cluster.record_traffic("t", [bad, 0.0], [0.0, 0.0]),
         lambda: cluster.record_traffic("t", [1.0, 0.0], [0.0, bad]),
         lambda: cluster.run_comm_phase("t", [bad, 0.0], [0.0, 5.0]),
+        lambda: cluster.record_traffic_rows(
+            ["t", "u"], [[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [bad, 0.0]],
+            np.ones((2, 2, 2)),
+        ),
         lambda: cluster.record_traffics(
             ["t", "u"], [np.array([np.ones((2, 2)), [[0.0, bad], [0, 0]]])]
         ),
@@ -198,3 +209,54 @@ def test_bulk_entries_equal_their_single_calls():
     )
     assert list(ours) == list(theirs)
     assert all(np.array_equal(ours[p], theirs[p]) for p in theirs)
+
+
+@pytest.mark.parametrize("fabric_model", ["bisection", "port"])
+def test_row_entries_equal_their_single_calls(fabric_model):
+    """``add_compute`` / ``comm_seconds`` / ``record_traffic_rows`` on
+    stacked rows record and price what one ``run_compute_phase`` /
+    ``run_comm_phase`` per row does, bit for bit."""
+    rng = np.random.default_rng(7)
+    k = 9  # >= 8: numpy's pairwise row sums differ from a plain loop
+    speeds = 0.5 + rng.random(k)
+    names = ["sync-a", "sync-b", "sync-a", "sync-c"]
+    sent, received = rng.random((2, len(names), k)) * 1e6
+    sent[1] = 0.0  # a phase that moves nothing takes no time
+    received[1] = 0.0
+    matrices = rng.random((len(names), k, k))
+    compute = rng.random((3, k))
+    rows, single = (
+        Cluster(k, CostModel(fabric_model=fabric_model), speeds)
+        for _ in range(2)
+    )
+    for cluster in (rows, single):
+        cluster.allocate(np.arange(k), "features", rng.random(k))
+        cluster.phase_prefix = "replay:"
+    busy = compute / speeds
+    rows.add_compute(busy)
+    rows.add_phases(["fwd"] * 3, busy)
+    seconds = rows.comm_seconds(sent, received)
+    rows.add_phases(names, seconds)
+    rows.record_traffic_rows(names, sent, received, matrices)
+    for row in compute:
+        single.run_compute_phase("fwd", row)
+    for name, *traffic in zip(names, sent, received, matrices):
+        single.run_comm_phase(name, *traffic[:2], matrix=traffic[2])
+    assert not seconds[1].any()
+    assert np.array_equal(rows.work, single.work)
+    totals = [c.timeline.per_machine_totals() for c in (rows, single)]
+    assert np.array_equal(*totals)
+    assert rows.timeline.phase_totals() == single.timeline.phase_totals()
+    for field in ("sent", "received"):
+        assert np.array_equal(
+            getattr(rows.fabric, field), getattr(single.fabric, field)
+        )
+    ours = rows.fabric.traffic_matrix_phases()
+    theirs = single.fabric.traffic_matrix_phases()
+    assert list(ours) == list(theirs)
+    assert all(np.array_equal(ours[p], theirs[p]) for p in theirs)
+    matrices[0] = -1.0  # the fabric keeps its own copy
+    assert np.array_equal(
+        rows.fabric.traffic_matrix("replay:sync-a"),
+        single.fabric.traffic_matrix("replay:sync-a"),
+    )

@@ -29,6 +29,15 @@ def test_invalid_speeds_rejected():
         Cluster(2, machine_speeds=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_speeds_rejected(bad):
+    """A NaN speed used to construct and fail only at the first phase
+    ("phase times must be finite"); +inf priced that machine's compute
+    at 0 s."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        Cluster(4, machine_speeds=[1.0, bad, 1.0, 1.0])
+
+
 def test_straggler_injection_slows_training(tiny_or):
     """A degraded machine hurts the barrier-synchronised epoch even when
     the partitioning itself is balanced."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import RecoveryPolicy
 from repro.distdgl import DistDglEngine
 from repro.graph import load_dataset, random_split
 from repro.partitioning import MetisPartitioner, RandomVertexPartitioner
@@ -150,6 +151,24 @@ class TestValidation:
             make_engine(
                 partitions["random"], split, num_layers=2, fanouts=(5,)
             )
+
+    @pytest.mark.parametrize("num_classes", [0, -3])
+    def test_rejects_non_positive_num_classes(
+        self, partitions, split, num_classes
+    ):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            make_engine(partitions["random"], split, num_classes=num_classes)
+
+    @pytest.mark.parametrize("num_epochs", [0, -1])
+    def test_rejects_non_positive_epoch_counts(
+        self, partitions, split, num_epochs
+    ):
+        """``run_training(0)`` used to return ``[]`` silently."""
+        engine = make_engine(partitions["random"], split)
+        with pytest.raises(ValueError, match="num_epochs"):
+            engine.run_training(num_epochs)
+        with pytest.raises(ValueError, match="num_epochs"):
+            engine.run_training(num_epochs, recovery=RecoveryPolicy())
 
 
 def test_empty_report_balances_are_one():

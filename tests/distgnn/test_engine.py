@@ -1,7 +1,9 @@
 """Tests for the DistGNN cost-accounting engine."""
 
+import numpy as np
 import pytest
 
+from repro.cluster import RecoveryPolicy
 from repro.costmodel import CostModel
 from repro.distgnn import DistGnnEngine
 from repro.partitioning import (
@@ -113,6 +115,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             DistGnnEngine(partitions[0], feature_size=0, hidden_dim=4,
                           num_layers=2)
+
+    @pytest.mark.parametrize("num_classes", [0, -3])
+    def test_rejects_non_positive_num_classes(self, partitions, num_classes):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            DistGnnEngine(partitions[0], 8, 8, 2, num_classes=num_classes)
+
+    @pytest.mark.parametrize("num_epochs", [0, -1])
+    def test_rejects_non_positive_epoch_counts(self, partitions, num_epochs):
+        """``simulate_training(0)`` used to return ``[]`` silently."""
+        engine = make_engine(partitions[0])
+        with pytest.raises(ValueError, match="num_epochs"):
+            engine.simulate_training(num_epochs)
+        with pytest.raises(ValueError, match="num_epochs"):
+            engine.simulate_training(num_epochs, recovery=RecoveryPolicy())
+
+    @pytest.mark.parametrize("stretch", [
+        [1.0, 0.5, 1.0, 1.0],  # would make machine 1 faster
+        [1.0, 1.0, 1.0],  # wrong length: was a numpy broadcast error
+        [1.0, np.nan, 1.0, 1.0],
+        [1.0, np.inf, 1.0, 1.0],
+        [[1.0, 1.0, 1.0, 1.0]],
+    ])
+    def test_rejects_bad_speed_multipliers(self, partitions, stretch):
+        """Rejected before the epoch touches the engine or its cluster."""
+        engine = make_engine(partitions[0])
+        with pytest.raises(ValueError, match="speed_multipliers"):
+            engine.simulate_epoch(speed_multipliers=np.array(stretch))
+        assert engine.cluster.timeline.records == []
+        assert engine.comm.total_epochs == 0
+        stretched = engine.simulate_epoch(np.array([1.0, 2.0, 1.0, 1.0]))
+        assert stretched.forward_seconds >= (
+            make_engine(partitions[0]).simulate_epoch().forward_seconds
+        )
 
 
 class TestScaleOut:

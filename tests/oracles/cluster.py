@@ -325,6 +325,37 @@ class OracleCluster:
                     matrix=matrix,
                 )
 
+    def add_compute(self, rows) -> None:
+        # Adapter for the bulk entry: the ledger half of the per-phase
+        # ``run_compute_phase`` calls it stands for.
+        for row in rows:
+            for machine, seconds in zip(self.machines, row):
+                machine.add_compute(float(seconds))
+
+    def record_traffic_rows(self, names, sent, received, matrices) -> None:
+        # Adapter for the bulk entry: the per-phase calls it stands for.
+        for name, *row, matrix in zip(names, sent, received, matrices):
+            self.record_traffic(name, *row, matrix=matrix)
+
+    def comm_seconds(self, sent, received):
+        # Adapter for the bulk entry: ``run_comm_phase``'s per-machine
+        # rule below, one row at a time.
+        rows = []
+        for sent_row, received_row in zip(sent, received):
+            if self.cost_model.fabric_model == "bisection":
+                bisection_floor = (
+                    2.0 * float(sent_row.sum()) / max(self.num_machines, 1)
+                )
+            else:
+                bisection_floor = 0.0
+            rows.append([
+                self.cost_model.transfer_seconds(max(s, r, bisection_floor), 1)
+                if max(s, r, bisection_floor) > 0
+                else 0.0
+                for s, r in zip(sent_row, received_row)
+            ])
+        return np.array(rows).reshape(len(rows), self.num_machines)
+
     def run_comm_phase(
         self,
         name: str,
