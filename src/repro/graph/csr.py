@@ -2,9 +2,9 @@
 
 The study's substrate is a static graph that is read once, partitioned, and
 then used for GNN training. We therefore optimise for immutable bulk access:
-the graph is stored as an edge array plus lazily-built CSR adjacency indexes
-(one symmetric view used by partitioners and samplers, one out-edge view for
-directed statistics).
+the graph is stored as a read-only edge array plus lazily-built, read-only
+CSR adjacency indexes (one symmetric view used by partitioners and samplers,
+one out-edge view for directed statistics), each one sort of a pair key.
 
 Vertex ids are dense integers ``0 .. num_vertices - 1``.
 """
@@ -35,23 +35,22 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 def build_csr(
     num_vertices: int, sources: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Build a CSR index (indptr, indices) for the given directed arcs.
+    """Build a read-only CSR index (indptr, indices) for the given arcs.
 
-    ``sources`` and ``targets`` are parallel int arrays; the result stores,
-    for each vertex ``v``, the targets of arcs leaving ``v`` in a contiguous
-    slice ``indices[indptr[v]:indptr[v + 1]]`` sorted by target id.
+    ``sources`` and ``targets`` are parallel arrays of ids below
+    ``num_vertices``; ``indices[indptr[v]:indptr[v + 1]]`` holds the
+    targets of arcs leaving ``v``, sorted: one sort of a pair key.
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     if sources.shape != targets.shape:
         raise ValueError("sources and targets must have the same shape")
-    order = np.lexsort((targets, sources))
-    sources = sources[order]
-    targets = targets[order]
-    counts = np.bincount(sources, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, targets
+    np.cumsum(np.bincount(sources, minlength=num_vertices), out=indptr[1:])
+    indices = np.sort(sources * num_vertices + targets) % num_vertices
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
 
 
 class Graph:
@@ -85,13 +84,11 @@ class Graph:
         if edges.size and (edges.min() < 0 or edges.max() >= num_vertices):
             raise ValueError("edge endpoint out of range")
         self._num_vertices = int(num_vertices)
-        self._edges = _dedup_edges(edges, directed)
+        self._edges = _dedup_edges(edges, self._num_vertices, directed)
         self._directed = bool(directed)
         self.name = name
-        self._sym_indptr: Optional[np.ndarray] = None
-        self._sym_indices: Optional[np.ndarray] = None
-        self._out_indptr: Optional[np.ndarray] = None
-        self._out_indices: Optional[np.ndarray] = None
+        self._sym_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._out_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._undirected_edges: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
 
@@ -136,27 +133,25 @@ class Graph:
         GNN message passing and partitioning both treat the graph as
         undirected connectivity, as in the paper.
         """
-        if self._sym_indptr is None:
-            src = np.concatenate([self._edges[:, 0], self._edges[:, 1]])
-            dst = np.concatenate([self._edges[:, 1], self._edges[:, 0]])
-            keep = src != dst  # drop self-loop duplicates from mirroring
-            loops = self._edges[:, 0] == self._edges[:, 1]
-            src = np.concatenate([src[keep], self._edges[loops, 0]])
-            dst = np.concatenate([dst[keep], self._edges[loops, 1]])
-            self._sym_indptr, self._sym_indices = build_csr(
-                self._num_vertices, src, dst
+        if self._sym_csr is None:
+            src, dst = self._edges[:, 0], self._edges[:, 1]
+            mirror = src != dst  # a self loop appears once
+            self._sym_csr = build_csr(
+                self._num_vertices,
+                np.concatenate([src, dst[mirror]]),
+                np.concatenate([dst, src[mirror]]),
             )
-        return self._sym_indptr, self._sym_indices
+        return self._sym_csr
 
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR over out-arcs (equals the symmetric view when undirected)."""
         if not self._directed:
             return self.symmetric_csr()
-        if self._out_indptr is None:
-            self._out_indptr, self._out_indices = build_csr(
+        if self._out_csr is None:
+            self._out_csr = build_csr(
                 self._num_vertices, self._edges[:, 0], self._edges[:, 1]
             )
-        return self._out_indptr, self._out_indices
+        return self._out_csr
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Symmetric neighbourhood of ``vertex`` (sorted, may include dups
@@ -182,13 +177,15 @@ class Graph:
         """Edges as canonical undirected pairs ``u <= v``, deduplicated.
 
         Edge partitioners operate on undirected edges; for directed inputs
-        reciprocal arc pairs collapse into one undirected edge.
+        reciprocal arc pairs collapse into one undirected edge. An
+        undirected graph returns its stored (read-only) edge array.
         """
+        if not self._directed:
+            return self._edges
         if self._undirected_edges is None:
-            lo = np.minimum(self._edges[:, 0], self._edges[:, 1])
-            hi = np.maximum(self._edges[:, 0], self._edges[:, 1])
-            pairs = np.stack([lo, hi], axis=1)
-            self._undirected_edges = np.unique(pairs, axis=0)
+            self._undirected_edges = _dedup_edges(
+                self._edges, self._num_vertices, directed=False
+            )
         return self._undirected_edges
 
     def iter_edges(self) -> Iterator[Tuple[int, int]]:
@@ -218,10 +215,15 @@ class Graph:
     # ------------------------------------------------------------------
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph with vertices relabelled ``0..len(vertices)-1``
-        in the order given.
+        in the order given; ids must be distinct and in range.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        mapping = np.full(self._num_vertices, -1, dtype=np.int64)
+        n = self._num_vertices
+        if vertices.size and not 0 <= vertices.min() <= vertices.max() < n:
+            raise ValueError("subgraph vertex id out of range")
+        if sorted_unique(vertices).size != vertices.size:
+            raise ValueError("subgraph vertex ids must be distinct")
+        mapping = np.full(n, -1, dtype=np.int64)
         mapping[vertices] = np.arange(len(vertices), dtype=np.int64)
         src = mapping[self._edges[:, 0]]
         dst = mapping[self._edges[:, 1]]
@@ -249,12 +251,15 @@ class Graph:
         return cls(num_vertices, edges, directed=directed, name=name)
 
 
-def _dedup_edges(edges: np.ndarray, directed: bool) -> np.ndarray:
-    """Remove duplicate edges (and mirrored duplicates when undirected)."""
-    if edges.size == 0:
-        return edges.reshape(0, 2)
-    if directed:
-        return np.unique(edges, axis=0)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+def _dedup_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """Distinct rows of ``edges``, row-sorted and read-only; undirected
+    rows are made ``lo <= hi`` first. One sort of the key ``src * n +
+    dst``, whose order is the rows' lexicographic order while
+    ``n * n < 2**63``.
+    """
+    src, dst = edges[:, 0], edges[:, 1]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    rows = np.stack(np.divmod(sorted_unique(src * n + dst), n), axis=1)
+    rows.setflags(write=False)
+    return rows

@@ -140,25 +140,25 @@ def _holme_kim_edges(
             out.append((offset + i, offset + j))
             adjacency[i].add(j)
             adjacency[j].add(i)
+    integers, random, append = rng.integers, rng.random, out.append
     for new in range(m, num_vertices):
         chosen: set = set()
-        target = int(repeated[rng.integers(len(repeated))])
+        target = repeated[integers(len(repeated))]
         while len(chosen) < m:
             if target not in chosen and target != new:
                 chosen.add(target)
-                out.append((offset + new, offset + target))
+                append((offset + new, offset + target))
                 adjacency[new].add(target)
                 adjacency[target].add(new)
             if len(chosen) == m:
                 break
-            if rng.random() < triangle_prob and adjacency[target]:
+            if random() < triangle_prob and adjacency[target]:
                 candidates = adjacency[target] - chosen - {new}
                 if candidates:
-                    target = int(
-                        rng.choice(np.fromiter(candidates, dtype=np.int64))
-                    )
+                    pool = list(candidates)
+                    target = pool[integers(len(pool))]
                     continue
-            target = int(repeated[rng.integers(len(repeated))])
+            target = repeated[integers(len(repeated))]
         repeated.extend(chosen)
         repeated.extend([new] * m)
     return out

@@ -37,12 +37,14 @@ def validate_edge_partition(
     ``strict`` a non-empty list raises :class:`PartitionValidationError`.
     """
     problems: List[str] = []
-    expected_edges = partition.graph.undirected_edges()
-    if partition.edges.shape != expected_edges.shape or not np.array_equal(
-        np.sort(
-            partition.edges[np.lexsort(partition.edges.T[::-1])], axis=0
-        ),
-        np.sort(expected_edges[np.lexsort(expected_edges.T[::-1])], axis=0),
+    # Rows compared as sorted pair keys u * n + v (the graph's rows are
+    # sorted already); an id outside [0, n) could alias another key.
+    n, edges = partition.graph.num_vertices, partition.edges
+    expected = partition.graph.undirected_edges()
+    ids_ok = not edges.size or 0 <= edges.min() <= edges.max() < n
+    if edges.shape != expected.shape or not ids_ok or not np.array_equal(
+        np.sort(edges[:, 0] * n + edges[:, 1]),
+        expected[:, 0] * n + expected[:, 1],
     ):
         problems.append("edge set does not match the graph's edges")
     if partition.assignment.shape[0] != partition.edges.shape[0]:

@@ -101,6 +101,21 @@ class TestSubgraph:
         sub = two_cliques.subgraph([3, 4])
         assert sub.num_edges == 1  # only the bridge
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([-1, 2], "out of range"),  # would alias the last vertex
+            ([2, 10], "out of range"),  # would raise a bare IndexError
+            ([1, 2, 2], "distinct"),  # would leave a phantom vertex
+        ],
+    )
+    def test_rejects_bad_vertex_ids(self, path_graph, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            path_graph.subgraph(vertices)
+
+    def test_empty_vertex_list_allowed(self, path_graph):
+        assert path_graph.subgraph([]).num_edges == 0
+
     def test_from_edge_list_infers_vertex_count(self):
         g = Graph.from_edge_list([(0, 5)])
         assert g.num_vertices == 6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import Graph
 from repro.partitioning import (
     EdgePartition,
     PartitionValidationError,
@@ -50,6 +51,22 @@ def test_tampered_edge_set_detected(tiny_or, good_edge_partition):
     assert problems or np.array_equal(
         np.unique(tampered, axis=0), np.unique(part.edges, axis=0)
     )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 2), (1, 3)],  # each column matches the graph's on its own
+        [(0, 3), (0, 3)],  # a repeated row hides a missing one
+        [(0, 3), (2, 1)],  # a row outside canonical lo <= hi order
+        [(0, 3), (2, -3)],  # a negative id aliasing (1, 2)'s pair key
+    ],
+)
+def test_wrong_edge_set_of_right_size_detected(rows):
+    graph = Graph.from_edge_list([(0, 3), (1, 2)])
+    part = EdgePartition(graph, np.array(rows), np.zeros(2, np.int32), 2)
+    problems = validate_edge_partition(part, strict=False)
+    assert "edge set does not match the graph's edges" in problems
 
 
 def test_tampered_assignment_detected(good_edge_partition):
