@@ -46,8 +46,8 @@ def main() -> None:
     # -- 1. Attribution on a hand-built timeline: machine 2 straggles.
     timeline = Timeline()
     for _ in range(3):
-        timeline.add_phase("forward", np.array([1.0, 1.0, 1.6]))
-        timeline.add_phase("backward", np.array([2.0, 2.0, 2.9]))
+        timeline.add_phases(["forward"], np.array([[1.0, 1.0, 1.6]]))
+        timeline.add_phases(["backward"], np.array([[2.0, 2.0, 2.9]]))
     attribution = attribute_timeline(timeline)
     print(f"attribution: total {attribution.total_seconds:.1f}s = "
           f"{attribution.compute_seconds:.1f}s compute + "

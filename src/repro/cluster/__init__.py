@@ -1,5 +1,5 @@
-"""Simulated cluster substrate: machines, network fabric, BSP timeline,
-fault injection and recovery."""
+"""Simulated cluster substrate: memory ledger, network fabric, BSP
+timeline, fault injection and recovery."""
 
 from .cluster import Cluster, OutOfMemoryError
 from .faults import (
@@ -9,7 +9,7 @@ from .faults import (
     FaultSummary,
     RecoveryPolicy,
 )
-from .machine import Machine, MemoryLedger
+from .machine import MemoryLedger
 from .network import NetworkFabric
 from .timeline import PhaseRecord, Timeline, TimelineMark
 from .trace import save_chrome_trace, timeline_to_chrome_trace
@@ -17,7 +17,6 @@ from .trace import save_chrome_trace, timeline_to_chrome_trace
 __all__ = [
     "Cluster",
     "OutOfMemoryError",
-    "Machine",
     "MemoryLedger",
     "NetworkFabric",
     "PhaseRecord",

@@ -28,6 +28,7 @@ checkpoint/restart workload. This module represents failures explicitly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -77,6 +78,8 @@ class FaultEvent:
             raise ValueError("fault machine must be non-negative")
         if self.step < 0:
             raise ValueError("fault step must be non-negative")
+        if not math.isfinite(self.magnitude):
+            raise ValueError("fault magnitude must be finite")
         if self.kind == "slowdown" and self.magnitude < 1.0:
             raise ValueError(
                 "slowdown magnitude is a stretch factor and must be >= 1"
@@ -167,8 +170,8 @@ class FaultPlan:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1], got {rate}")
-        if slowdown_factor < 1.0:
-            raise ValueError("slowdown_factor must be >= 1")
+        if not 1.0 <= slowdown_factor < math.inf:  # NaN fails both
+            raise ValueError("slowdown_factor must be finite and >= 1")
         rng = np.random.default_rng(seed)
         shape = (num_epochs, num_machines)
         crash_draw = rng.random(shape)
@@ -229,14 +232,14 @@ class RecoveryPolicy:
             raise ValueError("checkpoint_every must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_seconds < 0:
-            raise ValueError("backoff_base_seconds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.detection_timeout_seconds < 0:
-            raise ValueError(
-                "detection_timeout_seconds must be non-negative"
-            )
+        # Written so that NaN, which fails every comparison, fails here.
+        for label, value, low in (
+            ("backoff_base_seconds", self.backoff_base_seconds, 0.0),
+            ("backoff_factor", self.backoff_factor, 1.0),
+            ("detection_timeout_seconds", self.detection_timeout_seconds, 0.0),
+        ):
+            if not low <= value < math.inf:
+                raise ValueError(f"{label} must be finite and >= {low:g}")
 
     def backoff_seconds(self) -> float:
         """Total wait across all retry attempts for one crashed step."""

@@ -1,5 +1,4 @@
-"""Simulated machines: the cluster's columnar memory ledger and a
-per-machine view of its compute and traffic counters."""
+"""Simulated machines' memory: the cluster's columnar memory ledger."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["MemoryLedger", "Machine"]
+__all__ = ["MemoryLedger"]
 
 #: Residual bytes below this are float noise from allocate/free pairs;
 #: a category that drops under it is removed from the ledger entirely.
@@ -15,9 +14,6 @@ _ZERO_BYTES = 1e-9
 
 #: Insertion stamp of a category a machine does not hold (sorts last).
 _ABSENT = np.iinfo(np.int64).max
-
-#: Rows of a cluster's ``(3, k)`` work block.
-COMPUTE, SENT, RECEIVED = range(3)
 
 
 class MemoryLedger:
@@ -48,8 +44,11 @@ class MemoryLedger:
         """Add ``num_bytes`` to ``category`` on ``machines`` (a machine id
         or an array of distinct ids; sizes scalar or one per machine)."""
         num_bytes = np.asarray(num_bytes, dtype=np.float64)
-        if (num_bytes < 0).any():
-            raise ValueError("allocate takes non-negative sizes; use free")
+        # NaN fails both comparisons.
+        if not ((0 <= num_bytes) & (num_bytes < np.inf)).all():
+            raise ValueError(
+                "allocate takes finite, non-negative sizes; use free"
+            )
         held, peak, stamp = self._columns(category)
         fresh = stamp[machines] == _ABSENT
         now = held[machines] + num_bytes
@@ -71,6 +70,8 @@ class MemoryLedger:
     def free(self, machine: int, category: str, num_bytes: float) -> None:
         """Release ``num_bytes`` of ``category`` on one machine; freed to
         zero, the category leaves that machine's ledger (not its peak)."""
+        if not 0 <= num_bytes < np.inf:  # NaN fails both comparisons
+            raise ValueError("free takes a finite, non-negative size")
         held, _, stamp = self._columns(category)
         current = float(held[machine])
         if num_bytes > current + 1e-6:
@@ -110,37 +111,3 @@ class MemoryLedger:
             for category, peak in self.peak.items()
             if peak[machine] > 0
         }
-
-
-def _work_column(row: int, doc: str) -> property:
-    def get(self) -> float:
-        return float(self._work[row, self.machine_id])
-
-    def set(self, value: float) -> None:
-        self._work[row, self.machine_id] = value
-
-    return property(get, set, doc=doc)
-
-
-class Machine:
-    """One worker of the simulated cluster: its column of the cluster's
-    ``(3, k)`` block of compute seconds, bytes sent and bytes received,
-    plus fault counters."""
-
-    compute_seconds = _work_column(COMPUTE, "Busy compute seconds.")
-    bytes_sent = _work_column(SENT, "Bytes this machine sent.")
-    bytes_received = _work_column(RECEIVED, "Bytes this machine received.")
-
-    def __init__(self, machine_id: int, work: np.ndarray) -> None:
-        self.machine_id = machine_id
-        self._work = work
-        self.crashes = 0
-        self.restarts = 0
-
-    def record_crash(self) -> None:
-        """Count an injected crash of this machine."""
-        self.crashes += 1
-
-    def record_restart(self) -> None:
-        """Count a recovery restart of this machine."""
-        self.restarts += 1

@@ -81,23 +81,14 @@ class Timeline:
         self._interrupted: List[bool] = []
         self._durations: List[float] = []
 
-    def add_phase(
-        self,
-        name: str,
-        per_machine_seconds: np.ndarray,
-        interrupted: bool = False,
-    ) -> float:
-        """Append a phase and return its straggler-bound duration."""
-        seconds = np.asarray(per_machine_seconds, dtype=np.float64)
-        return self._append((name,), seconds[np.newaxis], interrupted)[0]
-
-    def add_phases(self, names: Sequence[str], block) -> List[float]:
-        """Append a ``(phases x num_machines)`` block, row ``i`` named
-        ``names[i]``, as that many :meth:`add_phase` calls would; returns
-        the durations."""
-        return self._append(names, np.asarray(block, dtype=np.float64), False)
-
-    def _append(self, names, block, interrupted: bool) -> List[float]:
+    def add_phases(
+        self, names: Sequence[str], block, interrupted: bool = False
+    ) -> List[float]:
+        """Append a ``(phases x num_machines)`` block of per-machine
+        seconds, row ``i`` named ``names[i]`` (all flagged
+        ``interrupted`` or none); returns the rows' straggler-bound
+        durations."""
+        block = np.asarray(block, dtype=np.float64)
         if self._seconds.shape[1] == 0 and block.ndim == 2:
             self._seconds = np.empty((16, block.shape[1]))
         width = self._seconds.shape[1]
@@ -165,10 +156,6 @@ class Timeline:
             totals[name] = totals.get(name, 0.0) + duration
         return totals
 
-    def interrupted_records(self) -> List[PhaseRecord]:
-        """Phases a fault cut short."""
-        return [record for record in self.records if record.interrupted]
-
     def recovery_seconds(self) -> float:
         """Straggler seconds spent on failure handling and replay."""
         return sum(
@@ -180,10 +167,3 @@ class Timeline:
     def checkpoint_seconds(self) -> float:
         """Straggler seconds spent writing checkpoints."""
         return self.phase_totals().get("checkpoint", 0.0)
-
-    def per_machine_totals(self) -> np.ndarray:
-        """Summed busy time per machine (for balance plots), phase by
-        phase in order."""
-        if not self._names:
-            return np.zeros(0)
-        return np.cumsum(self._seconds[: len(self._names)], axis=0)[-1]

@@ -291,16 +291,16 @@ class DistDglEngine:
         )
         workers = np.arange(self.num_machines)
         owned = self._owned_per_worker
-        self.cluster.allocate(
+        self.cluster.memory.allocate(
             workers,
             "structure",
             (2 * self._local_edges_per_worker + owned) * cm.index_bytes,
         )
-        self.cluster.allocate(
+        self.cluster.memory.allocate(
             workers, "features", cm.feature_bytes(owned, self.feature_size)
         )
         if self._cached is not None:
-            self.cluster.allocate(
+            self.cluster.memory.allocate(
                 workers,
                 "feature-cache",
                 cm.feature_bytes(int(self._cached.sum()), self.feature_size),
@@ -677,11 +677,10 @@ class DistDglEngine:
                 )
             )
             restart[w] = cm.transfer_seconds(float(reload_bytes))
-            self.cluster.machines[w].record_restart()
             self.cluster.timeline.add_mark(
                 f"restart:worker-{w}", "recovery", w
             )
-        self.cluster.add_phase("fault-restart", restart)
+        self.cluster.add_phases(["fault-restart"], restart[np.newaxis])
         self._dead_workers.clear()
 
     def run_epoch(
@@ -748,19 +747,18 @@ class DistDglEngine:
                 active.discard(machine)
                 self._dead_workers.add(machine)
                 self.fault_summary.crashes += 1
-                self.cluster.machines[machine].record_crash()
                 self.cluster.timeline.add_mark(
                     f"crash:worker-{machine}", "fault", machine
                 )
-                self.cluster.add_phase(
-                    "fault-detect",
-                    np.full(k, recovery.detection_timeout_seconds),
+                self.cluster.add_phases(
+                    ["fault-detect"],
+                    np.full((1, k), recovery.detection_timeout_seconds),
                     interrupted=True,
                 )
                 backoff = recovery.backoff_seconds()
                 if backoff > 0:
-                    self.cluster.add_phase(
-                        "fault-backoff", np.full(k, backoff)
+                    self.cluster.add_phases(
+                        ["fault-backoff"], np.full((1, k), backoff)
                     )
                 self.fault_summary.retries += recovery.max_retries
             lost = {

@@ -146,16 +146,16 @@ class DistGnnEngine:
         # Forward + reverse CSR over the local edges plus per-edge halo
         # metadata (DistGNN tracks, per edge, whether the counterpart
         # is a replica and where its master lives).
-        self.cluster.allocate(
+        self.cluster.memory.allocate(
             machines, "structure", (5 * edges + 2 * vertices) * cm.index_bytes,
         )
-        self.cluster.allocate(
+        self.cluster.memory.allocate(
             machines, "features", cm.feature_bytes(vertices, self.feature_size)
         )
         # Intermediate representations are kept for the backward pass,
         # one per vertex copy and layer (gradients are transient: they
         # live only while the layer's backward step runs).
-        self.cluster.allocate(
+        self.cluster.memory.allocate(
             machines, "activations",
             cm.feature_bytes(vertices, activation_dims),
         )
@@ -169,7 +169,7 @@ class DistGnnEngine:
         # holds a slice of the replica payload, not all of it.
         max_dim = max(self.dims)
         chunk_fraction = 0.1
-        self.cluster.allocate(
+        self.cluster.memory.allocate(
             machines,
             "comm-buffers",
             2
@@ -313,7 +313,6 @@ class DistGnnEngine:
             comm.codec_seconds += seconds
         busy = np.concatenate([np.concatenate(busy, 2).reshape(-1, k), tail])
         busy = busy / cluster.machine_speeds
-        cluster.add_compute(busy)
         sync_seconds = cm.allreduce_seconds(wire_grad_bytes, k)
         optimizer_seconds = cm.compute_seconds(6.0 * self.num_params)
         rows = busy[: len(busy) - coded].reshape(layers, 2, -1, k)
@@ -420,14 +419,13 @@ class DistGnnEngine:
         k = self.num_machines
         crashed = sorted({event.machine % k for event in crashes})
         for machine in crashed:
-            cluster.machines[machine].record_crash()
             cluster.timeline.add_mark(
                 f"crash:machine-{machine}", "fault", machine
             )
         self.fault_summary.crashes += len(crashes)
-        cluster.add_phase(
-            "fault-detect",
-            np.full(k, recovery.detection_timeout_seconds),
+        cluster.add_phases(
+            ["fault-detect"],
+            np.full((1, k), recovery.detection_timeout_seconds),
             interrupted=True,
         )
         restore = np.full(k, cm.transfer_seconds(self._model_state_bytes()))
@@ -436,8 +434,7 @@ class DistGnnEngine:
             restore[machine] = cm.transfer_seconds(
                 self._model_state_bytes() + float(partition_state[machine])
             )
-            cluster.machines[machine].record_restart()
-        cluster.add_phase("fault-restore", restore)
+        cluster.add_phases(["fault-restore"], restore[np.newaxis])
         cluster.timeline.add_mark("restore-checkpoint", "recovery")
         lost_epochs = epoch % recovery.checkpoint_every
         self.fault_summary.reexecuted_epochs += lost_epochs
@@ -516,14 +513,16 @@ class DistGnnEngine:
                         )
                     )
                 )
-                cluster.add_phase("fault-retransmit", retransmit)
+                cluster.add_phases(
+                    ["fault-retransmit"], retransmit[np.newaxis]
+                )
                 self.fault_summary.lost_messages += 1
             if (epoch + 1) % recovery.checkpoint_every == 0 \
                     and epoch + 1 < num_epochs:
-                cluster.add_phase(
-                    "checkpoint",
+                cluster.add_phases(
+                    ["checkpoint"],
                     np.full(
-                        k, cm.transfer_seconds(self._model_state_bytes())
+                        (1, k), cm.transfer_seconds(self._model_state_bytes())
                     ),
                 )
                 cluster.timeline.add_mark("checkpoint", "checkpoint")

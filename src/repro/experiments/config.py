@@ -10,6 +10,7 @@ with every result).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
@@ -106,6 +107,8 @@ class FaultConfig:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1], got {rate}")
+        if not 1.0 <= self.slowdown_factor < math.inf:  # NaN fails both
+            raise ValueError("slowdown_factor must be finite and >= 1")
         # Policy construction validates the remaining fields.
         self.policy()
 

@@ -1,5 +1,7 @@
 """Tests for the fault-injection plan and recovery policy."""
 
+import json
+import math
 import pickle
 
 import pytest
@@ -11,6 +13,10 @@ from repro.cluster import (
     FaultSummary,
     RecoveryPolicy,
 )
+from repro.experiments import FaultConfig
+from repro.serve import SweepJobSpec
+
+NON_FINITE = [math.nan, math.inf]
 
 
 class TestFaultEvent:
@@ -34,6 +40,12 @@ class TestFaultEvent:
     def test_nonpositive_magnitude_rejected(self):
         with pytest.raises(ValueError):
             FaultEvent("slowdown", epoch=0, machine=0, magnitude=0.0)
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_magnitude_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FaultEvent(kind, epoch=0, machine=0, magnitude=bad)
 
 
 class TestFaultPlan:
@@ -91,6 +103,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.generate(2, 2, crash_rate=1.5)
 
+    @pytest.mark.parametrize("bad", NON_FINITE + [0.5])
+    def test_generate_bad_slowdown_factor_rejected(self, bad):
+        with pytest.raises(ValueError, match="slowdown_factor"):
+            FaultPlan.generate(2, 2, slowdown_rate=1.0, slowdown_factor=bad)
+
     def test_plan_pickles(self):
         plan = FaultPlan.generate(4, 6, crash_rate=0.5, slowdown_rate=0.5,
                                   seed=3)
@@ -114,6 +131,33 @@ class TestRecoveryPolicy:
     def test_invalid_backoff_factor(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(backoff_factor=0.5)
+
+    @pytest.mark.parametrize("field", [
+        "detection_timeout_seconds", "backoff_base_seconds",
+        "backoff_factor",
+    ])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_settings_rejected(self, field, bad):
+        """``nan < 0`` is False: NaN and inf used to pass construction
+        and fail mid-run ("phase times must be finite")."""
+        with pytest.raises(ValueError, match=field):
+            RecoveryPolicy(**{field: bad})
+        with pytest.raises(ValueError, match=field):
+            FaultConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", [
+    "detection_timeout_seconds", "backoff_factor", "slowdown_factor",
+])
+def test_served_spec_with_non_finite_fault_setting_is_refused(field):
+    """``json.loads`` accepts ``NaN``: a served job carrying one is
+    refused at admission, not after partitioning."""
+    text = (
+        '{"engine": "distgnn", "graph": "OR", "partitioners": ["hdrf"],'
+        ' "machines": [2], "fault": {"crash_rate": 0.5, "%s": NaN}}' % field
+    )
+    with pytest.raises(ValueError, match=field):
+        SweepJobSpec.from_dict(json.loads(text))
 
 
 def test_summary_total():

@@ -8,17 +8,25 @@ from repro.distgnn import DistGnnEngine
 from repro.partitioning import HdrfPartitioner
 
 
-def test_slow_machine_stretches_phase():
-    cluster = Cluster(4, machine_speeds=np.array([1.0, 1.0, 0.5, 1.0]))
-    duration = cluster.run_compute_phase("fwd", np.full(4, 1.0))
-    assert duration == pytest.approx(2.0)  # the half-speed machine
+def forward_seconds(partition, speeds=None):
+    """Per-machine seconds of one epoch's first forward phase."""
+    engine = DistGnnEngine(partition, 64, 64, 2, machine_speeds=speeds)
+    engine.simulate_epoch()
+    return engine.cluster.timeline.records[0].per_machine_seconds
 
 
-def test_uniform_speeds_are_default():
-    a = Cluster(3)
-    b = Cluster(3, machine_speeds=np.ones(3))
-    assert a.run_compute_phase("x", np.array([1.0, 2.0, 3.0])) == (
-        b.run_compute_phase("x", np.array([1.0, 2.0, 3.0]))
+def test_slow_machine_stretches_phase(tiny_or):
+    partition = HdrfPartitioner().partition(tiny_or, 4, seed=0)
+    nominal = forward_seconds(partition)
+    slow = forward_seconds(partition, np.array([1.0, 1.0, 0.5, 1.0]))
+    assert slow[2] == pytest.approx(2.0 * nominal[2])  # half speed
+    assert np.array_equal(slow[[0, 1, 3]], nominal[[0, 1, 3]])
+
+
+def test_uniform_speeds_are_default(tiny_or):
+    partition = HdrfPartitioner().partition(tiny_or, 3, seed=0)
+    assert np.array_equal(
+        forward_seconds(partition), forward_seconds(partition, np.ones(3))
     )
 
 

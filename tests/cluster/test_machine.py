@@ -1,4 +1,4 @@
-"""Tests for Machine and the columnar MemoryLedger."""
+"""Tests for the columnar MemoryLedger and a machine's compute phases."""
 
 import numpy as np
 import pytest
@@ -117,15 +117,34 @@ class TestMemoryLedger:
         assert ledger.total.tolist() == [0.2 + 0.3 + 0.1, 0.1 + 0.2 + 0.3]
 
 
-class TestMachine:
-    def test_compute_accumulates(self):
-        cluster = Cluster(1)
-        cluster.run_compute_phase("fwd", [1.5])
-        cluster.run_compute_phase("bwd", [0.5])
-        assert cluster.machines[0].compute_seconds == 2.0
+    @pytest.mark.parametrize("call", [
+        lambda ledger: ledger.allocate(0, "a", np.nan),
+        lambda ledger: ledger.allocate(0, "a", np.inf),
+        lambda ledger: ledger.allocate(np.arange(2), "a", [1.0, np.nan]),
+        lambda ledger: ledger.free(0, "a", -5.0),
+        lambda ledger: ledger.free(0, "a", np.nan),
+        lambda ledger: ledger.free(0, "a", np.inf),
+    ])
+    def test_non_finite_or_negative_sizes_rejected(self, call):
+        """A NaN allocation made ``peak_total`` NaN, so the budget check
+        ``peak > budget`` passed an out-of-memory machine; ``free(-5)``
+        grew ``held`` past its peak; ``free(nan)`` poisoned it."""
+        ledger = MemoryLedger(2)
+        ledger.allocate(0, "a", 10.0)
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            call(ledger)
+        assert ledger.by_category(0) == {"a": 10.0}
+        assert ledger.total.tolist() == ledger.peak_total.tolist()
+        assert ledger.total.tolist() == [10.0, 0.0]
 
+
+class TestMachine:
     def test_negative_compute_rejected(self):
-        cluster = Cluster(1)
+        """A negative compute second on any machine is refused before
+        the cluster's timeline or memory watermarks change."""
+        cluster = Cluster(2)
         with pytest.raises(ValueError):
-            cluster.run_compute_phase("fwd", [-1.0])
-        assert cluster.machines[0].compute_seconds == 0.0
+            cluster.add_phases(["fwd"], np.array([[1.0, -1.0]]))
+        assert cluster.timeline.records == []
+        assert cluster.timeline.total_seconds == 0.0
+        assert cluster.memory_watermark_timeline() == {}

@@ -1,7 +1,8 @@
 """Resource-depth accounting: traffic invariant, watermarks, peaks.
 
-The PR-5 resource layer hangs off the Cluster facade: the traffic
-consistency invariant (fabric totals == per-machine ledger sums), the
+The resource layer hangs off the Cluster facade: the traffic
+conservation law (per machine, the summed ``src x dst`` matrices' row
+and column sums == the fabric's sent and received bytes), the
 per-phase memory-watermark timeline, the per-category memory peaks,
 and their emission as catalog metrics. The engine-level tests at the
 bottom pin the invariant on real DistGNN/DistDGL runs, including runs
@@ -14,30 +15,28 @@ import pytest
 from repro.cluster import Cluster
 
 
-def comm(cluster, name, sent, received, matrix=None):
-    cluster.run_comm_phase(
-        name, np.asarray(sent, float), np.asarray(received, float),
-        matrix=None if matrix is None else np.asarray(matrix, float),
-    )
+def comm(cluster, name, matrix):
+    """Record one phase's traffic from its ``src x dst`` matrix."""
+    cluster.record_traffics([name], [np.asarray([matrix], float)])
 
 
 class TestTrafficInvariant:
     def test_holds_after_comm_phases(self):
         cluster = Cluster(2)
-        comm(cluster, "sync", [100.0, 0.0], [0.0, 100.0])
-        comm(cluster, "allreduce", [50.0, 50.0], [50.0, 50.0])
+        comm(cluster, "sync", [[0.0, 100.0], [0.0, 0.0]])
+        comm(cluster, "allreduce", [[0.0, 50.0], [50.0, 0.0]])
         cluster.check_traffic_invariant()
 
     def test_detects_desync(self):
         cluster = Cluster(2)
-        comm(cluster, "sync", [100.0, 0.0], [0.0, 100.0])
-        cluster.machines[0].bytes_sent += 1.0  # corrupt one ledger
-        with pytest.raises(RuntimeError):
+        comm(cluster, "sync", [[0.0, 100.0], [0.0, 0.0]])
+        cluster.fabric.sent[0] += 1.0  # corrupt one ledger
+        with pytest.raises(RuntimeError, match="bytes sent"):
             cluster.check_traffic_invariant()
 
     def test_lost_messages_do_not_skew_ledgers(self):
         cluster = Cluster(2)
-        comm(cluster, "sync", [100.0, 0.0], [0.0, 100.0])
+        comm(cluster, "sync", [[0.0, 100.0], [0.0, 0.0]])
         cluster.fabric.record_lost_message(0)
         cluster.check_traffic_invariant()
         assert cluster.fabric.lost_messages.sum() == 1
@@ -45,15 +44,15 @@ class TestTrafficInvariant:
     def test_record_traffic_keeps_matrix_consistent(self):
         cluster = Cluster(2)
         matrix = np.array([[0.0, 60.0], [40.0, 0.0]])
-        cluster.record_traffic(
-            "fetch",
-            matrix.sum(axis=1),
-            matrix.sum(axis=0),
-            matrix=matrix,
+        cluster.record_traffic_rows(
+            ["fetch"],
+            matrix.sum(axis=1)[None],
+            matrix.sum(axis=0)[None],
+            matrix[None],
         )
         cluster.check_traffic_invariant()
         total = cluster.fabric.traffic_matrix()
-        assert total.sum() == cluster.fabric.total_bytes
+        assert total.sum() == cluster.fabric.sent.sum()
         assert np.array_equal(
             total.sum(axis=1), cluster.fabric.sent
         )
@@ -62,11 +61,11 @@ class TestTrafficInvariant:
 class TestMemoryWatermarks:
     def test_timeline_snapshots_totals_per_phase(self):
         cluster = Cluster(2)
-        cluster.allocate(0, "features", 100)
-        cluster.add_phase("load", np.zeros(2))
-        cluster.allocate(0, "activations", 50)
-        cluster.allocate(1, "activations", 70)
-        cluster.add_phase("forward", np.zeros(2))
+        cluster.memory.allocate(0, "features", 100)
+        cluster.add_phases(["load"], np.zeros((1, 2)))
+        cluster.memory.allocate(0, "activations", 50)
+        cluster.memory.allocate(1, "activations", 70)
+        cluster.add_phases(["forward"], np.zeros((1, 2)))
         timeline = cluster.memory_watermark_timeline()
         assert list(timeline) == ["load", "forward"]
         assert list(timeline["load"]) == [100.0, 0.0]
@@ -74,10 +73,10 @@ class TestMemoryWatermarks:
 
     def test_repeated_phase_keeps_elementwise_max(self):
         cluster = Cluster(1)
-        cluster.allocate(0, "buffers", 100)
-        cluster.add_phase("step", np.zeros(1))
+        cluster.memory.allocate(0, "buffers", 100)
+        cluster.add_phases(["step"], np.zeros((1, 1)))
         cluster.memory.free(0, "buffers", 80)
-        cluster.add_phase("step", np.zeros(1))
+        cluster.add_phases(["step"], np.zeros((1, 1)))
         assert list(
             cluster.memory_watermark_timeline()["step"]
         ) == [100.0]
@@ -85,15 +84,15 @@ class TestMemoryWatermarks:
     def test_phase_prefix_applies_to_watermarks(self):
         cluster = Cluster(1)
         cluster.phase_prefix = "epoch0-"
-        cluster.add_phase("fwd", np.zeros(1))
+        cluster.add_phases(["fwd"], np.zeros((1, 1)))
         assert list(cluster.memory_watermark_timeline()) == [
             "epoch0-fwd"
         ]
 
     def test_category_peaks_union_and_zero_fill(self):
         cluster = Cluster(2)
-        cluster.allocate(0, "features", 100)
-        cluster.allocate(1, "replicas", 30)
+        cluster.memory.allocate(0, "features", 100)
+        cluster.memory.allocate(1, "replicas", 30)
         peaks = cluster.memory_category_peaks()
         assert peaks == {
             "features": [100.0, 0.0],
@@ -102,8 +101,8 @@ class TestMemoryWatermarks:
 
 
 class TestEngineInvariants:
-    """On real engine runs: fabric totals == machine ledger sums ==
-    matrix totals, with and without injected message loss."""
+    """On real engine runs: the fabric's books balance against the
+    matrices, with and without injected message loss."""
 
     def _run_distgnn(self, tiny_or, loss=0.0):
         from repro.distgnn.engine import DistGnnEngine
@@ -148,8 +147,6 @@ class TestEngineInvariants:
     def _check(self, cluster):
         cluster.check_traffic_invariant()
         fabric = cluster.fabric
-        machine_sent = sum(m.bytes_sent for m in cluster.machines)
-        assert fabric.sent.sum() == pytest.approx(machine_sent)
         matrix_total = fabric.traffic_matrix().sum()
         assert matrix_total == pytest.approx(float(fabric.sent.sum()))
         # Pairwise attribution never uses the diagonal (local is free).

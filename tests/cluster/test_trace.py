@@ -13,8 +13,8 @@ from repro.cluster import (
 
 def make_timeline():
     timeline = Timeline()
-    timeline.add_phase("forward", np.array([1.0, 2.0]))
-    timeline.add_phase("sync", np.array([0.5, 0.25]))
+    timeline.add_phases(["forward"], np.array([[1.0, 2.0]]))
+    timeline.add_phases(["sync"], np.array([[0.5, 0.25]]))
     return timeline
 
 
@@ -79,7 +79,7 @@ def test_thread_sort_index_orders_machines_numerically():
     """Without sort indices viewers order threads lexically, putting
     machine-10 before machine-2; each machine must pin its numeric id."""
     timeline = Timeline()
-    timeline.add_phase("forward", np.arange(1.0, 13.0))  # 12 machines
+    timeline.add_phases(["forward"], [np.arange(1.0, 13.0)])  # 12 machines
     payload = json.loads(timeline_to_chrome_trace(timeline))
     sort_indices = {
         e["tid"]: e["args"]["sort_index"]
@@ -91,8 +91,9 @@ def test_thread_sort_index_orders_machines_numerically():
 
 def test_interrupted_phase_flagged_in_args():
     timeline = make_timeline()
-    timeline.add_phase("fault-detect", np.array([0.1, 0.1]),
-                       interrupted=True)
+    timeline.add_phases(
+        ["fault-detect"], np.array([[0.1, 0.1]]), interrupted=True
+    )
     payload = json.loads(timeline_to_chrome_trace(timeline))
     flagged = [
         e for e in payload["traceEvents"]

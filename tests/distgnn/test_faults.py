@@ -124,9 +124,13 @@ def test_machine_counters(tiny_or):
     engine = make_engine(tiny_or)
     engine.simulate_training(4, fault_plan=crash_plan(2, machine=3),
                              recovery=RecoveryPolicy(checkpoint_every=2))
-    assert engine.cluster.machines[3].crashes == 1
-    assert engine.cluster.machines[3].restarts == 1
-    assert engine.cluster.machines[0].crashes == 0
+    timeline = engine.cluster.timeline
+    crashed = [m.machine for m in timeline.marks if m.name.startswith("crash")]
+    assert crashed == [3]
+    # Only the crashed machine reloads its partition on restart.
+    (restore,) = [r for r in timeline.records if r.name == "fault-restore"]
+    seconds = restore.per_machine_seconds
+    assert seconds[3] > seconds[0] == seconds[1] == seconds[2]
 
 
 def test_faulty_run_is_deterministic(tiny_or):

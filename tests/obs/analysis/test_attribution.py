@@ -11,7 +11,7 @@ from repro.obs.analysis import attribute_phase_totals, attribute_timeline
 
 def test_duration_decomposes_into_compute_plus_skew():
     timeline = Timeline()
-    timeline.add_phase("fwd", np.array([1.0, 3.0]))  # mean 2, max 3
+    timeline.add_phases(["fwd"], np.array([[1.0, 3.0]]))  # mean 2, max 3
     result = attribute_timeline(timeline)
     assert result.total_seconds == pytest.approx(3.0)
     assert result.compute_seconds == pytest.approx(2.0)
@@ -23,7 +23,7 @@ def test_duration_decomposes_into_compute_plus_skew():
 
 def test_balanced_phase_has_zero_skew():
     timeline = Timeline()
-    timeline.add_phase("fwd", np.array([2.0, 2.0, 2.0]))
+    timeline.add_phases(["fwd"], np.array([[2.0, 2.0, 2.0]]))
     result = attribute_timeline(timeline)
     assert result.skew_seconds == pytest.approx(0.0)
     assert result.phases[0].imbalance == pytest.approx(1.0)
@@ -31,9 +31,9 @@ def test_balanced_phase_has_zero_skew():
 
 def test_phases_sorted_by_contribution_then_name():
     timeline = Timeline()
-    timeline.add_phase("small", np.array([1.0]))
-    timeline.add_phase("big", np.array([5.0]))
-    timeline.add_phase("aaa", np.array([1.0]))  # ties with "small"
+    timeline.add_phases(["small"], np.array([[1.0]]))
+    timeline.add_phases(["big"], np.array([[5.0]]))
+    timeline.add_phases(["aaa"], np.array([[1.0]]))  # ties with "small"
     result = attribute_timeline(timeline)
     assert [p.name for p in result.phases] == ["big", "aaa", "small"]
 
@@ -41,8 +41,8 @@ def test_phases_sorted_by_contribution_then_name():
 def test_straggler_counting_and_severity():
     timeline = Timeline()
     # Machine 1 binds both barriers, 50% slower than the pack mean.
-    timeline.add_phase("fwd", np.array([1.0, 2.0, 1.5]))  # mean 1.5
-    timeline.add_phase("bwd", np.array([2.0, 4.0, 3.0]))  # mean 3.0
+    timeline.add_phases(["fwd"], np.array([[1.0, 2.0, 1.5]]))  # mean 1.5
+    timeline.add_phases(["bwd"], np.array([[2.0, 4.0, 3.0]]))  # mean 3.0
     result = attribute_timeline(timeline)
     straggler = result.machines[1]
     assert straggler.straggler_count == 2
@@ -53,7 +53,7 @@ def test_straggler_counting_and_severity():
 
 def test_straggler_tie_goes_to_lowest_index():
     timeline = Timeline()
-    timeline.add_phase("fwd", np.array([2.0, 2.0]))
+    timeline.add_phases(["fwd"], np.array([[2.0, 2.0]]))
     result = attribute_timeline(timeline)
     assert result.machines[0].straggler_count == 1
     assert result.machines[1].straggler_count == 0
@@ -61,10 +61,10 @@ def test_straggler_tie_goes_to_lowest_index():
 
 def test_recovery_and_checkpoint_shares():
     timeline = Timeline()
-    timeline.add_phase("forward", np.array([4.0]))
-    timeline.add_phase("fault-detect", np.array([0.5]))
-    timeline.add_phase("replay:forward", np.array([1.0]))
-    timeline.add_phase("checkpoint", np.array([0.5]))
+    timeline.add_phases(["forward"], np.array([[4.0]]))
+    timeline.add_phases(["fault-detect"], np.array([[0.5]]))
+    timeline.add_phases(["replay:forward"], np.array([[1.0]]))
+    timeline.add_phases(["checkpoint"], np.array([[0.5]]))
     result = attribute_timeline(timeline)
     assert result.recovery_seconds == pytest.approx(1.5)
     assert result.checkpoint_seconds == pytest.approx(0.5)
@@ -84,8 +84,8 @@ def test_empty_timeline_attribution():
 
 def test_interrupted_occurrences_tracked():
     timeline = Timeline()
-    timeline.add_phase("fwd", np.array([1.0]), interrupted=True)
-    timeline.add_phase("fwd", np.array([1.0]))
+    timeline.add_phases(["fwd"], np.array([[1.0]]), interrupted=True)
+    timeline.add_phases(["fwd"], np.array([[1.0]]))
     result = attribute_timeline(timeline)
     assert result.phases[0].interrupted_occurrences == 1
 

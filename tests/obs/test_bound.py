@@ -37,9 +37,16 @@ def test_reset_between_two_phases_lands_in_the_fresh_registry(metrics):
     """A run's second phase, after ``obs.reset()``, is all the fresh
     registry holds: nothing is added to instruments the reset dropped."""
     cluster = Cluster(2)
-    cluster.run_comm_phase("sync", np.array([5.0, 0.0]), np.array([0.0, 5.0]))
+
+    def comm_phase(matrix):
+        matrix = np.array([matrix])
+        sent, received = matrix.sum(axis=2), matrix.sum(axis=1)
+        cluster.record_traffic_rows(["sync"], sent, received, matrix)
+        cluster.add_phases(["sync"], cluster.comm_seconds(sent, received))
+
+    comm_phase([[0.0, 5.0], [0.0, 0.0]])
     obs.reset()
-    cluster.run_comm_phase("sync", np.array([0.0, 3.0]), np.array([3.0, 0.0]))
+    comm_phase([[0.0, 0.0], [3.0, 0.0]])
     registry = obs.get_registry()
     timer = registry.timer("cluster.phase_seconds", phase="sync")
     assert timer.count == 1
@@ -56,8 +63,8 @@ def test_reset_between_two_phases_lands_in_the_fresh_registry(metrics):
 
 
 def test_timelines_of_different_widths_share_the_bound_counters(metrics):
-    Timeline().add_phase("fwd", np.array([1.0, 2.0, 3.0]))
-    Timeline().add_phase("fwd", np.array([4.0]))
+    Timeline().add_phases(["fwd"], np.array([[1.0, 2.0, 3.0]]))
+    Timeline().add_phases(["fwd"], np.array([[4.0]]))
     registry = obs.get_registry()
     assert [
         registry.counter("cluster.machine_busy_seconds", machine=m).value

@@ -14,6 +14,15 @@ calls) ride on :class:`OracleClusterDistGnnEngine` and
 runners build those engines, and the engines build an
 :class:`OracleCluster`. Do not tidy the bodies — they are the reference
 the rewrite is pinned against (``tests/oracles/test_cluster_identity.py``).
+
+:class:`ScalarCluster` is the other direction: today's ``Cluster`` plus
+the scalar entries it no longer has (``add_phase``,
+``run_compute_phase``, ``run_comm_phase``, ``record_traffic``,
+``allocate`` and the per-worker ``machines``), each expressed through
+the bulk entries. The oracle engines of :mod:`tests.oracles.distgnn` and
+:mod:`tests.oracles.distdgl` call those; inside :func:`scalar_cluster`
+(every test of this package, see ``conftest.py``) both engine modules
+build a :class:`ScalarCluster`.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from unittest import mock
 
 import numpy as np
 
-from repro.cluster import NetworkFabric, OutOfMemoryError, PhaseRecord
+from repro.cluster import Cluster, NetworkFabric, OutOfMemoryError
+from repro.cluster import PhaseRecord
 from repro.cluster import TimelineMark
 from repro.cluster.timeline import RECOVERY_PHASE_PREFIXES
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -44,7 +54,9 @@ __all__ = [
     "OracleMemoryLedger",
     "OracleNetworkFabric",
     "OracleTimeline",
+    "ScalarCluster",
     "oracle_cluster",
+    "scalar_cluster",
 ]
 
 _ZERO_BYTES = 1e-9
@@ -202,7 +214,21 @@ class OracleTimeline:
 
 
 class OracleNetworkFabric(NetworkFabric):
-    """``NetworkFabric`` with the pre-rewrite per-call emission."""
+    """``NetworkFabric`` with the pre-rewrite per-call emission and
+    one-matrix accumulator."""
+
+    def record_matrix(self, phase: str, matrix: np.ndarray) -> None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        k = self.num_machines
+        if matrix.shape != (k, k):
+            raise ValueError(
+                f"traffic matrix must be ({k}, {k}), got {matrix.shape}"
+            )
+        existing = self._matrix_by_phase.get(phase)
+        if existing is None:
+            self._matrix_by_phase[phase] = matrix.copy()
+        else:
+            existing += matrix
 
     def transfer_bulk(
         self,
@@ -281,10 +307,11 @@ class OracleCluster:
             full_name, per_machine_seconds, interrupted
         )
 
-    def add_phases(self, names, block) -> List[float]:
+    def add_phases(self, names, block, interrupted=False) -> List[float]:
         # Adapter for the bulk entry: the per-phase calls it stands for.
         return [
-            self.add_phase(name, seconds) for name, seconds in zip(names, block)
+            self.add_phase(name, seconds, interrupted)
+            for name, seconds in zip(names, block)
         ]
 
     def run_compute_phase(
@@ -324,13 +351,6 @@ class OracleCluster:
                     name, matrix.sum(axis=1), matrix.sum(axis=0),
                     matrix=matrix,
                 )
-
-    def add_compute(self, rows) -> None:
-        # Adapter for the bulk entry: the ledger half of the per-phase
-        # ``run_compute_phase`` calls it stands for.
-        for row in rows:
-            for machine, seconds in zip(self.machines, row):
-                machine.add_compute(float(seconds))
 
     def record_traffic_rows(self, names, sent, received, matrices) -> None:
         # Adapter for the bulk entry: the per-phase calls it stands for.
@@ -514,6 +534,56 @@ class OracleClusterDistDglEngine(DistDglEngine):
                     "feature-cache",
                     cm.feature_bytes(num_cached, self.feature_size),
                 )
+
+
+class _Worker:
+    """A worker as the oracle engines see it. A crash is recorded as a
+    ``crash:*`` timeline mark and in ``FaultSummary``, so counting one
+    here records nothing."""
+
+    def record_crash(self) -> None:
+        pass
+
+
+class ScalarCluster(Cluster):
+    """``Cluster`` with the deleted scalar entries as bulk-entry adapters."""
+
+    @property
+    def machines(self) -> List[_Worker]:
+        return [_Worker()] * self.num_machines
+
+    def allocate(self, machine, category: str, num_bytes) -> None:
+        self.memory.allocate(machine, category, num_bytes)
+
+    def add_phase(self, name, per_machine_seconds, interrupted=False):
+        seconds = np.asarray(per_machine_seconds, dtype=np.float64)
+        return self.add_phases([name], seconds[np.newaxis], interrupted)[0]
+
+    def run_compute_phase(self, name, per_machine_seconds):
+        # At nominal speed: a machine stretches its share by 1 / speed.
+        seconds = np.asarray(per_machine_seconds, dtype=np.float64)
+        return self.add_phase(name, seconds / self.machine_speeds)
+
+    def record_traffic(self, name, sent, received, matrix):
+        self.record_traffic_rows(
+            [name], np.asarray(sent, dtype=np.float64)[np.newaxis],
+            np.asarray(received, dtype=np.float64)[np.newaxis],
+            np.asarray(matrix, dtype=np.float64)[np.newaxis],
+        )
+
+    def run_comm_phase(self, name, sent, received, matrix):
+        sent = np.asarray(sent, dtype=np.float64)
+        received = np.asarray(received, dtype=np.float64)
+        self.record_traffic(name, sent, received, matrix)
+        return self.add_phase(name, self.comm_seconds(sent, received))
+
+
+@contextlib.contextmanager
+def scalar_cluster():
+    """Inside the block both engine modules build :class:`ScalarCluster`."""
+    with mock.patch.object(distgnn_engine, "Cluster", ScalarCluster), \
+            mock.patch.object(distdgl_engine, "Cluster", ScalarCluster):
+        yield
 
 
 @contextlib.contextmanager

@@ -105,7 +105,7 @@ def assert_same_run(engine, oracle, reports=(), oracle_reports=()):
         for r in theirs.timeline.records
     ]
     assert ours.timeline.marks == theirs.timeline.marks
-    for name in ("sent", "received", "messages", "lost_messages"):
+    for name in ("sent", "received", "lost_messages"):
         assert np.array_equal(
             getattr(ours.fabric, name), getattr(theirs.fabric, name)
         ), name

@@ -1,13 +1,13 @@
 """A DistGNN epoch priced in one pass against pricing phase by phase.
 
 ``DistGnnEngine.simulate_epoch`` prices every layer at once: one
-``(phases x k)`` block through ``Cluster.add_phases``, one compute-ledger
-append and one bulk traffic append, whatever the layer count. **Bit
-identity is the contract**: every ``EpochBreakdown``, the timeline block,
-names, durations and marks, the memory watermarks, ``cluster.work``, the
-fabric's byte vectors and per-phase matrices, the ``CommSummary``, the
-metrics-level obs snapshot and the runner's records equal those of the
-per-layer oracle (:mod:`tests.oracles.distgnn`) driven the same way.
+``(phases x k)`` block through ``Cluster.add_phases`` and one bulk
+traffic append, whatever the layer count. **Bit identity is the
+contract**: every ``EpochBreakdown``, the timeline block, names,
+durations and marks, the memory watermarks, the fabric's byte vectors
+and per-phase matrices, the ``CommSummary``, the metrics-level obs
+snapshot and the runner's records equal those of the per-layer oracle
+(:mod:`tests.oracles.distgnn`) driven the same way.
 
 Every test runs twice: as is, and with ``builtins.sum`` patched to an
 exactly rounded float sum (:func:`math.fsum`). Python 3.12 made the
@@ -125,10 +125,9 @@ def _state(engine, breakdowns):
             (phase, _bits(mark))
             for phase, mark in cluster.memory_watermark_timeline().items()
         ],
-        "work": _bits(cluster.work),
         "fabric": [
             _bits(getattr(cluster.fabric, name))
-            for name in ("sent", "received", "messages", "lost_messages")
+            for name in ("sent", "received", "lost_messages")
         ],
         "matrices": [
             (phase, _bits(matrix))

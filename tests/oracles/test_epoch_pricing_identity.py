@@ -6,7 +6,7 @@ leading step axis, with one bulk ``Cluster.add_phases`` and one bulk
 ``Cluster.record_traffics``. **Bit identity is the contract**: every
 ``StepBreakdown`` (``per_worker_seconds`` included), the timeline block,
 names, durations and memory watermarks, the fabric's byte vectors and
-per-phase matrices, ``cluster.work`` and the ``CommSummary`` equal those
+per-phase matrices and the ``CommSummary`` equal those
 of the per-step oracle (:mod:`tests.oracles.distdgl`: the per-worker
 step loop from before the measure/price split, and the per-step epoch
 loop) driven the same way. The oracle step emits metrics since retired
@@ -102,10 +102,9 @@ def _state(engine, reports):
             (phase, _bits(mark))
             for phase, mark in cluster.memory_watermark_timeline().items()
         ],
-        "work": _bits(cluster.work),
         "fabric": [
             _bits(getattr(cluster.fabric, name))
-            for name in ("sent", "received", "messages", "lost_messages")
+            for name in ("sent", "received", "lost_messages")
         ],
         "matrices": [
             (phase, _bits(matrix))
