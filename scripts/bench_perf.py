@@ -265,7 +265,7 @@ def bench_obs_overhead(repeats: int) -> dict:
     run_distgnn(graph, "hdrf", 4, params, seed=0)  # warm partition cache
 
     hook_names = ("count", "gauge", "observe", "event")
-    flag_names = ("enabled", "tracing")
+    flag_names = ("enabled",)
     saved = {
         name: getattr(obs_api, name)
         for name in hook_names + flag_names

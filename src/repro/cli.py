@@ -565,12 +565,32 @@ def _cmd_sweep(args) -> int:
     pipeline behind ``repro serve`` (``docs/serve.md``), which runs these
     sweeps as queued multi-tenant jobs instead of one batch invocation.
     """
+    from .serve import SweepJobSpec
+
     graphs = [g.strip().upper() for g in args.graphs.split(",")]
-    machines = [int(k) for k in args.machines.split(",")]
     grid = list(reduced_grid() if args.quick else parameter_grid())
     fault_config = _fault_config(args)
     comm_configs = _comm_configs(args)
     comm_sweep = any(c is not None for c in comm_configs)
+    # Refuse a bad graph or machine count before the bus opens or obs
+    # is configured: the job specs the serve daemon would admit for this
+    # sweep carry the same checks and messages.
+    try:
+        machines = [int(k) for k in args.machines.split(",")]
+        for key in graphs:
+            for comm in comm_configs:
+                for name, engine in ENGINES.items():
+                    SweepJobSpec(
+                        engine=name, graph=key,
+                        partitioners=engine.partitioner_names,
+                        machine_counts=tuple(machines),
+                        params=tuple(grid), scale=args.scale,
+                        seed=args.seed, num_epochs=args.epochs,
+                        fault=fault_config, comm=comm,
+                    )
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 1
     print(
         f"sweep: graphs={graphs} machines={machines} "
         f"configs={len(grid)} scale={args.scale}"

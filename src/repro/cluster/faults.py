@@ -116,10 +116,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def events_at(self, epoch: int) -> Tuple[FaultEvent, ...]:
-        """All fault events scheduled for ``epoch``."""
-        return tuple(e for e in self.events if e.epoch == epoch)
-
     def crashes_at(self, epoch: int) -> Tuple[FaultEvent, ...]:
         """Crash events scheduled for ``epoch``."""
         return tuple(
@@ -270,8 +266,3 @@ class FaultSummary:
     degraded_steps: int = 0
     reexecuted_epochs: int = 0
     checkpoints: int = 0
-
-    @property
-    def total_faults(self) -> int:
-        """Total injected events across crashes, slowdowns and losses."""
-        return self.crashes + self.slowdowns + self.lost_messages

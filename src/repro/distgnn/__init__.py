@@ -1,6 +1,6 @@
 """DistGNN-style full-batch distributed training over edge partitions."""
 
-from .delayed import DelayedAggregationTrainer, compare_with_synchronous
+from .delayed import DelayedAggregationTrainer
 from .engine import DistGnnEngine, EpochBreakdown
 from .fullbatch import DistributedFullBatchTrainer
 
@@ -9,5 +9,4 @@ __all__ = [
     "EpochBreakdown",
     "DistributedFullBatchTrainer",
     "DelayedAggregationTrainer",
-    "compare_with_synchronous",
 ]

@@ -7,7 +7,8 @@ halo-synchronisation traffic by ~``(r-1)/r`` at the cost of slightly
 stale gradients. The paper under reproduction benchmarks the synchronous
 variant; this module implements cd-r in the executable trainer as a
 documented extension, so the communication/accuracy trade-off can be
-studied end to end.
+studied end to end (``examples/delayed_aggregation.py`` trains it beside
+the synchronous trainer).
 """
 
 from __future__ import annotations
@@ -123,31 +124,3 @@ class DelayedAggregationTrainer(DistributedFullBatchTrainer):
         total = self.synchronised_bytes + self.saved_bytes
         return self.saved_bytes / total if total > 0 else 0.0
 
-
-def compare_with_synchronous(
-    partition: EdgePartition,
-    features: np.ndarray,
-    labels: np.ndarray,
-    train_mask: np.ndarray,
-    refresh_interval: int,
-    num_epochs: int,
-    seed: int = 0,
-    hidden_dim: int = 16,
-    num_layers: int = 2,
-) -> Dict[str, object]:
-    """Train synchronous and cd-r side by side; returns both loss curves
-    and the delayed trainer's measured communication saving."""
-    sync = DistributedFullBatchTrainer(
-        partition, features, labels, train_mask,
-        hidden_dim=hidden_dim, num_layers=num_layers, seed=seed,
-    )
-    delayed = DelayedAggregationTrainer(
-        partition, features, labels, train_mask,
-        refresh_interval=refresh_interval,
-        hidden_dim=hidden_dim, num_layers=num_layers, seed=seed,
-    )
-    return {
-        "synchronous_losses": sync.train(num_epochs),
-        "delayed_losses": delayed.train(num_epochs),
-        "communication_saving": delayed.communication_saving,
-    }

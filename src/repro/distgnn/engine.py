@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -528,10 +528,6 @@ class DistGnnEngine:
                 cluster.timeline.add_mark("checkpoint", "checkpoint")
                 self.fault_summary.checkpoints += 1
         return breakdowns
-
-    def phase_summary(self) -> Dict[str, float]:
-        """Total simulated seconds per phase name."""
-        return self.cluster.timeline.phase_totals()
 
     def comm_summary(self) -> CommSummary:
         """Accumulated communication-reduction accounting."""

@@ -29,7 +29,6 @@ from .cache import (
     cached_edge_partition,
     cached_vertex_partition,
     clear_cache,
-    set_cache_capacity,
 )
 from .config import (
     BATCH_SIZE_SCALE,
@@ -59,7 +58,7 @@ from .cells import (
 )
 from .executor import CellExecutor, CellTask, execute_cells, fifo_schedule
 from .records import DistDglRecord, DistGnnRecord
-from .report import format_series, format_table, print_series, print_table
+from .report import format_series, format_table
 from .runner import (
     ENGINES,
     Engine,
@@ -85,7 +84,6 @@ __all__ = [
     "cached_edge_partition",
     "cached_vertex_partition",
     "clear_cache",
-    "set_cache_capacity",
     "cache_size",
     "CacheEntryError",
     "DistGnnRecord",
@@ -113,9 +111,7 @@ __all__ = [
     "pearson",
     "r_squared",
     "format_table",
-    "print_table",
     "format_series",
-    "print_series",
     "DistributionSummary",
     "summarize",
     "speedup_summary",

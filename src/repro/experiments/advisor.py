@@ -46,18 +46,6 @@ class Recommendation:
     planned_epochs: int
     estimates: List[CandidateEstimate]
 
-    def as_rows(self):
-        """Candidate estimates as printable table rows."""
-        return [
-            (
-                e.name,
-                e.partitioning_seconds,
-                e.epoch_seconds,
-                e.total_seconds,
-            )
-            for e in self.estimates
-        ]
-
 
 def _sample_subgraph(
     graph: Graph, fraction: float, seed: int

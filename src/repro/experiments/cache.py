@@ -5,9 +5,10 @@ fully deterministic given (algorithm, graph, k, seed), so results are
 cached per process. The wall-clock partitioning time of the *first* run is
 kept alongside the assignment — it feeds the amortization analysis.
 
-The cache is a bounded LRU: long sweeps (many graphs x partitioners x k x
-seeds, and especially long-running fault sweeps) would otherwise grow the
-process's memory without limit. Validation raises real exceptions rather
+The cache is an LRU of a fixed :data:`~repro.graph.datasets.CACHE_CAPACITY`
+entries: long sweeps (many graphs x partitioners x k x seeds, and
+especially long-running fault sweeps) would otherwise grow the process's
+memory without limit. Validation raises real exceptions rather
 than ``assert`` — ``python -O`` strips asserts, which would silently turn
 a wrong-family cache hit into corrupt downstream results.
 """
@@ -19,6 +20,7 @@ from typing import Tuple, Union
 
 from ..distdgl.trace import clear_traces
 from ..graph import Graph
+from ..graph.datasets import CACHE_CAPACITY
 from ..obs import api as obs
 from ..partitioning import (
     EdgePartition,
@@ -31,7 +33,6 @@ __all__ = [
     "cached_edge_partition",
     "cached_vertex_partition",
     "clear_cache",
-    "set_cache_capacity",
     "cache_size",
     "CacheEntryError",
 ]
@@ -39,14 +40,8 @@ __all__ = [
 _CacheKey = Tuple[str, str, str, int, int]
 _Entry = Tuple[Union[EdgePartition, VertexPartition], float]
 
-#: Entries, most-recently-used last. Bounded by ``_capacity``.
+#: Entries, most-recently-used last. Bounded by ``CACHE_CAPACITY``.
 _CACHE: "OrderedDict[_CacheKey, _Entry]" = OrderedDict()
-
-#: Default LRU capacity: generous for one sweep's working set (graphs x
-#: partitioners x machine counts) while bounding a long process.
-DEFAULT_CACHE_CAPACITY = 128
-
-_capacity = DEFAULT_CACHE_CAPACITY
 
 
 class CacheEntryError(RuntimeError):
@@ -56,16 +51,6 @@ class CacheEntryError(RuntimeError):
     firing under ``python -O``, where a silent wrong-family hit would
     corrupt every result derived from it.
     """
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Set the LRU bound; evicts immediately if over the new capacity."""
-    if capacity < 1:
-        raise ValueError("cache capacity must be >= 1")
-    global _capacity
-    _capacity = capacity
-    while len(_CACHE) > _capacity:
-        _CACHE.popitem(last=False)
 
 
 def cache_size() -> int:
@@ -85,7 +70,7 @@ def _key(
 def _insert(key: _CacheKey, entry: _Entry) -> None:
     _CACHE[key] = entry
     _CACHE.move_to_end(key)
-    while len(_CACHE) > _capacity:
+    while len(_CACHE) > CACHE_CAPACITY:
         _CACHE.popitem(last=False)
 
 

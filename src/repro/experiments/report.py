@@ -6,9 +6,9 @@ and tables; these helpers keep that output consistent and readable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-__all__ = ["format_table", "print_table", "format_series", "print_series"]
+__all__ = ["format_table", "format_series"]
 
 
 def format_table(
@@ -40,14 +40,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def print_table(
-    headers: Sequence[str], rows: Sequence[Sequence], title: str = ""
-) -> None:
-    """Print :func:`format_table` output with a leading blank line."""
-    print()
-    print(format_table(headers, rows, title))
-
-
 def format_series(
     name: str, xs: Sequence, ys: Sequence[float], unit: str = ""
 ) -> str:
@@ -57,12 +49,3 @@ def format_series(
     )
     return f"{name:>10s}: {points}"
 
-
-def print_series(
-    title: str, series: Dict[str, Sequence[float]], xs: Sequence, unit: str = ""
-) -> None:
-    """Print one :func:`format_series` line per entry of ``series``."""
-    print()
-    print(title)
-    for name, ys in series.items():
-        print(format_series(name, xs, ys, unit))

@@ -1,11 +1,11 @@
-"""GNN substrate: layers, models, loss, optimizers, sampling."""
+"""GNN substrate: layers, models, loss, the Adam optimizer, sampling."""
 
 from .activations import leaky_relu, relu, softmax
 from .blocks import Block, full_graph_block
 from .layers import GatLayer, GcnLayer, GraphLayer, SageLayer
 from .loss import accuracy, softmax_cross_entropy
 from .models import ARCHITECTURES, GnnModel, build_model
-from .optim import Adam, Sgd
+from .optim import Adam
 from .sampling import MiniBatch, default_fanouts, sample_blocks, sample_layers
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "GnnModel",
     "build_model",
     "ARCHITECTURES",
-    "Sgd",
     "Adam",
     "MiniBatch",
     "sample_blocks",

@@ -89,10 +89,6 @@ class GnnModel:
         self._pre_activations = []
         return upstream
 
-    def state_copy(self) -> List[np.ndarray]:
-        """Snapshot of all parameter arrays (for sync verification)."""
-        return [p.copy() for layer in self.layers for p in layer.params.values()]
-
 
 def build_model(
     arch: str,

@@ -1,4 +1,4 @@
-"""Optimizers updating (parameter, gradient) pairs in place."""
+"""The Adam optimizer, updating (parameter, gradient) pairs in place."""
 
 from __future__ import annotations
 
@@ -6,34 +6,9 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-__all__ = ["Sgd", "Adam"]
+__all__ = ["Adam"]
 
 ParamGrad = Tuple[np.ndarray, np.ndarray]
-
-
-class Sgd:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: List[np.ndarray] | None = None
-
-    def step(self, params: Iterable[ParamGrad]) -> None:
-        """Apply one (optionally momentum-accelerated) SGD update in place."""
-        pairs = list(params)
-        if self.momentum > 0 and self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p, _ in pairs]
-        for i, (param, grad) in enumerate(pairs):
-            if self.momentum > 0:
-                assert self._velocity is not None
-                self._velocity[i] *= self.momentum
-                self._velocity[i] += grad
-                param -= self.lr * self._velocity[i]
-            else:
-                param -= self.lr * grad
 
 
 class Adam:

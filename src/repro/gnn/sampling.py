@@ -49,20 +49,6 @@ class MiniBatch:
         """Global ids whose features must be available (block 0 sources)."""
         return self.blocks[0].src_ids
 
-    @property
-    def num_input_vertices(self) -> int:
-        """Input vertices required by the outermost block."""
-        return int(self.blocks[0].num_src)
-
-    def edges_per_layer(self) -> List[int]:
-        """Edges per block, outermost layer first."""
-        return [block.num_edges for block in self.blocks]
-
-    @property
-    def total_edges(self) -> int:
-        """Total edges across all blocks of the mini-batch."""
-        return sum(self.edges_per_layer())
-
 
 def sample_layers(
     graph: Graph,

@@ -239,13 +239,6 @@ class EdgeChunkReader:
         for index in range(self.manifest.num_chunks):
             yield np.load(self._chunk_path(index))
 
-    def read_all(self) -> np.ndarray:
-        """Concatenate every chunk (small stores / tests only)."""
-        chunks = list(self.iter_chunks())
-        if not chunks:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.concatenate(chunks, axis=0)
-
     def verify(self) -> bool:
         """Re-hash the stream and compare against the manifest."""
         digest = hashlib.sha1()

@@ -2,9 +2,9 @@
 
 The study's substrate is a static graph that is read once, partitioned, and
 then used for GNN training. We therefore optimise for immutable bulk access:
-the graph is stored as a read-only edge array plus lazily-built, read-only
-CSR adjacency indexes (one symmetric view used by partitioners and samplers,
-one out-edge view for directed statistics), each one sort of a pair key.
+the graph is stored as a read-only edge array plus a lazily-built, read-only
+symmetric CSR adjacency index (the view partitioners and samplers use),
+each one sort of a pair key.
 
 Vertex ids are dense integers ``0 .. num_vertices - 1``.
 """
@@ -12,7 +12,7 @@ Vertex ids are dense integers ``0 .. num_vertices - 1``.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class Graph:
         self._directed = bool(directed)
         self.name = name
         self._sym_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._out_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._undirected_edges: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
 
@@ -143,16 +142,6 @@ class Graph:
             )
         return self._sym_csr
 
-    def out_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR over out-arcs (equals the symmetric view when undirected)."""
-        if not self._directed:
-            return self.symmetric_csr()
-        if self._out_csr is None:
-            self._out_csr = build_csr(
-                self._num_vertices, self._edges[:, 0], self._edges[:, 1]
-            )
-        return self._out_csr
-
     def neighbors(self, vertex: int) -> np.ndarray:
         """Symmetric neighbourhood of ``vertex`` (sorted, may include dups
         only if the input had parallel edges, which the constructor removes).
@@ -163,11 +152,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Symmetric degree of every vertex."""
         indptr, _ = self.symmetric_csr()
-        return np.diff(indptr)
-
-    def out_degrees(self) -> np.ndarray:
-        """Out-degree of every vertex, shape ``(n,)``."""
-        indptr, _ = self.out_csr()
         return np.diff(indptr)
 
     # ------------------------------------------------------------------
@@ -187,11 +171,6 @@ class Graph:
                 self._edges, self._num_vertices, directed=False
             )
         return self._undirected_edges
-
-    def iter_edges(self) -> Iterator[Tuple[int, int]]:
-        """Yield edges one ``(u, v)`` tuple at a time."""
-        for u, v in self._edges:
-            yield int(u), int(v)
 
     def fingerprint(self) -> str:
         """Stable content hash of the graph structure.
@@ -235,20 +214,6 @@ class Graph:
             directed=self._directed,
             name=f"{self.name}/sub" if self.name else "",
         )
-
-    @classmethod
-    def from_edge_list(
-        cls,
-        pairs: Sequence[Tuple[int, int]],
-        directed: bool = False,
-        num_vertices: Optional[int] = None,
-        name: str = "",
-    ) -> "Graph":
-        """Build a graph from Python pairs, inferring |V| when omitted."""
-        edges = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-        if num_vertices is None:
-            num_vertices = int(edges.max()) + 1 if edges.size else 1
-        return cls(num_vertices, edges, directed=directed, name=name)
 
 
 def _dedup_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:

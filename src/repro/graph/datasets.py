@@ -12,11 +12,14 @@ OR    Orkut            social  no        Holme-Kim power law
 
 Scales are configurable: ``tiny`` for unit tests, ``small`` for the default
 benchmark runs, ``medium`` for slower, higher-fidelity runs. Instances are
-cached per (key, scale, seed) because generation dominates test time.
+cached per (key, scale, seed) because generation dominates test time; the
+cache is an LRU of :data:`CACHE_CAPACITY` graphs, so a daemon admitting a
+fresh ``seed`` per job does not grow without limit.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -29,9 +32,21 @@ from .generators import (
     web_host_graph,
 )
 
-__all__ = ["DATASET_KEYS", "DatasetSpec", "load_dataset", "dataset_specs"]
+__all__ = [
+    "CACHE_CAPACITY",
+    "DATASET_KEYS",
+    "DatasetSpec",
+    "load_dataset",
+    "dataset_specs",
+]
 
 DATASET_KEYS = ("HW", "DI", "EN", "EU", "OR")
+
+#: Entries kept by each per-process cache keyed on a generated graph:
+#: the graphs here, their partitions (``repro.experiments.cache``) and
+#: the serve daemon's train splits. Generous for one sweep's working
+#: set while bounding a long-running process.
+CACHE_CAPACITY = 128
 
 _SCALES = ("tiny", "small", "medium")
 
@@ -116,7 +131,8 @@ _SPECS: Dict[str, DatasetSpec] = {
     "OR": DatasetSpec("OR", "Orkut", "social", False, _orkut),
 }
 
-_CACHE: Dict[Tuple[str, str, int], Graph] = {}
+#: Graphs, most-recently-used last.
+_CACHE: "OrderedDict[Tuple[str, str, int], Graph]" = OrderedDict()
 
 
 def dataset_specs() -> Dict[str, DatasetSpec]:
@@ -132,6 +148,10 @@ def load_dataset(key: str, scale: str = "small", seed: int = 0) -> Graph:
             f"unknown dataset {key!r}; available: {sorted(_SPECS)}"
         )
     cache_key = (key, scale, seed)
-    if cache_key not in _CACHE:
-        _CACHE[cache_key] = _SPECS[key].generate(scale, seed)
-    return _CACHE[cache_key]
+    graph = _CACHE.pop(cache_key, None)
+    if graph is None:
+        graph = _SPECS[key].generate(scale, seed)
+    _CACHE[cache_key] = graph
+    while len(_CACHE) > CACHE_CAPACITY:
+        _CACHE.popitem(last=False)
+    return graph

@@ -43,7 +43,6 @@ import numpy as np
 from .csr import Graph
 
 __all__ = [
-    "rmat_graph",
     "rmat_edge_chunks",
     "powerlaw_cluster_graph",
     "affiliation_graph",
@@ -272,35 +271,6 @@ def rmat_edge_chunks(
         seen = np.union1d(seen, keys[fresh])
         emitted += fresh.size
         yield block[fresh]
-
-
-def rmat_graph(
-    scale: int,
-    num_edges: int,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int = 0,
-    directed: bool = True,
-    name: str = "rmat",
-) -> Graph:
-    """Recursive-matrix (R-MAT) graph with ``2**scale`` vertices.
-
-    Kept as a general-purpose skewed generator (Graph500 defaults); the EU
-    stand-in uses :func:`web_host_graph` instead, which adds the host
-    locality of real crawls. Built from :func:`rmat_edge_chunks` in
-    ``distinct`` mode, which loops generation until ``num_edges`` distinct
-    edges exist (rather than hoping a fixed oversample buffer suffices),
-    so large or sparse configurations cannot come up short.
-    """
-    chunks = list(
-        rmat_edge_chunks(
-            scale, num_edges, a=a, b=b, c=c, seed=seed,
-            directed=directed, distinct=True,
-        )
-    )
-    edges = np.concatenate(chunks, axis=0)
-    return Graph(1 << scale, edges, directed=directed, name=name)
 
 
 def powerlaw_cluster_graph(

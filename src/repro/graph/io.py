@@ -1,4 +1,4 @@
-"""Plain-text edge-list IO.
+"""Plain-text edge-list reader.
 
 The original study reads KONECT/WebGraph exports; we support the same simple
 whitespace-separated ``u v`` format (one edge per line, ``#`` comments) so
@@ -14,7 +14,7 @@ import numpy as np
 
 from .csr import Graph
 
-__all__ = ["read_edge_list", "write_edge_list"]
+__all__ = ["read_edge_list"]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -56,14 +56,3 @@ def read_edge_list(
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Graph(num_vertices, edges, directed=directed, name=name)
 
-
-def write_edge_list(graph: Graph, path: PathLike) -> None:
-    """Write the graph's edges, with a header comment recording metadata."""
-    with open(path, "w") as handle:
-        direction = "directed" if graph.directed else "undirected"
-        handle.write(
-            f"# {graph.name or 'graph'} {direction} "
-            f"|V|={graph.num_vertices} |E|={graph.num_edges}\n"
-        )
-        for u, v in graph.iter_edges():
-            handle.write(f"{u} {v}\n")

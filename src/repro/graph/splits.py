@@ -35,13 +35,6 @@ class VertexSplit:
         mask[self.train] = True
         return mask
 
-    def role_of(self, num_vertices: int) -> np.ndarray:
-        """Per-vertex role codes: 0 = train, 1 = valid, 2 = test."""
-        roles = np.full(num_vertices, 2, dtype=np.int8)
-        roles[self.valid] = 1
-        roles[self.train] = 0
-        return roles
-
 
 def random_split(
     graph: Graph,

@@ -30,16 +30,13 @@ from .api import (
     gauge,
     get_registry,
     get_sink,
-    get_trace_context,
     level,
     observe,
     reset,
-    save_metrics,
     set_sink,
     set_trace_context,
     snapshot,
     span,
-    tracing,
 )
 from .catalog import CATALOG, MetricSpec, find_spec, metric_names
 from .docs import render_metric_docs
@@ -72,7 +69,6 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "tracing",
     "level",
     "get_registry",
     "set_sink",
@@ -84,9 +80,7 @@ __all__ = [
     "event",
     "span",
     "snapshot",
-    "save_metrics",
     "set_trace_context",
-    "get_trace_context",
     "clear_trace_context",
     # serve metrics
     "ServeMetrics",

@@ -1,7 +1,7 @@
 """Flexible loading of run telemetry artifacts.
 
 A "run" leaves up to three kinds of artifact behind: sweep record JSON
-(``save_records``), metric snapshot JSON (``obs.save_metrics``), and
+(``save_records``), metric snapshot JSON (``obs.snapshot()``), and
 JSONL traces (``JsonlSink`` / ``--obs-out``, whose final record is a
 metrics snapshot). :func:`load_run_inputs` sniffs any mix of those by
 content, folds them into one :class:`RunData`, and is what the CLI
@@ -90,7 +90,7 @@ def _load_json_file(run: RunData, path: str) -> None:
     else:
         raise ValueError(
             f"{path}: not a sweep record file or a metrics snapshot "
-            "(expected save_records or obs.save_metrics output)"
+            "(expected save_records or obs.snapshot() output)"
         )
 
 

@@ -23,7 +23,6 @@ sweeps stay record-identical (see :mod:`repro.experiments.cells`).
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Optional
 
@@ -37,7 +36,6 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "tracing",
     "level",
     "get_registry",
     "set_sink",
@@ -50,9 +48,7 @@ __all__ = [
     "Bound",
     "span",
     "snapshot",
-    "save_metrics",
     "set_trace_context",
-    "get_trace_context",
     "clear_trace_context",
 ]
 
@@ -109,11 +105,6 @@ def enabled() -> bool:
     return _level >= _METRICS
 
 
-def tracing() -> bool:
-    """True when structured events are being emitted (level == trace)."""
-    return _level >= _TRACE
-
-
 def level() -> str:
     """The current level name (``off`` / ``metrics`` / ``trace``)."""
     return LEVELS[_level]
@@ -166,11 +157,6 @@ def set_trace_context(**fields: object) -> None:
             _context.pop(key, None)
         else:
             _context[key] = value
-
-
-def get_trace_context() -> Dict[str, object]:
-    """A copy of the ambient trace context."""
-    return dict(_context)
 
 
 def clear_trace_context() -> None:
@@ -311,10 +297,3 @@ def span(name: str, **labels):
 def snapshot() -> List[Dict[str, object]]:
     """Serializable dump of every collected metric (catalog order)."""
     return _registry.snapshot()
-
-
-def save_metrics(path: str) -> None:
-    """Write :func:`snapshot` as pretty-printed JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot(), handle, indent=2, sort_keys=True)
-        handle.write("\n")

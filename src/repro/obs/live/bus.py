@@ -61,7 +61,7 @@ import glob
 import json
 import os
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ...experiments.export import record_to_dict
 from ..sink import JsonlSink
@@ -72,7 +72,6 @@ __all__ = [
     "MAX_CELL_RECORDS",
     "BusWriter",
     "BusTailer",
-    "merge_key",
 ]
 
 #: Every event kind the bus knows about.
@@ -100,11 +99,6 @@ FINDING_CSEQ_BASE = 100000
 #: Largest parameter grid one cell can carry: cell-start + records +
 #: cell-done must all stay below :data:`FINDING_CSEQ_BASE`.
 MAX_CELL_RECORDS = FINDING_CSEQ_BASE - 2
-
-
-def merge_key(event: Dict[str, object]) -> Tuple[int, int]:
-    """Deterministic total order for merged cell-scoped events."""
-    return (int(event.get("cell", -1)), int(event.get("cseq", 0)))
 
 
 class BusWriter:
@@ -268,7 +262,7 @@ class BusTailer:
     def poll(self) -> List[Dict[str, object]]:
         """Return all events appended since the last poll, in file
         order then offset order (callers wanting the deterministic
-        order sort accumulated events with :func:`merge_key`)."""
+        order sort accumulated events on ``(cell, cseq)``)."""
         events: List[Dict[str, object]] = []
         for path in self._paths():
             offset = self._offsets.get(path, 0)

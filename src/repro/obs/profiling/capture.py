@@ -264,17 +264,6 @@ def capture(
     return _Capture(name, meta=meta)
 
 
-def capture_callable(name: str, fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)`` under a capture.
-
-    Returns ``(result, profile)``; ``profile`` is ``None`` when a
-    capture was already active.
-    """
-    with capture(name) as cap:
-        result = fn(*args, **kwargs)
-    return result, cap.profile
-
-
 # ----------------------------------------------------------------------
 # Ambient scope
 # ----------------------------------------------------------------------

@@ -33,18 +33,10 @@ from .metrics import (
 from .registry import (
     EDGE_PARTITIONER_NAMES,
     VERTEX_PARTITIONER_NAMES,
-    all_edge_partitioners,
-    all_vertex_partitioners,
     make_edge_partitioner,
     make_vertex_partitioner,
 )
 from .halo import HaloStats, halo_statistics
-from .io import (
-    load_edge_partition,
-    load_vertex_partition,
-    save_edge_partition,
-    save_vertex_partition,
-)
 from .extensions import (
     EXTENSION_PARTITIONER_NAMES,
     FennelPartitioner,
@@ -96,8 +88,6 @@ __all__ = [
     "VERTEX_PARTITIONER_NAMES",
     "make_edge_partitioner",
     "make_vertex_partitioner",
-    "all_edge_partitioners",
-    "all_vertex_partitioners",
     "FennelPartitioner",
     "RestreamingLdgPartitioner",
     "NePartitioner",
@@ -108,10 +98,6 @@ __all__ = [
     "PartitionValidationError",
     "HaloStats",
     "halo_statistics",
-    "save_vertex_partition",
-    "load_vertex_partition",
-    "save_edge_partition",
-    "load_edge_partition",
     "StoreGraphView",
     "StreamEdgePartition",
     "StreamVertexPartition",

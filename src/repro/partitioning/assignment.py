@@ -10,12 +10,11 @@ Two result types mirror the paper's two partitioning families:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ..graph import Graph, sorted_unique
-from .ordering import stable_order
 
 __all__ = ["EdgePartition", "VertexPartition", "ReplicaStats"]
 
@@ -147,11 +146,6 @@ class EdgePartition:
         pairs = self.replica_pairs()
         return np.bincount(pairs[:, 1], minlength=self.graph.num_vertices)
 
-    def partition_vertices(self, partition: int) -> np.ndarray:
-        """Sorted ids of vertices covered by ``partition``."""
-        pairs = self.replica_pairs()
-        return pairs[pairs[:, 0] == partition, 1]
-
     def partition_edges(self, partition: int) -> np.ndarray:
         """Edges assigned to ``partition``, shape ``(m_i, 2)``."""
         return self.edges[self.assignment == partition]
@@ -226,10 +220,6 @@ class VertexPartition:
         """Vertices per partition, shape ``(k,)``."""
         return np.bincount(self.assignment, minlength=self.num_partitions)
 
-    def partition_vertices(self, partition: int) -> np.ndarray:
-        """Vertex ids assigned to ``partition``."""
-        return np.flatnonzero(self.assignment == partition)
-
     def cut_mask(self) -> np.ndarray:
         """Boolean mask over ``graph.undirected_edges()``: True where cut."""
         edges = self.graph.undirected_edges()
@@ -247,12 +237,3 @@ class VertexPartition:
             self.assignment[edges[local, 0]], minlength=self.num_partitions
         )
 
-    def partition_subgraphs(self) -> List[np.ndarray]:
-        """Vertex id arrays of each partition (convenience for engines)."""
-        order = stable_order(self.assignment, self.num_partitions)
-        counts = self.vertex_counts()
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        return [
-            np.sort(order[bounds[i] : bounds[i + 1]])
-            for i in range(self.num_partitions)
-        ]

@@ -47,10 +47,6 @@ class HaloStats:
         """Halo size relative to inner size (storage overhead factor)."""
         return self.halo / np.maximum(self.inner, 1)
 
-    def boundary_fraction(self) -> np.ndarray:
-        """Share of owned vertices on the partition boundary."""
-        return self.boundary / np.maximum(self.inner, 1)
-
 
 def halo_statistics(partition: VertexPartition) -> HaloStats:
     """Compute :class:`HaloStats` for a partition."""

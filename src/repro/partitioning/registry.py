@@ -23,7 +23,7 @@ name ``random`` is accepted by the family-specific helpers.)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from .base import EdgePartitioner, VertexPartitioner
 from .edgecut import (
@@ -47,8 +47,6 @@ __all__ = [
     "VERTEX_PARTITIONER_NAMES",
     "make_edge_partitioner",
     "make_vertex_partitioner",
-    "all_edge_partitioners",
-    "all_vertex_partitioners",
 ]
 
 _EDGE_FACTORIES: Dict[str, Callable[[], EdgePartitioner]] = {
@@ -96,12 +94,3 @@ def make_vertex_partitioner(name: str) -> VertexPartitioner:
         )
     return _VERTEX_FACTORIES[key]()
 
-
-def all_edge_partitioners() -> List[EdgePartitioner]:
-    """Fresh instances of all six vertex-cut partitioners (Table 2)."""
-    return [factory() for factory in _EDGE_FACTORIES.values()]
-
-
-def all_vertex_partitioners() -> List[VertexPartitioner]:
-    """Fresh instances of all six edge-cut partitioners (Table 2)."""
-    return [factory() for factory in _VERTEX_FACTORIES.values()]

@@ -26,8 +26,11 @@ per-job telemetry bus directory, so ``repro obs watch <job>/bus``
 works unchanged against a running job.
 
 Memory is bounded everywhere a burst could grow it: the pending-cell
-queue (admission control), the completed-cell result cache (LRU), and
-the finished-job store (oldest evicted first).
+queue (admission control), the completed-cell result cache (LRU), the
+finished-job store (oldest evicted first), and the graphs and train
+splits admission loads (LRUs of
+:data:`~repro.graph.datasets.CACHE_CAPACITY` entries, so a tenant
+choosing a fresh ``seed`` per job cannot grow them).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from ..experiments import (
     save_records,
 )
 from ..graph import load_dataset, random_split
+from ..graph.datasets import CACHE_CAPACITY
 from ..obs.api import LEVELS
 from ..obs.live import BusWriter, RuleSet, severity_at_least
 from ..obs.profiling import Profile, ThreadSampler
@@ -176,8 +180,8 @@ class SweepScheduler:
         self._cells_computed_total = 0
         self._job_seq = 0
         self._cell_seq = 0
-        self._graphs: Dict[Tuple, object] = {}
-        self._splits: Dict[Tuple, object] = {}
+        #: Train splits by ``(graph, scale, seed)``, most recent last.
+        self._splits: "OrderedDict[Tuple, object]" = OrderedDict()
         self._executor = CellExecutor(workers)
         self._threads: List[threading.Thread] = []
         self._stop = False
@@ -337,18 +341,18 @@ class SweepScheduler:
     def _inputs(self, spec):
         """Load (or fetch) the spec's graph and, for an engine that
         trains on one, its deterministic train split; both cached per
-        content key."""
+        ``(graph, scale, seed)`` in bounded LRUs (the graph by
+        :func:`~repro.graph.load_dataset`)."""
         key = (spec.graph, spec.scale, spec.seed)
-        graph = self._graphs.get(key)
-        if graph is None:
-            graph = self._graphs[key] = load_dataset(
-                spec.graph, spec.scale, seed=spec.seed
-            )
+        graph = load_dataset(spec.graph, spec.scale, seed=spec.seed)
         if not ENGINES[spec.engine].needs_split:
             return graph, None
-        split = self._splits.get(key)
+        split = self._splits.pop(key, None)
         if split is None:
-            split = self._splits[key] = random_split(graph, seed=spec.seed)
+            split = random_split(graph, seed=spec.seed)
+        self._splits[key] = split
+        while len(self._splits) > CACHE_CAPACITY:
+            self._splits.popitem(last=False)
         return graph, split
 
     def _enqueue_cell(

@@ -10,7 +10,6 @@ from repro.cluster import (
     FAULT_KINDS,
     FaultEvent,
     FaultPlan,
-    FaultSummary,
     RecoveryPolicy,
 )
 from repro.experiments import FaultConfig
@@ -70,7 +69,6 @@ class TestFaultPlan:
         assert len(plan.slowdowns_at(2)) == 1
         assert plan.losses_at(2) == ()
         assert len(plan.losses_at(5)) == 1
-        assert plan.events_at(4) == ()
 
     def test_bool_and_len(self):
         assert not FaultPlan()
@@ -158,8 +156,3 @@ def test_served_spec_with_non_finite_fault_setting_is_refused(field):
     )
     with pytest.raises(ValueError, match=field):
         SweepJobSpec.from_dict(json.loads(text))
-
-
-def test_summary_total():
-    summary = FaultSummary(crashes=2, slowdowns=1, lost_messages=3)
-    assert summary.total_faults == 6

@@ -60,7 +60,10 @@ class TestNullBitIdentity:
             a = base.simulate_epoch()
             b = null.simulate_epoch()
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
-        assert base.phase_summary() == null.phase_summary()
+        assert (
+            base.cluster.timeline.phase_totals()
+            == null.cluster.timeline.phase_totals()
+        )
 
     def test_distdgl_null_codec_matches_baseline_exactly(
         self, vertex_partition, split

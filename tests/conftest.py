@@ -18,23 +18,19 @@ TWO_CLIQUES_EDGES = [
 
 @pytest.fixture
 def two_cliques() -> Graph:
-    return Graph.from_edge_list(TWO_CLIQUES_EDGES, name="two-cliques")
+    return Graph(8, TWO_CLIQUES_EDGES, name="two-cliques")
 
 
 @pytest.fixture
 def path_graph() -> Graph:
     """A 10-vertex path: the simplest connected sparse graph."""
-    return Graph.from_edge_list(
-        [(i, i + 1) for i in range(9)], name="path"
-    )
+    return Graph(10, [(i, i + 1) for i in range(9)], name="path")
 
 
 @pytest.fixture
 def star_graph() -> Graph:
     """Hub 0 connected to 1..19: the degenerate power-law case."""
-    return Graph.from_edge_list(
-        [(0, i) for i in range(1, 20)], name="star"
-    )
+    return Graph(20, [(0, i) for i in range(1, 20)], name="star")
 
 
 @pytest.fixture(scope="session")

@@ -151,21 +151,18 @@ class TestLifetime:
         gc.collect()
         assert ref() is None
 
-    def test_partition_lru_eviction_drops_the_trace(self, graph, split):
-        partition_cache.set_cache_capacity(1)
-        try:
-            partition, _ = partition_cache.cached_vertex_partition(
-                graph, "random", 4
-            )
-            ref = self._recorded_trace(partition, split)
-            del partition
-            partition_cache.cached_vertex_partition(graph, "random", 8)
-            gc.collect()
-            assert ref() is None
-        finally:
-            partition_cache.set_cache_capacity(
-                partition_cache.DEFAULT_CACHE_CAPACITY
-            )
+    def test_partition_lru_eviction_drops_the_trace(
+        self, graph, split, monkeypatch
+    ):
+        monkeypatch.setattr(partition_cache, "CACHE_CAPACITY", 1)
+        partition, _ = partition_cache.cached_vertex_partition(
+            graph, "random", 4
+        )
+        ref = self._recorded_trace(partition, split)
+        del partition
+        partition_cache.cached_vertex_partition(graph, "random", 8)
+        gc.collect()
+        assert ref() is None
 
     def test_traces_per_partition_are_bounded(self, partition, split):
         first = make_engine(partition, split, global_batch_size=1)._trace

@@ -6,7 +6,6 @@ import pytest
 from repro.distgnn import (
     DelayedAggregationTrainer,
     DistributedFullBatchTrainer,
-    compare_with_synchronous,
 )
 from repro.graph import random_split
 from repro.partitioning import HdrfPartitioner
@@ -65,17 +64,21 @@ def test_staleness_perturbs_but_tracks_synchronous(
     tiny_or, problem, partition
 ):
     features, labels, mask = problem
-    result = compare_with_synchronous(
-        partition, features, labels, mask,
-        refresh_interval=2, num_epochs=10, seed=3,
+    sync_trainer = DistributedFullBatchTrainer(
+        partition, features, labels, mask, hidden_dim=16, num_layers=2,
+        seed=3,
     )
-    sync = np.asarray(result["synchronous_losses"])
-    delayed = np.asarray(result["delayed_losses"])
+    delayed_trainer = DelayedAggregationTrainer(
+        partition, features, labels, mask, refresh_interval=2,
+        hidden_dim=16, num_layers=2, seed=3,
+    )
+    sync = np.asarray(sync_trainer.train(10))
+    delayed = np.asarray(delayed_trainer.train(10))
     # Different trajectories (staleness is real)...
     assert not np.allclose(sync, delayed)
     # ...but the delayed run still descends to the same neighbourhood.
     assert delayed[-1] < 1.5 * sync[-1] + 0.05
-    assert result["communication_saving"] > 0.3
+    assert delayed_trainer.communication_saving > 0.3
 
 
 def test_invalid_interval_rejected(tiny_or, problem, partition):

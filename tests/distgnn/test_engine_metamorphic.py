@@ -60,7 +60,7 @@ def test_phase_summary_covers_all_layers(graph):
     partition = RandomEdgePartitioner().partition(graph, 4, seed=0)
     engine = DistGnnEngine(partition, 32, 32, 3)
     engine.simulate_epoch()
-    phases = engine.phase_summary()
+    phases = engine.cluster.timeline.phase_totals()
     for layer in range(3):
         assert f"forward-l{layer}" in phases
         assert f"backward-sync-l{layer}" in phases

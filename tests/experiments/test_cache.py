@@ -8,9 +8,8 @@ from repro.experiments import (
     cached_edge_partition,
     cached_vertex_partition,
     clear_cache,
-    set_cache_capacity,
 )
-from repro.experiments.cache import DEFAULT_CACHE_CAPACITY
+from repro.experiments import cache as cache_module
 from repro.graph import Graph
 
 
@@ -58,28 +57,27 @@ def test_keyed_by_content_not_identity():
     garbage collection can no longer alias cache slots."""
     clear_cache()
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-    g1 = Graph.from_edge_list(edges, num_vertices=4)
-    g2 = Graph.from_edge_list(edges, num_vertices=4)
+    g1 = Graph(4, edges)
+    g2 = Graph(4, edges)
     a, _ = cached_edge_partition(g1, "dbh", 2, seed=0)
     b, _ = cached_edge_partition(g2, "dbh", 2, seed=0)
     assert g1 is not g2
     assert a is b
 
-    g3 = Graph.from_edge_list(edges[:-1], num_vertices=4)
+    g3 = Graph(4, edges[:-1])
     c, _ = cached_edge_partition(g3, "dbh", 2, seed=0)
     assert c is not a
 
 
 @pytest.fixture
-def restore_capacity():
+def capacity_two(monkeypatch):
+    monkeypatch.setattr(cache_module, "CACHE_CAPACITY", 2)
+    clear_cache()
     yield
-    set_cache_capacity(DEFAULT_CACHE_CAPACITY)
     clear_cache()
 
 
-def test_lru_evicts_oldest(tiny_or, restore_capacity):
-    clear_cache()
-    set_cache_capacity(2)
+def test_lru_evicts_oldest(tiny_or, capacity_two):
     a, _ = cached_edge_partition(tiny_or, "dbh", 2, seed=0)
     cached_edge_partition(tiny_or, "dbh", 4, seed=0)
     cached_edge_partition(tiny_or, "dbh", 8, seed=0)  # evicts k=2
@@ -88,9 +86,7 @@ def test_lru_evicts_oldest(tiny_or, restore_capacity):
     assert a2 is not a
 
 
-def test_lru_hit_refreshes_recency(tiny_or, restore_capacity):
-    clear_cache()
-    set_cache_capacity(2)
+def test_lru_hit_refreshes_recency(tiny_or, capacity_two):
     a, _ = cached_edge_partition(tiny_or, "dbh", 2, seed=0)
     cached_edge_partition(tiny_or, "dbh", 4, seed=0)
     cached_edge_partition(tiny_or, "dbh", 2, seed=0)  # refresh k=2
@@ -99,26 +95,9 @@ def test_lru_hit_refreshes_recency(tiny_or, restore_capacity):
     assert a2 is a
 
 
-def test_set_capacity_evicts_immediately(tiny_or, restore_capacity):
-    clear_cache()
-    cached_edge_partition(tiny_or, "dbh", 2, seed=0)
-    cached_edge_partition(tiny_or, "dbh", 4, seed=0)
-    cached_edge_partition(tiny_or, "dbh", 8, seed=0)
-    assert cache_size() == 3
-    set_cache_capacity(1)
-    assert cache_size() == 1
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        set_cache_capacity(0)
-
-
 def test_wrong_family_entry_raises_real_exception(tiny_or):
     """Corrupt entries raise CacheEntryError — a real exception that
     survives ``python -O``, unlike the bare asserts it replaced."""
-    from repro.experiments import cache as cache_module
-
     clear_cache()
     partition, _ = cached_vertex_partition(tiny_or, "ldg", 2, seed=0)
     bad_key = cache_module._key("edge", "dbh", tiny_or, 2, 0)
@@ -132,11 +111,11 @@ def test_wrong_family_entry_raises_real_exception(tiny_or):
 
 def test_fingerprint_stable_and_content_sensitive():
     edges = [(0, 1), (1, 2)]
-    g1 = Graph.from_edge_list(edges, num_vertices=3)
-    g2 = Graph.from_edge_list(edges, num_vertices=3)
+    g1 = Graph(3, edges)
+    g2 = Graph(3, edges)
     assert g1.fingerprint() == g1.fingerprint()
     assert g1.fingerprint() == g2.fingerprint()
-    bigger = Graph.from_edge_list(edges, num_vertices=4)
-    directed = Graph.from_edge_list(edges, num_vertices=3, directed=True)
+    bigger = Graph(4, edges)
+    directed = Graph(3, edges, directed=True)
     assert bigger.fingerprint() != g1.fingerprint()
     assert directed.fingerprint() != g1.fingerprint()

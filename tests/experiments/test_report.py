@@ -1,11 +1,6 @@
 """Tests for report formatting."""
 
-from repro.experiments import (
-    format_series,
-    format_table,
-    print_series,
-    print_table,
-)
+from repro.experiments import format_series, format_table
 
 
 def test_table_alignment():
@@ -39,17 +34,3 @@ def test_table_mixed_cell_types():
     assert "12" in text
     assert "1.25" in text
 
-
-def test_print_table_writes_stdout(capsys):
-    print_table(["a"], [["x"]], title="Title")
-    out = capsys.readouterr().out
-    assert "Title" in out
-    assert "x" in out
-
-
-def test_print_series_writes_stdout(capsys):
-    print_series("Speedups", {"LDG": [3.0]}, xs=[2])
-    out = capsys.readouterr().out
-    assert "Speedups" in out
-    assert "LDG" in out
-    assert "2=3" in out

@@ -77,15 +77,6 @@ def test_num_params_counts_all_layers():
     assert model.num_params == manual
 
 
-def test_state_copy_detached():
-    model = build_model("sage", 4, 8, 2, 2)
-    snapshot = model.state_copy()
-    for p, _ in model.parameters():
-        p += 1.0
-    snapshot2 = model.state_copy()
-    assert not np.allclose(snapshot[0], snapshot2[0])
-
-
 class TestMultiHeadGat:
     def test_hidden_layers_multi_head(self):
         model = build_model("gat", 8, 16, 4, 3, seed=0, num_heads=4)

@@ -1,41 +1,14 @@
-"""Tests for optimizers on a simple quadratic."""
+"""Tests for the optimizer on a simple quadratic."""
 
 import numpy as np
 import pytest
 
-from repro.gnn import Adam, Sgd
+from repro.gnn import Adam
 
 
 def quadratic_pair(x):
     """f(x) = 0.5 ||x||^2, grad = x."""
     return [(x, x.copy())]
-
-
-def test_sgd_step_direction():
-    x = np.array([1.0, -2.0])
-    Sgd(lr=0.1).step(quadratic_pair(x))
-    assert np.allclose(x, [0.9, -1.8])
-
-
-def test_sgd_momentum_changes_trajectory_and_converges():
-    x_plain = np.array([1.0])
-    x_momentum = np.array([1.0])
-    plain, momentum = Sgd(lr=0.1), Sgd(lr=0.1, momentum=0.5)
-    for _ in range(5):
-        plain.step(quadratic_pair(x_plain))
-        momentum.step(quadratic_pair(x_momentum))
-    assert x_momentum[0] != pytest.approx(x_plain[0])
-    for _ in range(200):
-        momentum.step(quadratic_pair(x_momentum))
-    assert abs(x_momentum[0]) < 1e-6
-
-
-def test_sgd_converges_quadratic():
-    x = np.array([5.0, -3.0])
-    opt = Sgd(lr=0.2)
-    for _ in range(100):
-        opt.step(quadratic_pair(x))
-    assert np.abs(x).max() < 1e-4
 
 
 def test_adam_converges_quadratic():
@@ -55,7 +28,7 @@ def test_adam_first_step_size_near_lr():
 
 def test_invalid_lr_rejected():
     with pytest.raises(ValueError):
-        Sgd(lr=0.0)
+        Adam(lr=0.0)
     with pytest.raises(ValueError):
         Adam(lr=-1.0)
 
@@ -63,5 +36,5 @@ def test_invalid_lr_rejected():
 def test_updates_in_place():
     x = np.array([1.0])
     ref = x
-    Sgd(lr=0.1).step(quadratic_pair(x))
+    Adam(lr=0.1).step(quadratic_pair(x))
     assert ref is x

@@ -95,12 +95,6 @@ class TestSampleBlocks:
         with pytest.raises(ValueError, match=message):
             sample_blocks(tiny_or, seeds, (5, 5), rng)
 
-    def test_stats_helpers(self, tiny_or, rng):
-        mb = sample_blocks(tiny_or, np.arange(16), (5, 5), rng)
-        assert mb.num_input_vertices == mb.blocks[0].num_src
-        assert mb.total_edges == sum(mb.edges_per_layer())
-        assert len(mb.edges_per_layer()) == 2
-
     def test_blocks_feed_model(self, tiny_or, rng):
         mb = sample_blocks(tiny_or, np.arange(12), (5, 5), rng)
         model = build_model("sage", 6, 8, 3, 2, seed=0)

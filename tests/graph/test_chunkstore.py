@@ -7,7 +7,8 @@ from repro.graph import (
     ChunkManifest,
     EdgeChunkReader,
     EdgeChunkWriter,
-    rmat_graph,
+    Graph,
+    rmat_edge_chunks,
     spool_edges,
     spool_graph,
 )
@@ -22,7 +23,8 @@ class TestRoundTrip:
     def test_read_back_equals_stream(self, tmp_path):
         edges = _edges(1000)
         reader = spool_edges([edges], str(tmp_path / "s"), chunk_size=64)
-        assert np.array_equal(reader.read_all(), edges)
+        stored = np.concatenate(list(reader.iter_chunks()))
+        assert np.array_equal(stored, edges)
         assert reader.num_edges == 1000
         assert len(reader) == 1000 // 64 + 1
 
@@ -38,14 +40,17 @@ class TestRoundTrip:
         a = spool_edges([edges], str(tmp_path / "one"), chunk_size=100)
         parts = np.array_split(edges, 7)
         b = spool_edges(parts, str(tmp_path / "many"), chunk_size=100)
-        assert np.array_equal(a.read_all(), b.read_all())
+        assert np.array_equal(
+            np.concatenate(list(a.iter_chunks())),
+            np.concatenate(list(b.iter_chunks())),
+        )
         assert a.fingerprint == b.fingerprint
 
     def test_empty_stream(self, tmp_path):
         reader = spool_edges([], str(tmp_path / "s"))
         assert reader.num_edges == 0
         assert len(reader) == 0
-        assert reader.read_all().shape == (0, 2)
+        assert list(reader.iter_chunks()) == []
         assert reader.num_vertices == 1
 
     def test_inferred_vertex_count(self, tmp_path):
@@ -131,17 +136,22 @@ class TestWriterContract:
 
 
 class TestSpoolGraph:
-    def test_undirected_view_matches_partitioner_stream(self, tmp_path):
-        graph = rmat_graph(8, 500, seed=1)
+    @pytest.fixture
+    def graph(self):
+        edges = rmat_edge_chunks(8, 500, seed=1, distinct=True)
+        return Graph(256, np.concatenate(list(edges)), directed=True)
+
+    def test_undirected_view_matches_partitioner_stream(self, graph, tmp_path):
         reader = spool_graph(graph, str(tmp_path / "s"), chunk_size=77)
-        assert np.array_equal(reader.read_all(), graph.undirected_edges())
+        stored = np.concatenate(list(reader.iter_chunks()))
+        assert np.array_equal(stored, graph.undirected_edges())
         assert not reader.directed
         assert reader.num_vertices == graph.num_vertices
 
-    def test_arc_view_matches_stored_edges(self, tmp_path):
-        graph = rmat_graph(8, 500, seed=1)
+    def test_arc_view_matches_stored_edges(self, graph, tmp_path):
         reader = spool_graph(
             graph, str(tmp_path / "s"), undirected_view=False
         )
-        assert np.array_equal(reader.read_all(), graph.edges)
+        stored = np.concatenate(list(reader.iter_chunks()))
+        assert np.array_equal(stored, graph.edges)
         assert reader.directed == graph.directed

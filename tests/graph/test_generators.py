@@ -4,22 +4,26 @@ import numpy as np
 import pytest
 
 from repro.graph import (
+    Graph,
     affiliation_graph,
     graph_stats,
     powerlaw_cluster_graph,
     preferential_attachment_graph,
     rmat_edge_chunks,
-    rmat_graph,
     road_network_graph,
     web_host_graph,
 )
+
+
+def rmat_edges(scale, num_edges, **kwargs):
+    return np.concatenate(list(rmat_edge_chunks(scale, num_edges, **kwargs)))
 
 
 class TestDeterminism:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda s: rmat_graph(9, 3000, seed=s),
+            lambda s: Graph(512, rmat_edges(9, 3000, seed=s), directed=True),
             lambda s: powerlaw_cluster_graph(400, 5, seed=s),
             lambda s: affiliation_graph(300, 150, seed=s),
             lambda s: road_network_graph(15, 15, seed=s),
@@ -40,39 +44,38 @@ class TestDeterminism:
 
 class TestRmat:
     def test_size_and_direction(self):
-        g = rmat_graph(9, 4000, seed=0)
-        assert g.num_vertices == 512
-        assert g.directed
-        # The generator loops until it has the requested count of
-        # *distinct* edges (no 1.3x-oversample undershoot).
-        assert g.num_edges == 4000
+        edges = rmat_edges(9, 4000, seed=0)
+        assert edges.shape == (4000, 2)
+        assert edges.min() >= 0 and edges.max() < 512
 
     def test_exact_count_across_sizes(self):
+        # Distinct mode loops until it has the requested count of
+        # *distinct* edges (no 1.3x-oversample undershoot).
         for m in (1, 100, 2500):
-            assert rmat_graph(9, m, seed=1).num_edges == m
+            assert rmat_edges(9, m, seed=1, distinct=True).shape == (m, 2)
 
     def test_edges_are_distinct(self):
-        g = rmat_graph(8, 2000, seed=0)
-        keys = g.edges[:, 0] * g.num_vertices + g.edges[:, 1]
+        edges = rmat_edges(8, 2000, seed=0, distinct=True)
+        keys = edges[:, 0] * 256 + edges[:, 1]
         assert np.unique(keys).size == keys.size
 
     def test_saturation_rejected(self):
         # 2^3 vertices cannot host 200 distinct non-loop edges.
         with pytest.raises(ValueError):
-            rmat_graph(3, 200, seed=0)
+            rmat_edges(3, 200, seed=0, distinct=True)
 
     def test_skewed_degrees(self):
-        g = rmat_graph(10, 8000, seed=0)
-        degrees = g.degrees()
+        edges = rmat_edges(10, 8000, seed=0, distinct=True)
+        degrees = Graph(1024, edges, directed=True).degrees()
         assert degrees.max() > 8 * degrees.mean()
 
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):
-            rmat_graph(5, 100, a=0.6, b=0.3, c=0.3)
+            rmat_edges(5, 100, a=0.6, b=0.3, c=0.3)
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
-            rmat_graph(0, 100)
+            rmat_edges(0, 100)
 
 
 class TestRmatChunks:
@@ -88,17 +91,6 @@ class TestRmatChunks:
         a = np.concatenate(list(rmat_edge_chunks(9, 3000, seed=5)))
         b = np.concatenate(list(rmat_edge_chunks(9, 3000, seed=5)))
         assert np.array_equal(a, b)
-
-    def test_distinct_chunks_match_rmat_graph(self):
-        # rmat_graph is the distinct chunk stream finalised through
-        # Graph (which canonicalises row order): same edge *set*.
-        g = rmat_graph(9, 3000, seed=7)
-        chunks = np.concatenate(
-            list(rmat_edge_chunks(9, 3000, seed=7, distinct=True))
-        )
-        assert chunks.shape == g.edges.shape
-        pack = lambda e: np.sort(e[:, 0] * g.num_vertices + e[:, 1])
-        assert np.array_equal(pack(g.edges), pack(chunks))
 
     def test_undirected_rows_are_canonical(self):
         edges = np.concatenate(

@@ -39,14 +39,6 @@ def test_train_mask(tiny_or):
     assert mask[split.train].all()
 
 
-def test_role_codes(tiny_or):
-    split = random_split(tiny_or, seed=0)
-    roles = split.role_of(tiny_or.num_vertices)
-    assert (roles[split.train] == 0).all()
-    assert (roles[split.valid] == 1).all()
-    assert (roles[split.test] == 2).all()
-
-
 def test_invalid_fractions(tiny_or):
     with pytest.raises(ValueError):
         random_split(tiny_or, train_fraction=0.9, valid_fraction=0.3)

@@ -1,7 +1,7 @@
 """Structural guard: a graph and its views cost one integer sort each.
 
-The constructor's dedup, both CSRs and the undirected edge list are each
-one sort of a pair key ``src * n + dst`` — never a ``lexsort`` or a
+The constructor's dedup, the symmetric CSR and the undirected edge list
+are each one sort of a pair key ``src * n + dst`` — never a ``lexsort`` or a
 row-wise ``np.unique(axis=0)``, which cost several times as much — and
 an undirected graph's edge list *is* its stored edge array. Every view
 is read-only, so handing out the stored array is safe.
@@ -34,7 +34,6 @@ def no_row_wise_sorts(monkeypatch):
 def _views(graph):
     return [
         graph.edges, graph.undirected_edges(), *graph.symmetric_csr(),
-        *graph.out_csr(),
     ]
 
 

@@ -2,16 +2,16 @@
 
 import json
 import os
+from operator import itemgetter
 
 import pytest
 
 from repro.experiments import record_from_dict, records_to_json
 from repro.obs.live import BusTailer, BusWriter
-from repro.obs.live.bus import (
-    FINDING_CSEQ_BASE,
-    MAX_CELL_RECORDS,
-    merge_key,
-)
+from repro.obs.live.bus import FINDING_CSEQ_BASE, MAX_CELL_RECORDS
+
+#: The bus's deterministic total order on cell-scoped events.
+merge_order = itemgetter("cell", "cseq")
 
 
 @pytest.fixture
@@ -104,9 +104,9 @@ class TestBusWriter:
             "cseq": FINDING_CSEQ_BASE + 0,
         }
         record_event = {"kind": "record-done", "cell": 3, "cseq": 99}
-        assert merge_key(record_event) < merge_key(finding_event)
+        assert merge_order(record_event) < merge_order(finding_event)
         # ...but still inside its own cell.
-        assert merge_key(finding_event) < merge_key(
+        assert merge_order(finding_event) < merge_order(
             {"kind": "cell-start", "cell": 4, "cseq": 0}
         )
 
@@ -150,11 +150,11 @@ class TestBusTailer:
                     os.path.join(bus, f"events-{route(event)}.jsonl"),
                     [json.dumps(event)],
                 )
-        merged_a = sorted(BusTailer(a).poll(), key=merge_key)
-        merged_b = sorted(BusTailer(b).poll(), key=merge_key)
-        keys = [merge_key(e) for e in merged_a]
+        merged_a = sorted(BusTailer(a).poll(), key=merge_order)
+        merged_b = sorted(BusTailer(b).poll(), key=merge_order)
+        keys = [merge_order(e) for e in merged_a]
         assert keys == sorted(keys)
-        assert [merge_key(e) for e in merged_b] == keys
+        assert [merge_order(e) for e in merged_b] == keys
 
     def test_resumable_offsets(self, tmp_path):
         path = str(tmp_path / "events-w0.jsonl")

@@ -55,13 +55,6 @@ class TestCaptureDeterminism:
         assert any(key.endswith("<import>") for key in keys)
         assert not any("<frozen importlib" in key for key in keys)
 
-    def test_capture_callable_returns_result_and_profile(self):
-        result, profile = profiling.capture_callable(
-            "fn", lambda x: x + 1, 41
-        )
-        assert result == 42
-        assert profile is not None and profile.name == "fn"
-
 
 class TestNesting:
     def test_inner_capture_is_noop(self):

@@ -9,14 +9,13 @@ class TestLevels:
     def test_off_by_default(self):
         assert obs.level() == "off"
         assert not obs.enabled()
-        assert not obs.tracing()
 
     def test_enable_disable(self):
         obs.enable()
         assert obs.level() == "metrics"
-        assert obs.enabled() and not obs.tracing()
+        assert obs.enabled()
         obs.enable("trace")
-        assert obs.tracing()
+        assert obs.level() == "trace"
         obs.disable()
         assert obs.level() == "off"
 
@@ -85,12 +84,3 @@ class TestHooksOn:
         # reset keeps the level: collection continues
         assert obs.enabled()
 
-    def test_save_metrics(self, tmp_path):
-        obs.enable()
-        obs.count("distgnn.epochs")
-        path = tmp_path / "metrics.json"
-        obs.save_metrics(str(path))
-        import json
-
-        payload = json.loads(path.read_text())
-        assert payload[0]["name"] == "distgnn.epochs"

@@ -1,8 +1,8 @@
 """Row-wise bodies of the graph layer's constructor views, verbatim.
 
 ``oracle_holme_kim_edges``, ``oracle_dedup_edges``, ``oracle_build_csr``,
-``oracle_symmetric_csr``, ``oracle_out_csr``, ``oracle_undirected_edges``
-and ``oracle_fingerprint`` are the bodies of ``repro.graph`` as they stood
+``oracle_symmetric_csr``, ``oracle_undirected_edges`` and
+``oracle_fingerprint`` are the bodies of ``repro.graph`` as they stood
 before every view became one sort of an integer pair key: a
 row-wise ``np.unique(axis=0)`` dedup, a ``lexsort`` CSR, a
 ``np.unique(axis=0)`` undirected view for both directednesses, and a
@@ -25,7 +25,6 @@ __all__ = [
     "oracle_dedup_edges",
     "oracle_fingerprint",
     "oracle_holme_kim_edges",
-    "oracle_out_csr",
     "oracle_symmetric_csr",
     "oracle_undirected_edges",
 ]
@@ -116,15 +115,6 @@ def oracle_symmetric_csr(
     src = np.concatenate([src[keep], edges[loops, 0]])
     dst = np.concatenate([dst[keep], edges[loops, 1]])
     return oracle_build_csr(num_vertices, src, dst)
-
-
-def oracle_out_csr(
-    num_vertices: int, edges: np.ndarray, directed: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``Graph.out_csr`` over a stored edge array."""
-    if not directed:
-        return oracle_symmetric_csr(num_vertices, edges)
-    return oracle_build_csr(num_vertices, edges[:, 0], edges[:, 1])
 
 
 def oracle_undirected_edges(edges: np.ndarray) -> np.ndarray:

@@ -30,11 +30,6 @@ class TestEdgePartition:
         assert copies[0] == 1
         assert copies.sum() == 9
 
-    def test_partition_vertices(self, bridge_edge_partition):
-        assert bridge_edge_partition.partition_vertices(0).tolist() == [
-            0, 1, 2, 3,
-        ]
-
     def test_partition_edges(self, bridge_edge_partition):
         edges = bridge_edge_partition.partition_edges(0)
         assert edges.shape == (6, 2)
@@ -94,14 +89,6 @@ class TestVertexPartition:
 
     def test_local_edge_counts(self, halves):
         assert halves.local_edge_counts().tolist() == [6, 6]
-
-    def test_partition_vertices(self, halves):
-        assert halves.partition_vertices(1).tolist() == [4, 5, 6, 7]
-
-    def test_partition_subgraphs_cover_all(self, halves):
-        groups = halves.partition_subgraphs()
-        combined = np.sort(np.concatenate(groups))
-        assert np.array_equal(combined, np.arange(8))
 
     def test_rejects_wrong_length(self, two_cliques):
         with pytest.raises(ValueError):

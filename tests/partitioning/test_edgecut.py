@@ -10,13 +10,16 @@ from repro.partitioning import (
     MetisPartitioner,
     RandomVertexPartitioner,
     SpinnerPartitioner,
-    all_vertex_partitioners,
+    VERTEX_PARTITIONER_NAMES,
     edge_cut_ratio,
+    make_vertex_partitioner,
     training_vertex_balance,
     vertex_balance,
 )
 
-ALL = all_vertex_partitioners()
+ALL = [
+    make_vertex_partitioner(name) for name in VERTEX_PARTITIONER_NAMES
+]
 
 
 @pytest.mark.parametrize("partitioner", ALL, ids=lambda p: p.name)

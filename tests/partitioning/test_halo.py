@@ -40,7 +40,6 @@ def test_single_partition_no_halo(two_cliques):
 def test_ratios(halves):
     stats = halo_statistics(halves)
     assert np.allclose(stats.halo_ratio(), [0.25, 0.25])
-    assert np.allclose(stats.boundary_fraction(), [0.25, 0.25])
 
 
 def test_better_partition_smaller_halo(tiny_or):

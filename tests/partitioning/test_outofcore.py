@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.graph import rmat_graph, spool_graph
+from repro.graph import Graph, rmat_edge_chunks, spool_graph
 from repro.partitioning import (
     DbhPartitioner,
     FennelPartitioner,
@@ -53,14 +53,21 @@ STREAMING = {
 }
 
 
+def _rmat(directed):
+    chunks = rmat_edge_chunks(
+        9, 3000, seed=11, directed=directed, distinct=True
+    )
+    return Graph(512, np.concatenate(list(chunks)), directed=directed)
+
+
 @pytest.fixture(scope="module")
 def undirected_rmat():
-    return rmat_graph(9, 3000, seed=11, directed=False)
+    return _rmat(directed=False)
 
 
 @pytest.fixture(scope="module")
 def directed_rmat():
-    return rmat_graph(9, 3000, seed=11, directed=True)
+    return _rmat(directed=True)
 
 
 def _spool(graph, tmp_path, chunk_size, undirected_view=True):
@@ -162,9 +169,8 @@ class TestShuffle:
         )
         for p in range(K):
             expected = edges[partition.assignment == p]
-            assert np.array_equal(
-                result.bucket(p).read_all(), expected
-            )
+            chunks = [expected[:0], *result.bucket(p).iter_chunks()]
+            assert np.array_equal(np.concatenate(chunks), expected)
 
     def test_bucket_metadata(self, undirected_rmat, tmp_path):
         reader = _spool(undirected_rmat, tmp_path, 300)
@@ -220,7 +226,7 @@ class TestShuffle:
         """One fixed assignment yielded as 1-row spans, as HDRF's ramp
         spans and as whole store blocks writes the same buckets."""
         reader = _spool(undirected_rmat, tmp_path, store_chunk)
-        edges = reader.read_all()
+        edges = np.concatenate(list(reader.iter_chunks()))
         assignment = np.random.default_rng(5).integers(
             0, K, edges.shape[0]
         ).astype(np.int32)

@@ -5,8 +5,6 @@ import pytest
 from repro.partitioning import (
     EDGE_PARTITIONER_NAMES,
     VERTEX_PARTITIONER_NAMES,
-    all_edge_partitioners,
-    all_vertex_partitioners,
     make_edge_partitioner,
     make_vertex_partitioner,
 )
@@ -39,24 +37,24 @@ def test_case_insensitive_and_suffix():
 
 
 def test_cut_types():
-    for p in all_edge_partitioners():
-        assert p.cut_type == "vertex-cut"
-    for p in all_vertex_partitioners():
-        assert p.cut_type == "edge-cut"
+    for name in EDGE_PARTITIONER_NAMES:
+        assert make_edge_partitioner(name).cut_type == "vertex-cut"
+    for name in VERTEX_PARTITIONER_NAMES:
+        assert make_vertex_partitioner(name).cut_type == "edge-cut"
 
 
 def test_categories_match_table2():
-    categories = {
-        p.name: p.category for p in all_edge_partitioners()
-    }
+    edge = [make_edge_partitioner(name) for name in EDGE_PARTITIONER_NAMES]
+    categories = {p.name: p.category for p in edge}
     assert categories["Random"] == "stateless streaming"
     assert categories["DBH"] == "stateless streaming"
     assert categories["HDRF"] == "stateful streaming"
     assert categories["2PS-L"] == "stateful streaming"
     assert categories["HEP10"] == "hybrid"
-    vertex_categories = {
-        p.name: p.category for p in all_vertex_partitioners()
-    }
+    vertex = [
+        make_vertex_partitioner(name) for name in VERTEX_PARTITIONER_NAMES
+    ]
+    vertex_categories = {p.name: p.category for p in vertex}
     assert vertex_categories["LDG"] == "stateful streaming"
     assert vertex_categories["Metis"] == "in-memory"
     assert vertex_categories["KaHIP"] == "in-memory"

@@ -63,7 +63,7 @@ def test_tampered_edge_set_detected(tiny_or, good_edge_partition):
     ],
 )
 def test_wrong_edge_set_of_right_size_detected(rows):
-    graph = Graph.from_edge_list([(0, 3), (1, 2)])
+    graph = Graph(4, [(0, 3), (1, 2)])
     part = EdgePartition(graph, np.array(rows), np.zeros(2, np.int32), 2)
     problems = validate_edge_partition(part, strict=False)
     assert "edge set does not match the graph's edges" in problems
@@ -94,13 +94,17 @@ def test_strict_flag(good_vertex_partition):
 
 def test_real_partitioner_outputs_validate(tiny_or):
     from repro.partitioning import (
-        all_edge_partitioners,
-        all_vertex_partitioners,
+        EDGE_PARTITIONER_NAMES,
+        VERTEX_PARTITIONER_NAMES,
+        make_edge_partitioner,
+        make_vertex_partitioner,
     )
 
-    for partitioner in all_edge_partitioners():
+    for name in EDGE_PARTITIONER_NAMES:
+        partitioner = make_edge_partitioner(name)
         part = partitioner.partition(tiny_or, 3, seed=0)
         assert validate_edge_partition(part) == [], partitioner.name
-    for partitioner in all_vertex_partitioners():
+    for name in VERTEX_PARTITIONER_NAMES:
+        partitioner = make_vertex_partitioner(name)
         part = partitioner.partition(tiny_or, 3, seed=0)
         assert validate_vertex_partition(part) == [], partitioner.name

@@ -9,12 +9,13 @@ from repro.partitioning import (
     HepPartitioner,
     RandomEdgePartitioner,
     TwoPsLPartitioner,
-    all_edge_partitioners,
+    EDGE_PARTITIONER_NAMES,
     edge_balance,
+    make_edge_partitioner,
     replication_factor,
 )
 
-ALL = all_edge_partitioners()
+ALL = [make_edge_partitioner(name) for name in EDGE_PARTITIONER_NAMES]
 
 
 @pytest.mark.parametrize("partitioner", ALL, ids=lambda p: p.name)

@@ -7,22 +7,28 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph
 from repro.partitioning import (
+    EDGE_PARTITIONER_NAMES,
+    VERTEX_PARTITIONER_NAMES,
     EdgePartition,
     FennelPartitioner,
     NePartitioner,
     RestreamingLdgPartitioner,
     VertexPartition,
-    all_edge_partitioners,
-    all_vertex_partitioners,
     edge_balance,
     edge_cut_ratio,
+    make_edge_partitioner,
+    make_vertex_partitioner,
     replication_factor,
     vertex_balance,
 )
 
 #: The study's twelve plus the three extensions.
-EDGE_PARTITIONERS = all_edge_partitioners() + [NePartitioner()]
-VERTEX_PARTITIONERS = all_vertex_partitioners() + [
+EDGE_PARTITIONERS = [
+    make_edge_partitioner(name) for name in EDGE_PARTITIONER_NAMES
+] + [NePartitioner()]
+VERTEX_PARTITIONERS = [
+    make_vertex_partitioner(name) for name in VERTEX_PARTITIONER_NAMES
+] + [
     FennelPartitioner(),
     RestreamingLdgPartitioner(),
 ]

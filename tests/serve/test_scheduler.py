@@ -2,13 +2,14 @@
 
 import os
 import time
+from collections import OrderedDict
 
 import pytest
 
 from repro.costmodel import DEFAULT_COST_MODEL
 from repro.experiments import records_to_json, run_cell, run_distgnn_grid
-from repro.graph import load_dataset
-from repro.serve import QueueFullError, SweepScheduler
+from repro.graph import datasets, load_dataset
+from repro.serve import QueueFullError, SweepJobSpec, SweepScheduler
 
 #: An alert rule that fires on every record (epoch time is always > 0).
 ALWAYS_CRITICAL = {
@@ -218,6 +219,38 @@ class TestQueueDiscipline:
         job = scheduler.cancel(job.id)
         assert job.state == "cancelled"
         assert scheduler.queue_snapshot()["pending_cells"] == 0
+
+
+class TestAdmissionCaches:
+    @pytest.fixture
+    def restore_graph_cache(self):
+        saved = OrderedDict(datasets._CACHE)
+        yield
+        datasets._CACHE.clear()
+        datasets._CACHE.update(saved)
+
+    def test_fresh_seeds_keep_graphs_and_splits_bounded(
+        self, scheduler, restore_graph_cache
+    ):
+        """A tenant drawing a new seed per job grows neither cache past
+        the bound, and an evicted graph comes back with its content."""
+        specs = [
+            SweepJobSpec.from_dict(_spec(
+                engine="distdgl", graph="di", partitioners=["random"],
+                seed=seed,
+            ))
+            for seed in range(datasets.CACHE_CAPACITY + 2)
+        ]
+        first = scheduler._inputs(specs[0])[0].fingerprint()
+        for spec in specs[1:]:
+            scheduler._inputs(spec)
+            assert len(datasets._CACHE) <= datasets.CACHE_CAPACITY
+            assert len(scheduler._splits) <= datasets.CACHE_CAPACITY
+        assert ("DI", "tiny", 0) not in datasets._CACHE
+        assert ("DI", "tiny", 0) not in scheduler._splits
+        graph, split = scheduler._inputs(specs[0])
+        assert graph.fingerprint() == first
+        assert split is not None
 
 
 class TestRuleAbort:

@@ -106,10 +106,11 @@ class TestJobTrace:
         job = scheduler.submit(_spec())
         assert _wait(scheduler, job.id).state == "done"
         from repro import obs
+        from repro.obs import api
 
         # The inline cell path must not leak its ambient context (or
         # a sink) into the daemon process.
-        assert obs.get_trace_context() == {}
+        assert api._context == {}
         assert obs.get_sink() is None
 
     def test_no_trace_files_below_trace_level(self, tmp_path):

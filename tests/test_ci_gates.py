@@ -22,7 +22,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 #: made here, in review, not a side effect of editing the workflow.
 JOBS = {
     "tests", "tests-optimized", "gates", "ooc-memory", "serve",
-    "bench-smoke", "profiling", "docs",
+    "bench-smoke", "paper-figures", "profiling", "docs",
 }
 
 

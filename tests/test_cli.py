@@ -393,6 +393,21 @@ class TestSweepRefusals:
         assert obs_off.level() == "off"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--graphs", "XX", "unknown graph 'XX'"),
+        ("--machines", "0", "machine counts must be positive ints"),
+    ])
+    def test_bad_graph_or_machine_count_refused_before_the_bus(
+        self, capsys, tmp_path, obs_off, flag, value, message
+    ):
+        argv = [*self.SWEEP, "--out", str(tmp_path / "out"),
+                "--bus-out", str(tmp_path / "bus")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert obs_off.level() == "off"
+
     def test_unloadable_rules_leave_obs_off(self, tmp_path, obs_off):
         rules = tmp_path / "rules.json"
         rules.write_text('{"rules": {"name": "not-a-list"}}')
