@@ -404,49 +404,68 @@ class DistDglEngine:
         self, active: Tuple[int, ...], rng: np.random.Generator
     ) -> StepCounts:
         """Draw and sample one step's mini-batches; keep only their
-        counts. Per active worker with training vertices, in ascending
-        order: one ``rng.choice`` of seeds from its pool, then
-        :func:`~repro.gnn.sample_layers`, whose layers are counted as
-        they come — no blocks are built."""
-        k = self.num_machines
+        counts. First one ``rng.choice`` of seeds per active worker with
+        training vertices, in ascending order; then one call of
+        :func:`~repro.gnn.sample_layers` expands every worker's frontier
+        together, keyed ``i * |V| + vertex`` for the ``i``-th of them,
+        and each layer's counts are read off the key's worker column
+        with ``bincount``s — no blocks are built."""
+        k, n = self.num_machines, self.graph.num_vertices
         rng_state = rng.bit_generator.state
-        workers = [w for w in active if self.train_per_worker[w].size]
+        workers = np.array(
+            [w for w in active if self.train_per_worker[w].size],
+            dtype=np.intp,
+        )
+        m = workers.size
         take = max(self.global_batch_size // len(active), 1)
-        blocks = np.zeros((4, self.num_layers, len(workers)), dtype=np.int64)
-        inputs = np.zeros((4, len(workers)), dtype=np.int64)
-        sample_owners = np.zeros((len(workers), k), dtype=np.int64)
-        fetch_owners = np.zeros((len(workers), k), dtype=np.int64)
+        blocks = np.zeros((4, self.num_layers, m), dtype=np.int64)
+        inputs = np.zeros((4, m), dtype=np.int64)
+        sample_owners = np.zeros((m, k), dtype=np.int64)
+        fetch_owners = np.zeros((m, k), dtype=np.int64)
+        rows = np.arange(m)
         try:
-            for i, w in enumerate(workers):
-                pool = self.train_per_worker[w]
-                seeds = rng.choice(
-                    pool, size=min(take, pool.size), replace=False
+            seeds = [
+                rng.choice(pool, size=min(take, pool.size), replace=False)
+                for pool in (self.train_per_worker[w] for w in workers)
+            ]
+            if m:
+                layers = sample_layers(
+                    self.graph, np.concatenate(seeds), self.fanouts, rng,
+                    batch=rows.repeat([len(batch) for batch in seeds]),
                 )
-                layers = sample_layers(self.graph, seeds, self.fanouts, rng)
                 # Layers come seeds inward: the last GNN layer first.
-                for layer, (frontier, src, _, extra) in zip(
+                for layer, (frontier, src, dst, extra) in zip(
                     reversed(range(self.num_layers)), layers
                 ):
-                    # Frontier vertices owned elsewhere need a sampling RPC.
-                    looked_up = np.bincount(self.owner[frontier], minlength=k)
-                    looked_up[w] = 0
-                    sample_owners[i] += looked_up
-                    blocks[:, layer, i] = (
-                        frontier.size, frontier.size + extra.size, src.size,
-                        looked_up.sum(),
+                    row, vertex = np.divmod(frontier, n)
+                    # Frontier keys owned elsewhere need a sampling RPC.
+                    looked_up = np.bincount(
+                        row * k + self.owner[vertex], minlength=m * k
+                    ).reshape(m, k)
+                    looked_up[rows, workers] = 0
+                    sample_owners += looked_up
+                    num_dst = np.bincount(row, minlength=m)
+                    blocks[:, layer] = (
+                        num_dst,
+                        num_dst + np.bincount(extra // n, minlength=m),
+                        np.bincount(row[dst], minlength=m),
+                        looked_up.sum(axis=1),
                     )
                 ids = np.concatenate([frontier, extra])
-                owners = self.owner[ids]
-                remote = owners != w
-                hits = 0
+                row, vertex = np.divmod(ids, n)
+                owners = self.owner[vertex]
+                remote = owners != workers[row]
                 if self._cached is not None:
-                    # A cached remote vertex is never fetched over the wire.
-                    hot = self._cached[ids]
-                    hits = np.count_nonzero(remote & hot)
+                    # A cached remote key is never fetched over the wire.
+                    hot = remote & self._cached[vertex]
+                    inputs[3] = np.bincount(row[hot], minlength=m)
                     remote &= ~hot
-                fetch_owners[i] = np.bincount(owners[remote], minlength=k)
-                fetched = fetch_owners[i].sum()
-                inputs[:, i] = (ids.size, ids.size - fetched, fetched, hits)
+                fetch_owners = np.bincount(
+                    row[remote] * k + owners[remote], minlength=m * k
+                ).reshape(m, k)
+                inputs[0] = np.bincount(row, minlength=m)
+                inputs[2] = fetch_owners.sum(axis=1)
+                inputs[1] = inputs[0] - inputs[2]
         except BaseException:
             # Leave the stream where the step found it: a shared trace's
             # generator must always stand after its last recorded step.
@@ -458,10 +477,7 @@ class DistDglEngine:
             owners.astype(np.min_scalar_type(owners.max(initial=0)))
             for owners in (sample_owners, fetch_owners)
         )
-        arrays = (
-            np.array(workers, dtype=np.intp), blocks, sample_owners, inputs,
-            fetch_owners,
-        )
+        arrays = (workers, blocks, sample_owners, inputs, fetch_owners)
         for array in arrays:
             array.setflags(write=False)
         return StepCounts(active, rng_state, *arrays)

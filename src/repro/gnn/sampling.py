@@ -2,8 +2,9 @@
 
 Implements DGL-style fan-out sampling: starting from the mini-batch seeds,
 each GNN layer samples up to ``fanout`` neighbours of the current frontier.
-:func:`sample_layers` yields the layers as global-id arrays (what the
-DistDGL engine counts); :func:`sample_blocks` turns them into one
+:func:`sample_layers` yields the layers as id arrays, of one mini-batch
+or of many expanded together (what the DistDGL engine counts);
+:func:`sample_blocks` turns one mini-batch's into one
 :class:`~repro.gnn.blocks.Block` per layer. The paper's
 fan-out configuration (Section 5.1) is exposed via
 :func:`default_fanouts`.
@@ -12,7 +13,7 @@ fan-out configuration (Section 5.1) is exposed via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,42 +56,58 @@ def sample_layers(
     seeds: np.ndarray,
     fanouts: Sequence[int],
     rng: np.random.Generator,
+    batch: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Sample a multi-layer computation graph from ``seeds``, layer by layer.
+    """Sample the computation graphs of one or more mini-batches, layer
+    by layer, in one frontier expansion.
 
+    ``batch[i]`` (default: all 0) is the mini-batch of ``seeds[i]``;
+    mini-batch ``b``'s vertex ``v`` is addressed by its *key*
+    ``b * |V| + v``, so with one mini-batch keys are vertex ids.
     ``fanouts[i]`` is the fan-out of GNN layer ``i``; sampling proceeds
     from the seeds inward (last layer first), as in DGL, and yields
     ``(frontier, src, dst, extra)`` per layer: the layer's destination
-    vertices (at first the sorted, deduplicated seeds), each sampled
-    edge's global source and frontier index, and the sorted sources not
-    in ``frontier``. The next frontier is ``frontier`` then ``extra``.
-    Vertices with degree below the fan-out keep all their neighbours;
-    higher-degree vertices draw ``fanout`` samples with replacement,
-    deduplicated per (source, destination) pair — statistically close
-    to DGL's without-replacement sampling and fully vectorisable.
+    keys (at first the sorted, deduplicated seed keys), each sampled
+    edge's source key and frontier index, and the sorted source keys
+    not in ``frontier``. The next frontier is ``frontier`` then
+    ``extra``. Vertices with degree below the fan-out keep all their
+    neighbours; higher-degree vertices draw ``fanout`` samples with
+    replacement, deduplicated per (source, destination) pair —
+    statistically close to DGL's without-replacement sampling and fully
+    vectorisable.
 
     ``rng`` is consumed by one ``integers`` call per layer that has a
-    frontier vertex of degree above the fan-out, and by nothing else;
-    the layers are a function of ``(graph, seeds, fanouts, generator
-    state)`` alone. The DistDGL engine relies on that: it records the
-    counts of a sampled step once and replays them for every model
-    configuration (:mod:`repro.distdgl.trace`).
+    frontier vertex of degree above the fan-out, and by nothing else:
+    those vertices draw mini-batch by mini-batch, each mini-batch's in
+    frontier order. The layers are a function of ``(graph, seeds,
+    batch, fanouts, generator state)`` alone. The DistDGL engine relies
+    on that: it samples a step's mini-batches in one call, records their
+    counts once and replays them for every model configuration
+    (:mod:`repro.distdgl.trace`). Membership in the frontier is looked
+    up in its sorted keys, so memory stays O(frontier), not
+    O(mini-batches x |V|).
     """
     indptr, indices = graph.symmetric_csr()
     num_vertices = indptr.shape[0] - 1
-    frontier = sorted_unique(np.asarray(seeds, dtype=np.int64))
-    if frontier.size == 0:
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.size == 0:
         raise ValueError("cannot sample an empty mini-batch")
-    if frontier[0] < 0 or frontier[-1] >= num_vertices:
+    if seeds.min() < 0 or seeds.max() >= num_vertices:
         raise ValueError(f"seeds must lie in [0, {num_vertices})")
     if len(fanouts) == 0 or min(fanouts) <= 0:
         raise ValueError("fanouts must be one or more positive ints")
-    outside = np.ones(num_vertices, dtype=bool)
-    outside[frontier] = False
+    if batch is not None:
+        seeds = np.asarray(batch, dtype=np.int64) * num_vertices + seeds
+    frontier = sorted_unique(seeds)
+    seen = frontier  # the frontier's keys, sorted
     for fanout in reversed(fanouts):
         src, dst = _sample_layer(frontier, indptr, indices, fanout, rng)
-        extra = sorted_unique(src[outside[src]])
-        outside[extra] = False
+        sources = sorted_unique(src)
+        at = np.minimum(np.searchsorted(seen, sources), seen.size - 1)
+        extra = sources[seen[at] != sources]
+        # Two sorted runs: a stable sort merges them in linear time.
+        seen = np.concatenate([seen, extra])
+        seen.sort(kind="stable")
         yield frontier, src, dst, extra
         frontier = np.concatenate([frontier, extra])
 
@@ -124,14 +141,17 @@ def _sample_layer(
     fanout: int,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample up to ``fanout`` neighbours per frontier vertex.
+    """Sample up to ``fanout`` neighbours per frontier key.
 
-    Returns global source ids and local (frontier-index) destinations:
-    the low-degree vertices' edges in frontier order, then the
-    high-degree vertices' in (destination, source) order.
+    Returns source keys and local (frontier-index) destinations: the
+    low-degree vertices' edges in frontier order, then the high-degree
+    vertices' in draw order (frontier order for one mini-batch), each
+    vertex's sources ascending.
     """
-    starts = indptr[frontier]
-    degrees = indptr[frontier + 1] - starts
+    num_vertices = indptr.shape[0] - 1
+    group, vertex = np.divmod(frontier, num_vertices)
+    starts = indptr[vertex]
+    degrees = indptr[vertex + 1] - starts
     small = degrees <= fanout
     # Low-degree vertices keep everything. Expand their CSR ranges in one
     # batch: a global arange plus, repeated over each range, its start
@@ -142,20 +162,23 @@ def _sample_layer(
     src = indices[base + np.arange(base.size)]
     dst = small_idx.repeat(take)
     # High-degree vertices: `fanout` draws with replacement, deduplicated
-    # per (dst, src) pair - vectorised across the whole frontier.
+    # per (dst, src) pair - vectorised across the whole frontier. The
+    # frontier lists its mini-batches' keys layer by layer; a stable sort
+    # by mini-batch draws them mini-batch by mini-batch instead, each
+    # mini-batch's in frontier order.
     big_idx = (~small).nonzero()[0]
     if big_idx.size:
+        big_idx = big_idx[np.argsort(group[big_idx], kind="stable")]
         draws = rng.integers(
             0, degrees[big_idx][:, None], size=(big_idx.size, fanout)
         )
+        # One row per vertex: its sorted samples, repeats dropped, are
+        # its distinct (dst, src) pairs in source order.
         sampled = indices[starts[big_idx][:, None] + draws]
-        # Injective (dst, src) key: src < |V|, so |V| as multiplier
-        # suffices. Its distinct values, sorted, are the kept pairs.
-        num_vertices = indptr.shape[0] - 1
-        big_dst, big_src = np.divmod(
-            sorted_unique(big_idx[:, None] * num_vertices + sampled),
-            num_vertices,
-        )
-        src = np.concatenate([src, big_src])
-        dst = np.concatenate([dst, big_dst])
-    return src, dst
+        sampled.sort(axis=1)
+        kept = np.ones(sampled.shape, dtype=bool)
+        np.not_equal(sampled[:, 1:], sampled[:, :-1], out=kept[:, 1:])
+        src = np.concatenate([src, sampled[kept]])
+        dst = np.concatenate([dst, big_idx.repeat(kept.sum(axis=1))])
+    # A key minus its vertex is its mini-batch's offset.
+    return (frontier - vertex)[dst] + src, dst

@@ -208,69 +208,29 @@ def rmat_edge_chunks(
     c: float = 0.19,
     seed: int = 0,
     directed: bool = True,
-    distinct: bool = False,
 ) -> Iterator[np.ndarray]:
     """Stream R-MAT edges as numpy blocks without building the full list.
 
     Yields ``(b, 2)`` int64 blocks totalling exactly ``num_edges`` rows.
-    With ``distinct=False`` (the default, Graph500 style) the stream is a
-    multigraph — duplicates are kept — and peak memory is bounded by the
-    internal generation block, independent of ``num_edges``; this is the
-    mode the out-of-core pipeline spools from. With ``distinct=True``
-    generation loops until ``num_edges`` *distinct* edges have been
-    emitted (first occurrence in stream order wins); the duplicate filter
-    keeps a packed-key set of everything emitted, so memory is O(num_edges)
-    — it exists for exact graph construction, not for out-of-core use.
+    The stream is a multigraph, Graph500 style — duplicates are kept
+    (``Graph`` drops them on construction) — and peak memory is bounded
+    by the internal generation block, independent of ``num_edges``; the
+    out-of-core pipeline spools from it.
 
-    The stream is deterministic in ``(scale, num_edges, seed, distinct)``
-    and does not depend on how the consumer re-chunks it.
+    The stream is deterministic in ``(scale, num_edges, seed)`` and does
+    not depend on how the consumer re-chunks it.
     """
     d = 1.0 - a - b - c
     if d < 0:
         raise ValueError("quadrant probabilities must sum to at most 1")
     if scale <= 0 or num_edges <= 0:
         raise ValueError("scale and num_edges must be positive")
-    if distinct and 2 * scale > 62:
-        raise ValueError("distinct mode supports scale <= 31")
     rng = np.random.default_rng(seed)
-    if not distinct:
-        remaining = num_edges
-        while remaining > 0:
-            rows = min(_RMAT_BLOCK, remaining)
-            yield _rmat_block(rng, rows, scale, a, b, c, directed)
-            remaining -= rows
-        return
-    # Distinct mode: filter each raw block against everything already
-    # emitted (sorted packed keys), keeping first occurrences in stream
-    # order, until the target count is reached.
-    seen = np.empty(0, dtype=np.int64)
-    emitted = 0
-    dry_rounds = 0
-    while emitted < num_edges:
-        block = _rmat_block(rng, _RMAT_BLOCK, scale, a, b, c, directed)
-        keys = (block[:, 0] << np.int64(scale)) | block[:, 1]
-        if seen.size:
-            pos = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
-            dup = seen[pos] == keys
-        else:
-            dup = np.zeros(keys.size, dtype=bool)
-        uniq_keys, first = np.unique(keys, return_index=True)
-        is_first = np.zeros(keys.size, dtype=bool)
-        is_first[first] = True
-        fresh = np.flatnonzero(is_first & ~dup)
-        if fresh.size == 0:
-            dry_rounds += 1
-            if dry_rounds > 64:
-                raise ValueError(
-                    f"R-MAT(scale={scale}) saturated at {emitted} distinct "
-                    f"edges; cannot reach num_edges={num_edges}"
-                )
-            continue
-        dry_rounds = 0
-        fresh = fresh[: num_edges - emitted]
-        seen = np.union1d(seen, keys[fresh])
-        emitted += fresh.size
-        yield block[fresh]
+    remaining = num_edges
+    while remaining > 0:
+        rows = min(_RMAT_BLOCK, remaining)
+        yield _rmat_block(rng, rows, scale, a, b, c, directed)
+        remaining -= rows
 
 
 def powerlaw_cluster_graph(

@@ -220,14 +220,12 @@ class VertexPartition:
         """Vertices per partition, shape ``(k,)``."""
         return np.bincount(self.assignment, minlength=self.num_partitions)
 
-    def cut_mask(self) -> np.ndarray:
-        """Boolean mask over ``graph.undirected_edges()``: True where cut."""
-        edges = self.graph.undirected_edges()
-        return self.assignment[edges[:, 0]] != self.assignment[edges[:, 1]]
-
     def num_cut_edges(self) -> int:
-        """Number of undirected edges whose endpoints live apart."""
-        return int(self.cut_mask().sum())
+        """Number of undirected edges whose endpoints live apart: the
+        stored-edge tally counts inner edges once and cut edges twice, so
+        its excess over |E| is the cut."""
+        stored = int(self.owner_tallies()[0].sum())
+        return stored - self.graph.undirected_edges().shape[0]
 
     def local_edge_counts(self) -> np.ndarray:
         """Per-partition count of fully-local (non-cut) undirected edges."""

@@ -249,10 +249,14 @@ class TestInconsistency:
         calls = []
 
         def failing(*args, **kwargs):
+            # The first step's expansion is interrupted after its seeds
+            # and first layer have drawn from the stream.
             calls.append(1)
-            if len(calls) == 3:
+            layers = real(*args, **kwargs)
+            yield next(layers)
+            if len(calls) == 1:
                 raise KeyboardInterrupt
-            return real(*args, **kwargs)
+            yield from layers
 
         monkeypatch.setattr(engine_module, "sample_layers", failing)
         with pytest.raises(KeyboardInterrupt):

@@ -138,7 +138,7 @@ class TestWriterContract:
 class TestSpoolGraph:
     @pytest.fixture
     def graph(self):
-        edges = rmat_edge_chunks(8, 500, seed=1, distinct=True)
+        edges = rmat_edge_chunks(8, 500, seed=1)
         return Graph(256, np.concatenate(list(edges)), directed=True)
 
     def test_undirected_view_matches_partitioner_stream(self, graph, tmp_path):

@@ -66,17 +66,26 @@ def test_finding2_rf_correlates_with_memory_and_traffic(graph):
 
 
 def test_finding3_feature_size_raises_effectiveness(graph, split):
-    """RQ-3 (DistDGL): bigger features -> partitioning matters more."""
-    speedups = {}
-    for fs in (16, 512):
-        times = {}
-        for name in ("random", "metis"):
-            part = make_vertex_partitioner(name).partition(graph, 4, seed=0)
-            times[name] = DistDglEngine(
-                part, split, feature_size=fs, seed=0
-            ).run_epoch().epoch_seconds
-        speedups[fs] = times["random"] / times["metis"]
-    assert speedups[512] > speedups[16] * 0.98  # at least not worse
+    """RQ-3 (DistDGL): bigger features -> partitioning matters more.
+    One engine seed's sampling luck moves the ratio by a few percent
+    either way, so the claim is checked on the mean over 20 seeds."""
+    parts = {
+        name: make_vertex_partitioner(name).partition(graph, 4, seed=0)
+        for name in ("random", "metis")
+    }
+    ratios = []
+    for seed in range(20):
+        speedups = {}
+        for fs in (16, 512):
+            times = {
+                name: DistDglEngine(
+                    part, split, feature_size=fs, seed=seed
+                ).run_epoch().epoch_seconds
+                for name, part in parts.items()
+            }
+            speedups[fs] = times["random"] / times["metis"]
+        ratios.append(speedups[512] / speedups[16])
+    assert np.mean(ratios) > 0.98  # at least not worse
 
 
 def test_finding4_scaleout_helps_distgnn(graph):

@@ -1,6 +1,7 @@
-"""The DistDGL step as it stood before the measure/price split (PR 15).
+"""The DistDGL step as it stood before the measure/price split, in
+today's draw order, and the per-worker sampling step it replaced.
 
-:class:`OracleDistDglEngine` carries the verbatim pre-PR bodies of
+:class:`OracleDistDglEngine` carries the original bodies of
 ``DistDglEngine.run_step`` (one loop over the workers that samples,
 counts and prices in one go, on the engine's own
 ``default_rng(seed)``), ``_account_memory`` (k scans over the edges)
@@ -9,11 +10,21 @@ verbatim ``run_epoch`` from before epochs were priced in one pass (one
 ``run_step`` per step). Everything else — training, restarts — is
 inherited, so an oracle engine and a production engine driven the same
 way must agree field for field.
+
+Its sampling follows the engine's batched draw order, written out with
+plain per-worker code (:func:`sample_blocks`): every worker's seeds are
+drawn first, then each layer makes one ``rng.integers`` call over the
+workers' high-degree frontier vertices in turn, and each worker expands
+its own frontier from its rows. The order the step had before — one
+worker's seeds and layers, then the next worker's — lives on as
+:class:`PerWorkerSamplingEngine`, the production engine with its
+pre-batching ``_sample`` verbatim: it pins the batched step exactly
+where no layer draws, and in distribution everywhere else.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +32,112 @@ from repro.cluster import FaultPlan, RecoveryPolicy
 from repro.costmodel import BACKWARD_FACTOR, aggregation_bytes
 from repro.distdgl import DistDglEngine, EpochReport, StepBreakdown
 from repro.distdgl.engine import PHASES
+from repro.distdgl.trace import StepCounts
+from repro.gnn import Block, MiniBatch, sample_layers
+from repro.graph import Graph
 from repro.obs import api as obs
 
-from .sampling import sample_blocks
+
+def sample_blocks(
+    graph: Graph,
+    seeds: Sequence[np.ndarray],
+    fanouts: Sequence[int],
+    rng: np.random.Generator,
+) -> List[MiniBatch]:
+    """One mini-batch per seed array, in the batched draw order: per
+    layer, one ``rng.integers`` call draws the rows of every batch's
+    high-degree frontier vertices, batch by batch, each in frontier
+    order; each batch then expands its frontier on its own, with the
+    pre-layer-generator sampler's body (:mod:`tests.oracles.sampling`).
+    """
+    indptr, indices = graph.symmetric_csr()
+    num_vertices = indptr.shape[0] - 1
+    frontiers = [np.unique(np.asarray(s, dtype=np.int64)) for s in seeds]
+    all_seeds = list(frontiers)
+    blocks_reversed: List[List[Block]] = [[] for _ in seeds]
+    local_of = np.full(num_vertices, -1, dtype=np.int64)
+    for fanout in reversed(list(fanouts)):
+        degrees = [indptr[f + 1] - indptr[f] for f in frontiers]
+        bigs = [np.flatnonzero(d > fanout) for d in degrees]
+        big_degrees = np.concatenate(
+            [d[big] for d, big in zip(degrees, bigs)]
+        )
+        draws = np.zeros((0, fanout), dtype=np.int64)
+        if big_degrees.size:
+            draws = rng.integers(
+                0, big_degrees[:, None], size=(big_degrees.size, fanout)
+            )
+        rows = np.split(draws, np.cumsum([big.size for big in bigs])[:-1])
+        for i, frontier in enumerate(frontiers):
+            edge_src_global, edge_dst_local = _expand(
+                frontier, degrees[i], bigs[i], rows[i], indptr, indices,
+                fanout,
+            )
+            # Sources: frontier first (prefix convention), then new
+            # vertices.
+            local_of[frontier] = np.arange(frontier.shape[0])
+            new_mask = local_of[edge_src_global] < 0
+            extra = np.unique(edge_src_global[new_mask])
+            local_of[extra] = frontier.shape[0] + np.arange(extra.shape[0])
+            edge_src_local = local_of[edge_src_global]
+            src_ids = np.concatenate([frontier, extra])
+            local_of[src_ids] = -1  # reset for the next batch / layer
+            blocks_reversed[i].append(
+                Block(
+                    src_ids=src_ids,
+                    num_dst=frontier.shape[0],
+                    edge_src=edge_src_local,
+                    edge_dst=edge_dst_local,
+                )
+            )
+            frontiers[i] = src_ids
+    return [
+        MiniBatch(seeds=batch_seeds, blocks=list(reversed(blocks)))
+        for batch_seeds, blocks in zip(all_seeds, blocks_reversed)
+    ]
+
+
+def _expand(
+    frontier: np.ndarray,
+    degrees: np.ndarray,
+    big_idx: np.ndarray,
+    draws: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    fanout: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The old ``_sample_layer`` with the high-degree draws handed in:
+    global source ids and local (frontier-index) destinations."""
+    src_parts: List[np.ndarray] = []
+    dst_parts: List[np.ndarray] = []
+    # Low-degree vertices keep everything - fully vectorised.
+    small = degrees <= fanout
+    if small.any():
+        small_idx = np.flatnonzero(small)
+        take = degrees[small_idx]
+        starts = indptr[frontier[small_idx]]
+        total = int(take.sum())
+        within = np.arange(total) - np.repeat(np.cumsum(take) - take, take)
+        offsets = np.repeat(starts, take) + within
+        src_parts.append(indices[offsets])
+        dst_parts.append(np.repeat(small_idx, take))
+    # High-degree vertices: their `fanout` draws with replacement,
+    # deduplicated per (dst, src) pair.
+    if big_idx.size:
+        sampled = indices[indptr[frontier[big_idx]][:, None] + draws]
+        dst = np.repeat(big_idx, fanout)
+        src = sampled.ravel()
+        num_vertices = indptr.shape[0] - 1
+        pair = dst * num_vertices + src
+        _, keep = np.unique(pair, return_index=True)
+        src_parts.append(src[keep])
+        dst_parts.append(dst[keep])
+    if src_parts:
+        return (
+            np.concatenate(src_parts).astype(np.int64),
+            np.concatenate(dst_parts).astype(np.int64),
+        )
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
 
 class OracleDistDglEngine(DistDglEngine):
@@ -113,15 +227,26 @@ class OracleDistDglEngine(DistDglEngine):
             self.global_batch_size // len(active_set), 1
         )
 
-        for w in range(k):
-            if w not in active_set:
-                continue  # crashed worker: survivors carry the step
-            pool = self.train_per_worker[w]
-            if pool.size == 0:
-                continue  # worker idles this step (train imbalance!)
-            take = min(batch_per_worker, pool.size)
-            seeds = self._rng.choice(pool, size=take, replace=False)
-            batch = sample_blocks(self.graph, seeds, self.fanouts, self._rng)
+        # Crashed workers and workers without training vertices idle:
+        # the others draw their seeds in turn, then sample together.
+        drawing = [
+            w for w in range(k)
+            if w in active_set and self.train_per_worker[w].size
+        ]
+        seeds = [
+            self._rng.choice(
+                self.train_per_worker[w],
+                size=min(batch_per_worker, self.train_per_worker[w].size),
+                replace=False,
+            )
+            for w in drawing
+        ]
+        batches = dict(zip(drawing, sample_blocks(
+            self.graph, seeds, self.fanouts, self._rng
+        ) if drawing else ()))
+
+        for w in drawing:
+            batch = batches[w]
 
             # ---- sampling phase -------------------------------------
             sample_sec = 0.0
@@ -395,3 +520,74 @@ class OracleDistDglEngine(DistDglEngine):
             )
         return report
 
+
+class PerWorkerSamplingEngine(DistDglEngine):
+    """``DistDglEngine`` with its ``_sample`` from before the batched
+    frontier expansion, verbatim: each worker draws its seeds and
+    samples its layers before the next worker draws."""
+
+    def _sample(
+        self, active: Tuple[int, ...], rng: np.random.Generator
+    ) -> StepCounts:
+        """Draw and sample one step's mini-batches; keep only their
+        counts. Per active worker with training vertices, in ascending
+        order: one ``rng.choice`` of seeds from its pool, then
+        :func:`~repro.gnn.sample_layers`, whose layers are counted as
+        they come — no blocks are built."""
+        k = self.num_machines
+        rng_state = rng.bit_generator.state
+        workers = [w for w in active if self.train_per_worker[w].size]
+        take = max(self.global_batch_size // len(active), 1)
+        blocks = np.zeros((4, self.num_layers, len(workers)), dtype=np.int64)
+        inputs = np.zeros((4, len(workers)), dtype=np.int64)
+        sample_owners = np.zeros((len(workers), k), dtype=np.int64)
+        fetch_owners = np.zeros((len(workers), k), dtype=np.int64)
+        try:
+            for i, w in enumerate(workers):
+                pool = self.train_per_worker[w]
+                seeds = rng.choice(
+                    pool, size=min(take, pool.size), replace=False
+                )
+                layers = sample_layers(self.graph, seeds, self.fanouts, rng)
+                # Layers come seeds inward: the last GNN layer first.
+                for layer, (frontier, src, _, extra) in zip(
+                    reversed(range(self.num_layers)), layers
+                ):
+                    # Frontier vertices owned elsewhere need a sampling RPC.
+                    looked_up = np.bincount(self.owner[frontier], minlength=k)
+                    looked_up[w] = 0
+                    sample_owners[i] += looked_up
+                    blocks[:, layer, i] = (
+                        frontier.size, frontier.size + extra.size, src.size,
+                        looked_up.sum(),
+                    )
+                ids = np.concatenate([frontier, extra])
+                owners = self.owner[ids]
+                remote = owners != w
+                hits = 0
+                if self._cached is not None:
+                    # A cached remote vertex is never fetched over the wire.
+                    hot = self._cached[ids]
+                    hits = np.count_nonzero(remote & hot)
+                    remote &= ~hot
+                fetch_owners[i] = np.bincount(owners[remote], minlength=k)
+                fetched = fetch_owners[i].sum()
+                inputs[:, i] = (ids.size, ids.size - fetched, fetched, hits)
+        except BaseException:
+            # Leave the stream where the step found it: a shared trace's
+            # generator must always stand after its last recorded step.
+            rng.bit_generator.state = rng_state
+            raise
+        # The two (m, k) histograms are most of a trace: keep them in the
+        # narrowest unsigned type that holds them (pricing widens).
+        sample_owners, fetch_owners = (
+            owners.astype(np.min_scalar_type(owners.max(initial=0)))
+            for owners in (sample_owners, fetch_owners)
+        )
+        arrays = (
+            np.array(workers, dtype=np.intp), blocks, sample_owners, inputs,
+            fetch_owners,
+        )
+        for array in arrays:
+            array.setflags(write=False)
+        return StepCounts(active, rng_state, *arrays)

@@ -245,11 +245,11 @@ def test_interrupt_in_sampling_leaves_what_the_step_loop_leaves(
     epoch: the steps before it are priced, and the trace, its generator
     (or the private one), the cluster and ``comm`` stand where the
     per-step loop leaves them — and a retry goes on identically."""
-    k, workers = 4, 4
+    k = 4
     kwargs = dict(num_layers=2, global_batch_size=3, seed=4, compression="int8")
     steps = DistDglEngine(PARTITIONS[k], SPLIT, **kwargs)._steps_per_epoch()
-    # The first worker's sampling call of step 3 of the second epoch.
-    call = (steps + 3) * workers + 1
+    # The sampling call of step 3 of the second epoch (one per step).
+    call = steps + 3 + 1
     if not recording:
         monkeypatch.setattr(trace_module, "TRACE_BYTE_LIMIT", 0)
     sides = {}
@@ -294,7 +294,7 @@ def test_interrupt_on_the_oracle_side_too(monkeypatch):
         trace_module.clear_traces()
         engine = cls(PARTITIONS[k], SPLIT, **kwargs)
         with monkeypatch.context() as patch:
-            _interrupt_at(module, name, (steps + 3) * k + 1, patch)
+            _interrupt_at(module, name, steps + 3 + 1, patch)
             reports = [engine.run_epoch()]
             with pytest.raises(KeyboardInterrupt):
                 engine.run_epoch()

@@ -3,8 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph
-from repro.partitioning import EdgePartition, VertexPartition
+from repro.graph import Graph, load_dataset
+from repro.partitioning import (
+    VERTEX_PARTITIONER_NAMES,
+    EdgePartition,
+    VertexPartition,
+    make_vertex_partitioner,
+)
+
+TINY_OR = load_dataset("OR", "tiny")
+#: ``OR`` tiny with a self loop on every seventh vertex.
+LOOPED_OR = Graph(
+    TINY_OR.num_vertices,
+    np.concatenate([
+        TINY_OR.edges,
+        np.arange(0, TINY_OR.num_vertices, 7).repeat(2).reshape(-1, 2),
+    ]),
+)
 
 
 @pytest.fixture
@@ -84,8 +99,9 @@ class TestVertexPartition:
 
     def test_cut_edges_only_bridge(self, halves):
         assert halves.num_cut_edges() == 1
-        cut = halves.graph.undirected_edges()[halves.cut_mask()]
-        assert cut.tolist() == [[3, 4]]
+        edges = halves.graph.undirected_edges()
+        owners = halves.assignment[edges]
+        assert edges[owners[:, 0] != owners[:, 1]].tolist() == [[3, 4]]
 
     def test_local_edge_counts(self, halves):
         assert halves.local_edge_counts().tolist() == [6, 6]
@@ -116,3 +132,17 @@ def test_owner_tallies_are_derived_once_and_read_only():
         assert array.dtype == np.int64
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+@pytest.mark.parametrize("graph", [TINY_OR, LOOPED_OR], ids=["or", "looped"])
+@pytest.mark.parametrize("k", [2, 8, 32])
+@pytest.mark.parametrize("name", VERTEX_PARTITIONER_NAMES)
+def test_cut_from_the_stored_edge_tally_is_the_mask_count(graph, k, name):
+    """``num_cut_edges`` derives the cut from ``owner_tallies``; it
+    equals counting the edges whose endpoints' owners differ."""
+    if graph is LOOPED_OR:
+        edges = graph.undirected_edges()
+        assert (edges[:, 0] == edges[:, 1]).sum() > 0
+    part = make_vertex_partitioner(name).partition(graph, k, seed=0)
+    owners = part.assignment[graph.undirected_edges()]
+    assert part.num_cut_edges() == int((owners[:, 0] != owners[:, 1]).sum())

@@ -54,9 +54,7 @@ STREAMING = {
 
 
 def _rmat(directed):
-    chunks = rmat_edge_chunks(
-        9, 3000, seed=11, directed=directed, distinct=True
-    )
+    chunks = rmat_edge_chunks(9, 3000, seed=11, directed=directed)
     return Graph(512, np.concatenate(list(chunks)), directed=directed)
 
 
