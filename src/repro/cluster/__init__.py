@@ -12,7 +12,6 @@ from .faults import (
 from .machine import MemoryLedger
 from .network import NetworkFabric
 from .timeline import PhaseRecord, Timeline, TimelineMark
-from .trace import save_chrome_trace, timeline_to_chrome_trace
 
 __all__ = [
     "Cluster",
@@ -27,6 +26,4 @@ __all__ = [
     "FaultPlan",
     "FaultSummary",
     "RecoveryPolicy",
-    "timeline_to_chrome_trace",
-    "save_chrome_trace",
 ]

@@ -71,7 +71,7 @@ class Cluster:
         #: Prepended to every phase name recorded through the cluster;
         #: the fault layer sets it to ``"replay:"`` while re-executing
         #: epochs after a restore, so recovery work is distinguishable
-        #: in the timeline and Chrome trace.
+        #: in the timeline.
         self.phase_prefix = ""
         #: Per-phase memory watermark: for every phase name recorded
         #: through :meth:`add_phases`, the per-machine ledger totals

@@ -22,8 +22,7 @@ checkpoint/restart workload. This module represents failures explicitly:
 * :class:`FaultSummary` — mutable counters an engine fills in while it
   simulates a faulty run; the time side of recovery is charged through
   the cluster timeline (phases named ``fault-*``, ``replay:*`` and
-  ``checkpoint``) so it shows up in the Chrome trace like any other
-  phase.
+  ``checkpoint``) like any other phase.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ and the full per-machine vector, so balance analyses (paper Figures 5, 14,
 Fault sweeps add two things on top: phases can be flagged *interrupted*
 (a fault cut them short — the recorded vector is the stall the cluster
 actually paid), and the timeline carries instant *marks* (crash,
-recovery, checkpoint events) that the Chrome-trace exporter renders as
-instant events.
+recovery, checkpoint events) that the runner reads back into the
+record.
 """
 
 from __future__ import annotations

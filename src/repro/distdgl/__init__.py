@@ -1,14 +1,5 @@
 """DistDGL-style mini-batch distributed training over vertex partitions."""
 
 from .engine import DistDglEngine, EpochReport, StepBreakdown
-from .inference import DistributedInference, InferenceReport
-from .minibatch import DistributedMiniBatchTrainer
 
-__all__ = [
-    "DistDglEngine",
-    "EpochReport",
-    "StepBreakdown",
-    "DistributedMiniBatchTrainer",
-    "DistributedInference",
-    "InferenceReport",
-]
+__all__ = ["DistDglEngine", "EpochReport", "StepBreakdown"]

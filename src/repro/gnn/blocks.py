@@ -2,9 +2,7 @@
 
 A :class:`Block` is a bipartite message-passing structure from source
 vertices to destination vertices, exactly like DGL's message-flow graphs
-(MFGs): mini-batch training builds one block per layer via sampling, while
-full-batch training uses one block covering the whole (local) graph per
-layer.
+(MFGs): sampling a mini-batch builds one block per layer.
 
 Convention (as in DGL): the destination vertices are a *prefix* of the
 source vertices, i.e. ``src_ids[:num_dst] == dst_ids``.
@@ -16,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import Graph
-
-__all__ = ["Block", "full_graph_block"]
+__all__ = ["Block"]
 
 
 @dataclass(frozen=True)
@@ -62,23 +58,3 @@ class Block:
         """Number of edges in the block."""
         return int(self.edge_src.shape[0])
 
-    def in_degrees(self) -> np.ndarray:
-        """Messages per destination vertex (for mean aggregation)."""
-        return np.bincount(self.edge_dst, minlength=self.num_dst)
-
-
-def full_graph_block(graph: Graph) -> Block:
-    """A block covering the entire graph (full-batch training).
-
-    Every vertex is both source and destination; messages flow along the
-    symmetric adjacency, as GNN frameworks do for undirected learning.
-    """
-    indptr, indices = graph.symmetric_csr()
-    n = graph.num_vertices
-    edge_dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return Block(
-        src_ids=np.arange(n, dtype=np.int64),
-        num_dst=n,
-        edge_src=indices.astype(np.int64),
-        edge_dst=edge_dst,
-    )

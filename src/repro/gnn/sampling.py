@@ -45,11 +45,6 @@ class MiniBatch:
     seeds: np.ndarray
     blocks: List[Block]  # blocks[0] feeds GNN layer 0 (outermost)
 
-    @property
-    def input_ids(self) -> np.ndarray:
-        """Global ids whose features must be available (block 0 sources)."""
-        return self.blocks[0].src_ids
-
 
 def sample_layers(
     graph: Graph,

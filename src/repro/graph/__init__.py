@@ -19,7 +19,6 @@ from .generators import (
     web_host_graph,
 )
 from .io import read_edge_list
-from .features import ClassificationTask, planted_community_task
 from .splits import VertexSplit, random_split
 from .stats import GraphStats, graph_stats
 
@@ -47,6 +46,4 @@ __all__ = [
     "random_split",
     "GraphStats",
     "graph_stats",
-    "ClassificationTask",
-    "planted_community_task",
 ]

@@ -29,12 +29,6 @@ class VertexSplit:
         """Vertices covered by train, valid and test together."""
         return len(self.train) + len(self.valid) + len(self.test)
 
-    def train_mask(self, num_vertices: int) -> np.ndarray:
-        """Boolean mask over all vertices: True on the training set."""
-        mask = np.zeros(num_vertices, dtype=bool)
-        mask[self.train] = True
-        return mask
-
 
 def random_split(
     graph: Graph,

@@ -36,7 +36,6 @@ from .registry import (
     make_edge_partitioner,
     make_vertex_partitioner,
 )
-from .halo import HaloStats, halo_statistics
 from .extensions import (
     EXTENSION_PARTITIONER_NAMES,
     FennelPartitioner,
@@ -96,8 +95,6 @@ __all__ = [
     "validate_edge_partition",
     "validate_vertex_partition",
     "PartitionValidationError",
-    "HaloStats",
-    "halo_statistics",
     "StoreGraphView",
     "StreamEdgePartition",
     "StreamVertexPartition",

@@ -146,10 +146,6 @@ class EdgePartition:
         pairs = self.replica_pairs()
         return np.bincount(pairs[:, 1], minlength=self.graph.num_vertices)
 
-    def partition_edges(self, partition: int) -> np.ndarray:
-        """Edges assigned to ``partition``, shape ``(m_i, 2)``."""
-        return self.edges[self.assignment == partition]
-
     def masters(self) -> np.ndarray:
         """Master partition per vertex: the replica holding most of its edges.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gnn import Block, full_graph_block
+from repro.gnn import Block
 
 
 def test_block_validation_num_dst():
@@ -24,19 +24,3 @@ def test_block_counts():
     )
     assert block.num_src == 4
     assert block.num_edges == 3
-    assert block.in_degrees().tolist() == [2, 1]
-
-
-def test_full_graph_block_covers_all_messages(two_cliques):
-    block = full_graph_block(two_cliques)
-    assert block.num_dst == 8
-    assert block.num_src == 8
-    # Every undirected edge contributes two messages.
-    assert block.num_edges == 2 * two_cliques.num_edges
-
-
-def test_full_graph_block_edges_match_adjacency(two_cliques):
-    block = full_graph_block(two_cliques)
-    # Messages into vertex 3 come exactly from its neighbours.
-    senders = block.edge_src[block.edge_dst == 3]
-    assert sorted(block.src_ids[senders].tolist()) == [0, 1, 2, 4]

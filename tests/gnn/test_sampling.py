@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distdgl import DistDglEngine
-from repro.gnn import build_model, default_fanouts, sample_blocks
+from repro.gnn import default_fanouts, sample_blocks
 from repro.graph import random_split
 from repro.partitioning import (
     EdgePartition,
@@ -95,12 +95,6 @@ class TestSampleBlocks:
         with pytest.raises(ValueError, match=message):
             sample_blocks(tiny_or, seeds, (5, 5), rng)
 
-    def test_blocks_feed_model(self, tiny_or, rng):
-        mb = sample_blocks(tiny_or, np.arange(12), (5, 5), rng)
-        model = build_model("sage", 6, 8, 3, 2, seed=0)
-        x = rng.normal(size=(tiny_or.num_vertices, 6))
-        logits = model.forward(mb.blocks, x[mb.input_ids])
-        assert logits.shape == (12, 3)
 
 
 def test_cold_sampling_path_makes_no_hash_unique_call(tiny_or, monkeypatch):

@@ -32,13 +32,6 @@ def test_seed_changes_split(tiny_or):
     assert not np.array_equal(a.train, b.train)
 
 
-def test_train_mask(tiny_or):
-    split = random_split(tiny_or, seed=0)
-    mask = split.train_mask(tiny_or.num_vertices)
-    assert mask.sum() == len(split.train)
-    assert mask[split.train].all()
-
-
 def test_invalid_fractions(tiny_or):
     with pytest.raises(ValueError):
         random_split(tiny_or, train_fraction=0.9, valid_fraction=0.3)

@@ -7,8 +7,8 @@ pipeline at test scale (the benchmarks assert them at full scale).
 import numpy as np
 import pytest
 
-from repro.distdgl import DistDglEngine, DistributedMiniBatchTrainer
-from repro.distgnn import DistGnnEngine, DistributedFullBatchTrainer
+from repro.distdgl import DistDglEngine
+from repro.distgnn import DistGnnEngine
 from repro.experiments import (
     TrainingParams,
     amortization_table,
@@ -109,29 +109,3 @@ def test_finding5_amortization(graph):
     table = amortization_table(records)["OR"]
     assert table["dbh"].epochs is not None
     assert table["hep100"].epochs is not None
-
-
-def test_real_training_pipeline_full_and_minibatch(graph, split):
-    """Both executable trainers learn the same synthetic task."""
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, 4, size=graph.num_vertices)
-    features = rng.normal(size=(graph.num_vertices, 8)) * 0.3
-    features[np.arange(graph.num_vertices), labels] += 2.0
-
-    ep = make_edge_partitioner("hdrf").partition(graph, 4, seed=0)
-    full = DistributedFullBatchTrainer(
-        ep, features, labels, split.train_mask(graph.num_vertices),
-        hidden_dim=16, num_layers=2,
-    )
-    full_losses = full.train(15)
-    assert full_losses[-1] < full_losses[0]
-
-    vp = make_vertex_partitioner("metis").partition(graph, 4, seed=0)
-    mini = DistributedMiniBatchTrainer(
-        vp, split, features, labels,
-        hidden_dim=16, num_layers=2, global_batch_size=64, seed=0,
-    )
-    mini_losses = mini.train(6)
-    assert mini_losses[-1] < mini_losses[0]
-    assert full.evaluate(split.test) > 0.4
-    assert mini.evaluate(split.test) > 0.4

@@ -37,14 +37,6 @@ def test_quickstart(capsys):
     assert "HEP100" in out
 
 
-def test_social_network_full_batch(capsys):
-    out = run_example("social_network_full_batch.py", capsys=capsys)
-    assert "Final-loss spread" in out
-    # Equivalence: the spread across partitioners is numerically zero.
-    spread = float(out.split("spread across partitioners:")[1].split()[0])
-    assert spread < 1e-9
-
-
 def test_minibatch_sampling_study(capsys):
     out = run_example("minibatch_sampling_study.py", capsys=capsys)
     assert "partitioner" in out
@@ -58,21 +50,12 @@ def test_partitioner_selection(capsys):
     assert "Recommendation for 30 epochs" in out
 
 
-def test_distributed_inference(capsys):
-    out = run_example("distributed_inference.py", capsys=capsys)
-    assert "True" in out  # distributed == centralized
-    assert "halo" in out
-
-
 @pytest.mark.parametrize(
     "name",
     [
         "quickstart.py",
-        "social_network_full_batch.py",
         "minibatch_sampling_study.py",
         "partitioner_selection.py",
-        "distributed_inference.py",
-        "delayed_aggregation.py",
         "observability_tour.py",
     ],
 )
@@ -83,12 +66,6 @@ def test_example_exists_and_documented(name):
         content = handle.read()
     assert content.startswith('"""')  # module docstring
     assert "Usage::" in content or "Usage:" in content
-
-
-def test_delayed_aggregation(capsys):
-    out = run_example("delayed_aggregation.py", capsys=capsys)
-    assert "traffic saved" in out
-    assert "r=2" in out
 
 
 def test_observability_tour(capsys):

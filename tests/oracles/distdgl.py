@@ -271,7 +271,7 @@ class OracleDistDglEngine(DistDglEngine):
             per_worker["sample"][w] = sample_sec * stretch[w]
 
             # ---- feature fetching phase -----------------------------
-            inputs = batch.input_ids
+            inputs = batch.blocks[0].src_ids
             owners = self.owner[inputs]
             remote_mask = owners != w
             if self._cached is not None:

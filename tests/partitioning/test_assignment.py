@@ -45,11 +45,6 @@ class TestEdgePartition:
         assert copies[0] == 1
         assert copies.sum() == 9
 
-    def test_partition_edges(self, bridge_edge_partition):
-        edges = bridge_edge_partition.partition_edges(0)
-        assert edges.shape == (6, 2)
-        assert (edges < 4).all()
-
     def test_masters_follow_majority(self, bridge_edge_partition):
         masters = bridge_edge_partition.masters()
         assert masters[3] == 0  # 3 edges in clique A vs 1 bridge edge
