@@ -202,7 +202,9 @@ def main() -> int:
         "- **Partitioning times** are measured wall seconds of our Python\n"
         "  implementations; `CostModel.partitioning_time_scale` maps them\n"
         "  onto the simulated axis (amortization *rankings* are\n"
-        "  scale-free).\n"
+        "  scale-free). They move with the code, not the partitions: since\n"
+        "  HEP's refinement walks only what can move, its Table 4 epochs\n"
+        "  fell from 6.7-13.8 to 2.1-4.6 with every partition unchanged.\n"
         "- **FOUND: HEP10 and HEP100 give identical partitions on `OR` and\n"
         "  `DI` at every scale** (and on every graph at `tiny`). HEP streams\n"
         "  the edges of vertices above `tau` times the mean degree, and no\n"

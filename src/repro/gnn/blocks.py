@@ -47,14 +47,3 @@ class Block:
                 raise ValueError("edge_src index out of range")
             if self.edge_dst.max() >= self.num_dst:
                 raise ValueError("edge_dst index out of range")
-
-    @property
-    def num_src(self) -> int:
-        """Number of source (input) vertices of the block."""
-        return int(self.src_ids.shape[0])
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges in the block."""
-        return int(self.edge_src.shape[0])
-

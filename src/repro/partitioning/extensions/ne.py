@@ -15,7 +15,7 @@ import numpy as np
 from ...graph import Graph
 from ..base import EdgePartitioner
 from ..vertexcut.hep import neighborhood_expansion
-from ..vertexcut.refine import coalesce_vertex_moves, refine_edge_assignment
+from ..vertexcut.refine import refine_replicas
 from ..vertexcut.streaming import HdrfState
 
 __all__ = ["NePartitioner"]
@@ -58,15 +58,10 @@ class NePartitioner(EdgePartitioner):
         )
         placed = all_ids[assignment >= 0]
         if self.refine:
-            for round_seed in (seed, seed + 1):
-                refine_edge_assignment(
-                    edges, assignment, placed, graph.num_vertices,
-                    num_partitions, cap, sweeps=2, seed=round_seed,
-                )
-                coalesce_vertex_moves(
-                    edges, assignment, placed, graph.num_vertices,
-                    num_partitions, cap, sweeps=2, seed=round_seed,
-                )
+            refine_replicas(
+                edges, assignment, placed, graph.num_vertices,
+                num_partitions, cap, seed,
+            )
         if leftovers.size:
             # The balance cap can strand a few edges; place them with an
             # HDRF scorer seeded from the expansion result.

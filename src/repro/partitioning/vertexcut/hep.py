@@ -22,11 +22,7 @@ import numpy as np
 
 from ...graph import Graph
 from ..base import EdgePartitioner
-from .refine import (
-    coalesce_vertex_moves,
-    incidence,
-    refine_edge_assignment,
-)
+from .refine import incidence, refine_replicas
 from .streaming import HdrfState
 
 __all__ = ["HepPartitioner", "neighborhood_expansion"]
@@ -82,27 +78,10 @@ class HepPartitioner(EdgePartitioner):
         mem_cap = int(
             np.ceil(self.balance_cap * max(placed_low.size, 1) / num_partitions)
         )
-        for round_seed in (seed, seed + 1):
-            refine_edge_assignment(
-                edges,
-                assignment,
-                placed_low,
-                graph.num_vertices,
-                num_partitions,
-                mem_cap,
-                sweeps=2,
-                seed=round_seed,
-            )
-            coalesce_vertex_moves(
-                edges,
-                assignment,
-                placed_low,
-                graph.num_vertices,
-                num_partitions,
-                mem_cap,
-                sweeps=2,
-                seed=round_seed,
-            )
+        refine_replicas(
+            edges, assignment, placed_low, graph.num_vertices,
+            num_partitions, mem_cap, seed,
+        )
 
         # Stream hub edges (plus any NE leftovers) through HDRF seeded with
         # the in-memory assignment, so the scorer sees existing replicas.

@@ -22,5 +22,5 @@ def test_block_counts():
     block = Block(
         np.array([7, 8, 9, 10]), 2, np.array([2, 3, 3]), np.array([0, 0, 1])
     )
-    assert block.num_src == 4
-    assert block.num_edges == 3
+    assert block.src_ids.shape[0] == 4
+    assert block.edge_src.shape[0] == 3

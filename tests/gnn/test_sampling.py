@@ -48,11 +48,11 @@ class TestSampleBlocks:
     def test_fanout_respected(self, star_graph, rng):
         # Hub 0 has degree 19; fanout 5 caps its sampled in-edges.
         mb = sample_blocks(star_graph, np.array([0]), (5,), rng)
-        assert mb.blocks[0].num_edges <= 5
+        assert mb.blocks[0].edge_src.shape[0] <= 5
 
     def test_low_degree_keeps_all_neighbors(self, path_graph, rng):
         mb = sample_blocks(path_graph, np.array([5]), (10,), rng)
-        assert mb.blocks[0].num_edges == 2  # both path neighbours
+        assert mb.blocks[0].edge_src.shape[0] == 2  # both path neighbours
 
     def test_sampled_edges_are_real(self, tiny_or, rng):
         mb = sample_blocks(tiny_or, np.arange(20), (8, 8), rng)

@@ -256,9 +256,9 @@ class OracleDistDglEngine(DistDglEngine):
                 dst_owned = self.owner[block.src_ids[: block.num_dst]]
                 remote = int((dst_owned != w).sum())
                 remote_frontier += remote
-                sampled_edges += int(block.num_edges)
+                sampled_edges += int(block.edge_src.shape[0])
                 sample_sec += (
-                    block.num_edges * cm.sample_seconds_per_edge
+                    block.edge_src.shape[0] * cm.sample_seconds_per_edge
                     + remote * cm.remote_sample_overhead
                 )
                 # Remote frontiers ship their sampled edge lists back,
@@ -330,12 +330,14 @@ class OracleDistDglEngine(DistDglEngine):
             for layer, block in enumerate(batch.blocks):
                 fwd += cm.compute_seconds(
                     self._layer_flops(
-                        block.num_dst, block.num_src, block.num_edges, layer
+                        block.num_dst, block.src_ids.shape[0],
+                        block.edge_src.shape[0], layer,
                     )
                 )
                 fwd += cm.memory_seconds(
                     aggregation_bytes(
-                        block.num_edges, self.dims[layer], cm.float_bytes
+                        block.edge_src.shape[0], self.dims[layer],
+                        cm.float_bytes,
                     )
                 )
             per_worker["forward"][w] = fwd * stretch[w]

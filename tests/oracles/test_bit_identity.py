@@ -3,7 +3,11 @@
 PR 14 rewrote the sequential-greedy inner loops of KaHIP/METIS
 (``multilevel.refine`` and friends) and HEP/NE (``refine_edge_assignment``,
 ``coalesce_vertex_moves``, ``neighborhood_expansion``) plus
-``EdgePartition.replica_pairs`` for speed. **Bit-identity is that PR's
+``EdgePartition.replica_pairs`` for speed. HEP/NE's two refinement
+rounds now run on one shared state with snapshot-filtered walks
+(``refine.refine_replicas``); the fixture swaps in
+``tests.oracles.vertexcut.refine_replicas``, made of calls to the old
+bodies. **Bit-identity is that PR's
 contract**: same assignment, same returned move count and same consumption
 of the shared random stream as the loop bodies that stood before, which
 live verbatim in :mod:`tests.oracles.multilevel` and
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph, powerlaw_cluster_graph
@@ -80,10 +84,36 @@ def oracle_kernels(monkeypatch):
                 module, "neighborhood_expansion",
                 old_vertexcut._neighborhood_expansion,
             )
-            for name in ("refine_edge_assignment", "coalesce_vertex_moves"):
-                monkeypatch.setattr(module, name, getattr(old_vertexcut, name))
+            monkeypatch.setattr(
+                module, "refine_replicas", old_vertexcut.refine_replicas
+            )
 
     return install
+
+
+def test_fixture_runs_the_old_refinement_bodies(oracle_kernels, monkeypatch):
+    """HEP and NE call the refinement by the name the fixture patches, and
+    after install that name is the oracle driver, which runs the old
+    bodies."""
+    for module in (hep, ne):
+        assert module.refine_replicas is refine.refine_replicas
+    oracle_kernels()
+    for module in (hep, ne):
+        assert module.refine_replicas is old_vertexcut.refine_replicas
+    ran = []
+    for name in ("refine_edge_assignment", "coalesce_vertex_moves"):
+        body = getattr(old_vertexcut, name)
+        monkeypatch.setattr(
+            old_vertexcut, name,
+            lambda *args, _body=body, **kw: ran.append(_body) or _body(
+                *args, **kw
+            ),
+        )
+    graph = GRAPHS["or-like"]
+    for make in (PARTITIONERS["hep10"], PARTITIONERS["ne"]):
+        ran.clear()
+        make().partition(graph, 8, seed=0)
+        assert len(ran) == 4  # two rounds of refine then coalesce
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -180,22 +210,108 @@ def scattered_edges(draw):
     return n, k, edges, assignment, edge_ids, cap
 
 
+def _passes_match_oracle(case, seed, sweeps):
+    """Both rounds (``seed``, ``seed + 1``) of refine then coalesce on one
+    state, each pass against its old body on the old bodies' running
+    assignment, so that state carried from pass to pass is checked too."""
+    n, k, edges, start, edge_ids, cap = case
+    new, old = start.copy(), start.copy()
+    state = refine.ReplicaState(edges, new, edge_ids, n, k, cap)
+    for round_seed in (seed, seed + 1):
+        for run, kernel in (
+            (state.refine_edges, old_vertexcut.refine_edge_assignment),
+            (state.coalesce, old_vertexcut.coalesce_vertex_moves),
+        ):
+            moved = run(sweeps=sweeps, seed=round_seed)
+            expected = kernel(
+                edges, old, edge_ids, n, k, cap, sweeps=sweeps,
+                seed=round_seed,
+            )
+            assert moved == expected
+            assert np.array_equal(new, old)
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=scattered_edges(), seed=st.integers(0, 99),
        sweeps=st.integers(0, 3))
 def test_edge_refiners_match_oracle(case, seed, sweeps):
-    n, k, edges, start, edge_ids, cap = case
-    for kernel in ("refine_edge_assignment", "coalesce_vertex_moves"):
-        new, old = start.copy(), start.copy()
-        moved = getattr(refine, kernel)(
-            edges, new, edge_ids, n, k, cap, sweeps=sweeps, seed=seed
-        )
-        expected = getattr(old_vertexcut, kernel)(
-            edges, old, edge_ids, n, k, cap, sweeps=sweeps, seed=seed
-        )
-        assert moved == expected
-        assert np.array_equal(new, old)
-        start = new
+    _passes_match_oracle(case, seed, sweeps)
+
+
+def clustered_case(case_seed: int, k: int | None = None):
+    """Up to 300 vertices and 32 partitions (or ``k``): canonical edges
+    with loops, a start that is mostly one partition per lower endpoint
+    plus noise, a subset of movable edges and a cap from tight to loose."""
+    rng = np.random.default_rng(case_seed)
+    n, drawn_k = int(rng.integers(2, 300)), int(rng.integers(1, 33))
+    k = drawn_k if k is None else k
+    edges = np.unique(
+        np.sort(rng.integers(0, n, size=(int(rng.integers(0, 6 * n)), 2))),
+        axis=0,
+    )
+    m = edges.shape[0]
+    home = rng.integers(0, k, size=n)[edges[:, 0]]
+    noisy = rng.random(m) < rng.random()
+    assignment = np.where(noisy, rng.integers(0, k, size=m), home)
+    edge_ids = np.flatnonzero(rng.random(m) < 0.3 + 0.7 * rng.random())
+    slack = 0.5 + 2.5 * rng.random()
+    cap = int(slack * edge_ids.size / k) + int(rng.integers(0, 3))
+    return n, k, edges, assignment.astype(np.int32), edge_ids, cap
+
+
+def test_larger_passes_match_oracle_and_use_both_rules(monkeypatch):
+    """The walks' heap pushes are the edge pass's late candidates and the
+    coalesce pass's invalidations; the run must make both happen."""
+    pushes = {"refine_edges": 0, "coalesce": 0}
+    running = []
+
+    def labelled(name):
+        run = getattr(refine.ReplicaState, name)
+
+        def wrapper(self, *args, **kwargs):
+            running.append(name)
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                running.pop()
+
+        return wrapper
+
+    for name in pushes:
+        monkeypatch.setattr(refine.ReplicaState, name, labelled(name))
+    push = refine.heappush
+
+    def counted(heap, item):
+        pushes[running[-1]] += 1
+        push(heap, item)
+
+    monkeypatch.setattr(refine, "heappush", counted)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 99),
+           sweeps=st.integers(1, 3))
+    # Cases where the coalesce pass needs its "left alone in p" rule
+    # (75, 118) and its "newly present in t" rule (13, 41).
+    @example(case_seed=75, seed=75, sweeps=2)
+    @example(case_seed=118, seed=118, sweeps=2)
+    @example(case_seed=13, seed=13, sweeps=2)
+    @example(case_seed=41, seed=41, sweeps=2)
+    # Loops in coalesced batches: round 2 sees the loads the old bodies
+    # recounted, not the ones round 1 drifted to.
+    @example(case_seed=217567, seed=0, sweeps=1)
+    def check(case_seed, seed, sweeps):
+        _passes_match_oracle(clustered_case(case_seed), seed, sweeps)
+
+    check()
+    assert all(pushes.values()), pushes
+
+
+@pytest.mark.parametrize("case_seed", range(4))
+def test_passes_match_oracle_beyond_one_bitset_word(case_seed):
+    """At k > 32 the snapshot's per-vertex partition bitset spans several
+    words."""
+    case = clustered_case(case_seed, k=33 + 13 * case_seed)
+    _passes_match_oracle(case, case_seed, 2)
 
 
 @settings(max_examples=80, deadline=None)

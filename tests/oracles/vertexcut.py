@@ -8,6 +8,10 @@ exactly as they stood before the rewrite: a dense vertex x partition count
 table read and written through numpy scalar indexing. Do not tidy them —
 they are the reference the rewrite is pinned against (see
 ``tests/oracles/test_bit_identity.py``).
+
+``refine_replicas`` is not one of them: it is the two refinement rounds
+HEP and NE ran, written as calls of the verbatim bodies, so that it can
+stand in for ``repro.partitioning.vertexcut.refine.refine_replicas``.
 """
 
 from __future__ import annotations
@@ -17,11 +21,31 @@ import heapq
 import numpy as np
 
 __all__ = [
+    "refine_replicas",
     "refine_edge_assignment",
     "coalesce_vertex_moves",
     "_neighborhood_expansion",
     "replica_pairs",
 ]
+
+
+def refine_replicas(
+    edges: np.ndarray,
+    assignment: np.ndarray,
+    edge_ids: np.ndarray,
+    num_vertices: int,
+    num_partitions: int,
+    cap: int,
+    seed: int = 0,
+) -> None:
+    """Rounds ``seed`` and ``seed + 1`` of edge refinement then vertex
+    coalescing, two sweeps each, as HEP and NE called them."""
+    for round_seed in (seed, seed + 1):
+        for kernel in (refine_edge_assignment, coalesce_vertex_moves):
+            kernel(
+                edges, assignment, edge_ids, num_vertices, num_partitions,
+                cap, sweeps=2, seed=round_seed,
+            )
 
 
 def refine_edge_assignment(
