@@ -1,6 +1,7 @@
 """Perf regression gate.
 
-Runs a fresh (quick) ``bench_perf`` pass and compares every kernel
+Runs a fresh ``bench_perf`` pass, with the repeats of the entry it is
+compared against and the quick scale sweep, and compares every kernel
 timing, the sampling kernel and the DistDGL cell (trace-cold and
 trace-warm) against the *latest entry* of the committed
 ``BENCH_partitioning.json`` history series (falling back to the
@@ -320,8 +321,11 @@ def main(argv=None) -> int:
         print(f"{args.baseline}: empty history series; nothing to gate on")
         return 1
 
+    # Time the fresh pass as the entry was timed: a best of 3 against a
+    # single cold repeat reads untouched ~10 ms kernels 2-3x slower.
     fresh = run_bench(
-        repeats=1, scale_sweep_algos=SCALE_SWEEP_QUICK_ALGOS
+        repeats=baseline.get("repeats", 1),
+        scale_sweep_algos=SCALE_SWEEP_QUICK_ALGOS,
     )
     regressed_kernels: list = []
     regressions = compare(

@@ -32,7 +32,8 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from dataclasses import MISSING, fields
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .comm import CODEC_NAMES
 from .experiments import (
     ENGINES,
     MACHINE_COUNTS,
+    CellIO,
     CommConfig,
     FaultConfig,
     TrainingParams,
@@ -55,6 +57,7 @@ from .experiments import (
 )
 from .graph import (
     DATASET_KEYS,
+    DATASET_SCALES,
     EdgeChunkReader,
     dataset_specs,
     graph_stats,
@@ -66,6 +69,7 @@ from .graph import (
     spool_graph,
 )
 from .graph.chunkstore import DEFAULT_STORE_CHUNK
+from .obs.profiling.diff import DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD
 from .partitioning import (
     EDGE_PARTITIONER_NAMES,
     VERTEX_PARTITIONER_NAMES,
@@ -100,27 +104,119 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
         help="treat --edge-list input as directed",
     )
     parser.add_argument(
-        "--scale", default="small", choices=("tiny", "small", "medium"),
+        "--scale", default="small", choices=DATASET_SCALES,
         help="built-in dataset scale (default: small)",
     )
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--feature-size", type=int, default=64)
-    parser.add_argument("--hidden-dim", type=int, default=64)
-    parser.add_argument("--num-layers", type=int, default=3)
+class _Flag(NamedTuple):
+    """A flag that sets one config field, which gives it its type and
+    default; ``default`` states a CLI default that deliberately differs."""
+
+    option: str
+    field: str
+    help: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    default: object = MISSING
+
+
+#: ``(config class, flags)`` tables; a new config field costs one row.
+_MODEL = (TrainingParams, (
+    _Flag("--feature-size", "feature_size"),
+    _Flag("--hidden-dim", "hidden_dim"),
+    _Flag("--num-layers", "num_layers"),
+))
+#: DistDGL's own model flags. ``--batch-size`` has defaulted to 64 since
+#: the first version of the CLI, while sweeps use the field's 16.
+_DISTDGL_MODEL = (TrainingParams, (
+    _Flag("--arch", "arch", choices=("sage", "gcn", "gat")),
+    _Flag("--batch-size", "global_batch_size", default=64),
+))
+_FAULT = (FaultConfig, (
+    _Flag("--fault-rate", "crash_rate",
+          "per-(epoch, machine) crash probability"),
+    _Flag("--slowdown-rate", "slowdown_rate",
+          "per-(epoch, machine) transient-straggler probability"),
+    _Flag("--loss-rate", "loss_rate",
+          "per-(epoch, machine) lost-message probability"),
+    _Flag("--checkpoint-every", "checkpoint_every",
+          "full-batch checkpoint interval in epochs"),
+    _Flag("--fault-seed", "seed", "seed of the deterministic fault plan"),
+))
+#: In field order, which is ``comm_grid``'s argument order.
+_COMM = (CommConfig, (
+    _Flag("--compression", "compression",
+          "codec for feature fetches / halo and gradient exchanges",
+          choices=CODEC_NAMES),
+    _Flag("--refresh-interval", "refresh_interval",
+          "DistGNN cd-r delayed aggregation: sync halos every r-th "
+          "epoch (1 = every epoch; ignored by distdgl)"),
+    _Flag("--cache-fraction", "cache_fraction",
+          "DistDGL static feature cache: pin this fraction of the "
+          "hottest vertices per worker (ignored by distgnn)"),
+))
+_OBS = (CellIO, (
+    _Flag("--obs-level", "obs_level",
+          "telemetry level (default: %(default)s)",
+          choices=obs.LEVELS),
+))
+
+
+def _flags(table):
+    """``(flag, args attribute, CLI default)`` for each flag of ``table``."""
+    config, flags = table
+    defaults = {f.name: f.default for f in fields(config)}
+    for flag in flags:
+        yield flag, flag.option[2:].replace("-", "_"), (
+            defaults[flag.field] if flag.default is MISSING else flag.default
+        )
+
+
+def _add_config_arguments(parser, table, listed=False) -> None:
+    """Add ``table``'s flags to ``parser`` or an argument group; a
+    ``listed`` flag takes a comma list of values (see :func:`_listed`)."""
+    for flag, _, default in _flags(table):
+        if listed:
+            among = f" of {', '.join(flag.choices)}" if flag.choices else ""
+            parser.add_argument(
+                flag.option, help=f"comma list{among} to sweep: {flag.help}",
+                default=format(default, "g") if isinstance(default, float)
+                else str(default),
+            )
+        else:
+            parser.add_argument(
+                flag.option, default=default, choices=flag.choices,
+                type=None if isinstance(default, str) else type(default),
+                help=flag.help,
+            )
+
+
+def _config(args, *tables):
+    """The config the flags of ``tables`` (all of one class) describe;
+    ``None`` when it is falsy: a fault or comm config at its defaults."""
+    values = {
+        flag.field: getattr(args, dest)
+        for table in tables for flag, dest, _ in _flags(table)
+    }
+    config_class = tables[0][0]
+    return config_class(**values) or None
+
+
+def _listed(args, table) -> List[list]:
+    """Each listed flag of ``table`` as values of its field's type."""
+    return [
+        [type(default)(v.strip()) for v in getattr(args, dest).split(",")
+         if v.strip()]
+        for _, dest, default in _flags(table)
+    ]
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The graph, model and cluster-size flags of the engine commands."""
+    _add_graph_arguments(parser)
+    _add_config_arguments(parser, _MODEL)
     parser.add_argument("-k", "--machines", type=int, default=8)
-
-
-def _model_params(args) -> TrainingParams:
-    """The TrainingParams the --feature-size/--hidden-dim/--num-layers
-    flags describe."""
-    return TrainingParams(
-        feature_size=args.feature_size,
-        hidden_dim=args.hidden_dim,
-        num_layers=args.num_layers,
-    )
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -131,56 +227,21 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         "--epochs", type=int, default=1,
         help="epochs to simulate (fault sweeps need more than one)",
     )
-    group.add_argument(
-        "--fault-rate", type=float, default=0.0,
-        help="per-(epoch, machine) crash probability",
-    )
-    group.add_argument(
-        "--slowdown-rate", type=float, default=0.0,
-        help="per-(epoch, machine) transient-straggler probability",
-    )
-    group.add_argument(
-        "--loss-rate", type=float, default=0.0,
-        help="per-(epoch, machine) lost-message probability",
-    )
-    group.add_argument(
-        "--checkpoint-every", type=int, default=5,
-        help="full-batch checkpoint interval in epochs",
-    )
-    group.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed of the deterministic fault plan",
-    )
+    _add_config_arguments(group, _FAULT)
 
 
-def _add_comm_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_comm_arguments(parser, listed=False) -> None:
     group = parser.add_argument_group(
         "communication reduction (see docs/communication.md)"
     )
-    group.add_argument(
-        "--compression", default="none", choices=CODEC_NAMES,
-        help="codec for feature fetches / halo and gradient exchanges",
-    )
-    group.add_argument(
-        "--refresh-interval", type=int, default=1,
-        help="DistGNN cd-r delayed aggregation: sync halos every r-th "
-             "epoch (1 = every epoch; ignored by distdgl)",
-    )
-    group.add_argument(
-        "--cache-fraction", type=float, default=0.0,
-        help="DistDGL static feature cache: pin this fraction of the "
-             "hottest vertices per worker (ignored by distgnn)",
-    )
+    _add_config_arguments(group, _COMM, listed=listed)
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "observability (see docs/observability.md)"
     )
-    group.add_argument(
-        "--obs-level", default="off", choices=obs.LEVELS,
-        help="telemetry level: off (default), metrics, trace",
-    )
+    _add_config_arguments(group, _OBS)
     group.add_argument(
         "--obs-out", default=None,
         help="JSONL output path: trace events (at trace level) plus a "
@@ -216,28 +277,6 @@ def _finish_obs(args) -> None:
         )
     obs.reset()
     obs.disable()
-
-
-def _fault_config(args) -> Optional[FaultConfig]:
-    """Build a FaultConfig from CLI flags; None when no rate is set."""
-    config = FaultConfig(
-        crash_rate=args.fault_rate,
-        slowdown_rate=args.slowdown_rate,
-        loss_rate=args.loss_rate,
-        checkpoint_every=args.checkpoint_every,
-        seed=args.fault_seed,
-    )
-    return config if config else None
-
-
-def _comm_config(args) -> Optional[CommConfig]:
-    """Build a CommConfig from CLI flags; None at the defaults."""
-    config = CommConfig(
-        compression=args.compression,
-        refresh_interval=args.refresh_interval,
-        cache_fraction=args.cache_fraction,
-    )
-    return config if config else None
 
 
 def _comm_rows(record) -> List[tuple]:
@@ -455,13 +494,12 @@ def _cmd_engine(args) -> int:
     engine = ENGINES[args.command]
     mode, engine_rows = _ENGINE_REPORTS[args.command]
     graph = _load_graph(args)
-    params = _model_params(args)
-    if args.command == "distdgl":
-        params = params.with_(
-            arch=args.arch, global_batch_size=args.batch_size
-        )
-    fault_config = _fault_config(args)
-    comm_config = _comm_config(args)
+    params = (
+        _config(args, _MODEL, _DISTDGL_MODEL) if args.command == "distdgl"
+        else _config(args, _MODEL)
+    )
+    fault_config = _config(args, _FAULT)
+    comm_config = _config(args, _COMM)
     record, baseline = (
         engine.run(
             graph, name, args.machines, params, seed=args.seed,
@@ -489,28 +527,6 @@ def _cmd_engine(args) -> int:
     return 0
 
 
-def _comm_configs(args) -> List[Optional[CommConfig]]:
-    """Expand ``repro sweep``'s comm lists into the cross product.
-
-    An all-default grid collapses to ``[None]`` so the baseline sweep
-    takes the exact pre-comm code path (bit-identical records).
-    """
-    configs = list(comm_grid(
-        compressions=tuple(
-            s.strip() for s in args.compression.split(",") if s.strip()
-        ),
-        refresh_intervals=tuple(
-            int(s) for s in args.refresh_interval.split(",") if s.strip()
-        ),
-        cache_fractions=tuple(
-            float(s) for s in args.cache_fraction.split(",") if s.strip()
-        ),
-    ))
-    if len(configs) == 1 and not configs[0]:
-        return [None]
-    return configs
-
-
 def _cmd_sweep(args) -> int:
     """Run the paper's full Table 3 sweep and persist the records as JSON.
 
@@ -535,8 +551,8 @@ def _cmd_sweep(args) -> int:
     configuration in the cross product, records carry the
     ``comm_config`` that produced them plus traffic-saved / codec-time /
     staleness accounting, and a per-codec traffic summary is printed at
-    the end. The defaults (``none``, ``1``, ``0``) leave the sweep
-    byte-identical to a pre-comm run.
+    the end. At their defaults the sweep is byte-identical to a
+    pre-comm run.
 
     ``--obs-level metrics`` (or ``trace``) collects telemetry during the
     sweep (see ``docs/observability.md``): every record gains a
@@ -568,26 +584,29 @@ def _cmd_sweep(args) -> int:
     from .serve import SweepJobSpec
 
     graphs = [g.strip().upper() for g in args.graphs.split(",")]
-    grid = list(reduced_grid() if args.quick else parameter_grid())
-    fault_config = _fault_config(args)
-    comm_configs = _comm_configs(args)
-    comm_sweep = any(c is not None for c in comm_configs)
-    # Refuse a bad graph or machine count before the bus opens or obs
-    # is configured: the job specs the serve daemon would admit for this
-    # sweep carry the same checks and messages.
+    grid = tuple(reduced_grid() if args.quick else parameter_grid())
+    fault_config = _config(args, _FAULT)
+    comm_configs = list(comm_grid(*_listed(args, _COMM)))
+    if len(comm_configs) == 1 and not comm_configs[0]:
+        # The all-default grid takes the exact pre-comm code path.
+        comm_configs = [None]
+    # One job spec per graph x comm x engine, as the serve daemon would
+    # admit them: they refuse a bad graph or machine count before the
+    # bus opens or obs is configured, and they are what the sweep runs.
     try:
         machines = [int(k) for k in args.machines.split(",")]
-        for key in graphs:
-            for comm in comm_configs:
-                for name, engine in ENGINES.items():
-                    SweepJobSpec(
-                        engine=name, graph=key,
-                        partitioners=engine.partitioner_names,
-                        machine_counts=tuple(machines),
-                        params=tuple(grid), scale=args.scale,
-                        seed=args.seed, num_epochs=args.epochs,
-                        fault=fault_config, comm=comm,
-                    )
+        specs = [
+            SweepJobSpec(
+                engine=name, graph=key,
+                partitioners=engine.partitioner_names,
+                machine_counts=tuple(machines), params=grid,
+                scale=args.scale, seed=args.seed,
+                num_epochs=args.epochs, fault=fault_config, comm=comm,
+            )
+            for key in graphs
+            for comm in comm_configs
+            for name, engine in ENGINES.items()
+        ]
     except ValueError as error:
         print(error, file=sys.stderr)
         return 1
@@ -595,7 +614,7 @@ def _cmd_sweep(args) -> int:
         f"sweep: graphs={graphs} machines={machines} "
         f"configs={len(grid)} scale={args.scale}"
     )
-    if comm_sweep:
+    if comm_configs != [None]:
         print(
             "comm: "
             + ", ".join(c.label() for c in comm_configs)
@@ -640,11 +659,8 @@ def _cmd_sweep(args) -> int:
     bus = None
     if args.bus_out:
         bus = BusWriter(args.bus_out, "coordinator")
-        cells_per_graph = len(comm_configs) * len(machines) * sum(
-            len(engine.partitioner_names) for engine in ENGINES.values()
-        )
         bus.sweep_start(
-            len(graphs) * cells_per_graph,
+            sum(spec.num_cells for spec in specs),
             graphs=graphs, machine_counts=machines,
             configs=len(grid),
         )
@@ -676,31 +692,26 @@ def _cmd_sweep(args) -> int:
     aborted = None
     cell_offset = 0
     try:
-        for key in graphs:
-            graph = load_dataset(key, args.scale, seed=args.seed)
-            for comm in comm_configs:
-                tag = f" [{comm.label()}]" if comm is not None else ""
-                for name, engine in ENGINES.items():
-                    start = time.time()
-                    records[name].extend(
-                        run_grid(
-                            name, graph, engine.partitioner_names,
-                            machines, grid, seed=args.seed,
-                            workers=workers, fault_config=fault_config,
-                            num_epochs=args.epochs,
-                            bus_dir=args.bus_out,
-                            cell_callback=cell_callback,
-                            cell_offset=cell_offset, comm_config=comm,
-                            profile_dir=args.profile_out,
-                        )
-                    )
-                    cell_offset += (
-                        len(machines) * len(engine.partitioner_names)
-                    )
-                    print(
-                        f"{key}: {engine.label} grid{tag} done in "
-                        f"{time.time() - start:.0f}s"
-                    )
+        for spec in specs:
+            graph = load_dataset(spec.graph, spec.scale, seed=spec.seed)
+            start = time.time()
+            records[spec.engine].extend(
+                run_grid(
+                    spec.engine, graph, spec.partitioners,
+                    spec.machine_counts, spec.params, seed=spec.seed,
+                    workers=workers, fault_config=spec.fault,
+                    num_epochs=spec.num_epochs,
+                    bus_dir=args.bus_out, cell_callback=cell_callback,
+                    cell_offset=cell_offset, comm_config=spec.comm,
+                    profile_dir=args.profile_out,
+                )
+            )
+            cell_offset += spec.num_cells
+            tag = "" if spec.comm is None else f" [{spec.comm.label()}]"
+            print(
+                f"{spec.graph}: {ENGINES[spec.engine].label} grid{tag} "
+                f"done in {time.time() - start:.0f}s"
+            )
     except SweepAborted as error:
         aborted = error
     finally:
@@ -769,7 +780,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_amortize(args) -> int:
     graph = _load_graph(args)
-    params = _model_params(args)
+    params = _config(args, _MODEL)
     baseline = run_distgnn(
         graph, "random", args.machines, params, seed=args.seed
     )
@@ -812,7 +823,7 @@ def _cmd_recommend(args) -> int:
     from .experiments import recommend_edge_partitioner
 
     graph = _load_graph(args)
-    params = _model_params(args)
+    params = _config(args, _MODEL)
     recommendation = recommend_edge_partitioner(
         graph, args.machines, args.epochs, params=params, seed=args.seed
     )
@@ -1186,6 +1197,28 @@ def _cmd_obs(args) -> int:
     return _OBS_COMMANDS[args.obs_command](args)
 
 
+def _add_monitor_arguments(parser, until: str, rules: str, summary: str):
+    """The frame-loop flags ``obs watch`` and ``obs top`` share."""
+    parser.add_argument(
+        "--ticks", type=int, default=None,
+        help=f"render exactly N frames then exit (default: until {until})",
+    )
+    parser.add_argument(
+        "--interval", type=float, default=1.0,
+        help="seconds between frames (default: 1.0)",
+    )
+    parser.add_argument(
+        "--once", action="store_true",
+        help="render a single frame and exit",
+    )
+    parser.add_argument("--rules", default=None, help=rules)
+    parser.add_argument(
+        "--no-ansi", action="store_true",
+        help="never emit ANSI clear codes (append frames instead)",
+    )
+    parser.add_argument("--summary-json", default=None, help=summary)
+
+
 def _add_obs_subcommands(sub) -> None:
     """Attach the ``repro obs`` command group."""
     obs_parser = sub.add_parser(
@@ -1241,32 +1274,12 @@ def _add_obs_subcommands(sub) -> None:
         "bus_dir",
         help="bus directory (repro sweep --bus-out DIR)",
     )
-    watch.add_argument(
-        "--ticks", type=int, default=None,
-        help="render exactly N frames then exit "
-             "(default: until the sweep completes)",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=1.0,
-        help="seconds between frames (default: 1.0)",
-    )
-    watch.add_argument(
-        "--once", action="store_true",
-        help="render a single frame over the current bus state and exit",
-    )
-    watch.add_argument(
-        "--rules", default=None,
-        help="alert-rules JSON evaluated over streamed records "
-             "(see docs/live.md)",
-    )
-    watch.add_argument(
-        "--no-ansi", action="store_true",
-        help="never emit ANSI clear codes (append frames instead)",
-    )
-    watch.add_argument(
-        "--summary-json", default=None,
-        help="write the analysis report of the streamed records here "
-             "on exit (the bytes repro sweep --analysis-out writes)",
+    _add_monitor_arguments(
+        watch, "the sweep completes",
+        rules="alert-rules JSON evaluated over streamed records "
+              "(see docs/live.md)",
+        summary="write the analysis report of the streamed records here "
+                "on exit (the bytes repro sweep --analysis-out writes)",
     )
 
     top = obs_sub.add_parser(
@@ -1278,31 +1291,12 @@ def _add_obs_subcommands(sub) -> None:
         "url",
         help="daemon base URL, e.g. http://127.0.0.1:8642",
     )
-    top.add_argument(
-        "--ticks", type=int, default=None,
-        help="render exactly N frames then exit (default: forever)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="seconds between frames (default: 1.0)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="render a single frame and exit",
-    )
-    top.add_argument(
-        "--rules", default=None,
-        help="alert-rules JSON evaluated over the daemon's /metrics "
-             "totals (see examples/serve_rules.json)",
-    )
-    top.add_argument(
-        "--no-ansi", action="store_true",
-        help="never emit ANSI clear codes (append frames instead)",
-    )
-    top.add_argument(
-        "--summary-json", default=None,
-        help="write the final fetched status (healthz/queue/totals) "
-             "JSON here on exit",
+    _add_monitor_arguments(
+        top, "interrupted",
+        rules="alert-rules JSON evaluated over the daemon's /metrics "
+              "totals (see examples/serve_rules.json)",
+        summary="write the final fetched status (healthz/queue/totals) "
+                "JSON here on exit",
     )
 
     profile = obs_sub.add_parser(
@@ -1360,14 +1354,14 @@ def _add_obs_subcommands(sub) -> None:
     pdiff.add_argument("base", help="baseline profile artifact JSON")
     pdiff.add_argument("new", help="candidate profile artifact JSON")
     pdiff.add_argument(
-        "--threshold", type=float, default=0.10,
+        "--threshold", type=float, default=DEFAULT_THRESHOLD,
         help="relative cumtime growth that flags a function "
-             "(default: 0.10)",
+             "(default: %(default)s)",
     )
     pdiff.add_argument(
-        "--min-seconds", type=float, default=0.001,
+        "--min-seconds", type=float, default=DEFAULT_MIN_SECONDS,
         help="absolute cumtime growth floor in seconds "
-             "(default: 0.001)",
+             "(default: %(default)s)",
     )
     pdiff.add_argument(
         "--top", type=int, default=15,
@@ -1471,24 +1465,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_arguments(partition)
 
-    distgnn = sub.add_parser("distgnn", help="simulate full-batch training")
-    _add_graph_arguments(distgnn)
-    _add_model_arguments(distgnn)
-    _add_fault_arguments(distgnn)
-    _add_comm_arguments(distgnn)
-    _add_obs_arguments(distgnn)
-    distgnn.add_argument("--partitioner", default="hep100")
-
-    distdgl = sub.add_parser("distdgl", help="simulate mini-batch training")
-    _add_graph_arguments(distdgl)
-    _add_model_arguments(distdgl)
-    _add_fault_arguments(distdgl)
-    _add_comm_arguments(distdgl)
-    _add_obs_arguments(distdgl)
-    distdgl.add_argument("--partitioner", default="metis")
-    distdgl.add_argument("--arch", default="sage",
-                         choices=("sage", "gcn", "gat"))
-    distdgl.add_argument("--batch-size", type=int, default=64)
+    for command, help, partitioner in (
+        ("distgnn", "simulate full-batch training", "hep100"),
+        ("distdgl", "simulate mini-batch training", "metis"),
+    ):
+        engine = sub.add_parser(command, help=help)
+        _add_run_arguments(engine)
+        _add_fault_arguments(engine)
+        _add_comm_arguments(engine)
+        _add_obs_arguments(engine)
+        engine.add_argument("--partitioner", default=partitioner)
+        if command == "distdgl":
+            _add_config_arguments(engine, _DISTDGL_MODEL)
 
     sweep = sub.add_parser(
         "sweep",
@@ -1501,8 +1489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--machines", default=",".join(str(k) for k in MACHINE_COUNTS)
     )
-    sweep.add_argument("--scale", default="small",
-                       choices=("tiny", "small", "medium"))
+    sweep.add_argument("--scale", default="small", choices=DATASET_SCALES)
     sweep.add_argument("--out", default=".")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
@@ -1510,15 +1497,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes for the grid fan-out (0 = one per CPU, 1 = serial)",
     )
     _add_fault_arguments(sweep)
-    sweep.add_argument("--compression", default="none",
-                       help="comma list of codecs to sweep "
-                            "(none, fp16, int8, topk)")
-    sweep.add_argument("--refresh-interval", default="1",
-                       help="comma list of cd-r halo refresh intervals "
-                            "(1 = sync every epoch)")
-    sweep.add_argument("--cache-fraction", default="0",
-                       help="comma list of DistDGL feature-cache "
-                            "fractions in [0, 1)")
+    _add_comm_arguments(sweep, listed=True)
     _add_obs_arguments(sweep)
     sweep.add_argument("--analysis-out", default=None,
                        help="write an analysis report JSON for the sweep "
@@ -1544,20 +1523,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop the sweep (exit 2) when a rule fires "
                             "at or above this severity")
 
-    amortize = sub.add_parser(
-        "amortize", help="amortization analysis (paper RQ-5)"
-    )
-    _add_graph_arguments(amortize)
-    _add_model_arguments(amortize)
-    amortize.add_argument("--epochs", type=int, default=100)
-
-    recommend = sub.add_parser(
-        "recommend",
-        help="advise a partitioner via a cheap sampled-subgraph study",
-    )
-    _add_graph_arguments(recommend)
-    _add_model_arguments(recommend)
-    recommend.add_argument("--epochs", type=int, default=100)
+    for command, help in (
+        ("amortize", "amortization analysis (paper RQ-5)"),
+        ("recommend",
+         "advise a partitioner via a cheap sampled-subgraph study"),
+    ):
+        study = sub.add_parser(command, help=help)
+        _add_run_arguments(study)
+        study.add_argument("--epochs", type=int, default=100)
 
     _add_obs_subcommands(sub)
 

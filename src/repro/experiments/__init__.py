@@ -56,7 +56,7 @@ from .cells import (
     run_distgnn_grid_parallel,
     run_grid,
 )
-from .executor import CellExecutor, CellTask, execute_cells, fifo_schedule
+from .executor import CellExecutor, CellTask, execute_cells
 from .records import DistDglRecord, DistGnnRecord
 from .report import format_series, format_table
 from .runner import (
@@ -103,7 +103,6 @@ __all__ = [
     "CellTask",
     "CellExecutor",
     "execute_cells",
-    "fifo_schedule",
     "speedup_vs_random",
     "epochs_to_amortize",
     "amortization_table",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from ..cluster import FaultPlan, RecoveryPolicy
 from ..comm import CommConfig, comm_grid
@@ -146,32 +146,22 @@ class FaultConfig:
         )
 
 
-def parameter_grid(
-    arch: str = "sage",
-    feature_sizes: Optional[Sequence[int]] = None,
-    hidden_dims: Optional[Sequence[int]] = None,
-    layer_counts: Optional[Sequence[int]] = None,
-) -> Iterator[TrainingParams]:
-    """The full Table 3 cross product (27 configurations per arch)."""
+def parameter_grid() -> Iterator[TrainingParams]:
+    """The full Table 3 cross product (27 configurations)."""
     for feature, hidden, layers in product(
-        feature_sizes or FEATURE_SIZES,
-        hidden_dims or HIDDEN_DIMENSIONS,
-        layer_counts or LAYER_COUNTS,
+        FEATURE_SIZES, HIDDEN_DIMENSIONS, LAYER_COUNTS
     ):
         yield TrainingParams(
-            feature_size=feature,
-            hidden_dim=hidden,
-            num_layers=layers,
-            arch=arch,
+            feature_size=feature, hidden_dim=hidden, num_layers=layers
         )
 
 
-def reduced_grid(arch: str = "sage") -> Iterator[TrainingParams]:
+def reduced_grid() -> Iterator[TrainingParams]:
     """A corner-covering subset of the grid for quick benchmark runs:
     all three values of each dimension appear while the others stay at
     their middle value, plus the extreme corners.
     """
-    base = TrainingParams(arch=arch)
+    base = TrainingParams()
     seen = set()
     candidates = [base]
     for feature in FEATURE_SIZES:

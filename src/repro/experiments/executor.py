@@ -25,12 +25,6 @@ Three layers, smallest first:
   with the task list, fire ``cell_callback(task.index, result)`` in
   task order, and on any exception (a cell's or the callback's) cancel
   the rest promptly and re-raise.
-
-Scheduling is pluggable: ``schedule(tasks)`` returns a permutation of
-``range(len(tasks))`` giving the *submission* order. Results and
-callbacks always follow task order regardless of the schedule, so a
-reordering schedule can improve pool utilisation (e.g. longest cell
-first) without changing observable results — the default is FIFO.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ __all__ = [
     "CellTask",
     "CellExecutor",
     "execute_cells",
-    "fifo_schedule",
 ]
 
 
@@ -77,11 +70,6 @@ class CellTask:
         with obs.span("executor.cell"):
             with profiling.profile_scope("executor.cell"):
                 return self.fn(*self.args)
-
-
-def fifo_schedule(tasks: Sequence[CellTask]) -> List[int]:
-    """The default schedule: submit cells in task-list order."""
-    return list(range(len(tasks)))
 
 
 class CellExecutor:
@@ -197,7 +185,6 @@ def execute_cells(
     tasks: Sequence[CellTask],
     workers: Optional[int] = None,
     cell_callback: Optional[Callable[[int, object], None]] = None,
-    schedule: Optional[Callable[[Sequence[CellTask]], Sequence[int]]] = None,
 ) -> List:
     """Run every task and return results aligned with the task list.
 
@@ -206,46 +193,23 @@ def execute_cells(
     callbacks, which is what lets alert rules abort deterministically.
     Any exception (from a cell or the callback) cancels all pending
     cells promptly and propagates.
-
-    ``schedule`` permutes the submission order only (see module docs);
-    it must return a permutation of ``range(len(tasks))``.
     """
-    tasks = list(tasks)
-    order = list((schedule or fifo_schedule)(tasks))
-    if sorted(order) != list(range(len(tasks))):
-        raise ValueError(
-            "schedule must return a permutation of range(len(tasks)), "
-            f"got {order!r} for {len(tasks)} tasks"
-        )
-    results: List = [None] * len(tasks)
-    finished = [False] * len(tasks)
-    flushed = 0
+    results: List = []
 
-    def flush() -> None:
-        """Fire callbacks for the finished prefix, in task order."""
-        nonlocal flushed
-        while flushed < len(tasks) and finished[flushed]:
-            if cell_callback is not None:
-                cell_callback(
-                    tasks[flushed].index, results[flushed]
-                )
-            flushed += 1
+    def finish(task: CellTask, result) -> None:
+        results.append(result)
+        if cell_callback is not None:
+            cell_callback(task.index, result)
 
     executor = CellExecutor(workers)
     if executor.inline:
         # No pool to cancel: an exception simply stops the loop before
         # later cells start, which is already the prompt abort.
-        for position in order:
-            results[position] = tasks[position].run()
-            finished[position] = True
-            flush()
+        for task in tasks:
+            finish(task, task.run())
         return results
     with executor:
-        handles: List[Optional[CellHandle]] = [None] * len(tasks)
-        for position in order:
-            handles[position] = executor.submit(tasks[position])
-        for position in range(len(tasks)):
-            results[position] = handles[position].result()
-            finished[position] = True
-            flush()
+        handles = [executor.submit(task) for task in tasks]
+        for handle in handles:
+            finish(handle.task, handle.result())
     return results

@@ -9,7 +9,13 @@ from .chunkstore import (
     spool_graph,
 )
 from .csr import Graph, build_csr, sorted_unique
-from .datasets import DATASET_KEYS, DatasetSpec, dataset_specs, load_dataset
+from .datasets import (
+    DATASET_KEYS,
+    DATASET_SCALES,
+    DatasetSpec,
+    dataset_specs,
+    load_dataset,
+)
 from .generators import (
     affiliation_graph,
     powerlaw_cluster_graph,
@@ -33,6 +39,7 @@ __all__ = [
     "spool_graph",
     "rmat_edge_chunks",
     "DATASET_KEYS",
+    "DATASET_SCALES",
     "DatasetSpec",
     "dataset_specs",
     "load_dataset",

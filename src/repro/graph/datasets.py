@@ -35,20 +35,20 @@ from .generators import (
 __all__ = [
     "CACHE_CAPACITY",
     "DATASET_KEYS",
+    "DATASET_SCALES",
     "DatasetSpec",
     "load_dataset",
     "dataset_specs",
 ]
 
 DATASET_KEYS = ("HW", "DI", "EN", "EU", "OR")
+DATASET_SCALES = ("tiny", "small", "medium")
 
 #: Entries kept by each per-process cache keyed on a generated graph:
 #: the graphs here, their partitions (``repro.experiments.cache``) and
 #: the serve daemon's train splits. Generous for one sweep's working
 #: set while bounding a long-running process.
 CACHE_CAPACITY = 128
-
-_SCALES = ("tiny", "small", "medium")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,10 @@ class DatasetSpec:
 
     def generate(self, scale: str = "small", seed: int = 0) -> Graph:
         """Instantiate the synthetic graph at ``scale`` with ``seed``."""
-        if scale not in _SCALES:
-            raise ValueError(f"unknown scale {scale!r}; pick one of {_SCALES}")
+        if scale not in DATASET_SCALES:
+            raise ValueError(
+                f"unknown scale {scale!r}; pick one of {DATASET_SCALES}"
+            )
         graph = self.generator(scale, seed)
         graph.name = self.key
         return graph

@@ -49,7 +49,6 @@ class HepPartitioner(EdgePartitioner):
         num_partitions: int,
         seed: int,
     ) -> np.ndarray:
-        rng = np.random.default_rng(seed)
         degrees = graph.degrees().astype(np.int64)
         threshold = self.tau * max(degrees.mean(), 1.0)
         high_vertex = degrees > threshold
@@ -86,10 +85,12 @@ class HepPartitioner(EdgePartitioner):
         # Stream hub edges (plus any NE leftovers) through HDRF seeded with
         # the in-memory assignment, so the scorer sees existing replicas.
         stream_ids = np.concatenate([high_ids, leftovers])
+        if stream_ids.size == 0:
+            return assignment
         state = HdrfState(graph.num_vertices, num_partitions)
         placed = assignment >= 0
         state.seed_from(edges[placed], assignment[placed])
-        order = rng.permutation(stream_ids.shape[0])
+        order = np.random.default_rng(seed).permutation(stream_ids.shape[0])
         streamed = stream_ids[order]
         assignment[streamed] = state.place_edges(edges[streamed])
         return assignment

@@ -28,7 +28,7 @@ from ..experiments import (
     parameter_grid,
     reduced_grid,
 )
-from ..graph import DATASET_KEYS
+from ..graph import DATASET_KEYS, DATASET_SCALES
 
 __all__ = [
     "ENGINES",
@@ -46,7 +46,8 @@ JOB_STATES = (
     "queued", "running", "done", "failed", "cancelled", "aborted",
 )
 
-_GRAPH_SCALES = ("tiny", "small", "medium")
+#: The one spec field whose JSON key is not its name.
+_JSON_KEYS = {"machine_counts": "machines"}
 
 #: Named parameter grids a spec may ask for instead of listing params.
 _NAMED_GRIDS = ("reduced", "full")
@@ -101,10 +102,10 @@ class SweepJobSpec:
                 f"unknown graph {self.graph!r}; expected one of "
                 f"{tuple(DATASET_KEYS)}"
             )
-        if self.scale not in _GRAPH_SCALES:
+        if self.scale not in DATASET_SCALES:
             raise ValueError(
                 f"unknown scale {self.scale!r}; expected one of "
-                f"{_GRAPH_SCALES}"
+                f"{DATASET_SCALES}"
             )
         valid = ENGINE_TABLE[self.engine].partitioner_names
         if not self.partitioners:
@@ -154,12 +155,10 @@ class SweepJobSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SweepJobSpec":
         """Validate and build a spec from its JSON form."""
-        known = {
-            "engine", "graph", "partitioners", "machines", "params",
-            "scale", "seed", "num_epochs", "priority", "tenant",
-            "fault", "comm", "rules", "abort_on",
+        spec_fields = dataclasses.fields(cls)
+        unknown = set(data) - {
+            _JSON_KEYS.get(f.name, f.name) for f in spec_fields
         }
-        unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"job spec has unknown keys: {sorted(unknown)}"
@@ -191,20 +190,21 @@ class SweepJobSpec:
             if not isinstance(comm_data, Mapping):
                 raise ValueError("comm must be an object")
             comm = CommConfig(**comm_data)
-        machines = data.get("machines", ())
+        # Plain int / str fields the JSON leaves out keep their defaults.
+        plain = {
+            f.name: type(f.default)(data[f.name])
+            for f in spec_fields
+            if f.name in data and isinstance(f.default, (int, str))
+        }
         return cls(
             engine=str(data.get("engine", "")),
             graph=str(data.get("graph", "")).upper(),
             partitioners=tuple(
                 str(p) for p in data.get("partitioners", ())
             ),
-            machine_counts=tuple(int(k) for k in machines),
+            machine_counts=tuple(int(k) for k in data.get("machines", ())),
             params=params,
-            scale=str(data.get("scale", "tiny")),
-            seed=int(data.get("seed", 0)),
-            num_epochs=int(data.get("num_epochs", 1)),
-            priority=int(data.get("priority", 0)),
-            tenant=str(data.get("tenant", "default")),
+            **plain,
             fault=fault,
             comm=comm,
             rules=(

@@ -11,7 +11,6 @@ from repro.experiments import (
     CellExecutor,
     CellTask,
     execute_cells,
-    fifo_schedule,
 )
 
 
@@ -75,25 +74,6 @@ class TestExecuteCells:
             ),
         )
         assert seen == [(0, 2), (1, 4), (2, 6), (3, 8)]
-
-    def test_reversed_schedule_keeps_result_and_callback_order(self):
-        seen = []
-        results = execute_cells(
-            _tasks([1, 2, 3]), workers=1,
-            cell_callback=lambda index, result: seen.append(index),
-            schedule=lambda tasks: list(
-                reversed(range(len(tasks)))
-            ),
-        )
-        assert results == [2, 4, 6]
-        assert seen == [0, 1, 2]
-
-    def test_schedule_must_be_a_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            execute_cells(
-                _tasks([1, 2]), workers=1,
-                schedule=lambda tasks: [0, 0],
-            )
 
     def test_cell_exception_propagates(self):
         tasks = [CellTask(index=0, fn=_boom, args=(0,))]
@@ -206,7 +186,3 @@ class TestCellExecutor:
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             CellExecutor(workers=-1)
-
-
-def test_fifo_schedule_is_task_order():
-    assert fifo_schedule(_tasks([9, 9, 9])) == [0, 1, 2]

@@ -3,7 +3,8 @@
 One HEP partition of an ``OR``-like sweep graph at k = 32 builds the
 replica dicts and the incidence CSR of its refinement once, for all
 four passes, and each walk evaluates only a small share of the visits
-the full walks make (one per permuted entry and sweep). Counted with
+the full walks make (one per permuted entry and sweep). HEP builds an
+HDRF stream state only when some edge is left to stream. Counted with
 module-attribute wrappers and a generator proxy, so no wall clock is
 involved.
 """
@@ -13,9 +14,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.graph import powerlaw_cluster_graph
+from repro.graph import Graph, powerlaw_cluster_graph
 from repro.partitioning import HepPartitioner
-from repro.partitioning.vertexcut import refine
+from repro.partitioning.vertexcut import hep, refine
 
 #: Measured on this graph at seed 0: the edge walk pops 1 367 of 69 728
 #: permuted entries (2.0 %), the coalesce walk 237 of 3 264 (7.3 %).
@@ -48,6 +49,27 @@ def test_state_is_built_once_per_partition(graph, monkeypatch):
         counting(monkeypatch, refine, name, builds)
     HepPartitioner(tau=10.0).partition(graph, 32, seed=0)
     assert builds == {"_replica_counts": 1, "incidence": 1}
+
+
+@pytest.mark.parametrize("tau", [10.0, 100.0])
+def test_no_stream_state_when_nothing_streams(graph, monkeypatch, tau):
+    """No vertex of the sweep graph passes ``tau`` x the mean degree and
+    NE places every edge, so nothing is left to stream."""
+    builds = Counter()
+    counting(monkeypatch, hep, "HdrfState", builds)
+    HepPartitioner(tau=tau).partition(graph, 32, seed=0)
+    assert builds == {}
+
+
+def test_one_stream_state_for_hub_edges(monkeypatch):
+    """A hub of degree 200 against a mean degree of ~4 streams its edges."""
+    ring = [(v, v % 200 + 1) for v in range(1, 201)]
+    star = Graph(201, [(0, v) for v in range(1, 201)] + ring)
+    builds = Counter()
+    counting(monkeypatch, hep, "HdrfState", builds)
+    partition = HepPartitioner(tau=10.0).partition(star, 4, seed=0)
+    assert builds == {"HdrfState": 1}
+    assert (partition.assignment >= 0).all()
 
 
 def test_walks_visit_a_small_share_of_the_full_walks(graph, monkeypatch):

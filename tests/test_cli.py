@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.experiments import CellIO, CommConfig, TrainingParams, comm_grid
 
 
 def run(argv, capsys):
@@ -432,3 +436,81 @@ class TestSweepRefusals:
         assert stale.read_text() == '{"cells": 12, "kind": "sweep-start"}\n'
         assert not out.exists()
         assert obs_off.level() == "off"
+
+
+class TestConfigFlags:
+    """Every config-backed flag sets exactly its field; no flag leaves
+    the field's default (or the row's stated override)."""
+
+    #: A valid non-default value per config field.
+    VALUES = {
+        "feature_size": 32, "hidden_dim": 16, "num_layers": 2,
+        "arch": "gat", "global_batch_size": 8,
+        "crash_rate": 0.25, "slowdown_rate": 0.5, "loss_rate": 0.125,
+        "checkpoint_every": 2, "seed": 7,
+        "compression": "int8", "refresh_interval": 3,
+        "cache_fraction": 0.25, "obs_level": "trace",
+    }
+    ROWS = [
+        pytest.param(table, flag, id=flag.option)
+        for table in (cli._MODEL, cli._DISTDGL_MODEL, cli._FAULT,
+                      cli._COMM, cli._OBS)
+        for flag in table[1]
+    ]
+
+    @staticmethod
+    def parse(*argv):
+        return cli.build_parser().parse_args(["distdgl", *argv])
+
+    @pytest.mark.parametrize("table, flag", ROWS)
+    def test_flag_sets_exactly_its_field(self, table, flag):
+        value = self.VALUES[flag.field]
+        argv, values = [flag.option, str(value)], {flag.field: value}
+        if table is cli._FAULT and flag.field != "crash_rate":
+            # A fault config without a rate is off (None).
+            argv += ["--fault-rate", "1.0"]
+            values["crash_rate"] = 1.0
+        defaults = {f.field: d for f, _, d in cli._flags(table)}
+        config = cli._config(self.parse(*argv), table)
+        assert config == table[0](**{**defaults, **values})
+
+    @pytest.mark.parametrize("table, flag", ROWS)
+    def test_no_flag_gives_the_default(self, table, flag):
+        value = getattr(self.parse(), flag.option[2:].replace("-", "_"))
+        field_default = next(
+            f.default for f in fields(table[0]) if f.name == flag.field
+        )
+        assert value == (
+            field_default if flag.default is MISSING else flag.default
+        )
+
+    def test_default_configs(self):
+        args = self.parse()
+        assert cli._config(args, cli._MODEL) == TrainingParams()
+        assert cli._config(args, cli._MODEL, cli._DISTDGL_MODEL) == (
+            TrainingParams(global_batch_size=64)
+        )
+        assert cli._config(args, cli._FAULT) is None
+        assert cli._config(args, cli._COMM) is None
+        assert cli._config(args, cli._OBS) == CellIO()
+
+    def test_sweep_comm_lists_enumerate_in_comm_grid_order(self):
+        assert [flag.field for flag in cli._COMM[1]] == [
+            f.name for f in fields(CommConfig)
+        ]
+        args = cli.build_parser().parse_args([
+            "sweep", "--compression", "fp16, none", "--refresh-interval",
+            "2,1,", "--cache-fraction", "0.5,0",
+        ])
+        lists = cli._listed(args, cli._COMM)
+        assert lists == [["fp16", "none"], [2, 1], [0.5, 0.0]]
+        assert list(comm_grid(*lists)) == [
+            CommConfig(compression, interval, fraction)
+            for compression in ("fp16", "none")
+            for interval in (2, 1)
+            for fraction in (0.5, 0.0)
+        ]
+        defaults = cli.build_parser().parse_args(["sweep"])
+        assert list(comm_grid(*cli._listed(defaults, cli._COMM))) == [
+            CommConfig()
+        ]

@@ -93,6 +93,23 @@ def test_distdgl_cell_that_stopped_replaying_fails(
     )
 
 
+def test_fresh_pass_takes_the_baseline_entrys_repeats(
+    check_perf, monkeypatch, tmp_path
+):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({
+        "schema": 2, "baseline": None,
+        "history": [{**_report(), "repeats": 1}, {**_report(), "repeats": 3}],
+    }))
+    calls = []
+    monkeypatch.setattr(
+        check_perf, "run_bench",
+        lambda **kwargs: calls.append(kwargs) or _report(),
+    )
+    assert check_perf.main(["--baseline", str(path)]) == 0
+    assert [call["repeats"] for call in calls] == [3]
+
+
 @pytest.mark.perf
 def test_no_kernel_regressed_beyond_threshold():
     env = dict(os.environ)
