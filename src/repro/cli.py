@@ -32,7 +32,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -112,13 +112,12 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 class _Flag(NamedTuple):
     """A flag that sets one config field, which gives it its type and
-    default; ``default`` states a CLI default that deliberately differs."""
+    default."""
 
     option: str
     field: str
     help: Optional[str] = None
     choices: Optional[Tuple[str, ...]] = None
-    default: object = MISSING
 
 
 #: ``(config class, flags)`` tables; a new config field costs one row.
@@ -127,11 +126,10 @@ _MODEL = (TrainingParams, (
     _Flag("--hidden-dim", "hidden_dim"),
     _Flag("--num-layers", "num_layers"),
 ))
-#: DistDGL's own model flags. ``--batch-size`` has defaulted to 64 since
-#: the first version of the CLI, while sweeps use the field's 16.
+#: DistDGL's own model flags.
 _DISTDGL_MODEL = (TrainingParams, (
     _Flag("--arch", "arch", choices=("sage", "gcn", "gat")),
-    _Flag("--batch-size", "global_batch_size", default=64),
+    _Flag("--batch-size", "global_batch_size"),
 ))
 _FAULT = (FaultConfig, (
     _Flag("--fault-rate", "crash_rate",
@@ -168,9 +166,7 @@ def _flags(table):
     config, flags = table
     defaults = {f.name: f.default for f in fields(config)}
     for flag in flags:
-        yield flag, flag.option[2:].replace("-", "_"), (
-            defaults[flag.field] if flag.default is MISSING else flag.default
-        )
+        yield flag, flag.option[2:].replace("-", "_"), defaults[flag.field]
 
 
 def _add_config_arguments(parser, table, listed=False) -> None:

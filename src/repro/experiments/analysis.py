@@ -58,14 +58,12 @@ class DistributionSummary:
 def summarize(
     records: Sequence,
     metric: Callable[[object], float],
-    group_by: Callable[[object], Tuple] = lambda r: (
-        r.graph, r.partitioner, r.num_machines,
-    ),
 ) -> Dict[Tuple, DistributionSummary]:
-    """Group records and summarize ``metric`` per group."""
+    """Summarize ``metric`` per (graph, partitioner, k)."""
     groups: Dict[Tuple, list] = {}
-    for record in records:
-        groups.setdefault(group_by(record), []).append(metric(record))
+    for r in records:
+        key = (r.graph, r.partitioner, r.num_machines)
+        groups.setdefault(key, []).append(metric(r))
     return {
         key: DistributionSummary.from_values(values)
         for key, values in groups.items()
@@ -104,17 +102,14 @@ def record_speedups(
             yield r, reference / r.epoch_seconds
 
 
-def speedup_summary(
-    records: Sequence,
-    baseline: str = "random",
-) -> Dict[Tuple, DistributionSummary]:
-    """Speedup-over-baseline distributions per (graph, partitioner, k).
+def speedup_summary(records: Sequence) -> Dict[Tuple, DistributionSummary]:
+    """Speedup-over-random distributions per (graph, partitioner, k).
 
-    Every record's baseline (see :func:`record_speedups`) must be
-    present in ``records``.
+    Every record's ``random`` baseline (see :func:`record_speedups`)
+    must be present in ``records``.
     """
     groups: Dict[Tuple, list] = {}
-    for r, speedup in record_speedups(records, baseline, strict=True):
+    for r, speedup in record_speedups(records, strict=True):
         key = (r.graph, r.partitioner, r.num_machines)
         groups.setdefault(key, []).append(speedup)
     return {

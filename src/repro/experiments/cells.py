@@ -33,10 +33,10 @@ record in its export form (:func:`~.export.record_to_dict`), so the
 watcher analyses the very records the sweep saves. Cell indices are
 global submission order
 (``cell_offset`` threads the running index across multiple grid
-invocations of one sweep). Worker-process writers are closed by the
-``atexit`` hook :class:`~repro.obs.live.bus.BusWriter` registers; the
-coordinator closes its own when the grid returns, so back-to-back
-sweeps in one process never share a stream or its cseq state.
+invocations of one sweep). Each cell opens its process's stream and
+closes it when the cell ends, so a warm pool worker (or the coordinator)
+carries no file handle or cseq state into the next sweep; the stream
+file is appended to, so nothing is lost between cells.
 
 With ``cell_callback`` set, the coordinator invokes it as
 ``callback(cell_index, records)`` for every finished cell *in
@@ -146,24 +146,6 @@ class CellIO:
     profile_out: Optional[str] = None
 
 
-#: Per-process bus writers, keyed by bus directory: a process reuses
-#: one stream file (and one cseq state) across all its cells. Writers
-#: register an atexit close (pool teardown flushes them); the
-#: coordinator closes and evicts its own when :func:`run_grid` returns.
-_BUS_WRITERS: Dict[str, object] = {}
-
-
-def _bus_writer(bus_dir: str):
-    """The process-local :class:`~repro.obs.live.bus.BusWriter`."""
-    writer = _BUS_WRITERS.get(bus_dir)
-    if writer is None:
-        from ..obs.live.bus import BusWriter
-
-        writer = BusWriter(bus_dir, f"pid{os.getpid()}")
-        _BUS_WRITERS[bus_dir] = writer
-    return writer
-
-
 def _cell_obs(
     obs_level: str,
     trace_out: Optional[str],
@@ -228,7 +210,11 @@ def run_cell(
     engine = ENGINES[spec.engine]
     extra = {"split": split} if engine.needs_split else {}
     finish_obs = _cell_obs(io.obs_level, io.trace_out, io.trace_ctx)
-    writer = _bus_writer(io.bus_dir) if io.bus_dir else None
+    writer = None
+    if io.bus_dir:
+        from ..obs.live.bus import BusWriter
+
+        writer = BusWriter(io.bus_dir)
     started = time.perf_counter()
     if writer:
         writer.cell_start(
@@ -255,12 +241,14 @@ def run_cell(
             "span-end", "serve.cell", cell=io.cell,
             seconds=round(time.perf_counter() - started, 9),
         )
+        if writer:
+            writer.cell_done(
+                io.cell, len(records), time.perf_counter() - started
+            )
     finally:
         finish_obs()
-    if writer:
-        writer.cell_done(
-            io.cell, len(records), time.perf_counter() - started
-        )
+        if writer:
+            writer.close()
     return records
 
 
@@ -312,22 +300,13 @@ def run_grid(
                     ),
                 ),
             ),
+            cost_key=(spec.engine, spec.partitioner, spec.num_machines),
         )
         for cell, spec in enumerate(specs, start=cell_offset)
     ]
-    try:
-        cell_results = execute_cells(
-            tasks, workers=workers, cell_callback=cell_callback
-        )
-    finally:
-        # Close and evict the stream inline cells wrote in this process:
-        # it is flushed deterministically, and the next sweep — possibly
-        # into a different bus directory — starts from a fresh writer
-        # with fresh cseq state instead of silently sharing the old one.
-        # (Pool workers close theirs via the writer's atexit hook.)
-        writer = _BUS_WRITERS.pop(bus_dir, None)
-        if writer is not None:
-            writer.close()
+    cell_results = execute_cells(
+        tasks, workers=workers, cell_callback=cell_callback
+    )
     return [
         record for cell_records in cell_results for record in cell_records
     ]

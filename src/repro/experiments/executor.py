@@ -13,8 +13,8 @@ Three layers, smallest first:
 * :class:`CellTask` — a picklable description of one cell: an ordinal
   ``index`` (the identity handed to callbacks and the telemetry bus), a
   module-level function and its arguments.
-* :class:`CellExecutor` — submit/collect over a lazily-created process
-  pool, falling back to inline execution for ``workers <= 1``.
+* :class:`CellExecutor` — submit/collect over its own lazily-created
+  process pool, falling back to inline execution for ``workers <= 1``.
   :meth:`CellExecutor.cancel` uses ``shutdown(wait=False,
   cancel_futures=True)``, so an abort drops every not-yet-started cell
   and returns immediately instead of blocking until running cells
@@ -25,15 +25,28 @@ Three layers, smallest first:
   with the task list, fire ``cell_callback(task.index, result)`` in
   task order, and on any exception (a cell's or the callback's) cancel
   the rest promptly and re-raise.
+
+:func:`execute_cells` keeps one warm pool per worker count for the life
+of the process. A worker drops its partition cache and sampling traces
+at its first cell of each call, as a pool forked for that call would
+start; while this process caches partitions, each call forks a fresh
+pool, which is what hands them to the workers. Cells are submitted
+longest first by the service time their ``cost_key`` last took;
+results and callbacks stay in task order.
 """
 
 from __future__ import annotations
 
+import atexit
+import math
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+
+from .cache import cache_size, clear_cache
 
 __all__ = [
     "CellTask",
@@ -50,12 +63,14 @@ class CellTask:
     boundaries by pickle) returning the cell's result — for the grid
     runners, the cell's list of records. ``index`` is the cell's global
     ordinal: it is what ``cell_callback`` receives and what the
-    telemetry bus keys events on.
+    telemetry bus keys events on. :func:`execute_cells` submits first
+    the cells whose ``cost_key`` took longest before.
     """
 
     index: int
     fn: Callable
     args: Tuple = ()
+    cost_key: Optional[Hashable] = None
 
     def run(self):
         """Execute the cell inline and return its result.
@@ -181,6 +196,53 @@ class CellHandle:
         return True
 
 
+#: :func:`execute_cells`' warm pools, per worker count; the seconds a
+#: pooled cell of each cost key last took; and the number of the latest
+#: pooled call, which a worker forked during it inherits.
+_POOLS: Dict[Optional[int], CellExecutor] = {}
+_SERVICE_S: Dict[Hashable, float] = {}
+_CALL = 0
+
+
+def _pool(workers: Optional[int]) -> CellExecutor:
+    """The warm pool for ``workers``; a fresh one when it was cancelled
+    or when this process has cached partitions for the workers to fork."""
+    held = _POOLS.get(workers)
+    if held is not None and not held._cancelled and cache_size() == 0:
+        return held
+    if held is not None:
+        held.shutdown(wait=False)
+    _POOLS[workers] = CellExecutor(workers)
+    return _POOLS[workers]
+
+
+@atexit.register
+def _shutdown_pools() -> None:
+    for executor in _POOLS.values():
+        executor.shutdown()
+
+
+def _timed(call: int, fn: Callable, args: Tuple) -> Tuple[float, object]:
+    """Run one pooled cell of call ``call``, first dropping what this
+    worker cached in an earlier call; returns ``(seconds, result)``."""
+    global _CALL
+    if call != _CALL:
+        _CALL = call
+        clear_cache()
+    started = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - started, result
+
+
+def _submission_order(tasks: Sequence[CellTask]) -> List[int]:
+    """Task positions, longest first: cells whose cost key has no
+    recorded time in task order, then the rest by descending time."""
+    return sorted(
+        range(len(tasks)),
+        key=lambda i: -_SERVICE_S.get(tasks[i].cost_key, math.inf),
+    )
+
+
 def execute_cells(
     tasks: Sequence[CellTask],
     workers: Optional[int] = None,
@@ -194,6 +256,7 @@ def execute_cells(
     Any exception (from a cell or the callback) cancels all pending
     cells promptly and propagates.
     """
+    global _CALL
     results: List = []
 
     def finish(task: CellTask, result) -> None:
@@ -201,15 +264,27 @@ def execute_cells(
         if cell_callback is not None:
             cell_callback(task.index, result)
 
-    executor = CellExecutor(workers)
-    if executor.inline:
+    if CellExecutor(workers).inline:
         # No pool to cancel: an exception simply stops the loop before
         # later cells start, which is already the prompt abort.
         for task in tasks:
             finish(task, task.run())
         return results
-    with executor:
-        handles = [executor.submit(task) for task in tasks]
-        for handle in handles:
-            finish(handle.task, handle.result())
+    _CALL += 1
+    executor = _pool(workers)
+    handles: List = [None] * len(tasks)
+    try:
+        for i in _submission_order(tasks):
+            task = tasks[i]
+            handles[i] = executor.submit(
+                CellTask(task.index, _timed, (_CALL, task.fn, task.args))
+            )
+        for task, handle in zip(tasks, handles):
+            seconds, result = handle.result()
+            if task.cost_key is not None:
+                _SERVICE_S[task.cost_key] = seconds
+            finish(task, result)
+    except BaseException:
+        executor.cancel()
+        raise
     return results

@@ -37,18 +37,17 @@ def degree_skew(graph: Graph) -> float:
     return float(degrees.max() / mean) if mean > 0 else 0.0
 
 
-def clustering_sample(
-    graph: Graph, sample_size: int = 500, seed: int = 0
-) -> float:
-    """Approximate mean local clustering coefficient over a vertex sample."""
+def clustering_sample(graph: Graph, seed: int = 0) -> float:
+    """Approximate mean local clustering coefficient over a sample of
+    (at most) 500 vertices."""
     rng = np.random.default_rng(seed)
     indptr, indices = graph.symmetric_csr()
     degrees = np.diff(indptr)
     candidates = np.flatnonzero(degrees >= 2)
     if candidates.size == 0:
         return 0.0
-    if candidates.size > sample_size:
-        candidates = rng.choice(candidates, size=sample_size, replace=False)
+    if candidates.size > 500:
+        candidates = rng.choice(candidates, size=500, replace=False)
     neighbor_sets = {}
     total = 0.0
     for v in candidates:

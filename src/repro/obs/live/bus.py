@@ -51,7 +51,8 @@ deterministic merge order.
 
 Lifecycle. Writers are context managers, and every writer registers an
 :mod:`atexit` close so worker-process streams are flushed even when the
-pool tears the process down without unwinding; ``close`` is idempotent.
+pool tears the process down without unwinding; ``close`` is idempotent
+and drops the hook.
 """
 
 from __future__ import annotations
@@ -227,6 +228,7 @@ class BusWriter:
         """Flush and close the stream file (idempotent)."""
         self.closed = True
         self._sink.close()
+        atexit.unregister(self.close)
 
     def __enter__(self) -> "BusWriter":
         """Context-manager entry: the writer itself."""

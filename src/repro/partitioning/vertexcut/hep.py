@@ -122,21 +122,23 @@ def neighborhood_expansion(
     # Seeds are taken lowest-degree-first: NE grows best from the fringe.
     seed_order = np.argsort(degrees, kind="stable").tolist()
     seed_ptr = 0
+    n = num_vertices
     per_part_cap = max(int(low_ids.size / num_partitions), 1)
     target_cap = min(per_part_cap, cap)
 
     for part in range(num_partitions):
         load = 0
-        heap: list[tuple[int, int]] = []
+        # Int keys ``remaining * n + vertex``: (remaining, vertex) order.
+        heap: list[int] = []
         while load < target_cap:
             # Pop the boundary vertex with fewest unassigned edges.
             vertex = -1
             while heap:
-                key, candidate = heapq.heappop(heap)
+                count, candidate = divmod(heapq.heappop(heap), n)
                 if remaining[candidate] == 0:
                     continue
-                if key != remaining[candidate]:
-                    heapq.heappush(heap, (remaining[candidate], candidate))
+                if count != remaining[candidate]:
+                    heapq.heappush(heap, remaining[candidate] * n + candidate)
                     continue
                 vertex = candidate
                 break
@@ -160,7 +162,7 @@ def neighborhood_expansion(
                 remaining[u] -= 1
                 remaining[v] -= 1
                 if remaining[other] > 0:
-                    heapq.heappush(heap, (remaining[other], other))
+                    heapq.heappush(heap, remaining[other] * n + other)
             remaining[vertex] = 0
     assignment[low_ids] = owner
     return low_ids[assignment[low_ids] < 0]

@@ -285,14 +285,12 @@ class TestBusWriterLifecycle:
     def test_inline_sweep_flushes_and_evicts_writer(
         self, tiny_or, tmp_path
     ):
-        from repro.experiments.cells import _BUS_WRITERS
         from repro.obs.live import BusTailer
 
         bus = str(tmp_path / "bus")
         run_distgnn_grid_parallel(
             tiny_or, ["random"], [2], _grid(), workers=1, bus_dir=bus,
         )
-        assert bus not in _BUS_WRITERS  # closed and evicted per sweep
         events = BusTailer(bus).poll()
         kinds = [e["kind"] for e in events if e["kind"] != "heartbeat"]
         # Fully flushed: the complete cell lifecycle is on disk.
@@ -334,3 +332,31 @@ class TestBusWriterLifecycle:
         first_b = [e for e in events_b if e["cell"] == 0][0]
         assert first_a["cseq"] == 0
         assert first_b["cseq"] == 0
+
+    def test_pooled_sweeps_into_one_bus_restart_cseq(
+        self, tiny_or, tmp_path
+    ):
+        """Warm pool workers outlive a sweep but not their cells'
+        writers: a second sweep into the same bus directory writes each
+        cell's events once, numbered from 0 again."""
+        from repro.experiments import clear_cache
+        from repro.obs.live import BusTailer
+
+        clear_cache()  # nothing cached here: both sweeps share one pool
+        bus = str(tmp_path / "bus")
+        tailer = BusTailer(bus)
+        per_cell = list(range(2 + len(_grid())))
+        for _ in range(2):
+            run_distgnn_grid_parallel(
+                tiny_or, EDGE_NAMES, MACHINES, _grid(), workers=2,
+                bus_dir=bus,
+            )
+            cseqs = {}
+            for event in tailer.poll():
+                if event["kind"] != "heartbeat":
+                    cseqs.setdefault(event["cell"], []).append(
+                        event["cseq"]
+                    )
+            assert {
+                cell: sorted(seqs) for cell, seqs in cseqs.items()
+            } == {cell: per_cell for cell in range(4)}

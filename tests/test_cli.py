@@ -1,6 +1,6 @@
 """Tests for the command-line interface."""
 
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -440,7 +440,7 @@ class TestSweepRefusals:
 
 class TestConfigFlags:
     """Every config-backed flag sets exactly its field; no flag leaves
-    the field's default (or the row's stated override)."""
+    the field's default."""
 
     #: A valid non-default value per config field.
     VALUES = {
@@ -480,15 +480,13 @@ class TestConfigFlags:
         field_default = next(
             f.default for f in fields(table[0]) if f.name == flag.field
         )
-        assert value == (
-            field_default if flag.default is MISSING else flag.default
-        )
+        assert value == field_default
 
     def test_default_configs(self):
         args = self.parse()
         assert cli._config(args, cli._MODEL) == TrainingParams()
         assert cli._config(args, cli._MODEL, cli._DISTDGL_MODEL) == (
-            TrainingParams(global_batch_size=64)
+            TrainingParams()
         )
         assert cli._config(args, cli._FAULT) is None
         assert cli._config(args, cli._COMM) is None
