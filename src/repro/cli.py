@@ -564,10 +564,11 @@ def _cmd_sweep(args) -> int:
     ``repro obs profile-diff``. Profiled and unprofiled sweeps produce
     identical records.
 
-    ``--bus-out DIR`` streams live progress events onto a telemetry bus
-    (per-worker JSONL files; watch it from another terminal with
-    ``python -m repro obs watch DIR`` — see ``docs/live.md``); DIR must
-    not hold an earlier sweep's streams. ``--rules
+    ``--bus-out DIR`` publishes each finished cell onto a telemetry bus
+    (``DIR/events-coordinator.jsonl``, written by this process in cell
+    order; watch it from another terminal with ``python -m repro obs
+    watch DIR`` — see ``docs/live.md``); DIR must not hold an earlier
+    sweep's streams. ``--rules
     FILE`` evaluates a declarative alert-rule file against every finished
     cell's records; firings are printed (and pushed onto the bus) as
     findings, and ``--abort-on {warning,critical}`` stops the sweep early
@@ -663,26 +664,40 @@ def _cmd_sweep(args) -> int:
         print(f"bus: streaming to {args.bus_out} "
               f"(watch: python -m repro obs watch {args.bus_out})")
 
+    # Global cell index -> (graph, CellSpec), in run_grid's order.
+    cells = [
+        (spec.graph, cell) for spec in specs for cell in spec.cell_specs()
+    ]
     fired_alerts = []
-    cell_callback = None
-    if rules is not None:
-        def cell_callback(cell, cell_records):
-            firings = rules.evaluate_records(cell_records)
-            for index, finding in enumerate(firings):
-                if bus is not None:
-                    bus.finding(cell, index, finding)
-                print(
-                    f"  alert [{finding.severity}] {finding.message}"
-                )
-            fired_alerts.extend(firings)
-            if args.abort_on:
-                fatal = [
-                    f for f in firings
-                    if severity_at_least(f.severity, args.abort_on)
-                ]
-                if fatal:
-                    raise SweepAborted(fatal)
+    delivered = time.perf_counter()
 
+    def deliver(cell, cell_records):
+        """The coordinator's in-order callback: evaluate the rules,
+        publish the cell onto the bus, abort on a fatal firing."""
+        nonlocal delivered
+        firings = (
+            rules.evaluate_records(cell_records)
+            if rules is not None else []
+        )
+        if bus is not None:
+            # The ETA input: seconds since the previous delivery.
+            now = time.perf_counter()
+            bus.publish(
+                cell, *cells[cell], cell_records, now - delivered, firings
+            )
+            delivered = now
+        for finding in firings:
+            print(f"  alert [{finding.severity}] {finding.message}")
+        fired_alerts.extend(firings)
+        if args.abort_on:
+            fatal = [
+                f for f in firings
+                if severity_at_least(f.severity, args.abort_on)
+            ]
+            if fatal:
+                raise SweepAborted(fatal)
+
+    live = bus is not None or rules is not None
     workers = args.workers if args.workers > 0 else None
     records = {name: [] for name in ENGINES}
     aborted = None
@@ -697,7 +712,7 @@ def _cmd_sweep(args) -> int:
                     spec.machine_counts, spec.params, seed=spec.seed,
                     workers=workers, fault_config=spec.fault,
                     num_epochs=spec.num_epochs,
-                    bus_dir=args.bus_out, cell_callback=cell_callback,
+                    cell_callback=deliver if live else None,
                     cell_offset=cell_offset, comm_config=spec.comm,
                     profile_dir=args.profile_out,
                 )
@@ -1504,7 +1519,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the self-contained HTML dashboard")
     sweep.add_argument("--bus-out", default=None,
                        help="telemetry-bus directory (new or empty): "
-                            "stream live progress events for "
+                            "publish each finished cell for "
                             "`repro obs watch`")
     sweep.add_argument("--profile-out", default=None,
                        help="directory for per-cell cProfile artifacts "

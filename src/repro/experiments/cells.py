@@ -25,27 +25,19 @@ record-identical. Worker-process registries and trace sinks are per
 process and are not merged back — stream traces (``--obs-out``) from
 serial runs.
 
-Live telemetry: with ``bus_dir`` set, every process that runs cells
-appends cell-start/record-done/cell-done/heartbeat events to its own
-JSONL stream in the bus directory (see :mod:`repro.obs.live.bus`), which
-``repro obs watch`` tails. Each record-done event carries the finished
-record in its export form (:func:`~.export.record_to_dict`), so the
-watcher analyses the very records the sweep saves. Cell indices are
-global submission order
-(``cell_offset`` threads the running index across multiple grid
-invocations of one sweep). Each cell opens its process's stream and
-closes it when the cell ends, so a warm pool worker (or the coordinator)
-carries no file handle or cseq state into the next sweep; the stream
-file is appended to, so nothing is lost between cells.
+Live telemetry: cells write no bus events. ``repro sweep --bus-out``
+publishes each finished cell from the coordinator's ``cell_callback``,
+so a sweep's bus has one writer whatever the worker count. Cell indices
+are global submission order (``cell_offset`` threads the running index
+across multiple grid invocations of one sweep).
 
 With ``cell_callback`` set, the coordinator invokes it as
 ``callback(cell_index, records)`` for every finished cell *in
-submission order*; the callback raising (e.g.
-:class:`~repro.obs.live.rules.SweepAborted` from an alert rule)
-cancels all not-yet-started cells promptly — the executor drops them
-with ``shutdown(wait=False, cancel_futures=True)`` rather than waiting
-for running cells to drain — and propagates: the early-stop path of
-``repro sweep --abort-on``.
+submission order*; the callback raising (e.g. ``SweepAborted`` from an
+alert rule) cancels all not-yet-started cells promptly — the executor
+drops them with ``shutdown(wait=False, cancel_futures=True)`` rather
+than waiting for running cells to drain — and propagates: the
+early-stop path of ``repro sweep --abort-on``.
 """
 
 from __future__ import annotations
@@ -131,16 +123,15 @@ class CellSpec:
 class CellIO:
     """Where one cell's telemetry goes; never changes its records.
 
-    ``cell`` is the global cell ordinal the bus and profile artifacts
-    are keyed on. ``trace_out`` (a JSONL path) attaches a fresh trace
-    sink and ``trace_ctx`` stamps the ambient trace context (the serve
+    ``cell`` is the global cell ordinal the trace span and profile
+    artifact are keyed on. ``trace_out`` (a JSONL path) attaches a fresh
+    trace sink and ``trace_ctx`` stamps the ambient trace context (the serve
     daemon's ``job``/``tenant`` attribution); ``profile_out`` captures
     the cell under cProfile into that artifact path.
     """
 
     obs_level: str = "off"
     cell: int = -1
-    bus_dir: Optional[str] = None
     trace_out: Optional[str] = None
     trace_ctx: Optional[Dict[str, object]] = None
     profile_out: Optional[str] = None
@@ -210,22 +201,12 @@ def run_cell(
     engine = ENGINES[spec.engine]
     extra = {"split": split} if engine.needs_split else {}
     finish_obs = _cell_obs(io.obs_level, io.trace_out, io.trace_ctx)
-    writer = None
-    if io.bus_dir:
-        from ..obs.live.bus import BusWriter
-
-        writer = BusWriter(io.bus_dir)
     started = time.perf_counter()
-    if writer:
-        writer.cell_start(
-            io.cell, spec.engine, graph.name, spec.partitioner,
-            spec.num_machines, len(spec.grid),
-        )
     try:
         obs.event("span-begin", "serve.cell", cell=io.cell)
         records = []
         with _cell_profile(io.profile_out, io.cell):
-            for index, params in enumerate(spec.grid):
+            for params in spec.grid:
                 record = engine.run(
                     graph, spec.partitioner, spec.num_machines, params,
                     seed=spec.seed, cost_model=spec.cost_model,
@@ -234,21 +215,12 @@ def run_cell(
                     comm_config=spec.comm_config, **extra,
                 )
                 records.append(record)
-                if writer:
-                    writer.record_done(io.cell, index, record)
-                    writer.heartbeat()
         obs.event(
             "span-end", "serve.cell", cell=io.cell,
             seconds=round(time.perf_counter() - started, 9),
         )
-        if writer:
-            writer.cell_done(
-                io.cell, len(records), time.perf_counter() - started
-            )
     finally:
         finish_obs()
-        if writer:
-            writer.close()
     return records
 
 
@@ -264,7 +236,6 @@ def run_grid(
     workers: Optional[int] = 1,
     fault_config: Optional[FaultConfig] = None,
     num_epochs: int = 1,
-    bus_dir: Optional[str] = None,
     cell_callback: Optional[Callable[[int, List], None]] = None,
     cell_offset: int = 0,
     comm_config: Optional[CommConfig] = None,
@@ -294,7 +265,7 @@ def run_grid(
             args=(
                 graph, split, spec,
                 CellIO(
-                    level, cell, bus_dir,
+                    level, cell,
                     profile_out=profile_dir and os.path.join(
                         profile_dir, f"profile-cell-{cell:06d}.json"
                     ),
@@ -361,7 +332,6 @@ def run_distgnn_grid_parallel(
     workers: Optional[int] = None,
     fault_config: Optional[FaultConfig] = None,
     num_epochs: int = 1,
-    bus_dir: Optional[str] = None,
     cell_callback: Optional[Callable[[int, List], None]] = None,
     cell_offset: int = 0,
     comm_config: Optional[CommConfig] = None,
@@ -371,7 +341,7 @@ def run_distgnn_grid_parallel(
     return run_grid(
         "distgnn", graph, partitioners, machine_counts, grid, seed=seed,
         cost_model=cost_model, workers=workers, fault_config=fault_config,
-        num_epochs=num_epochs, bus_dir=bus_dir,
+        num_epochs=num_epochs,
         cell_callback=cell_callback, cell_offset=cell_offset,
         comm_config=comm_config, profile_dir=profile_dir,
     )
@@ -388,7 +358,6 @@ def run_distdgl_grid_parallel(
     workers: Optional[int] = None,
     fault_config: Optional[FaultConfig] = None,
     num_epochs: int = 1,
-    bus_dir: Optional[str] = None,
     cell_callback: Optional[Callable[[int, List], None]] = None,
     cell_offset: int = 0,
     comm_config: Optional[CommConfig] = None,
@@ -398,7 +367,7 @@ def run_distdgl_grid_parallel(
     return run_grid(
         "distdgl", graph, partitioners, machine_counts, grid, split=split,
         seed=seed, cost_model=cost_model, workers=workers,
-        fault_config=fault_config, num_epochs=num_epochs, bus_dir=bus_dir,
+        fault_config=fault_config, num_epochs=num_epochs,
         cell_callback=cell_callback, cell_offset=cell_offset,
         comm_config=comm_config, profile_dir=profile_dir,
     )

@@ -13,13 +13,14 @@ Three layers, smallest first:
 * :class:`CellTask` — a picklable description of one cell: an ordinal
   ``index`` (the identity handed to callbacks and the telemetry bus), a
   module-level function and its arguments.
-* :class:`CellExecutor` — submit/collect over its own lazily-created
-  process pool, falling back to inline execution for ``workers <= 1``.
-  :meth:`CellExecutor.cancel` uses ``shutdown(wait=False,
-  cancel_futures=True)``, so an abort drops every not-yet-started cell
-  and returns immediately instead of blocking until running cells
-  drain (the old ``future.cancel()`` loop stalled ``--abort-on`` for a
-  whole cell).
+* :class:`CellExecutor` — submit (a :class:`~concurrent.futures.Future`
+  back) over its own lazily-created process pool, falling back to
+  inline execution for ``workers <= 1``. Pool workers exit once their
+  coordinator process is gone. :meth:`CellExecutor.cancel` uses
+  ``shutdown(wait=False, cancel_futures=True)``, so an abort drops
+  every not-yet-started cell and returns immediately instead of
+  blocking until running cells drain (the old ``future.cancel()`` loop
+  stalled ``--abort-on`` for a whole cell).
 * :func:`execute_cells` — the batch driver :func:`~.cells.run_grid`
   (and so ``repro sweep``) sits on: run every task, return results aligned
   with the task list, fire ``cell_callback(task.index, result)`` in
@@ -39,9 +40,10 @@ from __future__ import annotations
 
 import atexit
 import math
+import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -87,6 +89,24 @@ class CellTask:
                 return self.fn(*self.args)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the process that made the pool
+    (pid ``parent``) is gone, which the worker sees as a new parent.
+
+    A daemon thread polls ``os.getppid`` about once a second, so a
+    ``kill -9`` of the coordinator leaves no orphaned workers behind.
+    ``PR_SET_PDEATHSIG`` would not do: it fires when the *thread* that
+    forked dies, and the serve daemon forks from its runner threads.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 class CellExecutor:
     """Submit/collect wrapper over a process pool, with prompt aborts.
 
@@ -94,10 +114,6 @@ class CellExecutor:
     executes inline in the calling thread (no pool, no pickling). The
     pool is created lazily on the first parallel submission, so an
     executor constructed and never used costs nothing.
-
-    Use as a context manager for the common case: ``__exit__`` waits
-    for completion on the clean path and cancels promptly when exiting
-    on an exception.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -123,23 +139,38 @@ class CellExecutor:
         :class:`~concurrent.futures.process.BrokenProcessPool` and it
         refuses every later submission. Dropping it here means one dead
         worker costs the cells in flight, not the executor.
+
+        Every worker watches this process (:func:`_exit_with_parent`),
+        so killing the coordinator does not leave its pool behind.
         """
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = self._new_pool()
             try:
                 return self._pool.submit(task.fn, *task.args)
             except BrokenProcessPool:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = self._new_pool()
                 return self._pool.submit(task.fn, *task.args)
 
-    def submit(self, task: CellTask) -> "CellHandle":
-        """Submit one cell; inline executors run it before returning."""
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+
+    def submit(self, task: CellTask) -> Future:
+        """Submit one cell; an inline executor runs it before returning
+        an already resolved future."""
         if self._cancelled:
             raise RuntimeError("executor was cancelled")
-        if self.inline:
-            return CellHandle(task, result=task.run())
-        return CellHandle(task, future=self._pool_submit(task))
+        if not self.inline:
+            return self._pool_submit(task)
+        future: Future = Future()
+        try:
+            future.set_result(task.run())
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
     def cancel(self) -> None:
         """Abort promptly: drop every not-yet-started cell.
@@ -162,38 +193,6 @@ class CellExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
             self._pool = None
-
-    def __enter__(self) -> "CellExecutor":
-        """Context-manager entry: the executor itself."""
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Wait on the clean path; cancel promptly on an exception."""
-        if exc_type is not None:
-            self.cancel()
-        else:
-            self.shutdown(wait=True)
-
-
-class CellHandle:
-    """A submitted cell: resolves to its result (or raises its error)."""
-
-    def __init__(self, task: CellTask, future=None, result=None) -> None:
-        self.task = task
-        self._future = future
-        self._result = result
-
-    def result(self):
-        """Block until the cell finishes and return its result."""
-        if self._future is not None:
-            return self._future.result()
-        return self._result
-
-    def done(self) -> bool:
-        """True once the cell has finished (inline cells always have)."""
-        if self._future is not None:
-            return self._future.done()
-        return True
 
 
 #: :func:`execute_cells`' warm pools, per worker count; the seconds a

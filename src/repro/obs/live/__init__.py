@@ -3,17 +3,16 @@
 The offline obs stack records what a run *did*; this package streams
 what a sweep *is doing*. Three pieces:
 
-* :mod:`.bus` — an append-only JSONL event bus. Every sweep worker
-  writes heartbeat/progress events to its own per-process stream file
-  through the existing :class:`~repro.obs.sink.JsonlSink`;
-  :class:`~.bus.BusTailer` tails all streams incrementally (resumable
-  byte offsets, truncation-tolerant like
-  :func:`~repro.obs.sink.read_jsonl`) and merges them on a
-  deterministic ``(cell, cseq)`` key, so the merged *simulated* state is
-  identical whether the sweep ran serial or parallel.
+* :mod:`.bus` — an append-only JSONL event bus. The sweep's
+  coordinator (or the serve scheduler, for a job) is its one writer: it
+  publishes each delivered cell, in task order, through the existing
+  :class:`~repro.obs.sink.JsonlSink`, so the stream is identical
+  whether the sweep ran serial or parallel. :class:`~.bus.BusTailer`
+  tails it incrementally (resumable byte offsets, truncation-tolerant
+  like :func:`~repro.obs.sink.read_jsonl`).
 * :mod:`.watch` — ``repro obs watch <dir>``: a tick-driven, plain-ANSI
-  terminal monitor (injectable clock/stream, fully testable) showing
-  per-worker progress, an ETA from completed-cell times, the phase mix,
+  terminal monitor (injectable sleep/stream, fully testable) showing
+  cell progress, an ETA from the delivered cells' times, the phase mix,
   and streaming anomaly findings computed online with the same
   :mod:`repro.obs.analysis.anomaly` thresholds the post-hoc analyzer
   uses.

@@ -4,8 +4,9 @@
 model of the sweep: cells, alerts, and the finished records themselves,
 decoded from each ``record-done`` event with
 :func:`~repro.experiments.export.record_from_dict`. Every update is a
-keyed overwrite, so the state reached from a parallel sweep's
-interleaved streams equals the state from a serial sweep.
+keyed overwrite, so replaying or reordering events reaches the same
+state, and a parallel sweep's bus (which its coordinator writes in
+task order) folds to the state of a serial sweep's.
 
 Nothing here summarizes records on its own: the frame's findings and
 phase mix run the post-hoc functions
@@ -16,10 +17,10 @@ decoded records, and :meth:`WatchState.report` is
 :func:`~repro.obs.analysis.report.build_analysis_report` over them — the
 same bytes ``repro sweep --analysis-out`` writes for the same sweep.
 
-Rendering is a pure function (:func:`render_frame`) from state + clock
-to a plain-ANSI string, and :func:`watch_loop` drives it tick by tick
-with an injectable clock/sleep/output, so the whole monitor is testable
-without a terminal or a wall clock. The tick loop and the frame
+Rendering is a pure function (:func:`render_frame`) from state to a
+plain-ANSI string, and :func:`watch_loop` drives it tick by tick with
+an injectable sleep/output, so the whole monitor is testable without a
+terminal or a wall clock. The tick loop and the frame
 primitives (:func:`frame_loop`, :func:`bar`, :func:`finding_lines`) are
 shared with the daemon monitor in :mod:`.top`.
 """
@@ -36,7 +37,7 @@ from ..analysis.attribution import record_phase_totals
 from ..analysis.findings import AnalysisReport, Finding, sort_findings
 from ..analysis.load import RunData
 from ..analysis.report import build_analysis_report
-from .bus import WALL_ONLY_KINDS, BusTailer
+from .bus import BusTailer
 from .rules import RuleSet
 
 __all__ = [
@@ -63,16 +64,14 @@ class WatchState:
         self.thresholds = thresholds
         self.rules = rules
         self.total_cells: Optional[int] = None
-        #: cell index -> {engine, graph, partitioner, k, records_total,
-        #: records_done, status, worker, wall_seconds}
+        #: Finished cells: index -> {records_done, wall_seconds}, from
+        #: the cell's ``cell-done`` event.
         self.cells: Dict[int, Dict[str, object]] = {}
         #: (cell, index) -> the finished record, decoded once.
         self.records: Dict[Tuple[int, int], object] = {}
         #: Alert findings delivered over the bus (coordinator rules).
         self.bus_findings: List[Finding] = []
         self._bus_finding_keys: set = set()
-        #: worker id -> last wall-clock timestamp seen (liveness only).
-        self.workers: Dict[str, float] = {}
         #: Undecodable lines the tailer dropped (surfaced in the frame).
         self.skipped = 0
 
@@ -80,27 +79,8 @@ class WatchState:
     def apply(self, event: Dict[str, object]) -> None:
         """Fold one bus event in (idempotent keyed overwrite)."""
         kind = event.get("kind")
-        worker = event.get("worker")
-        t_wall = event.get("t_wall")
-        if worker is not None and t_wall is not None:
-            previous = self.workers.get(str(worker), 0.0)
-            self.workers[str(worker)] = max(previous, float(t_wall))
-        if kind in WALL_ONLY_KINDS:
-            return
         if kind == "sweep-start":
             self.total_cells = int(event.get("cells", 0))
-        elif kind == "cell-start":
-            cell = int(event.get("cell", -1))
-            entry = self.cells.setdefault(cell, {})
-            entry.update({
-                "engine": event.get("engine"),
-                "graph": event.get("graph"),
-                "partitioner": event.get("partitioner"),
-                "k": int(event.get("k", 0)),
-                "records_total": int(event.get("records_total", 0)),
-                "worker": worker,
-            })
-            entry.setdefault("status", "running")
         elif kind == "record-done":
             key = (int(event.get("cell", -1)), int(event.get("index", 0)))
             if key not in self.records:
@@ -108,13 +88,10 @@ class WatchState:
                     json.loads(event["record"])
                 )
         elif kind == "cell-done":
-            cell = int(event.get("cell", -1))
-            entry = self.cells.setdefault(cell, {})
-            entry["status"] = "done"
-            entry["records_done"] = int(event.get("records", 0))
-            entry["wall_seconds"] = float(
-                event.get("wall_seconds", 0.0)
-            )
+            self.cells[int(event.get("cell", -1))] = {
+                "records_done": int(event.get("records", 0)),
+                "wall_seconds": float(event.get("wall_seconds", 0.0)),
+            }
         elif kind == "finding":
             key = json.dumps(event.get("finding"), sort_keys=True)
             if key not in self._bus_finding_keys:
@@ -129,18 +106,9 @@ class WatchState:
             self.apply(event)
 
     # ----------------------------------------------------- derived view
-    def records_done(self, cell: int) -> int:
-        """Finished records of one cell (event count beats cell-done)."""
-        counted = sum(1 for c, _ in self.records if c == cell)
-        reported = int(self.cells.get(cell, {}).get("records_done", 0))
-        return max(counted, reported)
-
     def cells_done(self) -> int:
         """Cells whose ``cell-done`` event has arrived."""
-        return sum(
-            1 for entry in self.cells.values()
-            if entry.get("status") == "done"
-        )
+        return len(self.cells)
 
     def complete(self) -> bool:
         """True once every announced cell reported done."""
@@ -175,12 +143,7 @@ class WatchState:
         """Remaining-cells ETA from completed-cell wall times."""
         if self.total_cells is None:
             return None
-        walls = [
-            float(entry["wall_seconds"])
-            for entry in self.cells.values()
-            if entry.get("status") == "done"
-            and "wall_seconds" in entry
-        ]
+        walls = [entry["wall_seconds"] for entry in self.cells.values()]
         if not walls:
             return None
         remaining = max(self.total_cells - self.cells_done(), 0)
@@ -189,7 +152,7 @@ class WatchState:
     def report(self) -> AnalysisReport:
         """The analysis report of the records streamed so far: what
         ``repro sweep --analysis-out`` writes once the sweep is done
-        (wall clock, workers and alert firings stay out of it)."""
+        (wall clock and alert firings stay out of it)."""
         return build_analysis_report(RunData(
             label="sweep", records=self.sweep_records(),
             skipped_lines=self.skipped,
@@ -216,16 +179,8 @@ def finding_lines(findings: List[Finding], width: int) -> List[str]:
     return lines
 
 
-def render_frame(
-    state: WatchState,
-    now: Optional[float] = None,
-    width: int = 78,
-) -> str:
-    """Render one monitor frame as plain text (pure function).
-
-    ``now`` is a wall-clock timestamp (``time.time`` scale) used only
-    for heartbeat ages; omit it for a clockless frame.
-    """
+def render_frame(state: WatchState, width: int = 78) -> str:
+    """Render one monitor frame as plain text (pure function)."""
     lines: List[str] = []
     total = state.total_cells
     done = state.cells_done()
@@ -241,30 +196,6 @@ def render_frame(
     lines.append(header)
     if total:
         lines.append("[" + bar(done / total, min(width - 2, 60)) + "]")
-
-    # Per-worker liveness + current cell.
-    running = {
-        entry.get("worker"): (cell, entry)
-        for cell, entry in sorted(state.cells.items())
-        if entry.get("status") == "running"
-    }
-    for worker in sorted(state.workers):
-        age = ""
-        if now is not None:
-            age = f" (seen {max(now - state.workers[worker], 0.0):.0f}s ago)"
-        cell_entry = running.get(worker)
-        if cell_entry is not None:
-            cell, entry = cell_entry
-            progress = state.records_done(cell)
-            label = (
-                f"cell {cell}: {entry.get('engine')}"
-                f"/{entry.get('graph')}/{entry.get('partitioner')}"
-                f"/k={entry.get('k')}"
-                f" [{progress}/{entry.get('records_total', '?')}]"
-            )
-        else:
-            label = "idle"
-        lines.append(f"  {worker}: {label}{age}")
 
     mix = record_phase_totals(state.sweep_records())
     total_seconds = sum(mix.values())
@@ -331,7 +262,6 @@ def watch_loop(
     ticks: Optional[int] = None,
     interval: float = 1.0,
     out: Optional[TextIO] = None,
-    clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
     ansi: bool = True,
     stop_when_complete: bool = True,
@@ -341,8 +271,8 @@ def watch_loop(
     Each tick polls the tailer, folds the new events, and writes one
     frame to ``out`` (prefixed with an ANSI clear when ``ansi``). Runs
     for ``ticks`` ticks, or until the sweep completes when ``ticks`` is
-    ``None``; inject ``clock``/``sleep``/``out`` to test without a
-    terminal or wall clock.
+    ``None``; inject ``sleep``/``out`` to test without a terminal or
+    wall clock.
     """
     state = state or WatchState()
 
@@ -352,7 +282,7 @@ def watch_loop(
         return stop_when_complete and state.complete()
 
     frame_loop(
-        poll, lambda: render_frame(state, now=clock()),
-        ticks, interval, out, sleep, ansi,
+        poll, lambda: render_frame(state), ticks, interval, out, sleep,
+        ansi,
     )
     return state

@@ -58,11 +58,11 @@ class JsonlSink(EventSink):
 
     The file is opened lazily on the first event and written in UTF-8.
     The handle is *line-buffered*: each event reaches the OS as a single
-    append of one complete newline-terminated line, so multiple
-    processes appending to the same file (the telemetry bus does this
-    per worker; a shared file also works on POSIX ``O_APPEND``
-    semantics) never interleave partial lines. :meth:`close` flushes and
-    further events are dropped (never raised).
+    append of one complete newline-terminated line, so a reader tailing
+    the file (the telemetry bus's) never sees a half-flushed event, and
+    processes appending to one file (POSIX ``O_APPEND`` semantics) never
+    interleave partial lines. :meth:`close` flushes and further events
+    are dropped (never raised).
     """
 
     def __init__(self, path: str) -> None:

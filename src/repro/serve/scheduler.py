@@ -21,9 +21,10 @@ to a fresh run.
 Execution rides the extracted
 :class:`~repro.experiments.executor.CellExecutor`: ``workers`` runner
 threads each drive one cell at a time (inline for ``workers <= 1``,
-through a process pool otherwise). Per-job progress is replayed onto a
-per-job telemetry bus directory, so ``repro obs watch <job>/bus``
-works unchanged against a running job.
+through a process pool otherwise). Each cell delivered to a job is
+published onto the job's telemetry bus by the scheduler, its one
+writer, so ``repro obs watch <job>/bus`` works unchanged against a
+running job.
 
 Memory is bounded everywhere a burst could grow it: the pending-cell
 queue (admission control), the completed-cell result cache (LRU), the
@@ -520,34 +521,24 @@ class SweepScheduler:
             cell=local, seconds=round(wall, 9),
             records=len(records),
         )
-        cell = job.cells[local]
+        ruleset = self._rulesets.get(job_id)
+        firings = (
+            ruleset.evaluate_records(records) if ruleset is not None else []
+        )
+        job.findings.extend(finding.to_dict() for finding in firings)
         writer = self._buses.get(job_id)
         if writer is not None:
-            graph_name = records[0].graph if records else spec.graph
-            writer.cell_start(
-                local, spec.engine, graph_name, cell.partitioner,
-                cell.num_machines, len(cell.grid),
+            writer.publish(
+                local, spec.graph, job.cells[local], records, wall, firings
             )
-            for index, record in enumerate(records):
-                writer.record_done(local, index, record)
-            writer.cell_done(local, len(records), wall)
-        ruleset = self._rulesets.get(job_id)
-        if ruleset is not None:
-            firings = ruleset.evaluate_records(records)
-            for index, finding in enumerate(firings):
-                job.findings.append(finding.to_dict())
-                if writer is not None:
-                    writer.finding(local, index, finding)
-            if spec.abort_on and any(
-                severity_at_least(f.severity, spec.abort_on)
-                for f in firings
-            ):
-                self._abort_job(
-                    job, "aborted",
-                    "alert rule fired at or above "
-                    f"{spec.abort_on!r}",
-                )
-                return
+        if spec.abort_on and any(
+            severity_at_least(f.severity, spec.abort_on) for f in firings
+        ):
+            self._abort_job(
+                job, "aborted",
+                f"alert rule fired at or above {spec.abort_on!r}",
+            )
+            return
         if all(r is not None for r in job.results):
             self._complete_job(job)
 

@@ -1,6 +1,10 @@
 """Unit tests for the extracted cell executor."""
 
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
@@ -40,6 +44,17 @@ def _sleep_while_exists(flag_path):
             return "released"
         time.sleep(0.05)
     return "timed out"
+
+
+#: A coordinator that leaves a warm two-worker pool behind, prints the
+#: workers' pids and blocks on stdin until it is killed.
+_COORDINATOR = """
+import multiprocessing, sys
+from repro.experiments import CellTask, execute_cells
+execute_cells([CellTask(i, abs, (i,)) for i in range(2)], workers=2)
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+sys.stdin.read()
+"""
 
 
 def _tasks(values):
@@ -127,9 +142,13 @@ class TestExecuteCells:
 class TestCellExecutor:
     def test_inline_submit_resolves_immediately(self):
         executor = CellExecutor(workers=1)
-        handle = executor.submit(CellTask(index=0, fn=_double, args=(4,)))
-        assert handle.done()
-        assert handle.result() == 8
+        future = executor.submit(CellTask(index=0, fn=_double, args=(4,)))
+        assert future.done()
+        assert future.result() == 8
+        failed = executor.submit(CellTask(index=1, fn=_boom, args=(1,)))
+        assert failed.done()
+        with pytest.raises(RuntimeError, match="exploded"):
+            failed.result()
 
     def test_submit_after_cancel_raises(self):
         executor = CellExecutor(workers=1)
@@ -165,24 +184,59 @@ class TestCellExecutor:
         finally:
             os.remove(flag)
 
-    def test_context_manager_waits_on_clean_exit(self):
-        with CellExecutor(workers=2) as executor:
-            handles = [
-                executor.submit(CellTask(index=i, fn=_double, args=(i,)))
-                for i in range(3)
-            ]
-        assert [h.result() for h in handles] == [0, 2, 4]
-
     def test_dead_worker_does_not_poison_the_executor(self):
         """A worker dying breaks its pool for good; the executor must
         replace it instead of failing every later submit."""
-        with CellExecutor(workers=2) as executor:
+        executor = CellExecutor(workers=2)
+        try:
             doomed = executor.submit(CellTask(index=0, fn=_die, args=(0,)))
             with pytest.raises(BrokenProcessPool):
                 doomed.result()
             after = executor.submit(CellTask(index=1, fn=_double, args=(4,)))
             assert after.result() == 8
+        finally:
+            executor.shutdown()
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             CellExecutor(workers=-1)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "pidfd_open"), reason="needs Linux pidfds"
+)
+def test_pool_workers_exit_with_a_killed_coordinator():
+    """SIGKILL a coordinator holding a warm pool: both workers exit
+    within 10 s instead of living on, reparented, as orphans."""
+    src = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir,
+        "src",
+    )
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    pidfds = []
+    try:
+        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(pids) == 2
+        pidfds = [os.pidfd_open(pid) for pid in pids]
+        coordinator.kill()
+        coordinator.wait()
+        deadline = time.monotonic() + 10.0
+        for fd in pidfds:
+            # A pidfd turns readable when its process exits.
+            remaining = max(deadline - time.monotonic(), 0.0)
+            assert select.select([fd], [], [], remaining)[0], (
+                "a pool worker outlived its coordinator"
+            )
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        coordinator.stdin.close()
+        coordinator.stdout.close()
+        for fd in pidfds:
+            if not select.select([fd], [], [], 0)[0]:
+                signal.pidfd_send_signal(fd, signal.SIGTERM)
+            os.close(fd)

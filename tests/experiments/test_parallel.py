@@ -242,23 +242,30 @@ class TestCellCallback:
         assert seen == [0, 1]  # later cells never reach the callback
 
     def test_bus_plus_callback_on_serial_path(self, tiny_or, tmp_path):
-        """workers=1 with live features drives the same per-cell
-        helpers in-process: records stay identical to the serial grid
-        and the bus carries every record."""
-        from repro.obs.live import BusTailer
+        """workers=1 with a callback publishing onto a bus, as
+        ``repro sweep --bus-out`` does: records stay identical to the
+        serial grid and the bus carries every record."""
+        from repro.experiments import CellSpec
+        from repro.obs.live import BusTailer, BusWriter
 
-        seen = []
-        records = run_distgnn_grid_parallel(
-            tiny_or, EDGE_NAMES, [2], _grid(), seed=0, workers=1,
-            bus_dir=str(tmp_path),
-            cell_callback=lambda cell, recs: seen.append(cell),
+        specs = CellSpec.expand(
+            "distgnn", EDGE_NAMES, [2], _grid(), seed=0, num_epochs=1
         )
+        with BusWriter(str(tmp_path), "coordinator") as bus:
+            records = run_distgnn_grid_parallel(
+                tiny_or, EDGE_NAMES, [2], _grid(), seed=0, workers=1,
+                cell_callback=lambda cell, recs: bus.publish(
+                    cell, tiny_or.name, specs[cell], recs, 0.0
+                ),
+            )
         serial = run_distgnn_grid(
             tiny_or, EDGE_NAMES, [2], _grid(), seed=0
         )
         assert records == serial
-        assert seen == [0, 1]
         events = BusTailer(str(tmp_path)).poll()
+        assert [e["cell"] for e in events if e["kind"] == "cell-done"] == [
+            0, 1,
+        ]
         done = [e for e in events if e["kind"] == "record-done"]
         assert len(done) == len(serial)
 
@@ -277,86 +284,3 @@ def test_record_order_is_serial_order(tiny_or):
     ]
     got = [(r.num_machines, r.partitioner) for r in records]
     assert got == expected
-
-
-class TestBusWriterLifecycle:
-    """The in-process sweep path must close (flush) its bus writer."""
-
-    def test_inline_sweep_flushes_and_evicts_writer(
-        self, tiny_or, tmp_path
-    ):
-        from repro.obs.live import BusTailer
-
-        bus = str(tmp_path / "bus")
-        run_distgnn_grid_parallel(
-            tiny_or, ["random"], [2], _grid(), workers=1, bus_dir=bus,
-        )
-        events = BusTailer(bus).poll()
-        kinds = [e["kind"] for e in events if e["kind"] != "heartbeat"]
-        # Fully flushed: the complete cell lifecycle is on disk.
-        assert kinds == (
-            ["cell-start"] + ["record-done"] * len(_grid())
-            + ["cell-done"]
-        )
-
-    def test_back_to_back_sweeps_use_fresh_streams(
-        self, tiny_or, tmp_path
-    ):
-        from repro.obs.live import BusTailer
-
-        bus_a = str(tmp_path / "bus_a")
-        bus_b = str(tmp_path / "bus_b")
-        run_distgnn_grid_parallel(
-            tiny_or, ["random"], [2], _grid(), workers=1,
-            bus_dir=bus_a,
-        )
-        run_distgnn_grid_parallel(
-            tiny_or, ["random", "hdrf"], [2], _grid(), workers=1,
-            bus_dir=bus_b,
-        )
-        events_a = [
-            e for e in BusTailer(bus_a).poll()
-            if e["kind"] != "heartbeat"
-        ]
-        events_b = [
-            e for e in BusTailer(bus_b).poll()
-            if e["kind"] != "heartbeat"
-        ]
-        # No cross-contamination: each dir holds exactly its own
-        # sweep, and the second writer's cseq state restarted fresh.
-        assert len(events_a) == 2 + len(_grid())
-        assert len(events_b) == 2 * (2 + len(_grid()))
-        assert {e["cell"] for e in events_a} == {0}
-        assert {e["cell"] for e in events_b} == {0, 1}
-        first_a = [e for e in events_a if e["cell"] == 0][0]
-        first_b = [e for e in events_b if e["cell"] == 0][0]
-        assert first_a["cseq"] == 0
-        assert first_b["cseq"] == 0
-
-    def test_pooled_sweeps_into_one_bus_restart_cseq(
-        self, tiny_or, tmp_path
-    ):
-        """Warm pool workers outlive a sweep but not their cells'
-        writers: a second sweep into the same bus directory writes each
-        cell's events once, numbered from 0 again."""
-        from repro.experiments import clear_cache
-        from repro.obs.live import BusTailer
-
-        clear_cache()  # nothing cached here: both sweeps share one pool
-        bus = str(tmp_path / "bus")
-        tailer = BusTailer(bus)
-        per_cell = list(range(2 + len(_grid())))
-        for _ in range(2):
-            run_distgnn_grid_parallel(
-                tiny_or, EDGE_NAMES, MACHINES, _grid(), workers=2,
-                bus_dir=bus,
-            )
-            cseqs = {}
-            for event in tailer.poll():
-                if event["kind"] != "heartbeat":
-                    cseqs.setdefault(event["cell"], []).append(
-                        event["cseq"]
-                    )
-            assert {
-                cell: sorted(seqs) for cell, seqs in cseqs.items()
-            } == {cell: per_cell for cell in range(4)}

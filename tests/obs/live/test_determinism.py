@@ -1,33 +1,23 @@
 """The live bus carries the sweep's records, and the watch summary is
 the sweep's analysis report.
 
-Tailing the bus of a ``--workers N`` sweep and folding it through
-:class:`WatchState` yields the records the sweep saved, equal field for
-field, and ``repro obs watch --summary-json`` writes the same bytes as
-``repro sweep --analysis-out`` — serial, parallel, and across graphs
-and comm configs.
+A sweep's coordinator is its bus's one writer, so the bus of a
+``--workers N`` sweep is the serial sweep's event for event (wall clock
+aside). Folding it through :class:`WatchState` yields the records the
+sweep saved, equal field for field, and ``repro obs watch
+--summary-json`` writes the same bytes as ``repro sweep
+--analysis-out`` — serial, parallel, and across graphs and comm
+configs.
 """
+
+import os
 
 import pytest
 
-from repro import cli, obs
-from repro.experiments import (
-    load_records,
-    reduced_grid,
-    run_distdgl_grid_parallel,
-    run_distgnn_grid_parallel,
-)
-from repro.graph import random_split
+from repro import cli
+from repro.experiments import load_records
 from repro.obs.analysis import RunData, build_analysis_report
 from repro.obs.live import BusTailer, WatchState
-
-EDGE_NAMES = ["random", "hdrf"]
-VERTEX_NAMES = ["random", "ldg"]
-MACHINES = [2, 4]
-
-
-def _grid():
-    return list(reduced_grid())[:2]
 
 
 def _watch(bus_dir):
@@ -36,59 +26,74 @@ def _watch(bus_dir):
     return state
 
 
-def test_distgnn_bus_parallel_matches_serial(tiny_or, tmp_path):
-    runs = {}
-    for workers in (1, 2):
-        obs.enable()
-        try:
-            runs[workers] = run_distgnn_grid_parallel(
-                tiny_or, EDGE_NAMES, MACHINES, _grid(), seed=0,
-                workers=workers, bus_dir=str(tmp_path / str(workers)),
-            )
-        finally:
-            obs.reset()
-            obs.disable()
-    serial = _watch(tmp_path / "1")
-    parallel = _watch(tmp_path / "2")
-    assert len(serial.records) == len(MACHINES) * len(EDGE_NAMES) * 2
-    assert parallel.records == serial.records
-    assert serial.sweep_records() == runs[1]
-    assert parallel.report().to_json() == serial.report().to_json()
+@pytest.fixture(scope="module")
+def sweeps(tmp_path_factory):
+    """One tiny sweep, run serial (``1/``) and with two workers
+    (``2/``), each publishing to its own bus."""
+    root = tmp_path_factory.mktemp("sweeps")
+    for workers in ("1", "2"):
+        assert cli.main([
+            "sweep", "--quick", "--graphs", "OR", "--machines", "2",
+            "--scale", "tiny", "--obs-level", "metrics",
+            "--workers", workers, "--out", str(root / workers),
+            "--bus-out", str(root / workers / "bus"),
+        ]) == 0
+    return root
 
 
-def test_distdgl_bus_parallel_matches_serial(tiny_or, tmp_path):
-    split = random_split(tiny_or, seed=0)
-    for workers in (1, 2):
-        obs.enable()
-        try:
-            run_distdgl_grid_parallel(
-                tiny_or, VERTEX_NAMES, [2], _grid(), split=split, seed=0,
-                workers=workers, bus_dir=str(tmp_path / str(workers)),
-            )
-        finally:
-            obs.reset()
-            obs.disable()
-    serial = _watch(tmp_path / "1")
-    parallel = _watch(tmp_path / "2")
-    assert parallel.records == serial.records
-    assert parallel.report().to_json() == serial.report().to_json()
+def _wall_free_events(bus_dir):
+    """The bus's events, in file order, without wall-clock fields."""
+    events = BusTailer(str(bus_dir)).poll()
+    for event in events:
+        event.pop("t_wall", None)
+        event.pop("wall_seconds", None)
+    return events
 
 
-def test_streamed_findings_match_posthoc_analysis(tiny_or, tmp_path):
+def test_bus_is_the_same_for_any_worker_count(sweeps):
+    for workers in ("1", "2"):
+        assert os.listdir(sweeps / workers / "bus") == [
+            "events-coordinator.jsonl"
+        ]
+    serial = _wall_free_events(sweeps / "1" / "bus")
+    assert serial == _wall_free_events(sweeps / "2" / "bus")
+    kinds = [event["kind"] for event in serial]
+    assert kinds.count("cell-done") == serial[0]["cells"] == 12
+
+
+def _bus_records_match(sweeps, engine):
+    """One engine's records off the parallel sweep's bus equal those off
+    the serial sweep's bus and those the sweep saved."""
+    serial, parallel = (
+        [
+            record for record in _watch(sweeps / w / "bus").sweep_records()
+            if record.engine == engine
+        ]
+        for w in ("1", "2")
+    )
+    assert serial
+    assert parallel == serial
+    assert parallel == load_records(sweeps / "2" / f"sweep_{engine}.json")
+
+
+def test_distgnn_bus_parallel_matches_serial(sweeps):
+    _bus_records_match(sweeps, "distgnn")
+
+
+def test_distdgl_bus_parallel_matches_serial(sweeps):
+    _bus_records_match(sweeps, "distdgl")
+
+
+def test_streamed_findings_match_posthoc_analysis(sweeps):
     """The online detector over the streamed records reproduces the
-    post-hoc detector over the actual records, float for float."""
+    post-hoc detector over the saved records, float for float."""
     from repro.obs.analysis import detect_record_anomalies, sort_findings
 
-    obs.enable()
-    try:
-        records = run_distgnn_grid_parallel(
-            tiny_or, EDGE_NAMES, MACHINES, _grid(), seed=0,
-            workers=2, bus_dir=str(tmp_path / "bus"),
-        )
-    finally:
-        obs.reset()
-        obs.disable()
-    state = _watch(tmp_path / "bus")
+    records = [
+        record for engine in ("distgnn", "distdgl")
+        for record in load_records(sweeps / "2" / f"sweep_{engine}.json")
+    ]
+    state = _watch(sweeps / "2" / "bus")
     streamed = [f.to_dict() for f in state.findings()]
     posthoc = [
         f.to_dict()

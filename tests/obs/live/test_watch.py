@@ -14,15 +14,15 @@ from ..conftest import gnn_record
 
 
 def sweep_start(cells):
-    return {"kind": "sweep-start", "cell": -1, "cseq": 0,
-            "cells": cells, "t_wall": 10.0, "worker": "coord"}
+    return {"kind": "sweep-start", "cell": -1,
+            "cells": cells, "t_wall": 10.0, "worker": "coordinator"}
 
 
-def cell_start(cell, worker="w0", partitioner="hdrf", k=4):
-    return {"kind": "cell-start", "cell": cell, "cseq": 0,
+def cell_start(cell, partitioner="hdrf", k=4):
+    return {"kind": "cell-start", "cell": cell,
             "engine": "distgnn", "graph": "OR",
             "partitioner": partitioner, "k": k, "records_total": 2,
-            "worker": worker, "t_wall": 11.0}
+            "worker": "coordinator", "t_wall": 11.0}
 
 
 def finished_record(cell, epoch=1.5):
@@ -37,15 +37,16 @@ def record_done(cell, index, epoch=1.5):
     """A record-done event as a bus writer emits it."""
     record = record_to_dict(finished_record(cell, epoch))
     return {
-        "kind": "record-done", "cell": cell, "cseq": 1 + index,
-        "index": index, "worker": "w0",
+        "kind": "record-done", "cell": cell,
+        "index": index, "worker": "coordinator",
         "record": json.dumps(record, separators=(",", ":")),
     }
 
 
 def cell_done(cell, records=2, wall=3.0):
-    return {"kind": "cell-done", "cell": cell, "cseq": 10,
-            "records": records, "wall_seconds": wall, "worker": "w0"}
+    return {"kind": "cell-done", "cell": cell,
+            "records": records, "wall_seconds": wall,
+            "worker": "coordinator"}
 
 
 def full_sweep_events():
@@ -55,7 +56,7 @@ def full_sweep_events():
         sweep_start(2),
         cell_start(0), record_done(0, 0, epoch=1.5),
         record_done(0, 1, epoch=1.6), cell_done(0),
-        cell_start(1, worker="w1", partitioner="random"),
+        cell_start(1, partitioner="random"),
         record_done(1, 0, epoch=1.7), record_done(1, 1, epoch=1.8),
         cell_done(1),
     ]
@@ -68,7 +69,7 @@ class TestWatchState:
         assert state.total_cells == 2
         assert state.cells_done() == 2
         assert len(state.records) == 4
-        assert state.records_done(0) == 2
+        assert state.cells[0]["records_done"] == 2
         assert state.complete()
 
     def test_order_insensitive_and_idempotent(self):
@@ -81,28 +82,6 @@ class TestWatchState:
         assert forward.cells == shuffled.cells
         assert forward.records == shuffled.records
         assert forward.report().to_json() == shuffled.report().to_json()
-
-    def test_heartbeats_update_liveness_only(self):
-        state = WatchState()
-        state.apply_all(full_sweep_events())
-        baseline = state.report().to_json()
-        state.apply({"kind": "heartbeat", "worker": "w9",
-                     "t_wall": 99.0})
-        assert state.workers["w9"] == 99.0
-        assert state.report().to_json() == baseline
-
-    def test_worker_timestamp_keeps_max(self):
-        state = WatchState()
-        state.apply({"kind": "heartbeat", "worker": "w0", "t_wall": 50.0})
-        state.apply({"kind": "heartbeat", "worker": "w0", "t_wall": 40.0})
-        assert state.workers["w0"] == 50.0
-
-    def test_records_done_beats_stale_cell_done(self):
-        state = WatchState()
-        state.apply(cell_done(0, records=1))
-        state.apply(record_done(0, 0))
-        state.apply(record_done(0, 1))
-        assert state.records_done(0) == 2
 
     def test_incomplete_without_sweep_start(self):
         state = WatchState()
@@ -134,9 +113,8 @@ class TestWatchState:
             "subject": "s", "message": "m",
         }
         state = WatchState()
-        state.apply({"kind": "finding", "cell": 0, "cseq": 100000,
-                     "finding": finding})
-        state.apply({"kind": "finding", "cell": 0, "cseq": 100000,
+        state.apply({"kind": "finding", "cell": 0, "finding": finding})
+        state.apply({"kind": "finding", "cell": 0,
                      "finding": dict(finding)})
         assert len(state.bus_findings) == 1
 
@@ -200,21 +178,12 @@ class TestRenderFrame:
     def test_frame_sections(self):
         state = WatchState()
         state.apply_all(full_sweep_events())
-        frame = render_frame(state, now=20.0)
+        frame = render_frame(state)
         assert "sweep: 2/2 cells, 4 records [complete]" in frame
         assert "[#" in frame  # progress bar full
         assert "phase mix: forward 67%, sync 33%" in frame
         assert "findings: none" in frame
         assert "\x1b" not in frame  # rendering itself is ANSI-free
-
-    def test_running_cell_shown_against_worker(self):
-        state = WatchState()
-        state.apply_all([
-            sweep_start(2), cell_start(0), record_done(0, 0),
-        ])
-        frame = render_frame(state, now=20.0)
-        assert "w0: cell 0: distgnn/OR/hdrf/k=4 [1/2]" in frame
-        assert "(seen 9s ago)" in frame
 
     def test_skipped_lines_surface_in_header(self):
         state = WatchState()
@@ -236,7 +205,7 @@ class TestWatchLoop:
         slept = []
         state = watch_loop(
             self._bus(tmp_path), ticks=2, interval=0.5, out=out,
-            clock=lambda: 42.0, sleep=slept.append, ansi=False,
+            sleep=slept.append, ansi=False,
         )
         assert state.complete()
         assert slept == [0.5]  # no sleep after the final tick
@@ -247,8 +216,7 @@ class TestWatchLoop:
     def test_ansi_clear_prefixes_frames(self, tmp_path):
         out = io.StringIO()
         watch_loop(
-            self._bus(tmp_path), ticks=1, out=out,
-            clock=lambda: 0.0, sleep=lambda _s: None,
+            self._bus(tmp_path), ticks=1, out=out, sleep=lambda _s: None,
         )
         assert out.getvalue().startswith("\x1b[2J\x1b[H")
 
@@ -256,7 +224,6 @@ class TestWatchLoop:
         ticks = []
         state = watch_loop(
             self._bus(tmp_path), ticks=None, out=None,
-            clock=lambda: 0.0,
             sleep=lambda s: ticks.append(s),
         )
         assert state.complete()

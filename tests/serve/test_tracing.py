@@ -1,7 +1,5 @@
 """End-to-end job tracing: admission → dispatch → engine spans."""
 
-import time
-
 import pytest
 
 from repro.obs.sink import read_jsonl
@@ -22,15 +20,6 @@ def _spec(**overrides):
     return data
 
 
-def _wait(scheduler, job_id, timeout=120.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if scheduler.get(job_id).finished:
-            return scheduler.get(job_id)
-        time.sleep(0.05)
-    raise TimeoutError(job_id)
-
-
 @pytest.fixture
 def traced(tmp_path):
     scheduler = SweepScheduler(
@@ -45,7 +34,7 @@ class TestJobTrace:
     def test_one_job_links_all_layers(self, traced):
         scheduler, data_dir = traced
         job = scheduler.submit(_spec())
-        assert _wait(scheduler, job.id).state == "done"
+        assert scheduler.wait(job.id, timeout=120.0).state == "done"
         scheduler.stop(wait=True)  # flush trace sinks
 
         server_events = read_jsonl(
@@ -82,9 +71,9 @@ class TestJobTrace:
     def test_dedup_cells_attributed_to_submitter(self, traced):
         scheduler, data_dir = traced
         first = scheduler.submit(_spec(tenant="alice"))
-        assert _wait(scheduler, first.id).state == "done"
+        assert scheduler.wait(first.id, timeout=120.0).state == "done"
         second = scheduler.submit(_spec(tenant="bob"))
-        assert _wait(scheduler, second.id).state == "done"
+        assert scheduler.wait(second.id, timeout=120.0).state == "done"
         scheduler.stop(wait=True)
 
         # The second job hit the cache: it has a server-side trace but
@@ -104,7 +93,7 @@ class TestJobTrace:
     def test_trace_context_cleared_after_cells(self, traced):
         scheduler, _ = traced
         job = scheduler.submit(_spec())
-        assert _wait(scheduler, job.id).state == "done"
+        assert scheduler.wait(job.id, timeout=120.0).state == "done"
         from repro import obs
         from repro.obs import api
 
@@ -120,7 +109,7 @@ class TestJobTrace:
         scheduler.start()
         try:
             job = scheduler.submit(_spec())
-            assert _wait(scheduler, job.id).state == "done"
+            assert scheduler.wait(job.id, timeout=120.0).state == "done"
         finally:
             scheduler.stop(wait=True)
         assert not (tmp_path / job.id / "trace.jsonl").exists()
