@@ -20,9 +20,13 @@ fails (exit 1) unless the whole lifecycle is clean:
 7. ``POST /profile?seconds=0.2`` — the thread sampler must return a
    ``mode="sample"`` profile and ``/healthz`` must report the
    profiler idle again with its sample accounting intact;
-8. render one ``repro obs top --once`` frame against the live daemon;
-9. ``POST /shutdown`` and verify the daemon exits cleanly (no orphan
-   workers, bus streams flushed and closed on disk).
+8. cancel a job queued behind a higher-priority one with ``repro jobs
+   --cancel``, resubmit it as another tenant, and reconcile
+   ``pending_by_tenant`` with ``pending_cells`` and the queue-depth
+   gauges at every scrape until the jobs end;
+9. render one ``repro obs top --once`` frame against the live daemon;
+10. ``POST /shutdown`` and verify the daemon exits cleanly (no orphan
+    workers, bus streams flushed and closed on disk).
 
 Usage::
 
@@ -71,12 +75,59 @@ def _fail(message: str) -> "NoReturn":  # noqa: F821 (doc type)
     sys.exit(1)
 
 
-def _obs(env, *argv) -> subprocess.CompletedProcess:
-    """``python -m repro obs ARGV`` with its output captured."""
+def _repro(env, *argv) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` with its output captured."""
     return subprocess.run(
-        [sys.executable, "-m", "repro", "obs", *argv],
+        [sys.executable, "-m", "repro", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _check_queue_accounting(client, env) -> int:
+    """Step 8; returns how many scrapes pinned the queue-depth gauges
+    (equal ``/queue`` scrapes around a ``/metrics`` one: nothing is
+    submitted meanwhile and pending cells only drain)."""
+    blocker = client.submit(dict(
+        SPEC, scale="medium", tenant="smoke-blocker", priority=1,
+        machines=[4, 8], params="full",
+        partitioners=["random", "dbh", "hdrf", "2ps-l", "hep10", "hep100"],
+    ))
+    victim = client.submit(dict(SPEC, seed=1, tenant="smoke-x"))
+    cancel = _repro(
+        env, "jobs", "--url", client.base_url, "--cancel", victim["id"]
+    )
+    if cancel.returncode != 0 or "cancelled" not in cancel.stdout:
+        _fail(f"repro jobs --cancel left the queued job running:\n"
+              f"{cancel.stdout}{cancel.stderr}")
+    again = client.submit(dict(SPEC, seed=1, tenant="smoke-y"))
+    jobs = (blocker["id"], victim["id"], again["id"])
+    pinned = 0
+    deadline = time.monotonic() + 300
+    while True:
+        before = client.queue()
+        totals = parse_prometheus_totals(client.metrics())
+        after = client.queue()
+        for queue in (before, after):
+            by_tenant = queue["pending_by_tenant"]
+            if sum(by_tenant.values()) != queue["pending_cells"] or (
+                "smoke-x" in by_tenant
+            ):
+                _fail(f"pending_by_tenant {by_tenant} does not account "
+                      f"for pending_cells {queue['pending_cells']}")
+        depth = totals.get("serve.queue_depth", 0)
+        if depth != totals.get("serve.queue_depth_total"):
+            _fail(f"serve.queue_depth sums to {depth}, not the total")
+        if before["pending_by_tenant"] == after["pending_by_tenant"]:
+            pinned += 1
+            if depth != after["pending_cells"]:
+                _fail(f"queue-depth gauges say {depth} cells, /queue "
+                      f"says {after['pending_cells']}")
+        states = [client.job(job_id)["state"] for job_id in jobs]
+        if states == ["done", "cancelled", "done"]:
+            return pinned
+        if time.monotonic() > deadline or {"failed", "aborted"} & set(states):
+            _fail(f"blocker / cancelled / resubmitted jobs ended {states}")
+        time.sleep(0.2)
 
 
 def main() -> int:
@@ -118,8 +169,8 @@ def main() -> int:
         graph = load_dataset("OR", "tiny", seed=0)
         serial = run_distgnn_grid(
             graph, ["random", "hep100"], [2],
-            [TrainingParams(num_layers=2)], 0, DEFAULT_COST_MODEL,
-            num_epochs=1,
+            [TrainingParams(num_layers=2)], seed=0,
+            cost_model=DEFAULT_COST_MODEL, num_epochs=1,
         )
         # ``partitioning_seconds`` is the one *measured* wall-clock
         # field in a record; the daemon and this script run in
@@ -164,12 +215,13 @@ def main() -> int:
         bus_dir = done["bus_dir"]
         summary = os.path.join(data_dir, "watch-summary.json")
         analysis = os.path.join(data_dir, "analysis.json")
-        watch = _obs(
-            env, "watch", bus_dir, "--once", "--no-ansi",
+        watch = _repro(
+            env, "obs", "watch", bus_dir, "--once", "--no-ansi",
             "--summary-json", summary,
         )
-        analyze = _obs(
-            env, "analyze", os.path.join(os.path.dirname(bus_dir), "records.json"),
+        analyze = _repro(
+            env, "obs", "analyze",
+            os.path.join(os.path.dirname(bus_dir), "records.json"),
             "--label", "sweep", "-o", analysis,
         )
         for name, proc in (("watch", watch), ("analyze", analyze)):
@@ -232,8 +284,15 @@ def main() -> int:
             f"({int(profiler['samples_collected'])} samples collected)"
         )
 
-        top = _obs(
-            env, "top", client.base_url, "--once", "--no-ansi",
+        pinned = _check_queue_accounting(client, env)
+        print(
+            "cancel via repro jobs dropped the queued cells; the same "
+            "spec resubmitted by another tenant ran alone; queue counts "
+            f"reconciled ({pinned} scrapes matched the gauges)"
+        )
+
+        top = _repro(
+            env, "obs", "top", client.base_url, "--once", "--no-ansi",
             "--rules", "examples/serve_rules.json",
         )
         if top.returncode != 0:

@@ -664,10 +664,6 @@ def _cmd_sweep(args) -> int:
         print(f"bus: streaming to {args.bus_out} "
               f"(watch: python -m repro obs watch {args.bus_out})")
 
-    # Global cell index -> (graph, CellSpec), in run_grid's order.
-    cells = [
-        (spec.graph, cell) for spec in specs for cell in spec.cell_specs()
-    ]
     fired_alerts = []
     delivered = time.perf_counter()
 
@@ -682,9 +678,7 @@ def _cmd_sweep(args) -> int:
         if bus is not None:
             # The ETA input: seconds since the previous delivery.
             now = time.perf_counter()
-            bus.publish(
-                cell, *cells[cell], cell_records, now - delivered, firings
-            )
+            bus.publish(cell, cell_records, now - delivered, firings)
             delivered = now
         for finding in firings:
             print(f"  alert [{finding.severity}] {finding.message}")

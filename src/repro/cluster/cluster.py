@@ -192,13 +192,13 @@ class Cluster:
             0.0,
         )
 
-    def check_traffic_invariant(self, tolerance: float = 1e-6) -> None:
+    def check_traffic_invariant(self) -> None:
         """Assert the fabric's books balance: bytes are conserved.
 
         Summed over every phase, the ``src x dst`` matrices' row sums
         equal each machine's bytes sent and their column sums its bytes
         received, and total bytes sent equal total bytes received, each
-        within ``tolerance`` relative to the port ledger. The two sides
+        within a relative 1e-6 of the port ledger. The two sides
         come from different arrays (an engine's port vectors and its
         pairwise matrices), so an engine whose vectors and matrices
         disagree fails here. Injected lost messages are pure *counts* —
@@ -215,7 +215,7 @@ class Cluster:
             ("total received vs sent", received.sum(keepdims=True),
              sent.sum(keepdims=True)),
         ):
-            bound = tolerance * np.maximum(np.abs(ledger), 1.0)
+            bound = 1e-6 * np.maximum(np.abs(ledger), 1.0)
             # Written so that a NaN on either side fails too.
             bad = np.flatnonzero(~(np.abs(ledger - pairwise) <= bound))
             if bad.size:

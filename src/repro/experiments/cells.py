@@ -15,8 +15,11 @@ between processes, and every simulation is deterministic given its
 seed, so every driver and worker count returns record-for-record the
 same results (equivalence-tested), in the same order.
 ``run_distgnn_grid``, ``run_distdgl_grid``, ``run_distgnn_grid_parallel``
-and ``run_distdgl_grid_parallel`` are aliases of :func:`run_grid` kept
-for their call sites.
+and ``run_distdgl_grid_parallel`` are :func:`functools.partial`
+bindings of :func:`run_grid` to one engine (the parallel pair also to
+``workers=None``, the pooled default), kept for their call sites.
+Pass every argument after ``grid`` by keyword: a fifth positional one
+would bind ``split``.
 
 Observability: the coordinator's obs *level* is re-applied inside every
 cell, and each record carries its own deterministic ``obs_metrics``
@@ -43,6 +46,7 @@ early-stop path of ``repro sweep --abort-on``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import time
 from dataclasses import dataclass, fields
@@ -53,7 +57,6 @@ from ..graph import Graph, VertexSplit, random_split
 from ..obs import api as obs
 from .config import CommConfig, FaultConfig, TrainingParams
 from .executor import CellTask, execute_cells
-from .records import DistDglRecord, DistGnnRecord
 from .runner import ENGINES
 
 __all__ = [
@@ -283,91 +286,13 @@ def run_grid(
     ]
 
 
-def run_distgnn_grid(
-    graph: Graph,
-    partitioners: Sequence[str],
-    machine_counts: Sequence[int],
-    grid: Iterable[TrainingParams],
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    fault_config: Optional[FaultConfig] = None,
-    num_epochs: int = 1,
-    comm_config: Optional[CommConfig] = None,
-) -> List[DistGnnRecord]:
-    """Alias: serial :func:`run_grid` over the DistGNN engine."""
-    return run_grid(
-        "distgnn", graph, partitioners, machine_counts, grid, seed=seed,
-        cost_model=cost_model, fault_config=fault_config,
-        num_epochs=num_epochs, comm_config=comm_config,
-    )
-
-
-def run_distdgl_grid(
-    graph: Graph,
-    partitioners: Sequence[str],
-    machine_counts: Sequence[int],
-    grid: Iterable[TrainingParams],
-    split: Optional[VertexSplit] = None,
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    fault_config: Optional[FaultConfig] = None,
-    num_epochs: int = 1,
-    comm_config: Optional[CommConfig] = None,
-) -> List[DistDglRecord]:
-    """Alias: serial :func:`run_grid` over the DistDGL engine."""
-    return run_grid(
-        "distdgl", graph, partitioners, machine_counts, grid, split=split,
-        seed=seed, cost_model=cost_model, fault_config=fault_config,
-        num_epochs=num_epochs, comm_config=comm_config,
-    )
-
-
-def run_distgnn_grid_parallel(
-    graph: Graph,
-    partitioners: Sequence[str],
-    machine_counts: Sequence[int],
-    grid: Iterable[TrainingParams],
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    workers: Optional[int] = None,
-    fault_config: Optional[FaultConfig] = None,
-    num_epochs: int = 1,
-    cell_callback: Optional[Callable[[int, List], None]] = None,
-    cell_offset: int = 0,
-    comm_config: Optional[CommConfig] = None,
-    profile_dir: Optional[str] = None,
-) -> List[DistGnnRecord]:
-    """Alias: :func:`run_grid` over the DistGNN engine, pooled by default."""
-    return run_grid(
-        "distgnn", graph, partitioners, machine_counts, grid, seed=seed,
-        cost_model=cost_model, workers=workers, fault_config=fault_config,
-        num_epochs=num_epochs,
-        cell_callback=cell_callback, cell_offset=cell_offset,
-        comm_config=comm_config, profile_dir=profile_dir,
-    )
-
-
-def run_distdgl_grid_parallel(
-    graph: Graph,
-    partitioners: Sequence[str],
-    machine_counts: Sequence[int],
-    grid: Iterable[TrainingParams],
-    split: Optional[VertexSplit] = None,
-    seed: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    workers: Optional[int] = None,
-    fault_config: Optional[FaultConfig] = None,
-    num_epochs: int = 1,
-    cell_callback: Optional[Callable[[int, List], None]] = None,
-    cell_offset: int = 0,
-    comm_config: Optional[CommConfig] = None,
-    profile_dir: Optional[str] = None,
-) -> List[DistDglRecord]:
-    """Alias: :func:`run_grid` over the DistDGL engine, pooled by default."""
-    return run_grid(
-        "distdgl", graph, partitioners, machine_counts, grid, split=split,
-        seed=seed, cost_model=cost_model, workers=workers,
-        fault_config=fault_config, num_epochs=num_epochs,
-        cell_callback=cell_callback, cell_offset=cell_offset,
-        comm_config=comm_config, profile_dir=profile_dir,
-    )
+#: :func:`run_grid` bound to one engine: serial, and (``_parallel``)
+#: pooled by default.
+run_distgnn_grid = functools.partial(run_grid, "distgnn")
+run_distdgl_grid = functools.partial(run_grid, "distdgl")
+run_distgnn_grid_parallel = functools.partial(
+    run_grid, "distgnn", workers=None
+)
+run_distdgl_grid_parallel = functools.partial(
+    run_grid, "distdgl", workers=None
+)

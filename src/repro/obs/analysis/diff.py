@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .attribution import record_phase_totals, snapshot_phase_totals
-from .findings import Finding, cell_key
+from .findings import cell_key
 from .load import RunData
 
 __all__ = ["DiffTolerances", "RunDiff", "diff_snapshots", "diff_records", "diff_runs"]
@@ -91,76 +91,6 @@ class RunDiff:
             or self.changed_cells
             or self.phase_mix.get("shifted", False)
         )
-
-    def findings(self) -> List[Finding]:
-        """The diff re-expressed as typed findings (for reports)."""
-
-        def presence(kind, severity, keys, template) -> List[Finding]:
-            return [
-                Finding(
-                    kind=kind,
-                    severity=severity,
-                    subject=key,
-                    message=template.format(
-                        key=key, a=self.label_a, b=self.label_b
-                    ),
-                )
-                for key in keys
-            ]
-
-        def moves(kind, what, changes) -> List[Finding]:
-            return [
-                Finding(
-                    kind=kind,
-                    severity="warning",
-                    subject=str(change[what]),
-                    message=(
-                        f"{change[what]} {change['field']}: "
-                        f"{change['a']:.6g} -> {change['b']:.6g} "
-                        f"({change['rel_delta']:.2%} relative change)"
-                    ),
-                    value=float(change["rel_delta"]),
-                    context=dict(change),
-                )
-                for change in changes
-            ]
-
-        results = (
-            presence(
-                "metric-added", "info", self.added_metrics,
-                "metric series {key} only in {b}",
-            )
-            + presence(
-                "metric-removed", "warning", self.removed_metrics,
-                "metric series {key} vanished ({a} -> {b})",
-            )
-            + moves("metric-regression", "metric", self.changed_metrics)
-            + moves("cell-regression", "cell", self.changed_cells)
-            + presence(
-                "cell-added", "info", self.added_cells,
-                "sweep cell only in {b}: {key}",
-            )
-            + presence(
-                "cell-removed", "warning", self.removed_cells,
-                "sweep cell vanished: {key}",
-            )
-        )
-        if self.phase_mix.get("shifted", False):
-            results.append(
-                Finding(
-                    kind="phase-mix-shift",
-                    severity="warning",
-                    subject="phase-mix",
-                    message=(
-                        "phase mix shifted by "
-                        f"{self.phase_mix['l1_shift']:.2%} (L1) between "
-                        f"{self.label_a} and {self.label_b}"
-                    ),
-                    value=float(self.phase_mix["l1_shift"]),
-                    threshold=float(self.phase_mix["threshold"]),
-                )
-            )
-        return results
 
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-able dict (canonical ordering)."""

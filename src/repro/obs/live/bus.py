@@ -23,9 +23,6 @@ Event kinds:
 ``sweep-start``
     Once: ``{"cells": N, ...}`` — the denominator for all progress
     displays.
-``cell-start``
-    Per delivered cell: engine/graph/partitioner/k plus
-    ``records_total`` (the parameter-grid length).
 ``record-done``
     One per record of the cell: ``"record"`` is the record's export
     entry (:func:`~repro.experiments.export.record_to_dict`) as a
@@ -46,25 +43,15 @@ import glob
 import json
 import os
 import time
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 from ...experiments.export import record_to_dict
 from ..sink import JsonlSink
 
 __all__ = [
-    "EVENT_KINDS",
     "BusWriter",
     "BusTailer",
 ]
-
-#: Every event kind the bus knows about.
-EVENT_KINDS = (
-    "sweep-start",
-    "cell-start",
-    "record-done",
-    "cell-done",
-    "finding",
-)
 
 
 class BusWriter:
@@ -96,25 +83,13 @@ class BusWriter:
     def publish(
         self,
         cell: int,
-        graph: str,
-        spec,
         records: Sequence,
         wall_seconds: float,
         findings: Sequence = (),
     ) -> None:
-        """Publish one delivered cell: its ``cell-start``, a
-        ``record-done`` per record, ``cell-done`` and then a ``finding``
-        per rule firing, in that order.
-
-        ``spec`` is the cell's :class:`~repro.experiments.CellSpec` and
-        ``graph`` the name of the graph it ran on.
-        """
-        self.emit({
-            "kind": "cell-start", "cell": int(cell),
-            "engine": spec.engine, "graph": graph,
-            "partitioner": spec.partitioner, "k": int(spec.num_machines),
-            "records_total": len(spec.grid), "t_wall": time.time(),
-        })
+        """Publish one delivered cell: a ``record-done`` per record,
+        ``cell-done`` and then a ``finding`` per rule firing, in that
+        order."""
         for index, record in enumerate(records):
             self.emit({
                 "kind": "record-done", "cell": int(cell), "index": index,
@@ -195,8 +170,3 @@ class BusTailer:
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     self.skipped += 1
         return events
-
-    def drain(self) -> Iterator[Dict[str, object]]:
-        """One full poll as an iterator (convenience for finished
-        buses)."""
-        return iter(self.poll())

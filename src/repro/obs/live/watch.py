@@ -264,7 +264,6 @@ def watch_loop(
     out: Optional[TextIO] = None,
     sleep: Callable[[float], None] = time.sleep,
     ansi: bool = True,
-    stop_when_complete: bool = True,
 ) -> WatchState:
     """Tick-driven monitor loop; returns the final state.
 
@@ -279,7 +278,7 @@ def watch_loop(
     def poll() -> bool:
         state.apply_all(tailer.poll())
         state.skipped = tailer.skipped
-        return stop_when_complete and state.complete()
+        return state.complete()
 
     frame_loop(
         poll, lambda: render_frame(state), ticks, interval, out, sleep,

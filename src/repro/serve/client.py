@@ -149,12 +149,10 @@ class ServeClient:
         return self._request("POST", f"/profile{query}")
 
     def wait(
-        self,
-        job_id: str,
-        timeout: float = 60.0,
-        poll_interval: float = 0.2,
+        self, job_id: str, timeout: float = 60.0
     ) -> Dict[str, object]:
-        """Poll until the job reaches a terminal state (or raise).
+        """Poll every 0.2 s until the job reaches a terminal state (or
+        raise).
 
         Raises :class:`TimeoutError` when the deadline passes with the
         job still queued or running.
@@ -170,4 +168,4 @@ class ServeClient:
                     f"{job_id} still {summary['state']!r} after "
                     f"{timeout}s"
                 )
-            time.sleep(poll_interval)
+            time.sleep(0.2)

@@ -29,6 +29,8 @@ from ..experiments import (
     reduced_grid,
 )
 from ..graph import DATASET_KEYS, DATASET_SCALES
+from ..obs.live import BusWriter, RuleSet
+from ..obs.sink import JsonlSink
 
 __all__ = [
     "ENGINES",
@@ -248,11 +250,14 @@ class SweepJobSpec:
 class Job:
     """One admitted job and its live progress.
 
-    ``cells`` is the spec expanded once, at admission; ``results``
-    holds per-cell record lists in the same order, and ``records``
-    concatenates them once every cell has landed, giving exactly the
-    order the serial grid runner produces. ``dedup_hits`` counts cells
-    satisfied by another job's identical cell instead of fresh compute.
+    ``results`` holds per-cell record lists in the order of the spec's
+    :meth:`~SweepJobSpec.cell_specs`, and ``records`` concatenates them
+    once every cell has landed, giving exactly the order the serial
+    grid runner produces. ``dedup_hits`` counts cells satisfied by
+    another job's identical cell instead of fresh compute. ``bus``,
+    ``rules`` and ``trace`` are the scheduler's live handles for the
+    job (bus writer, alert rules, server trace sink); they are never
+    serialised.
     """
 
     id: str
@@ -269,13 +274,13 @@ class Job:
     finished_at: Optional[float] = None
     results: List[Optional[List]] = field(default_factory=list)
     findings: List[Dict[str, object]] = field(default_factory=list)
-    cells: List[CellSpec] = field(default_factory=list, repr=False)
+    bus: Optional[BusWriter] = None
+    rules: Optional[RuleSet] = None
+    trace: Optional[JsonlSink] = None
 
     def __post_init__(self) -> None:
-        if not self.cells:
-            self.cells = self.spec.cell_specs()
         if not self.results:
-            self.results = [None] * len(self.cells)
+            self.results = [None] * self.spec.num_cells
 
     @property
     def cells_total(self) -> int:
@@ -286,6 +291,12 @@ class Job:
     def finished(self) -> bool:
         """True once the job reached a terminal state."""
         return self.state in ("done", "failed", "cancelled", "aborted")
+
+    def close_streams(self) -> None:
+        """Close the bus writer and trace sink (idempotent)."""
+        for stream in (self.bus, self.trace):
+            if stream is not None:
+                stream.close()
 
     def records(self) -> List:
         """All landed records, concatenated in cell order."""

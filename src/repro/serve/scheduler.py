@@ -9,14 +9,21 @@ two-level discipline:
   round-robin, so one tenant's thousand-cell job cannot starve another
   tenant's two-cell job at the same priority.
 
+The queue is held once, as the table of unfinished cells, and every
+count and the pop order derive from it: a ``(priority, tenant)`` queue
+holds a turn stamp while it has a pending cell, and each pop sends it
+to the back. Each job holds its own bus writer, alert rules and trace
+sink, closed by the one terminal step every job end takes.
+
 Cells are deduplicated across jobs by *content key* —
 :meth:`~repro.experiments.CellSpec.key` on the graph's content
 fingerprint (the identity the partition cache uses too): the spec
 enumerates every knob that changes a cell's records. When two jobs
-contain an identical cell, it computes once and the result fans out to every subscriber job; completed-cell results stay
-in a bounded LRU so a resubmitted sweep is served from cache. Every
-simulation is deterministic, so fanned-out records are byte-identical
-to a fresh run.
+contain an identical cell, it computes once and the result fans out
+to every subscriber job; completed-cell results stay in a bounded LRU
+so a resubmitted sweep is served from cache. Every simulation is
+deterministic, so fanned-out records are byte-identical to a fresh
+run.
 
 Execution rides the extracted
 :class:`~repro.experiments.executor.CellExecutor`: ``workers`` runner
@@ -36,13 +43,14 @@ choosing a fresh ``seed`` per job cannot grow them).
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..experiments import (
     ENGINES,
@@ -98,7 +106,8 @@ class QueueFullError(RuntimeError):
 
 @dataclass
 class _Cell:
-    """One unique cell: its task, queue position and subscribers."""
+    """One unique cell: its task, its queue and the ``(job, local
+    cell index)`` pairs subscribed to its records."""
 
     key: Tuple
     task: CellTask
@@ -106,10 +115,14 @@ class _Cell:
     priority: int
     tenant: str
     state: str = "pending"  # pending | running
-    subscribers: List[Tuple[str, int]] = field(default_factory=list)
-    wall_seconds: float = 0.0
+    subscribers: List[Tuple[Job, int]] = field(default_factory=list)
     enqueued_at: float = field(default_factory=time.perf_counter)
     wait_seconds: float = 0.0
+
+    @property
+    def queue(self) -> Tuple[int, str]:
+        """The ``(priority, tenant)`` queue the cell waits in."""
+        return self.priority, self.tenant
 
 
 class SweepScheduler:
@@ -126,8 +139,6 @@ class SweepScheduler:
         workers: int = 1,
         data_dir: Optional[str] = None,
         max_pending_cells: int = DEFAULT_MAX_PENDING_CELLS,
-        max_cached_cells: int = DEFAULT_MAX_CACHED_CELLS,
-        max_finished_jobs: int = DEFAULT_MAX_FINISHED_JOBS,
         obs_level: str = "off",
     ) -> None:
         if workers < 1:
@@ -144,8 +155,6 @@ class SweepScheduler:
             prefix="repro-serve-"
         )
         self.max_pending_cells = max_pending_cells
-        self.max_cached_cells = max_cached_cells
-        self.max_finished_jobs = max_finished_jobs
         self.obs_level = obs_level
         # Daemon telemetry lives in a *private* registry (see
         # repro.obs.serve_metrics): the inline cell path shares this
@@ -161,26 +170,20 @@ class SweepScheduler:
         self.metrics = ServeMetrics(
             enabled=obs_level != "off", sink=request_sink
         )
-        #: Per-job server-side trace sinks (trace level only):
-        #: admission/dispatch span events keyed by job and tenant.
-        self._trace_sinks: Dict[str, JsonlSink] = {}
 
         self._cond = threading.Condition()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
-        self._rulesets: Dict[str, RuleSet] = {}
-        self._buses: Dict[str, BusWriter] = {}
+        #: Every unfinished unique cell, pending or running: the queue.
         self._cells: Dict[Tuple, _Cell] = {}
+        #: Turn stamp per ``(priority, tenant)`` queue with a pending
+        #: cell; the smallest stamp pops next within a priority.
+        self._turns: Dict[Tuple[int, str], int] = {}
         self._done: "OrderedDict[Tuple, List]" = OrderedDict()
-        #: priority -> tenant -> queued cell keys.
-        self._queues: Dict[int, Dict[str, Deque[Tuple]]] = {}
-        #: priority -> tenant round-robin rotation.
-        self._rotation: Dict[int, Deque[str]] = {}
-        self._pending_count = 0
-        self._running_count = 0
         self._dedup_hits_total = 0
         self._cells_computed_total = 0
-        self._job_seq = 0
-        self._cell_seq = 0
+        self._job_seq = itertools.count(1)
+        self._cell_seq = itertools.count(1)
+        self._turn_seq = itertools.count()
         #: Train splits by ``(graph, scale, seed)``, most recent last.
         self._splits: "OrderedDict[Tuple, object]" = OrderedDict()
         self._executor = CellExecutor(workers)
@@ -218,8 +221,8 @@ class SweepScheduler:
 
         Running cells finish (they cannot be killed mid-simulation);
         queued cells stay queued and would resume on a future
-        :meth:`start`. Bus writers for unfinished jobs are closed so
-        every stream is flushed.
+        :meth:`start`. The bus writer and trace sink of every
+        unfinished job are closed so every stream is flushed.
         """
         with self._cond:
             self._stop = True
@@ -232,12 +235,8 @@ class SweepScheduler:
         self._executor.shutdown(wait=wait)
         self._executor = CellExecutor(self.workers)
         with self._cond:
-            for writer in self._buses.values():
-                writer.close()
-            self._buses.clear()
-            for sink in self._trace_sinks.values():
-                sink.close()
-            self._trace_sinks.clear()
+            for job in self._jobs.values():
+                job.close_streams()
         if wait:
             self.metrics.close()
 
@@ -254,9 +253,9 @@ class SweepScheduler:
         try:
             if not isinstance(spec, SweepJobSpec):
                 spec = SweepJobSpec.from_dict(spec)
-            ruleset = None
+            rules = None
             if spec.rules is not None:
-                ruleset = RuleSet.from_dict(spec.rules)
+                rules = RuleSet.from_dict(spec.rules)
         except (ValueError, TypeError):
             self.metrics.admission_rejected("invalid-spec")
             raise
@@ -270,19 +269,19 @@ class SweepScheduler:
                 1 for key in keys
                 if key not in self._done and key not in self._cells
             )
-            if self._pending_count + fresh > self.max_pending_cells:
+            pending = len(self._pending())
+            if pending + fresh > self.max_pending_cells:
                 self.metrics.admission_rejected("queue-full")
                 raise QueueFullError(
-                    self._pending_count, self.max_pending_cells,
-                    self._retry_after(),
+                    pending, self.max_pending_cells, self._retry_after(),
                 )
-            self._job_seq += 1
-            job_id = f"job-{self._job_seq:06d}"
-            job_dir = os.path.join(self.data_dir, job_id)
-            bus_dir = os.path.join(job_dir, "bus")
-            job = Job(id=job_id, spec=spec, bus_dir=bus_dir, cells=cells)
-            writer = BusWriter(bus_dir, "server")
-            writer.sweep_start(
+            job_id = f"job-{next(self._job_seq):06d}"
+            bus_dir = os.path.join(self.data_dir, job_id, "bus")
+            job = Job(
+                id=job_id, spec=spec, bus_dir=bus_dir,
+                bus=BusWriter(bus_dir, "server"), rules=rules,
+            )
+            job.bus.sweep_start(
                 spec.num_cells,
                 graphs=[spec.graph],
                 machine_counts=list(spec.machine_counts),
@@ -291,38 +290,26 @@ class SweepScheduler:
                 tenant=spec.tenant,
             )
             self._jobs[job_id] = job
-            self._buses[job_id] = writer
-            if ruleset is not None:
-                self._rulesets[job_id] = ruleset
             self.metrics.job_admitted(spec.tenant)
             if self.obs_level == "trace":
-                self._trace_sinks[job_id] = JsonlSink(
+                job.trace = JsonlSink(
                     os.path.join(self.data_dir, job_id, "trace.jsonl")
                 )
             cached: List[Tuple[int, Tuple]] = []
             for local, (key, cell_spec) in enumerate(zip(keys, cells)):
+                if key in self._done or key in self._cells:
+                    job.dedup_hits += 1
+                    self._dedup_hits_total += 1
+                    self.metrics.dedup_hit(spec.tenant)
                 if key in self._done:
                     self._done.move_to_end(key)
-                    job.dedup_hits += 1
-                    self._dedup_hits_total += 1
-                    self.metrics.dedup_hit(spec.tenant)
                     cached.append((local, key))
-                elif key in self._cells:
-                    self._cells[key].subscribers.append(
-                        (job_id, local)
-                    )
-                    job.dedup_hits += 1
-                    self._dedup_hits_total += 1
-                    self.metrics.dedup_hit(spec.tenant)
-                else:
-                    self._enqueue_cell(
-                        spec, graph, split, key, cell_spec, job_id
-                    )
-                    self._cells[key].subscribers.append(
-                        (job_id, local)
-                    )
+                    continue
+                if key not in self._cells:
+                    self._enqueue_cell(job, graph, split, key, cell_spec)
+                self._cells[key].subscribers.append((job, local))
             self._trace_event(
-                job_id, "span", "serve.admission",
+                job, "span", "serve.admission",
                 cells=len(keys), dedup_hits=job.dedup_hits,
             )
             if any(r is None for r in job.results):
@@ -330,14 +317,13 @@ class SweepScheduler:
             # Serve cache hits after the job is fully wired up, so a
             # fully-cached job completes (and closes its bus) cleanly.
             for local, key in cached:
-                self._deliver_to(job_id, local, self._done[key], 0.0)
+                self._deliver_to(job, local, self._done[key], 0.0)
             self._cond.notify_all()
             return job
 
     def _retry_after(self) -> int:
         """Drain-time hint in seconds for a 429 response."""
-        backlog = self._pending_count + self._running_count
-        return max(1, (backlog + self.workers - 1) // self.workers)
+        return max(1, (len(self._cells) + self.workers - 1) // self.workers)
 
     def _inputs(self, spec):
         """Load (or fetch) the spec's graph and, for an engine that
@@ -356,9 +342,7 @@ class SweepScheduler:
             self._splits.popitem(last=False)
         return graph, split
 
-    def _enqueue_cell(
-        self, spec, graph, split, key, cell_spec, job_id
-    ) -> None:
+    def _enqueue_cell(self, job, graph, split, key, cell_spec) -> None:
         """Create a fresh pending cell and queue it (lock held).
 
         At trace level the cell's engine events stream to a per-cell
@@ -367,18 +351,18 @@ class SweepScheduler:
         that arrive later share the computation, so attribution goes to
         the job that caused it).
         """
-        self._cell_seq += 1
-        seq = self._cell_seq
+        spec = job.spec
+        seq = next(self._cell_seq)
         io = CellIO(cell=seq)
         if self.obs_level == "trace":
-            job_dir = os.path.join(self.data_dir, job_id)
+            job_dir = os.path.join(self.data_dir, job.id)
             io = CellIO(
                 obs_level="trace",
                 cell=seq,
                 trace_out=os.path.join(
                     job_dir, f"trace-cell-{seq:06d}.jsonl"
                 ),
-                trace_ctx={"job": job_id, "tenant": spec.tenant},
+                trace_ctx={"job": job.id, "tenant": spec.tenant},
                 profile_out=os.path.join(
                     job_dir, f"profile-cell-{seq:06d}.json"
                 ),
@@ -392,48 +376,45 @@ class SweepScheduler:
             engine=spec.engine, priority=spec.priority,
             tenant=spec.tenant,
         )
+        if cell.queue not in self._turns:  # joins at the back
+            self._turns[cell.queue] = next(self._turn_seq)
         self._cells[key] = cell
-        tenants = self._queues.setdefault(spec.priority, {})
-        queue = tenants.get(spec.tenant)
-        if queue is None:
-            queue = tenants[spec.tenant] = deque()
-            self._rotation.setdefault(
-                spec.priority, deque()
-            ).append(spec.tenant)
-        elif spec.tenant not in self._rotation[spec.priority]:
-            self._rotation[spec.priority].append(spec.tenant)
-        queue.append(key)
-        self._pending_count += 1
 
     # ------------------------------------------------------ execution
+    def _pending(self) -> List[_Cell]:
+        """The cells waiting to run, in admission order (lock held)."""
+        return [
+            cell for cell in self._cells.values()
+            if cell.state == "pending"
+        ]
+
+    def _retire_drained(self) -> None:
+        """Drop the turn of every queue left without a pending cell
+        (lock held), so a tenant that rejoins later goes to the back."""
+        waiting = {cell.queue for cell in self._pending()}
+        self._turns = {
+            queue: turn for queue, turn in self._turns.items()
+            if queue in waiting
+        }
+
     def _pop_next_key(self) -> Optional[Tuple]:
-        """Next cell to run: highest priority, tenants round-robin
-        within it (lock held). Skips stale entries for cells that were
-        dropped (cancel/abort) after queueing."""
-        for priority in sorted(self._queues, reverse=True):
-            tenants = self._queues[priority]
-            rotation = self._rotation.get(priority, deque())
-            attempts = len(rotation)
-            while attempts > 0:
-                attempts -= 1
-                tenant = rotation[0]
-                queue = tenants.get(tenant)
-                while queue:
-                    key = queue.popleft()
-                    cell = self._cells.get(key)
-                    if cell is not None and cell.state == "pending":
-                        rotation.rotate(-1)
-                        self._pending_count -= 1
-                        if not queue:
-                            del tenants[tenant]
-                        return key
-                # Tenant drained: retire it from the rotation.
-                rotation.popleft()
-                tenants.pop(tenant, None)
-            if not tenants:
-                del self._queues[priority]
-                self._rotation.pop(priority, None)
-        return None
+        """Mark the next cell running and return its key (lock held).
+
+        Highest priority first; within it the ``(priority, tenant)``
+        queue with the smallest turn stamp, and that queue's oldest
+        cell. The popped queue then goes to the back, so tenants take
+        turns round-robin.
+        """
+        pending = self._pending()
+        if not pending:
+            return None
+        cell = min(pending, key=lambda c: (
+            -c.priority, self._turns[c.queue], c.task.index
+        ))
+        cell.state = "running"
+        self._turns[cell.queue] = next(self._turn_seq)  # to the back
+        self._retire_drained()
+        return cell.key
 
     def _runner_loop(self) -> None:
         """One runner thread: pick, execute, deliver, repeat.
@@ -454,15 +435,13 @@ class SweepScheduler:
                 if self._stop and key is None:
                     return
                 cell = self._cells[key]
-                cell.state = "running"
                 cell.wait_seconds = max(
                     time.perf_counter() - cell.enqueued_at, 0.0
                 )
-                self._running_count += 1
                 task = cell.task
-                for job_id, local in cell.subscribers:
+                for job, local in cell.subscribers:
                     self._trace_event(
-                        job_id, "span-begin", "serve.dispatch",
+                        job, "span-begin", "serve.dispatch",
                         cell=local,
                         wait_seconds=round(cell.wait_seconds, 9),
                     )
@@ -475,7 +454,6 @@ class SweepScheduler:
                 error = f"{type(exc).__name__}: {exc}"
             wall = time.perf_counter() - started
             with self._cond:
-                self._running_count -= 1
                 self._finish_cell(key, records, error, wall)
                 self._cond.notify_all()
             if self._stop:
@@ -483,10 +461,7 @@ class SweepScheduler:
 
     def _finish_cell(self, key, records, error, wall: float) -> None:
         """Record a cell result and fan it out (lock held)."""
-        cell = self._cells.pop(key, None)
-        if cell is None:
-            return
-        cell.wall_seconds = wall
+        cell = self._cells.pop(key)
         if error is None:
             self._cells_computed_total += 1
             self.metrics.cell_finished(
@@ -494,20 +469,19 @@ class SweepScheduler:
             )
             self._done[key] = records
             self._done.move_to_end(key)
-            while len(self._done) > self.max_cached_cells:
+            while len(self._done) > DEFAULT_MAX_CACHED_CELLS:
                 self._done.popitem(last=False)
-        for job_id, local in cell.subscribers:
-            if error is not None:
-                self._fail_job(job_id, error)
-            else:
-                self._deliver_to(job_id, local, records, wall)
+        for job, local in cell.subscribers:
+            if error is None:
+                self._deliver_to(job, local, records, wall)
+            elif not job.finished:
+                self._end_job(job, "failed", error)
 
     def _deliver_to(
-        self, job_id: str, local: int, records: List, wall: float
+        self, job: Job, local: int, records: List, wall: float
     ) -> None:
         """Land one cell's records on one subscriber job (lock held)."""
-        job = self._jobs.get(job_id)
-        if job is None or job.finished or job.results[local] is not None:
+        if job.finished or job.results[local] is not None:
             return
         job.results[local] = records
         job.cells_done += 1
@@ -517,128 +491,89 @@ class SweepScheduler:
                 max(time.perf_counter() - job.admitted_perf, 0.0)
             )
         self._trace_event(
-            job_id, "span-end", "serve.dispatch",
+            job, "span-end", "serve.dispatch",
             cell=local, seconds=round(wall, 9),
             records=len(records),
         )
-        ruleset = self._rulesets.get(job_id)
         firings = (
-            ruleset.evaluate_records(records) if ruleset is not None else []
+            job.rules.evaluate_records(records)
+            if job.rules is not None else []
         )
         job.findings.extend(finding.to_dict() for finding in firings)
-        writer = self._buses.get(job_id)
-        if writer is not None:
-            writer.publish(
-                local, spec.graph, job.cells[local], records, wall, firings
-            )
+        job.bus.publish(local, records, wall, firings)
         if spec.abort_on and any(
             severity_at_least(f.severity, spec.abort_on) for f in firings
         ):
-            self._abort_job(
+            self._end_job(
                 job, "aborted",
                 f"alert rule fired at or above {spec.abort_on!r}",
             )
-            return
-        if all(r is not None for r in job.results):
-            self._complete_job(job)
+        elif all(r is not None for r in job.results):
+            self._end_job(job, "done")
 
-    def _complete_job(self, job: Job) -> None:
-        """Mark done, persist records, close the bus (lock held)."""
-        job.state = "done"
-        job.finished_at = time.time()
-        records_path = os.path.join(
-            self.data_dir, job.id, "records.json"
-        )
-        save_records(job.records(), records_path)
-        self.metrics.job_finished("done")
-        self._close_job_bus(job.id)
-        self._close_job_trace(job.id)
-        self._evict_finished()
+    def _end_job(
+        self, job: Job, state: str, error: Optional[str] = None
+    ) -> None:
+        """Move the job to terminal ``state`` (lock held).
 
-    def _fail_job(self, job_id: str, error: str) -> None:
-        """A cell errored: fail the job and drop its queue (lock held)."""
-        job = self._jobs.get(job_id)
-        if job is None or job.finished:
-            return
-        job.error = error
-        self._abort_job(job, "failed", error)
-
-    def _abort_job(self, job: Job, state: str, reason: str) -> None:
-        """Terminal stop: unsubscribe every pending cell (lock held).
-
-        Pending cells this job exclusively owns are dropped from the
-        queue immediately — this is the promptness contract behind
-        alert-rule aborts; running cells finish in the background and
-        only feed the dedup cache.
+        A done job saves its records under its data dir. Any other end
+        unsubscribes the job from every cell, so the pending cells it
+        alone wanted leave the queue at once — the promptness contract
+        behind alert-rule aborts; running cells finish in the
+        background and only feed the dedup cache. Either way the job's
+        bus and trace are closed and old finished jobs evicted.
         """
         job.state = state
-        job.error = job.error or reason
+        job.error = error
         job.finished_at = time.time()
         self.metrics.job_finished(state)
-        self._unsubscribe(job.id)
-        self._close_job_bus(job.id)
-        self._close_job_trace(job.id)
+        if state == "done":
+            save_records(
+                job.records(),
+                os.path.join(self.data_dir, job.id, "records.json"),
+            )
+        else:
+            self._unsubscribe(job)
+        job.close_streams()
         self._evict_finished()
 
-    def _unsubscribe(self, job_id: str) -> None:
-        """Remove the job from every cell; drop orphans (lock held)."""
-        orphaned = []
-        for key, cell in self._cells.items():
+    def _unsubscribe(self, job: Job) -> None:
+        """Remove the job from every cell and delete the pending cells
+        no other job wants (lock held)."""
+        for key, cell in list(self._cells.items()):
             cell.subscribers = [
-                s for s in cell.subscribers if s[0] != job_id
+                s for s in cell.subscribers if s[0] is not job
             ]
             if not cell.subscribers and cell.state == "pending":
-                orphaned.append(key)
-        for key in orphaned:
-            del self._cells[key]
-            self._pending_count -= 1
-            # Queue entries for the key become stale and are skipped
-            # by _pop_next_key.
+                del self._cells[key]
+        self._retire_drained()
 
-    def _close_job_bus(self, job_id: str) -> None:
-        """Flush and drop the job's bus writer (lock held)."""
-        writer = self._buses.pop(job_id, None)
-        if writer is not None:
-            writer.close()
-
-    def _close_job_trace(self, job_id: str) -> None:
-        """Flush and drop the job's server trace sink (lock held)."""
-        sink = self._trace_sinks.pop(job_id, None)
-        if sink is not None:
-            sink.close()
-
-    def _trace_event(
-        self, job_id: str, kind: str, name: str, **fields
-    ) -> None:
+    def _trace_event(self, job: Job, kind: str, name: str, **fields) -> None:
         """Emit one span event to the job's server trace (lock held).
 
         Every event carries the ``job``/``tenant`` root context, so
         admission and dispatch spans link up with the engine spans the
         cell processes write under the same context.
         """
-        sink = self._trace_sinks.get(job_id)
-        if sink is None:
+        if job.trace is None:
             return
-        job = self._jobs.get(job_id)
-        payload: Dict[str, object] = {
+        job.trace.emit({
             "kind": kind,
             "name": name,
             "t": round(time.perf_counter(), 9),
-            "job": job_id,
-            "tenant": job.spec.tenant if job else "",
-        }
-        payload.update(fields)
-        sink.emit(payload)
+            "job": job.id,
+            "tenant": job.spec.tenant,
+            **fields,
+        })
 
     def _evict_finished(self) -> None:
         """Bound the finished-job store (oldest evicted first)."""
         finished = [
             job_id for job_id, job in self._jobs.items() if job.finished
         ]
-        excess = len(finished) - self.max_finished_jobs
+        excess = len(finished) - DEFAULT_MAX_FINISHED_JOBS
         for job_id in finished[:max(excess, 0)]:
             del self._jobs[job_id]
-            self._rulesets.pop(job_id, None)
 
     # ------------------------------------------------------- queries
     def get(self, job_id: str) -> Job:
@@ -656,7 +591,7 @@ class SweepScheduler:
         with self._cond:
             job = self._jobs[job_id]
             if not job.finished:
-                self._abort_job(job, "cancelled", "cancelled by client")
+                self._end_job(job, "cancelled", "cancelled by client")
                 self._cond.notify_all()
             return job
 
@@ -679,28 +614,19 @@ class SweepScheduler:
     def queue_snapshot(self) -> Dict[str, object]:
         """The ``GET /queue`` payload: load, limits and accounting."""
         with self._cond:
-            per_tenant: Dict[str, int] = {}
-            for tenants in self._queues.values():
-                for tenant, queue in tenants.items():
-                    live = sum(
-                        1 for key in queue
-                        if key in self._cells
-                        and self._cells[key].state == "pending"
-                    )
-                    per_tenant[tenant] = (
-                        per_tenant.get(tenant, 0) + live
-                    )
-            states: Dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
+            pending = self._pending()
             return {
-                "pending_cells": self._pending_count,
-                "running_cells": self._running_count,
+                "pending_cells": len(pending),
+                "running_cells": len(self._cells) - len(pending),
                 "max_pending_cells": self.max_pending_cells,
                 "workers": self.workers,
                 "obs_level": self.obs_level,
-                "pending_by_tenant": per_tenant,
-                "jobs_by_state": states,
+                "pending_by_tenant": dict(
+                    Counter(cell.tenant for cell in pending)
+                ),
+                "jobs_by_state": dict(
+                    Counter(job.state for job in self._jobs.values())
+                ),
                 "dedup_hits_total": self._dedup_hits_total,
                 "cells_computed_total": self._cells_computed_total,
                 "cached_cells": len(self._done),
@@ -717,20 +643,10 @@ class SweepScheduler:
         observability off.
         """
         with self._cond:
-            depth: Dict[Tuple[str, int], int] = {}
-            for priority, tenants in self._queues.items():
-                for tenant, queue in tenants.items():
-                    live = sum(
-                        1 for key in queue
-                        if key in self._cells
-                        and self._cells[key].state == "pending"
-                    )
-                    if live:
-                        entry = (tenant, priority)
-                        depth[entry] = depth.get(entry, 0) + live
+            pending = self._pending()
             self.metrics.refresh_queue(
-                depth,
-                total=self._pending_count,
+                Counter((cell.tenant, cell.priority) for cell in pending),
+                total=len(pending),
                 capacity=self.max_pending_cells,
                 cached_cells=len(self._done),
             )
@@ -754,8 +670,8 @@ class SweepScheduler:
         three things a supervisor needs to tell "busy" from "wedged".
         """
         with self._cond:
-            pending = self._pending_count
-            running = self._running_count
+            pending = len(self._pending())
+            running = len(self._cells) - pending
             started = self._started
         age = self.metrics.heartbeat_age()
         return {
@@ -817,11 +733,9 @@ class SweepScheduler:
         try:
             sampler.start()
             time.sleep(seconds)
-            sampler.stop()
-            profile = sampler.build("serve.sample")
         finally:
             sampler.stop()
             with self._profiler_lock:
                 self._samples_collected += sampler.samples
                 self._sampler = None
-        return profile
+        return sampler.build("serve.sample")

@@ -245,17 +245,13 @@ class TestCellCallback:
         """workers=1 with a callback publishing onto a bus, as
         ``repro sweep --bus-out`` does: records stay identical to the
         serial grid and the bus carries every record."""
-        from repro.experiments import CellSpec
         from repro.obs.live import BusTailer, BusWriter
 
-        specs = CellSpec.expand(
-            "distgnn", EDGE_NAMES, [2], _grid(), seed=0, num_epochs=1
-        )
         with BusWriter(str(tmp_path), "coordinator") as bus:
             records = run_distgnn_grid_parallel(
                 tiny_or, EDGE_NAMES, [2], _grid(), seed=0, workers=1,
                 cell_callback=lambda cell, recs: bus.publish(
-                    cell, tiny_or.name, specs[cell], recs, 0.0
+                    cell, recs, 0.0
                 ),
             )
         serial = run_distgnn_grid(

@@ -30,7 +30,6 @@ class TestDiffSnapshots:
         snapshot = make_snapshot()
         diff = diff_snapshots(snapshot, snapshot)
         assert diff.clean
-        assert diff.findings() == []
         assert diff.to_dict()["clean"] is True
 
     def test_value_move_beyond_tolerance_flagged(self):
@@ -52,9 +51,6 @@ class TestDiffSnapshots:
         diff = diff_snapshots(a, b)
         assert diff.added_metrics == ["cluster.lost_messages"]
         assert diff.removed_metrics == ["cluster.bytes_sent{machine=0}"]
-        kinds = [f.kind for f in diff.findings()]
-        assert "metric-added" in kinds
-        assert "metric-removed" in kinds
 
     def test_phase_mix_shift(self):
         a = make_snapshot()
@@ -63,9 +59,6 @@ class TestDiffSnapshots:
         diff = diff_snapshots(a, b)
         assert diff.phase_mix["shifted"] is True
         assert diff.phase_mix["l1_shift"] == pytest.approx(0.5)
-        assert any(
-            f.kind == "phase-mix-shift" for f in diff.findings()
-        )
 
     def test_tiny_float_drift_tolerated(self):
         a = make_snapshot()

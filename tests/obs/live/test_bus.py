@@ -5,12 +5,7 @@ import os
 
 import pytest
 
-from repro.experiments import (
-    CellSpec,
-    TrainingParams,
-    record_from_dict,
-    records_to_json,
-)
+from repro.experiments import record_from_dict, records_to_json
 from repro.obs.analysis import Finding
 from repro.obs.live import BusTailer, BusWriter
 
@@ -30,16 +25,9 @@ def record(make_record):
     )
 
 
-def _spec(records=1):
-    return CellSpec(
-        "distgnn", "hdrf", 4, seed=0, num_epochs=1,
-        grid=(TrainingParams(),) * records,
-    )
-
-
 def _record_events(bus, *records):
     with BusWriter(bus, "w0") as writer:
-        writer.publish(0, "OR", _spec(len(records)), records, 1.0)
+        writer.publish(0, records, 1.0)
     return [
         event for event in BusTailer(bus).poll()
         if event["kind"] == "record-done"
@@ -101,24 +89,17 @@ class TestBusWriter:
             message="m",
         )
         with BusWriter(bus, "w0") as writer:
-            writer.publish(
-                3, "OR", _spec(2), [record, record], 2.5, [finding]
-            )
+            writer.publish(3, [record, record], 2.5, [finding])
         with open(os.path.join(bus, "events-w0.jsonl")) as fh:
             events = [json.loads(line) for line in fh]
         assert [e["kind"] for e in events] == [
-            "cell-start", "record-done", "record-done", "cell-done",
-            "finding",
+            "record-done", "record-done", "cell-done", "finding",
         ]
         assert all(e["cell"] == 3 and e["worker"] == "w0" for e in events)
-        start, done = events[0], events[3]
-        assert (
-            start["engine"], start["graph"], start["partitioner"],
-            start["k"], start["records_total"],
-        ) == ("distgnn", "OR", "hdrf", 4, 2)
-        assert [e["index"] for e in events[1:3]] == [0, 1]
+        done = events[2]
+        assert [e["index"] for e in events[:2]] == [0, 1]
         assert (done["records"], done["wall_seconds"]) == (2, 2.5)
-        assert Finding.from_dict(events[4]["finding"]) == finding
+        assert Finding.from_dict(events[3]["finding"]) == finding
 
 
 class TestBusTailer:

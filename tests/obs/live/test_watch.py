@@ -18,13 +18,6 @@ def sweep_start(cells):
             "cells": cells, "t_wall": 10.0, "worker": "coordinator"}
 
 
-def cell_start(cell, partitioner="hdrf", k=4):
-    return {"kind": "cell-start", "cell": cell,
-            "engine": "distgnn", "graph": "OR",
-            "partitioner": partitioner, "k": k, "records_total": 2,
-            "worker": "coordinator", "t_wall": 11.0}
-
-
 def finished_record(cell, epoch=1.5):
     return gnn_record(
         partitioner=("hdrf", "random")[cell], epoch_seconds=epoch,
@@ -54,9 +47,8 @@ def full_sweep_events():
     # observed value) stay distinct under the findings dedup.
     return [
         sweep_start(2),
-        cell_start(0), record_done(0, 0, epoch=1.5),
+        record_done(0, 0, epoch=1.5),
         record_done(0, 1, epoch=1.6), cell_done(0),
-        cell_start(1, partitioner="random"),
         record_done(1, 0, epoch=1.7), record_done(1, 1, epoch=1.8),
         cell_done(1),
     ]
@@ -92,8 +84,8 @@ class TestWatchState:
         state = WatchState()
         state.apply_all([
             sweep_start(4),
-            cell_start(0), cell_done(0, wall=2.0),
-            cell_start(1), cell_done(1, wall=4.0),
+            cell_done(0, wall=2.0),
+            cell_done(1, wall=4.0),
         ])
         # Two cells left at a mean of 3s each.
         assert state.eta_seconds() == 6.0

@@ -82,7 +82,7 @@ class TestRoundTrip:
         graph = load_dataset("OR", "tiny", seed=0)
         serial = run_distgnn_grid(
             graph, ["random"], [2], [TrainingParams(num_layers=2)],
-            0, DEFAULT_COST_MODEL, num_epochs=1,
+            seed=0, cost_model=DEFAULT_COST_MODEL, num_epochs=1,
         )
         # Byte-identical to the serial grid of the same spec.
         assert (

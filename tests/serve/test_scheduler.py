@@ -54,8 +54,8 @@ class TestExecution:
         assert job.state == "done"
         graph = load_dataset("OR", "tiny", seed=0)
         serial = run_distgnn_grid(
-            graph, ["random", "hdrf"], [2], list(job.spec.params), 0,
-            DEFAULT_COST_MODEL, num_epochs=1,
+            graph, ["random", "hdrf"], [2], list(job.spec.params),
+            seed=0, cost_model=DEFAULT_COST_MODEL, num_epochs=1,
         )
         # Byte-identical to a serial run of the same spec.
         assert (
@@ -163,7 +163,6 @@ class TestDedup:
         assert again.state == "done"
         events = BusTailer(again.bus_dir).poll()
         kinds = [e["kind"] for e in events]
-        assert kinds.count("cell-start") == again.cells_total
         assert kinds.count("cell-done") == again.cells_total
         assert kinds.count("record-done") == len(again.records())
 
@@ -219,6 +218,49 @@ class TestQueueDiscipline:
         job = scheduler.cancel(job.id)
         assert job.state == "cancelled"
         assert scheduler.queue_snapshot()["pending_cells"] == 0
+
+
+def _pop_all(scheduler):
+    """Pop every pending cell (runners not started): ``(tenant,
+    partitioner)`` in pop order."""
+    popped = []
+    with scheduler._cond:
+        while (key := scheduler._pop_next_key()) is not None:
+            popped.append((scheduler._cells[key].tenant, key[2]))
+    return popped
+
+
+class TestQueueRegressions:
+    def test_rejoining_tenant_goes_to_the_back_once(self, scheduler):
+        # A drains on its first pop, then submits again while B waits:
+        # A rejoins behind B once, and the two alternate from there.
+        scheduler.submit(_spec(tenant="A", seed=1, partitioners=["dbh"]))
+        scheduler.submit(_spec(
+            tenant="B", seed=2, partitioners=["random", "hdrf", "dbh"],
+        ))
+        with scheduler._cond:
+            first = scheduler._pop_next_key()
+        assert (scheduler._cells[first].tenant, first[2]) == ("A", "dbh")
+        scheduler.submit(_spec(
+            tenant="A", seed=3, partitioners=["random", "hdrf"],
+        ))
+        assert _pop_all(scheduler) == [
+            ("B", "random"), ("A", "random"), ("B", "hdrf"),
+            ("A", "hdrf"), ("B", "dbh"),
+        ]
+
+    def test_cancelled_cells_leave_no_count_behind(self, scheduler):
+        # X's cancelled job drops its cells; Y's identical cell is a
+        # fresh pending cell, counted once and under Y only.
+        job = scheduler.submit(_spec(tenant="X", seed=6))
+        scheduler.cancel(job.id)
+        scheduler.submit(_spec(tenant="Y", seed=6, partitioners=["random"]))
+        snapshot = scheduler.queue_snapshot()
+        assert snapshot["pending_by_tenant"] == {"Y": 1}
+        assert sum(snapshot["pending_by_tenant"].values()) == (
+            snapshot["pending_cells"]
+        )
+        assert _pop_all(scheduler) == [("Y", "random")]
 
 
 class TestAdmissionCaches:
